@@ -267,55 +267,37 @@ class TreePlruEngine
     void on_fill(std::uint32_t set, std::uint32_t way) { touch(set, way); }
     void on_invalidate(std::uint32_t, std::uint32_t) {}
 
-    std::uint32_t
-    victim(std::uint32_t set)
-    {
-        const std::uint64_t bits = bits_[set];
-        std::uint32_t node = 0;
-        std::uint32_t low = 0;
-        std::uint32_t range = ways_;
-        while (range > 1) {
-            const bool go_right = (bits >> node) & 1;
-            range /= 2;
-            if (go_right) {
-                low += range;
-                node = 2 * node + 2;
-            } else {
-                node = 2 * node + 1;
-            }
-        }
-        return low;
-    }
+    std::uint32_t victim(std::uint32_t set) const { return walk(bits_[set]); }
 
-    /**
-     * victim() + on_fill() in a single traversal: the fill's touch walks
-     * exactly the nodes the victim search followed, so each visited bit
-     * can be flipped away from the chosen leaf on the way down.
-     */
+    /** victim() + on_fill(): the walk, then the chosen way's masks. */
     std::uint32_t
     victim_and_fill(std::uint32_t set)
     {
-        std::uint64_t bits = bits_[set];
-        std::uint32_t node = 0;
-        std::uint32_t low = 0;
-        std::uint32_t range = ways_;
-        while (range > 1) {
-            const bool go_right = (bits >> node) & 1;
-            range /= 2;
-            if (go_right) {
-                bits &= ~(1ULL << node);
-                low += range;
-                node = 2 * node + 2;
-            } else {
-                bits |= 1ULL << node;
-                node = 2 * node + 1;
-            }
-        }
-        bits_[set] = bits;
-        return low;
+        const std::uint32_t way = walk(bits_[set]);
+        touch(set, way);
+        return way;
     }
 
   private:
+    /**
+     * Follows the tree bits from the root to the pseudo-LRU leaf. Each
+     * level is arithmetic on the node's bit (no data-dependent branch),
+     * and the trip count depends only on the associativity.
+     */
+    std::uint32_t
+    walk(std::uint64_t bits) const
+    {
+        std::uint32_t node = 0;
+        std::uint32_t low = 0;
+        for (std::uint32_t range = ways_ / 2; range > 0; range /= 2) {
+            const auto go_right =
+                static_cast<std::uint32_t>((bits >> node) & 1);
+            low += go_right * range;
+            node = 2 * node + 1 + go_right;
+        }
+        return low;
+    }
+
     void
     touch(std::uint32_t set, std::uint32_t way)
     {

@@ -1,7 +1,11 @@
 #include "dram/disturbance.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "common/rng.hh"
 
@@ -47,6 +51,19 @@ DisturbanceModel::DisturbanceModel(const DramConfig &config,
       schedule_(schedule),
       flip_log_(flip_log)
 {
+    if (!thresholds_fit(config))
+        throw std::invalid_argument(
+            "per-row flip thresholds must fit in 32 bits");
+}
+
+bool
+DisturbanceModel::thresholds_fit(const DramConfig &config)
+{
+    // In double, so a huge spread cannot overflow; a NaN spread fails.
+    const double top = static_cast<double>(config.flip_threshold) *
+                       (1.0 + config.variation_spread * 0.9);
+    return top <=
+           static_cast<double>(std::numeric_limits<std::uint32_t>::max());
 }
 
 std::uint64_t
@@ -68,42 +85,82 @@ void
 DisturbanceModel::sync_window(std::uint32_t row, RowState &state,
                               Tick now) const
 {
-    // last_refresh(now) > window_start exactly when now has reached the
-    // first refresh after window_start, so caching that deadline reduces
-    // the steady-state check to one comparison.
-    if (state.refresh_due == 0)
-        state.refresh_due = schedule_.next_refresh(row, state.window_start);
-    if (now < state.refresh_due)
+    // last_refresh(now) > window start exactly when now has reached the
+    // first refresh after it, so caching that deadline reduces the
+    // steady-state check to one comparison.
+    Window &w = state.window;
+    if (w.refresh_due == 0)
+        w.refresh_due = schedule_.next_refresh(row, w.start);
+    if (now < w.refresh_due)
         return;
-    const Tick refreshed = schedule_.last_refresh(row, now);
-    const std::uint64_t threshold = state.threshold;
-    const std::uint64_t flip_floor = state.flip_floor;
-    state = RowState();
-    state.window_start = refreshed;
-    state.threshold = threshold;
-    state.flip_floor = flip_floor;
+    w = Window();
+    w.start = schedule_.last_refresh(row, now);
+    state.flipped = false;
 }
 
 double
-DisturbanceModel::disturbance(const RowState &state) const
+DisturbanceModel::disturbance(const Window &w) const
 {
-    const auto l = static_cast<double>(state.left);
-    const auto r = static_cast<double>(state.right);
-    return l + r +
-           config_.double_sided_alpha * std::min(l, r) +
-           state.second_neighbor;
+    const auto l = static_cast<double>(w.left);
+    const auto r = static_cast<double>(w.right);
+    return l + r + config_.double_sided_alpha * std::min(l, r) +
+           w.second_neighbor;
+}
+
+std::size_t
+DisturbanceModel::probe(std::uint32_t row) const
+{
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = home(row);
+    while (slots_[i].row != row && slots_[i].row != kEmptySlot)
+        i = (i + 1) & mask;
+    return i;
+}
+
+const DisturbanceModel::RowState *
+DisturbanceModel::find(std::uint32_t row) const
+{
+    if (slots_.empty())
+        return nullptr;
+    const RowState &slot = slots_[probe(row)];
+    return slot.row == row ? &slot : nullptr;
+}
+
+void
+DisturbanceModel::grow()
+{
+    std::vector<RowState> old(std::max<std::size_t>(16, 2 * slots_.size()));
+    old.swap(slots_);
+    shift_ = 32 - static_cast<std::uint32_t>(std::countr_zero(slots_.size()));
+    for (const RowState &state : old) {
+        if (state.row != kEmptySlot)
+            slots_[probe(state.row)] = state;
+    }
+    // The memo points into the old array.
+    memo_.fill(Memo{});
 }
 
 DisturbanceModel::RowState &
 DisturbanceModel::row_state(std::uint32_t row)
 {
+    assert(row != kEmptySlot);
     Memo &m = memo_[row & (kMemoSize - 1)];
     if (m.state != nullptr && m.row == row)
         return *m.state;
-    RowState &state = rows_[row];
-    m.row = row;
-    m.state = &state;
-    return state;
+    if (slots_.empty())
+        grow();
+    std::size_t i = probe(row);
+    if (slots_[i].row != row) {
+        // Keep the load factor at or below 3/4.
+        if (4 * (std::size_t{used_} + 1) > 3 * slots_.size()) {
+            grow();
+            i = probe(row);
+        }
+        slots_[i].row = row;
+        ++used_;
+    }
+    m = Memo{row, &slots_[i]};
+    return slots_[i];
 }
 
 void
@@ -112,36 +169,40 @@ DisturbanceModel::disturb(std::uint32_t victim, std::uint32_t aggressor,
 {
     RowState &state = row_state(victim);
     sync_window(victim, state, now);
+    Window &w = state.window;
 
     const auto dist = static_cast<std::int64_t>(aggressor) -
                       static_cast<std::int64_t>(victim);
     if (dist == -1) {
-        ++state.left;
+        ++w.left;
     } else if (dist == 1) {
-        ++state.right;
+        ++w.right;
     } else {
-        state.second_neighbor += config_.second_neighbor_weight;
+        w.second_neighbor += config_.second_neighbor_weight;
     }
 
     if (state.flipped)
         return;
     if (state.threshold == 0) {
-        state.threshold = threshold_of(victim);
+        // Fits: the constructor checked thresholds_fit().
+        const std::uint64_t threshold = threshold_of(victim);
+        state.threshold = static_cast<std::uint32_t>(threshold);
         // D = L + R + alpha * min(L, R) + w2-term
-        //   <= (L + R) * (1 + alpha / 2) when the w2 term is zero,
-        // so no flip is possible while L + R stays below this floor
-        // (floor-rounded, hence conservative).
-        state.flip_floor = static_cast<std::uint64_t>(
-            static_cast<double>(state.threshold) /
-            (1.0 + config_.double_sided_alpha * 0.5));
+        //   <= (L + R) * max(1, 1 + alpha / 2) when the w2 term is zero
+        // (min(L, R) <= (L + R) / 2 for alpha >= 0, and the alpha term
+        // only subtracts for alpha < 0), so no flip is possible while
+        // L + R stays below this floor (floor-rounded, hence
+        // conservative).
+        state.flip_floor = static_cast<std::uint32_t>(
+            static_cast<double>(threshold) /
+            std::max(1.0, 1.0 + config_.double_sided_alpha * 0.5));
     }
-    if (state.second_neighbor == 0.0 &&
-        state.left + state.right < state.flip_floor)
+    if (w.second_neighbor == 0.0 && w.left + w.right < state.flip_floor)
         return;
-    if (disturbance(state) >= static_cast<double>(state.threshold)) {
+    if (disturbance(w) >= static_cast<double>(state.threshold)) {
         state.flipped = true;
         flip_log_.push_back(FlipEvent{now, flat_bank_, victim,
-                                      disturbance(state), state.threshold});
+                                      disturbance(w), state.threshold});
     }
 }
 
@@ -149,14 +210,13 @@ void
 DisturbanceModel::on_activate(std::uint32_t row, Tick now)
 {
     // An activation restores the accessed row's own charge. The cached
-    // threshold survives (it is a property of the row, not the window);
-    // refresh_due is left 0 for lazy recomputation if the row is ever
-    // disturbed.
+    // threshold and flip floor survive (they are properties of the row,
+    // not the window); refresh_due is left 0 for lazy recomputation if
+    // the row is ever disturbed.
     RowState &self = row_state(row);
-    const std::uint64_t threshold = self.threshold;
-    self = RowState();
-    self.window_start = now;
-    self.threshold = threshold;
+    self.window = Window();
+    self.window.start = now;
+    self.flipped = false;
 
     const auto last_row = config_.rows_per_bank - 1;
     if (row > 0)
@@ -174,23 +234,23 @@ DisturbanceModel::on_activate(std::uint32_t row, Tick now)
 double
 DisturbanceModel::disturbance_of(std::uint32_t row, Tick now) const
 {
-    auto it = rows_.find(row);
-    if (it == rows_.end())
+    const RowState *slot = find(row);
+    if (slot == nullptr)
         return 0.0;
-    RowState state = it->second;  // copy; sync without mutating
+    RowState state = *slot;  // copy; sync without mutating
     sync_window(row, state, now);
-    return disturbance(state);
+    return disturbance(state.window);
 }
 
 std::pair<std::uint64_t, std::uint64_t>
 DisturbanceModel::neighbor_activations(std::uint32_t row, Tick now) const
 {
-    auto it = rows_.find(row);
-    if (it == rows_.end())
+    const RowState *slot = find(row);
+    if (slot == nullptr)
         return {0, 0};
-    RowState state = it->second;
+    RowState state = *slot;
     sync_window(row, state, now);
-    return {state.left, state.right};
+    return {state.window.left, state.window.right};
 }
 
 }  // namespace anvil::dram

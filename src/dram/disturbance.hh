@@ -25,8 +25,8 @@
 #define ANVIL_DRAM_DISTURBANCE_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "dram/config.hh"
@@ -72,13 +72,14 @@ class RefreshSchedule
 /**
  * Tracks disturbance accumulation and detects bit flips for one bank.
  *
- * State is kept sparsely (only rows that have been disturbed since their
- * last refresh), and refresh is applied lazily from the RefreshSchedule so
- * no per-row events are needed.
+ * State is kept sparsely (one slot per row ever activated or disturbed,
+ * in a flat open-addressing table), and refresh is applied lazily from
+ * the RefreshSchedule so no per-row events are needed.
  */
 class DisturbanceModel
 {
   public:
+    /** @throw std::invalid_argument unless thresholds_fit(config). */
     DisturbanceModel(const DramConfig &config, std::uint32_t flat_bank,
                      const RefreshSchedule &schedule,
                      std::vector<FlipEvent> &flip_log);
@@ -95,46 +96,80 @@ class DisturbanceModel
     /** Flip threshold of @p row (deterministic per-row variation). */
     std::uint64_t threshold_of(std::uint32_t row) const;
 
+    /**
+     * Whether every per-row threshold of @p config fits the 32 bits the
+     * row table stores it in, i.e. flip_threshold at the top variation
+     * grade (0.9) stays below 2^32.
+     */
+    static bool thresholds_fit(const DramConfig &config);
+
     /** Activations of @p row's neighbours in its current window (L, R). */
     std::pair<std::uint64_t, std::uint64_t>
     neighbor_activations(std::uint32_t row, Tick now) const;
 
   private:
-    struct RowState {
-        Tick window_start = 0;
-        /// First refresh strictly after window_start; 0 = not yet
-        /// computed. Cached so the per-disturb window check is a single
-        /// comparison instead of two divides in the refresh schedule.
+    /** Per-window accumulation; reset by every refresh of the row. */
+    struct Window {
+        Tick start = 0;
+        /// First refresh strictly after start; 0 = not yet computed.
+        /// Cached so the per-disturb window check is a single comparison
+        /// instead of two divides in the refresh schedule.
         Tick refresh_due = 0;
+        std::uint64_t left = 0;        ///< activations of row-1
+        std::uint64_t right = 0;       ///< activations of row+1
+        double second_neighbor = 0.0;  ///< weighted distance-2 activations
+    };
+
+    /** One slot of the open-addressing row table (56 bytes). */
+    struct RowState {
+        std::uint32_t row = kEmptySlot;  ///< key; kEmptySlot if unused
         /// Cached threshold_of(row); 0 = not yet computed. The threshold
-        /// is time-invariant, so it survives window resets.
-        std::uint64_t threshold = 0;
+        /// is time-invariant, so it survives window resets. 32 bits is
+        /// enough: the constructor requires thresholds_fit().
+        std::uint32_t threshold = 0;
         /// Conservative integer bound cached with threshold: while
         /// left + right < flip_floor (and no distance-2 disturbance has
         /// accrued), disturbance() cannot reach threshold, so the
         /// floating-point evaluation is skipped.
-        std::uint64_t flip_floor = 0;
-        std::uint64_t left = 0;        ///< activations of row-1
-        std::uint64_t right = 0;       ///< activations of row+1
-        double second_neighbor = 0.0;  ///< weighted distance-2 activations
-        bool flipped = false;
+        std::uint32_t flip_floor = 0;
+        bool flipped = false;  ///< a flip was logged in this window
+        Window window;
     };
+    static_assert(sizeof(RowState) <= 56, "row table slots stay compact");
+    static constexpr std::uint32_t kEmptySlot = ~std::uint32_t{0};
 
     /** Applies lazy refresh to @p state if the sweep passed since start. */
     void sync_window(std::uint32_t row, RowState &state, Tick now) const;
 
-    double disturbance(const RowState &state) const;
+    double disturbance(const Window &window) const;
 
     void disturb(std::uint32_t victim, std::uint32_t aggressor, Tick now);
 
+    /** Index of @p row's slot, or of the empty slot it would take.
+     * @pre table non-empty */
+    std::size_t probe(std::uint32_t row) const;
+
+    /** The slot of @p row, or nullptr if the row was never touched. */
+    const RowState *find(std::uint32_t row) const;
+
     /**
-     * rows_[row] through a small direct-mapped memo of recent lookups.
-     * Hammering touches the same few rows millions of times; the memo
-     * turns the hash-map probe into an array load in the common case.
-     * Entries point at unordered_map nodes, which stay put (node-based
-     * container, never erased from).
+     * The slot of @p row, inserted if absent, through a small
+     * direct-mapped memo of recent lookups. Hammering touches the same
+     * few rows millions of times; the memo turns the table probe into an
+     * array load in the common case. The reference is invalidated by the
+     * next row_state() call that inserts (the table may grow).
      */
     RowState &row_state(std::uint32_t row);
+
+    /** Doubles the table (16 slots at first) and rehashes every row. */
+    void grow();
+
+    /** Home slot of @p row (Fibonacci hashing). @pre table non-empty */
+    std::size_t
+    home(std::uint32_t row) const
+    {
+        return (row * 0x9e3779b9U) >> shift_;
+    }
 
     struct Memo {
         std::uint32_t row = 0;
@@ -147,7 +182,12 @@ class DisturbanceModel
     const RefreshSchedule &schedule_;
     std::vector<FlipEvent> &flip_log_;
     std::array<Memo, kMemoSize> memo_;
-    mutable std::unordered_map<std::uint32_t, RowState> rows_;
+    /// Open-addressing (linear probing) table of every row touched since
+    /// construction; rows are never removed. Power-of-two size, at most
+    /// 3/4 full.
+    std::vector<RowState> slots_;
+    std::uint32_t used_ = 0;  ///< occupied slots
+    std::uint32_t shift_ = 32;  ///< 32 - log2(slots_.size())
 };
 
 }  // namespace anvil::dram

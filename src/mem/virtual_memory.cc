@@ -4,6 +4,7 @@
 #include <cassert>
 #include <new>
 #include <stdexcept>
+#include <utility>
 
 namespace anvil::mem {
 
@@ -132,18 +133,12 @@ AddressSpace::mmap(std::uint64_t bytes)
     next_va_ += chunks * granule;
     next_va_ += kPageBytes;  // unmapped guard gap between regions
 
-    for (std::uint64_t c = 0; c < chunks; ++c) {
-        if (huge) {
-            const Addr block = frames_.allocate_huge();
-            for (std::uint64_t p = 0; p < kHugeBytes / kPageBytes; ++p) {
-                pages_[base + c * kHugeBytes + p * kPageBytes] =
-                    block + p * kPageBytes;
-            }
-        } else {
-            pages_[base + c * kPageBytes] = frames_.allocate();
-        }
-    }
-    regions_.push_back(MappedRegion{base, chunks * granule, huge});
+    MappedRegion region{base, chunks * granule, huge, false, {}};
+    region.frames.reserve(chunks);
+    for (std::uint64_t c = 0; c < chunks; ++c)
+        region.frames.push_back(huge ? frames_.allocate_huge()
+                                     : frames_.allocate());
+    regions_.push_back(std::move(region));
     tlb_flush();
     return base;
 }
@@ -155,13 +150,14 @@ AddressSpace::mmap_shared(const AddressSpace &source, Addr src_va,
     const std::uint64_t pages = (bytes + kPageBytes - 1) / kPageBytes;
     const Addr base = next_va_;
     next_va_ += pages * kPageBytes + kPageBytes;
+    MappedRegion region{base, pages * kPageBytes, false, true, {}};
+    region.frames.reserve(pages);
     for (std::uint64_t p = 0; p < pages; ++p) {
         const Addr frame = source.pagemap(src_va + p * kPageBytes);
         assert(frame != kInvalidAddr && "sharing an unmapped page");
-        pages_[base + p * kPageBytes] = frame;
+        region.frames.push_back(frame);
     }
-    regions_.push_back(
-        MappedRegion{base, pages * kPageBytes, false, true});
+    regions_.push_back(std::move(region));
     tlb_flush();
     return base;
 }
@@ -178,33 +174,40 @@ AddressSpace::munmap(Addr va_base, std::uint64_t bytes)
     (void)bytes;  // whole-region unmap, like the attack code's usage
 
     tlb_flush();
-    if (region->shared) {
-        // The frames belong to the source mapping; just drop the view.
-        for (std::uint64_t off = 0; off < region->bytes;
-             off += kPageBytes) {
-            pages_.erase(va_base + off);
-        }
-        regions_.erase(region);
-        return;
-    }
-    if (region->huge) {
-        for (std::uint64_t off = 0; off < region->bytes;
-             off += kHugeBytes) {
-            frames_.free_huge(pages_.at(va_base + off));
-            for (std::uint64_t p = 0; p < kHugeBytes / kPageBytes; ++p)
-                pages_.erase(va_base + off + p * kPageBytes);
-        }
-    } else {
-        for (std::uint64_t off = 0; off < region->bytes;
-             off += kPageBytes) {
-            auto it = pages_.find(va_base + off);
-            if (it != pages_.end()) {
-                frames_.free(it->second);
-                pages_.erase(it);
-            }
+    // A shared view's frames belong to the source mapping; only the
+    // view is dropped.
+    if (!region->shared) {
+        for (const Addr frame : region->frames) {
+            if (region->huge)
+                frames_.free_huge(frame);
+            else
+                frames_.free(frame);
         }
     }
     regions_.erase(region);
+}
+
+std::uint64_t
+AddressSpace::mapped_pages() const
+{
+    std::uint64_t pages = 0;
+    for (const MappedRegion &r : regions_)
+        pages += r.bytes / kPageBytes;
+    return pages;
+}
+
+const MappedRegion *
+AddressSpace::find_region(Addr va) const
+{
+    // The last region starting at or below va is the only candidate.
+    auto it = std::upper_bound(regions_.begin(), regions_.end(), va,
+                               [](Addr v, const MappedRegion &r) {
+                                   return v < r.va_base;
+                               });
+    if (it == regions_.begin())
+        return nullptr;
+    --it;
+    return it->contains(va) ? &*it : nullptr;
 }
 
 void
@@ -226,12 +229,12 @@ AddressSpace::translate(Addr va) const
         return entry.pa_page | (va & (kPageBytes - 1));
     }
     ++tlb_misses_;
-    auto it = pages_.find(page);
-    if (it == pages_.end())
+    const MappedRegion *region = find_region(page);
+    if (region == nullptr)
         return kInvalidAddr;
     entry.va_page = page;
-    entry.pa_page = it->second;
-    return it->second | (va & (kPageBytes - 1));
+    entry.pa_page = region->frame_of(page);
+    return entry.pa_page | (va & (kPageBytes - 1));
 }
 
 Addr

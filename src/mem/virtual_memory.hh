@@ -12,7 +12,6 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hh"
@@ -102,12 +101,33 @@ class FrameAllocator
     Addr huge_base_ = 0;  ///< physical base of the huge region
 };
 
-/** One mapped region and how it is backed. */
+/** One mapped region, how it is backed, and its slice of page table. */
 struct MappedRegion {
     Addr va_base = 0;
     std::uint64_t bytes = 0;
     bool huge = false;    ///< backed by contiguous 2 MB THP blocks
     bool shared = false;  ///< frames owned by another mapping
+    /// Physical base of each granule in VA order: one 2 MB block per
+    /// entry when huge, one 4 KB frame per entry otherwise.
+    std::vector<Addr> frames;
+
+    bool
+    contains(Addr va) const
+    {
+        return va >= va_base && va - va_base < bytes;
+    }
+
+    /** Physical frame base of the 4 KB page holding @p va. @pre contains */
+    Addr
+    frame_of(Addr va) const
+    {
+        const Addr off = va - va_base;
+        if (huge) {
+            return frames[off / kHugeBytes] +
+                   (off & (kHugeBytes - kPageBytes));
+        }
+        return frames[off >> kPageShift];
+    }
 };
 
 /**
@@ -152,9 +172,11 @@ class AddressSpace
      * @return the physical address, or kInvalidAddr if unmapped.
      *
      * Hot path: a small direct-mapped TLB caches page translations in
-     * front of the page-table hash map; it is flushed on every mapping
-     * change (mmap/mmap_shared/munmap), so it can never serve a stale
-     * frame across an unmap/remap frame reuse.
+     * front of the page table; it is flushed on every mapping change
+     * (mmap/mmap_shared/munmap), so it can never serve a stale frame
+     * across an unmap/remap frame reuse. A miss binary-searches the
+     * regions (kept in increasing VA order) and indexes the region's
+     * frame vector.
      */
     Addr translate(Addr va) const;
 
@@ -191,7 +213,8 @@ class AddressSpace
     Addr pagemap(Addr va) const;
 
     Pid pid() const { return pid_; }
-    std::uint64_t mapped_pages() const { return pages_.size(); }
+    /** 4 KB pages mapped across all live regions. */
+    std::uint64_t mapped_pages() const;
 
   private:
     struct TlbEntry {
@@ -202,10 +225,14 @@ class AddressSpace
     /** Drops every cached translation (any mapping change). */
     void tlb_flush();
 
+    /** The live region containing @p va, or nullptr. */
+    const MappedRegion *find_region(Addr va) const;
+
     Pid pid_;
     FrameAllocator &frames_;
     Addr next_va_ = 0x7f0000000000ULL;  ///< mmap region grows upward
-    std::unordered_map<Addr, Addr> pages_;  ///< va page -> pa frame
+    /// Live regions in increasing va_base order: new regions take VA
+    /// above every earlier one and munmap preserves the order.
     std::vector<MappedRegion> regions_;
 
     // Direct-mapped translation cache (mutable: translate() is

@@ -1,5 +1,6 @@
 #include "scenario/validate.hh"
 
+#include <cmath>
 #include <set>
 #include <sstream>
 #include <string>
@@ -8,6 +9,7 @@
 #include "common/bits.hh"
 #include "common/error.hh"
 #include "common/text.hh"
+#include "dram/disturbance.hh"
 #include "mem/virtual_memory.hh"
 #include "mitigations/registry.hh"
 #include "scenario/scheduler.hh"
@@ -40,6 +42,19 @@ require_nonzero(const ScenarioSpec &spec, const char *field, std::uint64_t v)
 {
     if (v == 0)
         throw cell_error(spec, std::string(field) + " must be nonzero");
+}
+
+void
+require_nonnegative(const ScenarioSpec &spec, const char *field, double v)
+{
+    if (!std::isfinite(v) || v < 0.0) {
+        throw cell_error(spec,
+                         std::string(field) +
+                             " must be finite and non-negative (a "
+                             "negative coupling or spread breaks the "
+                             "disturbance model's flip bounds)")
+            .with("value", std::to_string(v));
+    }
 }
 
 std::string
@@ -152,6 +167,22 @@ validate(const ScenarioSpec &spec)
         throw cell_error(spec,
                          "dram.flip_threshold is zero — every activation "
                          "would flip its neighbours immediately");
+    }
+    require_nonnegative(spec, "dram.double_sided_alpha",
+                        dram.double_sided_alpha);
+    require_nonnegative(spec, "dram.variation_spread",
+                        dram.variation_spread);
+    require_nonnegative(spec, "dram.second_neighbor_weight",
+                        dram.second_neighbor_weight);
+    if (!dram::DisturbanceModel::thresholds_fit(dram)) {
+        throw cell_error(spec,
+                         "dram.flip_threshold * (1 + 0.9 * "
+                         "dram.variation_spread) must fit in 32 bits — "
+                         "the disturbance model stores per-row "
+                         "thresholds in 32 bits")
+            .with("flip_threshold", dram.flip_threshold)
+            .with("variation_spread",
+                  std::to_string(dram.variation_spread));
     }
 
     for (const TenantSpec &t : spec.tenants) {

@@ -6,8 +6,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <map>
 #include <set>
+#include <stdexcept>
+#include <utility>
 
 #include "common/units.hh"
 #include "dram/address_map.hh"
@@ -262,6 +266,157 @@ TEST_F(DisturbanceTest, NeighborActivationTelemetry)
     EXPECT_EQ(left, 1u);
     EXPECT_EQ(right, 1u);
     EXPECT_GT(model_.disturbance_of(701, start + 2), 2.0);  // alpha kicks in
+}
+
+TEST(DisturbanceFlipFloor, NegativeAlphaStillFlipsAtThreshold)
+{
+    // With alpha < 0 the double-sided term only subtracts, so a
+    // single-sided victim (min(L, R) = 0) flips at exactly L = threshold.
+    // The integer flip floor that skips the exact check must never exceed
+    // the threshold, or such flips are silently dropped.
+    DramConfig config = small_config();
+    config.double_sided_alpha = -0.5;
+    RefreshSchedule schedule{config};
+    std::vector<FlipEvent> flips;
+    DisturbanceModel model{config, 0, schedule, flips};
+    const Tick start = ms(1);
+    for (std::uint64_t i = 0; i + 1 < config.flip_threshold; ++i)
+        model.on_activate(100, start + i);
+    EXPECT_TRUE(flips.empty());
+    model.on_activate(100, start + config.flip_threshold);
+    ASSERT_EQ(flips.size(), 2u);
+    EXPECT_EQ(flips[0].row + flips[1].row, 99u + 101u);
+    EXPECT_DOUBLE_EQ(flips[0].disturbance,
+                     static_cast<double>(config.flip_threshold));
+}
+
+TEST(DisturbanceRowTable, RejectsThresholdsBeyond32Bits)
+{
+    DramConfig config = small_config();
+    config.flip_threshold = std::uint64_t{1} << 32;
+    RefreshSchedule schedule{config};
+    std::vector<FlipEvent> flips;
+    EXPECT_THROW((DisturbanceModel{config, 0, schedule, flips}),
+                 std::invalid_argument);
+    config.flip_threshold = 2000000000;
+    config.variation_spread = 2.0;  // top grade: x 2.8 > 2^32
+    EXPECT_THROW((DisturbanceModel{config, 0, schedule, flips}),
+                 std::invalid_argument);
+}
+
+/**
+ * The row table against a naive std::map model of the same physics:
+ * per-row windows reset by the refresh schedule or by the row's own
+ * activation, L/R counts, and one flip per window at the row's
+ * threshold. A hot double-sided pair (whose victims stay in the lookup
+ * memo) is interleaved with a stream of fresh rows that grows the table
+ * through many rehashes, so a memo entry left pointing into a replaced
+ * array would lose counts here.
+ */
+TEST(DisturbanceRowTable, MatchesNaiveModelAcrossRehashes)
+{
+    DramConfig config = small_config();
+    config.rows_per_bank = 4096;
+    config.variation_spread = 2.0;  // per-row thresholds 3000 .. 8400
+    config.flip_threshold = 3000;
+    RefreshSchedule schedule{config};
+    std::vector<FlipEvent> flips;
+    DisturbanceModel model{config, 0, schedule, flips};
+
+    struct RefRow {
+        Tick start = 0;
+        std::uint64_t left = 0;
+        std::uint64_t right = 0;
+        bool flipped = false;
+    };
+    std::map<std::uint32_t, RefRow> ref;
+    std::vector<std::pair<std::uint32_t, Tick>> ref_flips;
+    const auto sync = [&](std::uint32_t row, RefRow &r, Tick now) {
+        const Tick refreshed = schedule.last_refresh(row, now);
+        if (refreshed > r.start)
+            r = RefRow{refreshed};
+    };
+    const auto ref_disturb = [&](std::uint32_t victim, std::uint32_t aggr,
+                                 Tick now) {
+        RefRow &r = ref[victim];
+        sync(victim, r, now);
+        (aggr < victim ? r.left : r.right) += 1;
+        const auto l = static_cast<double>(r.left);
+        const auto rr = static_cast<double>(r.right);
+        const double d =
+            l + rr + config.double_sided_alpha * std::min(l, rr);
+        if (!r.flipped &&
+            d >= static_cast<double>(model.threshold_of(victim))) {
+            r.flipped = true;
+            ref_flips.emplace_back(victim, now);
+        }
+    };
+    const auto activate = [&](std::uint32_t row, Tick now) {
+        model.on_activate(row, now);
+        ref[row] = RefRow{now};
+        if (row > 0)
+            ref_disturb(row - 1, row, now);
+        if (row + 1 < config.rows_per_bank)
+            ref_disturb(row + 1, row, now);
+    };
+
+    // Compares the table's view of @p row with the reference's.
+    const auto counts_match = [&](std::uint32_t row, Tick now) {
+        RefRow r;
+        if (auto it = ref.find(row); it != ref.end()) {
+            r = it->second;
+            sync(row, r, now);
+        }
+        return model.neighbor_activations(row, now) ==
+               std::pair<std::uint64_t, std::uint64_t>{r.left, r.right};
+    };
+
+    // Fresh rows come from [0, 3000); rows from 3100 up are never touched.
+    // The hot pair's victims are checked after every step, so an update
+    // lost to a stale memo entry shows before a refresh can erase it.
+    std::uint32_t lcg = 1;
+    Tick t = ms(1);
+    int mismatched_steps = 0;
+    for (int i = 0; i < 20000; ++i, t += us(5)) {
+        activate(2000, t);
+        activate(2002, t + 1);
+        lcg = lcg * 1103515245U + 12345U;
+        activate((lcg >> 8) % 3000, t + 2);
+        if (!counts_match(1999, t + 3) || !counts_match(2001, t + 3) ||
+            !counts_match(2003, t + 3))
+            ++mismatched_steps;
+    }
+    EXPECT_EQ(mismatched_steps, 0);
+
+    ASSERT_EQ(flips.size(), ref_flips.size());
+    ASSERT_FALSE(flips.empty()) << "the hot pair should flip its victims";
+    for (std::size_t i = 0; i < flips.size(); ++i) {
+        EXPECT_EQ(flips[i].row, ref_flips[i].first) << "flip " << i;
+        EXPECT_EQ(flips[i].time, ref_flips[i].second) << "flip " << i;
+        EXPECT_EQ(flips[i].threshold, model.threshold_of(flips[i].row));
+    }
+    for (std::uint32_t row = 0; row < config.rows_per_bank; ++row) {
+        RefRow r;
+        if (auto it = ref.find(row); it != ref.end()) {
+            r = it->second;
+            sync(row, r, t);
+        }
+        const auto [left, right] = model.neighbor_activations(row, t);
+        EXPECT_EQ(left, r.left) << "row " << row;
+        EXPECT_EQ(right, r.right) << "row " << row;
+        const auto l = static_cast<double>(r.left);
+        const auto rr = static_cast<double>(r.right);
+        EXPECT_DOUBLE_EQ(model.disturbance_of(row, t),
+                         l + rr + config.double_sided_alpha *
+                                      std::min(l, rr))
+            << "row " << row;
+    }
+    // Never-touched rows read as zero after all that growth.
+    for (std::uint32_t row = 3100; row < config.rows_per_bank; ++row) {
+        EXPECT_EQ(model.disturbance_of(row, t), 0.0);
+        EXPECT_EQ(model.neighbor_activations(row, t),
+                  (std::pair<std::uint64_t, std::uint64_t>{0, 0}));
+    }
 }
 
 TEST(DisturbanceSecondNeighbor, DistanceTwoAccumulatesAtConfiguredWeight)

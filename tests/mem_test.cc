@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/units.hh"
 #include "mem/memory_system.hh"
@@ -295,6 +296,123 @@ TEST(AddressSpace, TlbFlushedOnSharedMapAndUnmap)
     EXPECT_EQ(viewer.translate(view), kInvalidAddr);
     // The owner's own mapping (and TLB) is unaffected.
     EXPECT_NE(owner.translate(src), kInvalidAddr);
+}
+
+TEST(AddressSpace, TranslatesAcrossRegionsAndGuardGaps)
+{
+    FrameAllocator frames(256ULL << 20, 19);
+    AddressSpace space(0, frames);
+    const std::uint64_t sizes[] = {3 * kPageBytes, kHugeBytes + 1,
+                                   kPageBytes, 5 * kPageBytes};
+    std::vector<Addr> bases;
+    for (const std::uint64_t bytes : sizes)
+        bases.push_back(space.mmap(bytes));
+    ASSERT_EQ(space.regions().size(), 4u);
+
+    EXPECT_EQ(space.translate(bases[0] - 1), kInvalidAddr);
+    std::set<Addr> seen;
+    for (const MappedRegion &region : space.regions()) {
+        for (Addr off = 0; off < region.bytes; off += kPageBytes) {
+            const Addr pa = space.translate(region.va_base + off + 9);
+            ASSERT_NE(pa, kInvalidAddr);
+            EXPECT_EQ(pa & (kPageBytes - 1), 9u);
+            EXPECT_TRUE(seen.insert(pa).second) << "two pages share a frame";
+        }
+        // The guard page right after every region is unmapped.
+        EXPECT_EQ(space.translate(region.va_base + region.bytes),
+                  kInvalidAddr);
+        EXPECT_EQ(space.translate(region.va_base + region.bytes +
+                                  kPageBytes - 1),
+                  kInvalidAddr);
+    }
+    EXPECT_EQ(space.translate(bases.back() + (64ULL << 20)), kInvalidAddr);
+}
+
+TEST(AddressSpace, HugeRegionPageKOfBlockJ)
+{
+    FrameAllocator frames(256ULL << 20, 20);
+    AddressSpace space(0, frames);
+    const Addr base = space.mmap(3 * kHugeBytes);
+    const MappedRegion &region = space.regions().at(0);
+    ASSERT_TRUE(region.huge);
+    ASSERT_EQ(region.frames.size(), 3u);
+    for (std::uint64_t j = 0; j < 3; ++j) {
+        for (const std::uint64_t k : {0u, 1u, 255u, 511u}) {
+            const Addr va = base + j * kHugeBytes + k * kPageBytes + 17;
+            EXPECT_EQ(space.translate(va),
+                      region.frames[j] + k * kPageBytes + 17)
+                << "block " << j << " page " << k;
+        }
+    }
+}
+
+TEST(AddressSpace, MunmapOfMiddleRegionKeepsLaterRegionsMapped)
+{
+    FrameAllocator frames(256ULL << 20, 21);
+    AddressSpace space(0, frames);
+    const Addr a = space.mmap(2 * kPageBytes);
+    const Addr b = space.mmap(kHugeBytes);
+    const Addr c = space.mmap(3 * kPageBytes);
+    std::vector<Addr> before;
+    for (const Addr va : {a, a + kPageBytes, c, c + 2 * kPageBytes})
+        before.push_back(space.pagemap(va));
+
+    space.munmap(b, kHugeBytes);
+    ASSERT_EQ(space.regions().size(), 2u);
+    EXPECT_EQ(space.translate(b), kInvalidAddr);
+    EXPECT_EQ(space.translate(b + kHugeBytes - 1), kInvalidAddr);
+    std::vector<Addr> after;
+    for (const Addr va : {a, a + kPageBytes, c, c + 2 * kPageBytes})
+        after.push_back(space.pagemap(va));
+    EXPECT_EQ(after, before);
+
+    // A region mapped after the hole lands above every earlier one.
+    const Addr d = space.mmap(kPageBytes);
+    EXPECT_GT(d, c);
+    EXPECT_NE(space.translate(d), kInvalidAddr);
+    EXPECT_EQ(space.pagemap(c), before[2]);
+}
+
+TEST(AddressSpace, SharedViewOfHugeSourceAliasesEachPage)
+{
+    FrameAllocator frames(256ULL << 20, 22);
+    AddressSpace owner(1, frames);
+    AddressSpace viewer(2, frames);
+    const Addr src = owner.mmap(2 * kHugeBytes);
+    // Four pages straddling the boundary between the two huge blocks.
+    const Addr first = src + kHugeBytes - 2 * kPageBytes;
+    const Addr view = viewer.mmap_shared(owner, first, 4 * kPageBytes);
+    const MappedRegion &region = viewer.regions().at(0);
+    EXPECT_FALSE(region.huge);
+    EXPECT_TRUE(region.shared);
+    EXPECT_EQ(region.frames.size(), 4u);
+    for (std::uint64_t p = 0; p < 4; ++p) {
+        EXPECT_EQ(viewer.translate(view + p * kPageBytes + 5),
+                  owner.translate(first + p * kPageBytes + 5))
+            << "page " << p;
+    }
+    EXPECT_EQ(viewer.translate(view + 4 * kPageBytes), kInvalidAddr);
+}
+
+TEST(AddressSpace, MappedPagesTracksMixedMapAndUnmap)
+{
+    FrameAllocator frames(256ULL << 20, 23);
+    AddressSpace owner(1, frames);
+    AddressSpace space(2, frames);
+    const Addr src = owner.mmap(8 * kPageBytes);
+    const Addr small = space.mmap(3 * kPageBytes);
+    const Addr huge = space.mmap(kHugeBytes);
+    space.mmap(kPageBytes);
+    const Addr view = space.mmap_shared(owner, src, 2 * kPageBytes);
+    EXPECT_EQ(space.mapped_pages(), 3u + 512u + 1u + 2u);
+
+    space.munmap(huge, kHugeBytes);
+    EXPECT_EQ(space.mapped_pages(), 3u + 1u + 2u);
+    space.munmap(view, 2 * kPageBytes);
+    EXPECT_EQ(space.mapped_pages(), 3u + 1u);
+    space.munmap(small, 3 * kPageBytes);
+    EXPECT_EQ(space.mapped_pages(), 1u);
+    EXPECT_EQ(owner.mapped_pages(), 8u);
 }
 
 class MemorySystemTest : public ::testing::Test
