@@ -110,19 +110,20 @@ ClflushFreeDoubleSided::ClflushFreeDoubleSided(mem::MemorySystem &mem,
         throw std::runtime_error(
             "target aggressors cannot share an LLC set/slice");
     }
-    // 11 conflicts + the two aggressors = 13 lines contending for the
-    // 12-way set, the same set pressure as the paper's 13-address
-    // eviction set.
-    touches_ = layout.build_eviction_set(a0_, 11);
+    // ways - 1 conflicts + the two aggressors = ways + 1 lines contending
+    // for the set: on the 12-way LLC, the same set pressure as the
+    // paper's 13-address eviction set.
+    touches_ = layout.build_eviction_set(
+        a0_, mem.hierarchy().config().llc_ways - 1);
 }
 
 void
 ClflushFreeDoubleSided::iteration()
 {
     // Steady state: a0 and a1 alternate in a single way of the set. Each
-    // access of one evicts the other; the 11 touches between them re-set
-    // the remaining ways' MRU bits, forcing the Bit-PLRU global reset
-    // that exposes the aggressors' way as the next victim.
+    // access of one evicts the other; the ways - 1 touches between them
+    // re-set the remaining ways' MRU bits, forcing the Bit-PLRU global
+    // reset that exposes the aggressors' way as the next victim.
     mem_.access(pid_, a0_, AccessType::kLoad);
     for (const Addr t : touches_)
         mem_.access(pid_, t, AccessType::kLoad);

@@ -19,9 +19,10 @@
  *
  *     [ M, T1..T11, M', T1..T11, ... ]
  *
- * where M and M' alternate in one way (both always missing) and the 11
- * touches re-set the other ways' MRU bits, forcing the global MRU reset
- * that exposes the M/M' way as the victim. We additionally place BOTH
+ * on the 12-way LLC, where M and M' alternate in one way (both always
+ * missing) and the 11 (in general ways - 1) touches re-set the other
+ * ways' MRU bits, forcing the global MRU reset that exposes the M/M' way
+ * as the victim. We additionally place BOTH
  * aggressors in the same LLC set (possible because the attacker controls
  * the column bits within each aggressor row), so each aggressor acts as
  * the other's evictor: every LLC miss of the pattern is an aggressor-row
@@ -183,7 +184,7 @@ class ClflushFreeDoubleSided : public Hammer
   private:
     Addr a0_;
     Addr a1_;
-    std::vector<Addr> touches_;  ///< the 11 MRU-refresh lines
+    std::vector<Addr> touches_;  ///< the ways - 1 MRU-refresh lines
 };
 
 /**

@@ -13,88 +13,43 @@ Cache::Cache(std::string name, std::uint32_t sets, std::uint32_t ways,
       sets_(sets),
       ways_(ways),
       full_mask_(low_mask(ways)),
-      repl_(policy, sets, ways, rng)
+      repl_(policy, ways, rng),
+      layout_(ways, repl_.state_bytes()),
+      set_bits_(static_cast<Addr>(sets - 1) << kLineShift),
+      record_shift_(log2_exact(layout_.bytes) - kLineShift)
 {
     assert(is_pow2(sets) && "sets must be 2^k");
     assert(ways > 0 && ways <= 64);
-    tags_.resize(static_cast<std::size_t>(sets_) * ways_, 0);
-    valid_bits_.resize(sets_, 0);
+    lines_.resize(static_cast<std::size_t>(sets_) * layout_.bytes /
+                  sizeof(HostLine));
+    for (std::uint32_t s = 0; s < sets_; ++s)
+        repl_.init(state_of(record_of(static_cast<Addr>(s) << kLineShift)));
 }
 
-std::uint32_t
-Cache::set_index(Addr pa) const
-{
-    return static_cast<std::uint32_t>((pa >> kLineShift) & (sets_ - 1));
-}
-
-std::optional<std::uint32_t>
-Cache::find(std::uint32_t set, Addr line) const
-{
-    const Addr *tags = &tags_[static_cast<std::size_t>(set) * ways_];
-    std::uint64_t m = valid_bits_[set];
-    if (m == full_mask_) {
-        // Full set (the steady state): a plain counted scan over the
-        // packed tags, with no validity filtering in the loop.
-        for (std::uint32_t w = 0; w < ways_; ++w) {
-            if (tags[w] == line)
-                return w;
-        }
-        return std::nullopt;
-    }
-    while (m != 0) {
-        const auto w = static_cast<std::uint32_t>(std::countr_zero(m));
-        if (tags[w] == line)
-            return w;
-        m &= m - 1;
-    }
-    return std::nullopt;
-}
-
-bool
-Cache::access(Addr pa)
-{
-    const Addr line = line_of(pa);
-    const std::uint32_t set = set_index(pa);
-    ++stats_.accesses;
-    if (auto way = find(set, line)) {
-        ++stats_.hits;
-        repl_.on_access(set, *way);
-        return true;
-    }
-    ++stats_.misses;
-    return false;
-}
-
-bool
-Cache::contains(Addr pa) const
-{
-    return find(set_index(pa), line_of(pa)).has_value();
-}
-
-std::optional<Addr>
+Addr
 Cache::fill(Addr pa)
 {
-    const Addr line = line_of(pa);
-    const std::uint32_t set = set_index(pa);
-    const std::size_t base = static_cast<std::size_t>(set) * ways_;
-    assert(!find(set, line) && "fill of already-present line");
+    std::uint8_t *rec = record_of(pa);
+    const std::uint32_t tag = tag_of(pa);
+    assert(find(rec, tag) == kNoWay && "fill of already-present line");
 
     ++stats_.fills;
+    std::uint32_t *tags = tags_of(rec);
 
     // Prefer an invalid way (lowest index first, like a scan would).
-    const std::uint64_t valid = valid_bits_[set];
+    std::uint64_t &valid = valid_of(rec);
     if (valid != full_mask_) {
         const auto w = static_cast<std::uint32_t>(std::countr_one(valid));
-        tags_[base + w] = line;
-        valid_bits_[set] = valid | (std::uint64_t{1} << w);
-        repl_.on_fill(set, w);
-        return std::nullopt;
+        tags[w] = tag;
+        valid |= std::uint64_t{1} << w;
+        repl_.on_fill(state_of(rec), w);
+        return kInvalidAddr;
     }
 
-    const std::uint32_t w = repl_.victim_and_fill(set);
+    const std::uint32_t w = repl_.victim_and_fill(state_of(rec));
     assert(w < ways_);
-    const Addr evicted = tags_[base + w];
-    tags_[base + w] = line;
+    const Addr evicted = static_cast<Addr>(tags[w]) << kLineShift;
+    tags[w] = tag;
     ++stats_.evictions;
     return evicted;
 }
@@ -102,26 +57,26 @@ Cache::fill(Addr pa)
 bool
 Cache::invalidate(Addr pa)
 {
-    const Addr line = line_of(pa);
-    const std::uint32_t set = set_index(pa);
-    if (auto w = find(set, line)) {
-        valid_bits_[set] &= ~(std::uint64_t{1} << *w);
-        repl_.on_invalidate(set, *w);
-        ++stats_.invalidations;
-        return true;
-    }
-    return false;
+    std::uint8_t *rec = record_of(pa);
+    const std::uint32_t w = find(rec, tag_of(pa));
+    if (w == kNoWay)
+        return false;
+    valid_of(rec) &= ~(std::uint64_t{1} << w);
+    repl_.on_invalidate(state_of(rec), w);
+    ++stats_.invalidations;
+    return true;
 }
 
 std::vector<Addr>
 Cache::lines_in_set(std::uint32_t set) const
 {
     std::vector<Addr> lines;
-    const std::size_t base = static_cast<std::size_t>(set) * ways_;
-    std::uint64_t m = valid_bits_[set];
+    const std::uint8_t *rec = record(set);
+    const std::uint32_t *tags = tags_of(rec);
+    std::uint64_t m = valid_of(rec);
     while (m != 0) {
         const auto w = static_cast<std::uint32_t>(std::countr_zero(m));
-        lines.push_back(tags_[base + w]);
+        lines.push_back(static_cast<Addr>(tags[w]) << kLineShift);
         m &= m - 1;
     }
     return lines;

@@ -3,24 +3,23 @@
 namespace anvil::cache {
 
 ReplacementEngine::Variant
-ReplacementEngine::make(ReplPolicy policy, std::uint32_t sets,
-                        std::uint32_t ways, Rng *rng)
+ReplacementEngine::make(ReplPolicy policy, std::uint32_t ways, Rng *rng)
 {
     switch (policy) {
       case ReplPolicy::kLru:
-        return Variant{std::in_place_type<LruEngine>, sets, ways};
+        return Variant{std::in_place_type<LruEngine>, ways};
       case ReplPolicy::kBitPlru:
-        return Variant{std::in_place_type<BitPlruEngine>, sets, ways};
+        return Variant{std::in_place_type<BitPlruEngine>, ways};
       case ReplPolicy::kNru:
-        return Variant{std::in_place_type<NruEngine>, sets, ways};
+        return Variant{std::in_place_type<NruEngine>, ways};
       case ReplPolicy::kTreePlru:
-        return Variant{std::in_place_type<TreePlruEngine>, sets, ways};
+        return Variant{std::in_place_type<TreePlruEngine>, ways};
       case ReplPolicy::kSrrip:
-        return Variant{std::in_place_type<SrripEngine>, sets, ways};
+        return Variant{std::in_place_type<SrripEngine>, ways};
       case ReplPolicy::kRandom:
         return Variant{std::in_place_type<RandomEngine>, ways, rng};
     }
-    return Variant{std::in_place_type<LruEngine>, sets, ways};
+    return Variant{std::in_place_type<LruEngine>, ways};
 }
 
 }  // namespace anvil::cache

@@ -6,9 +6,10 @@
  * The reference implementation (`SetPolicy` in replacement.hh) allocates
  * one heap object per cache set and dispatches every touch through a
  * vtable — a pointer chase plus an indirect call per access per level.
- * Each engine here instead keeps the state of *all* sets of a cache in a
- * single contiguous POD array (one machine word or a few bytes per set),
- * dispatched once per cache through a `std::variant`. Victim/eviction
+ * Each engine here is instead stateless per set: a set's replacement
+ * state (one machine word, a byte per way, or nothing) sits in that
+ * set's record next to its tags (cache.hh), and the engine is dispatched
+ * once per cache through a `std::variant`. Victim/eviction
  * sequences are bit-exact with the reference policies — enforced by the
  * golden-trace equivalence tests — and `kRandom` draws from the shared
  * Rng in exactly the same call order.
@@ -22,7 +23,6 @@
 #include <cstdint>
 #include <cstring>
 #include <variant>
-#include <vector>
 
 #include "cache/replacement.hh"
 #include "common/bits.hh"
@@ -31,48 +31,61 @@
 namespace anvil::cache {
 
 /**
- * True LRU. Per set: a recency stack of way indices, position 0 = MRU,
- * matching LruPolicy's vector layout exactly.
+ * Per-set replacement state lives inside the cache's set record
+ * (cache.hh); every engine method takes a pointer to that set's state
+ * bytes. The record keeps them 8-byte aligned, and each byte range is
+ * only ever accessed as one type: a 64-bit word for the bitmask
+ * policies, single bytes for LRU and SRRIP.
+ */
+using SetState = std::uint8_t *;
+
+/** The 64-bit state word at @p s (Bit-PLRU, NRU, Tree-PLRU). */
+inline std::uint64_t &
+state_word(SetState s)
+{
+    return *reinterpret_cast<std::uint64_t *>(s);
+}
+
+/**
+ * True LRU. Per set: a recency stack of way indices, one byte each,
+ * position 0 = MRU, matching LruPolicy's vector layout exactly.
  */
 class LruEngine
 {
   public:
-    LruEngine(std::uint32_t sets, std::uint32_t ways)
-        : ways_(ways), stack_(static_cast<std::size_t>(sets) * ways)
+    explicit LruEngine(std::uint32_t ways) : ways_(ways)
     {
         assert(ways <= 255 && "way index must fit a byte");
-        for (std::uint32_t s = 0; s < sets; ++s) {
-            for (std::uint32_t w = 0; w < ways; ++w)
-                stack_[static_cast<std::size_t>(s) * ways + w] =
-                    static_cast<std::uint8_t>(w);
-        }
     }
 
-    void on_access(std::uint32_t set, std::uint32_t way) { touch(set, way); }
-    void on_fill(std::uint32_t set, std::uint32_t way) { touch(set, way); }
+    std::uint32_t state_bytes() const { return ways_; }
 
     void
-    on_invalidate(std::uint32_t set, std::uint32_t way)
+    init(SetState s) const
+    {
+        for (std::uint32_t w = 0; w < ways_; ++w)
+            s[w] = static_cast<std::uint8_t>(w);
+    }
+
+    void on_access(SetState s, std::uint32_t way) { touch(s, way); }
+    void on_fill(SetState s, std::uint32_t way) { touch(s, way); }
+
+    void
+    on_invalidate(SetState s, std::uint32_t way)
     {
         // Move to the LRU position so the way is reused first.
-        std::uint8_t *s = &stack_[static_cast<std::size_t>(set) * ways_];
         const std::uint32_t pos = find(s, way);
         std::memmove(s + pos, s + pos + 1, ways_ - pos - 1);
         s[ways_ - 1] = static_cast<std::uint8_t>(way);
     }
 
-    std::uint32_t
-    victim(std::uint32_t set)
-    {
-        return stack_[static_cast<std::size_t>(set) * ways_ + ways_ - 1];
-    }
+    std::uint32_t victim(SetState s) { return s[ways_ - 1]; }
 
     /** victim() + on_fill() in one pass: the victim's stack position is
      * known to be the back, so the fill skips the find() scan. */
     std::uint32_t
-    victim_and_fill(std::uint32_t set)
+    victim_and_fill(SetState s)
     {
-        std::uint8_t *s = &stack_[static_cast<std::size_t>(set) * ways_];
         const std::uint8_t w = s[ways_ - 1];
         std::memmove(s + 1, s, ways_ - 1);
         s[0] = w;
@@ -81,9 +94,8 @@ class LruEngine
 
   private:
     void
-    touch(std::uint32_t set, std::uint32_t way)
+    touch(SetState s, std::uint32_t way)
     {
-        std::uint8_t *s = &stack_[static_cast<std::size_t>(set) * ways_];
         const std::uint32_t pos = find(s, way);
         std::memmove(s + 1, s, pos);
         s[0] = static_cast<std::uint8_t>(way);
@@ -101,7 +113,6 @@ class LruEngine
     }
 
     std::uint32_t ways_;
-    std::vector<std::uint8_t> stack_;
 };
 
 /**
@@ -110,118 +121,122 @@ class LruEngine
 class BitPlruEngine
 {
   public:
-    BitPlruEngine(std::uint32_t sets, std::uint32_t ways)
-        : ways_(ways), full_(low_mask(ways)), mru_(sets, 0)
+    explicit BitPlruEngine(std::uint32_t ways)
+        : ways_(ways), full_(low_mask(ways))
     {
         assert(ways <= 64 && "MRU bitmask is one 64-bit word");
     }
 
-    void on_access(std::uint32_t set, std::uint32_t way) { set_mru(set, way); }
-    void on_fill(std::uint32_t set, std::uint32_t way) { set_mru(set, way); }
+    std::uint32_t state_bytes() const { return 8; }
+    void init(SetState s) const { state_word(s) = 0; }
+
+    void on_access(SetState s, std::uint32_t way) { set_mru(s, way); }
+    void on_fill(SetState s, std::uint32_t way) { set_mru(s, way); }
 
     void
-    on_invalidate(std::uint32_t set, std::uint32_t way)
+    on_invalidate(SetState s, std::uint32_t way)
     {
-        mru_[set] &= ~(1ULL << way);
+        state_word(s) &= ~(1ULL << way);
     }
 
     std::uint32_t
-    victim(std::uint32_t set)
+    victim(SetState s)
     {
         // Lowest index whose MRU bit is clear; defensive 0 if none (the
         // reference's unreachable fallback).
         const auto w =
-            static_cast<std::uint32_t>(std::countr_one(mru_[set]));
+            static_cast<std::uint32_t>(std::countr_one(state_word(s)));
         return w < ways_ ? w : 0;
     }
 
     /** victim() + on_fill() on one load/store of the MRU word. */
     std::uint32_t
-    victim_and_fill(std::uint32_t set)
+    victim_and_fill(SetState s)
     {
-        const std::uint64_t m = mru_[set];
+        const std::uint64_t m = state_word(s);
         auto w = static_cast<std::uint32_t>(std::countr_one(m));
         if (w >= ways_)
             w = 0;
         const std::uint64_t nm = m | (1ULL << w);
-        mru_[set] = nm == full_ ? (1ULL << w) : nm;
+        state_word(s) = nm == full_ ? (1ULL << w) : nm;
         return w;
     }
 
   private:
     void
-    set_mru(std::uint32_t set, std::uint32_t way)
+    set_mru(SetState s, std::uint32_t way)
     {
-        std::uint64_t m = mru_[set] | (1ULL << way);
+        const std::uint64_t m = state_word(s) | (1ULL << way);
         // When the last MRU bit is set, clear all the others.
-        mru_[set] = m == full_ ? (1ULL << way) : m;
+        state_word(s) = m == full_ ? (1ULL << way) : m;
     }
 
     std::uint32_t ways_;
     std::uint64_t full_;
-    std::vector<std::uint64_t> mru_;
 };
 
 /**
- * NRU: reference bits cleared lazily at victim selection.
+ * NRU: reference bits cleared lazily at victim selection. Per set: one
+ * reference bitmask word.
  */
 class NruEngine
 {
   public:
-    NruEngine(std::uint32_t sets, std::uint32_t ways)
-        : ways_(ways), ref_(sets, 0)
+    explicit NruEngine(std::uint32_t ways) : ways_(ways)
     {
         assert(ways <= 64 && "reference bitmask is one 64-bit word");
     }
 
+    std::uint32_t state_bytes() const { return 8; }
+    void init(SetState s) const { state_word(s) = 0; }
+
     void
-    on_access(std::uint32_t set, std::uint32_t way)
+    on_access(SetState s, std::uint32_t way)
     {
-        ref_[set] |= 1ULL << way;
+        state_word(s) |= 1ULL << way;
     }
 
     void
-    on_fill(std::uint32_t set, std::uint32_t way)
+    on_fill(SetState s, std::uint32_t way)
     {
-        ref_[set] |= 1ULL << way;
+        state_word(s) |= 1ULL << way;
     }
 
     void
-    on_invalidate(std::uint32_t set, std::uint32_t way)
+    on_invalidate(SetState s, std::uint32_t way)
     {
-        ref_[set] &= ~(1ULL << way);
+        state_word(s) &= ~(1ULL << way);
     }
 
     std::uint32_t
-    victim(std::uint32_t set)
+    victim(SetState s)
     {
         const auto w =
-            static_cast<std::uint32_t>(std::countr_one(ref_[set]));
+            static_cast<std::uint32_t>(std::countr_one(state_word(s)));
         if (w < ways_)
             return w;
         // All referenced: clear every bit and take way 0, exactly like the
         // reference's second pass.
-        ref_[set] = 0;
+        state_word(s) = 0;
         return 0;
     }
 
     /** victim() + on_fill() without reloading the reference word. */
     std::uint32_t
-    victim_and_fill(std::uint32_t set)
+    victim_and_fill(SetState s)
     {
-        const std::uint64_t r = ref_[set];
+        const std::uint64_t r = state_word(s);
         auto w = static_cast<std::uint32_t>(std::countr_one(r));
         if (w < ways_) {
-            ref_[set] = r | (1ULL << w);
+            state_word(s) = r | (1ULL << w);
             return w;
         }
-        ref_[set] = 1;  // cleared, then way 0 filled
+        state_word(s) = 1;  // cleared, then way 0 filled
         return 0;
     }
 
   private:
     std::uint32_t ways_;
-    std::vector<std::uint64_t> ref_;
 };
 
 /**
@@ -231,8 +246,7 @@ class NruEngine
 class TreePlruEngine
 {
   public:
-    TreePlruEngine(std::uint32_t sets, std::uint32_t ways)
-        : ways_(ways), bits_(sets, 0)
+    explicit TreePlruEngine(std::uint32_t ways) : ways_(ways)
     {
         assert(is_pow2(ways) && "tree PLRU needs 2^k ways");
         assert(ways <= 64 && "tree bits fit one 64-bit word");
@@ -263,18 +277,21 @@ class TreePlruEngine
         }
     }
 
-    void on_access(std::uint32_t set, std::uint32_t way) { touch(set, way); }
-    void on_fill(std::uint32_t set, std::uint32_t way) { touch(set, way); }
-    void on_invalidate(std::uint32_t, std::uint32_t) {}
+    std::uint32_t state_bytes() const { return 8; }
+    void init(SetState s) const { state_word(s) = 0; }
 
-    std::uint32_t victim(std::uint32_t set) const { return walk(bits_[set]); }
+    void on_access(SetState s, std::uint32_t way) { touch(s, way); }
+    void on_fill(SetState s, std::uint32_t way) { touch(s, way); }
+    void on_invalidate(SetState, std::uint32_t) {}
+
+    std::uint32_t victim(SetState s) const { return walk(state_word(s)); }
 
     /** victim() + on_fill(): the walk, then the chosen way's masks. */
     std::uint32_t
-    victim_and_fill(std::uint32_t set)
+    victim_and_fill(SetState s)
     {
-        const std::uint32_t way = walk(bits_[set]);
-        touch(set, way);
+        const std::uint32_t way = walk(state_word(s));
+        touch(s, way);
         return way;
     }
 
@@ -299,79 +316,62 @@ class TreePlruEngine
     }
 
     void
-    touch(std::uint32_t set, std::uint32_t way)
+    touch(SetState s, std::uint32_t way)
     {
         // Flip each node on the path to point away from this way.
-        bits_[set] = (bits_[set] | touch_set_[way]) & ~touch_clear_[way];
+        state_word(s) =
+            (state_word(s) | touch_set_[way]) & ~touch_clear_[way];
     }
 
     std::uint32_t ways_;
-    std::vector<std::uint64_t> bits_;
     std::array<std::uint64_t, 64> touch_set_{};
     std::array<std::uint64_t, 64> touch_clear_{};
 };
 
 /**
- * SRRIP with 2-bit RRPVs, one byte per way in a contiguous array.
+ * SRRIP with 2-bit RRPVs. Per set: one byte per way.
  */
 class SrripEngine
 {
   public:
     static constexpr std::uint8_t kMaxRrpv = 3;
 
-    SrripEngine(std::uint32_t sets, std::uint32_t ways)
-        : ways_(ways),
-          rrpv_(static_cast<std::size_t>(sets) * ways, kMaxRrpv)
-    {
-    }
+    explicit SrripEngine(std::uint32_t ways) : ways_(ways) {}
 
-    void
-    on_access(std::uint32_t set, std::uint32_t way)
-    {
-        rrpv_[static_cast<std::size_t>(set) * ways_ + way] = 0;
-    }
+    std::uint32_t state_bytes() const { return ways_; }
+    void init(SetState s) const { std::memset(s, kMaxRrpv, ways_); }
 
-    void
-    on_fill(std::uint32_t set, std::uint32_t way)
-    {
-        rrpv_[static_cast<std::size_t>(set) * ways_ + way] = kMaxRrpv - 1;
-    }
-
-    void
-    on_invalidate(std::uint32_t set, std::uint32_t way)
-    {
-        rrpv_[static_cast<std::size_t>(set) * ways_ + way] = kMaxRrpv;
-    }
+    void on_access(SetState s, std::uint32_t way) { s[way] = 0; }
+    void on_fill(SetState s, std::uint32_t way) { s[way] = kMaxRrpv - 1; }
+    void on_invalidate(SetState s, std::uint32_t way) { s[way] = kMaxRrpv; }
 
     std::uint32_t
-    victim(std::uint32_t set)
+    victim(SetState s)
     {
-        std::uint8_t *r = &rrpv_[static_cast<std::size_t>(set) * ways_];
         while (true) {
             for (std::uint32_t w = 0; w < ways_; ++w) {
-                if (r[w] == kMaxRrpv)
+                if (s[w] == kMaxRrpv)
                     return w;
             }
             for (std::uint32_t w = 0; w < ways_; ++w)
-                ++r[w];
+                ++s[w];
         }
     }
 
     std::uint32_t
-    victim_and_fill(std::uint32_t set)
+    victim_and_fill(SetState s)
     {
-        const std::uint32_t w = victim(set);
-        on_fill(set, w);
+        const std::uint32_t w = victim(s);
+        on_fill(s, w);
         return w;
     }
 
   private:
     std::uint32_t ways_;
-    std::vector<std::uint8_t> rrpv_;
 };
 
 /** Uniform-random victim; draws from the shared Rng exactly like the
- * reference, preserving the global RNG call order. */
+ * reference, preserving the global RNG call order. No per-set state. */
 class RandomEngine
 {
   public:
@@ -380,20 +380,23 @@ class RandomEngine
         assert(rng != nullptr && "random policy needs an Rng");
     }
 
-    void on_access(std::uint32_t, std::uint32_t) {}
-    void on_fill(std::uint32_t, std::uint32_t) {}
-    void on_invalidate(std::uint32_t, std::uint32_t) {}
+    std::uint32_t state_bytes() const { return 0; }
+    void init(SetState) const {}
+
+    void on_access(SetState, std::uint32_t) {}
+    void on_fill(SetState, std::uint32_t) {}
+    void on_invalidate(SetState, std::uint32_t) {}
 
     std::uint32_t
-    victim(std::uint32_t)
+    victim(SetState)
     {
         return static_cast<std::uint32_t>(rng_->next_below(ways_));
     }
 
     std::uint32_t
-    victim_and_fill(std::uint32_t set)
+    victim_and_fill(SetState s)
     {
-        return victim(set);  // on_fill is a no-op
+        return victim(s);  // on_fill is a no-op
     }
 
   private:
@@ -406,52 +409,68 @@ class RandomEngine
  *
  * Dispatch is a branch on the policy tag — resolved identically on every
  * access of a given cache, so it predicts perfectly — instead of a
- * per-set vtable load.
+ * per-set vtable load. The engine holds only the geometry (and the Rng
+ * for kRandom); each call names the set's state bytes in its record.
  */
 class ReplacementEngine
 {
   public:
-    ReplacementEngine(ReplPolicy policy, std::uint32_t sets,
-                      std::uint32_t ways, Rng *rng)
-        : policy_(policy), impl_(make(policy, sets, ways, rng))
+    ReplacementEngine(ReplPolicy policy, std::uint32_t ways, Rng *rng)
+        : policy_(policy), impl_(make(policy, ways, rng))
     {
     }
 
-    void
-    on_access(std::uint32_t set, std::uint32_t way)
+    /** Bytes of per-set state the policy keeps in each set record. */
+    std::uint32_t
+    state_bytes()
     {
-        dispatch([&](auto &e) { e.on_access(set, way); });
+        std::uint32_t n = 0;
+        dispatch([&](auto &e) { n = e.state_bytes(); });
+        return n;
+    }
+
+    /** Writes the policy's initial (empty-set) state to @p s. */
+    void
+    init(SetState s)
+    {
+        dispatch([&](auto &e) { e.init(s); });
     }
 
     void
-    on_fill(std::uint32_t set, std::uint32_t way)
+    on_access(SetState s, std::uint32_t way)
     {
-        dispatch([&](auto &e) { e.on_fill(set, way); });
+        dispatch([&](auto &e) { e.on_access(s, way); });
     }
 
     void
-    on_invalidate(std::uint32_t set, std::uint32_t way)
+    on_fill(SetState s, std::uint32_t way)
     {
-        dispatch([&](auto &e) { e.on_invalidate(set, way); });
+        dispatch([&](auto &e) { e.on_fill(s, way); });
+    }
+
+    void
+    on_invalidate(SetState s, std::uint32_t way)
+    {
+        dispatch([&](auto &e) { e.on_invalidate(s, way); });
     }
 
     std::uint32_t
-    victim(std::uint32_t set)
+    victim(SetState s)
     {
         std::uint32_t v = 0;
-        dispatch([&](auto &e) { v = e.victim(set); });
+        dispatch([&](auto &e) { v = e.victim(s); });
         return v;
     }
 
     /**
-     * Equivalent to victim(set) followed by on_fill(set, victim), fused
-     * so each engine touches its per-set state once.
+     * Equivalent to victim(s) followed by on_fill(s, victim), fused so
+     * each engine touches the set's state once.
      */
     std::uint32_t
-    victim_and_fill(std::uint32_t set)
+    victim_and_fill(SetState s)
     {
         std::uint32_t v = 0;
-        dispatch([&](auto &e) { v = e.victim_and_fill(set); });
+        dispatch([&](auto &e) { v = e.victim_and_fill(s); });
         return v;
     }
 
@@ -461,8 +480,7 @@ class ReplacementEngine
     using Variant = std::variant<LruEngine, BitPlruEngine, NruEngine,
                                  TreePlruEngine, SrripEngine, RandomEngine>;
 
-    static Variant make(ReplPolicy policy, std::uint32_t sets,
-                        std::uint32_t ways, Rng *rng);
+    static Variant make(ReplPolicy policy, std::uint32_t ways, Rng *rng);
 
     /** Switch on the policy tag; avoids std::visit's dispatch table. */
     template <typename Fn>

@@ -30,7 +30,8 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig &config)
       l2_("L2", config_.l2_sets, config_.l2_ways, config_.l2_policy, &rng_)
 {
     assert(is_pow2(config_.llc_slices) && "slice count must be 2^k");
-    assert(config_.llc_slices <= 8 && "at most 3 slice-hash bits defined");
+    assert(config_.llc_slices <= kMaxLlcSlices &&
+           "at most 3 slice-hash bits defined");
     llc_.reserve(config_.llc_slices);
     for (std::uint32_t s = 0; s < config_.llc_slices; ++s) {
         llc_.emplace_back("LLC.slice" + std::to_string(s),
@@ -65,13 +66,12 @@ CacheHierarchy::llc_set(Addr pa) const
 void
 CacheHierarchy::install_llc(Addr pa, Cache &slice)
 {
-    if (auto evicted = slice.fill(pa)) {
-        if (config_.llc_inclusive) {
-            // Inclusive LLC: a line leaving the LLC must leave the core
-            // caches too (back-invalidation).
-            l1_.invalidate(*evicted);
-            l2_.invalidate(*evicted);
-        }
+    const Addr evicted = slice.fill(pa);
+    if (evicted != kInvalidAddr && config_.llc_inclusive) {
+        // Inclusive LLC: a line leaving the LLC must leave the core
+        // caches too (back-invalidation).
+        l1_.invalidate(evicted);
+        l2_.invalidate(evicted);
     }
 }
 

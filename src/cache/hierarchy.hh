@@ -23,6 +23,9 @@
 
 namespace anvil::cache {
 
+/// Slice counts the slice hash supports: one parity mask per index bit.
+inline constexpr std::uint32_t kMaxLlcSlices = 8;
+
 /** Configuration of the full hierarchy. */
 struct HierarchyConfig {
     // L1D: 32 KB, 8-way.

@@ -360,6 +360,10 @@ fig1_pattern()
                 s.name = std::string("pattern/") +
                          cache::to_string(policy);
                 s.system.cache.llc_policy = policy;
+                // Tree-PLRU is defined for 2^k ways only; its cell runs
+                // the nearest such LLC, 16 ways (4 MB).
+                if (policy == cache::ReplPolicy::kTreePlru)
+                    s.system.cache.llc_ways = 16;
                 s.seed_vm_from_trial = false;
                 s.attacks = {{AttackKind::kClflushFreeDoubleSided}};
                 s.run.mode = RunMode::kPatternMeasure;

@@ -1,11 +1,13 @@
 #include "scenario/validate.hh"
 
 #include <cmath>
+#include <cstdio>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cache/hierarchy.hh"
 #include "common/bits.hh"
 #include "common/error.hh"
 #include "common/text.hh"
@@ -54,6 +56,41 @@ require_nonnegative(const ScenarioSpec &spec, const char *field, double v)
                              "negative coupling or spread breaks the "
                              "disturbance model's flip bounds)")
             .with("value", std::to_string(v));
+    }
+}
+
+/**
+ * Rejects cache geometries the tag store cannot hold; Cache and
+ * CacheHierarchy only assert them, and the asserts compile out in
+ * optimized builds.
+ */
+void
+require_cache_level(const ScenarioSpec &spec, const char *field,
+                    std::uint32_t ways, cache::ReplPolicy policy)
+{
+    require_nonzero(spec, field, ways);
+    if (policy == cache::ReplPolicy::kTreePlru && !is_pow2(ways)) {
+        throw cell_error(spec,
+                         std::string(field) +
+                             " must be a power of two under tree-plru "
+                             "(the victim walk halves the way range at "
+                             "each tree level)")
+            .with("value", ways);
+    }
+    if (policy == cache::ReplPolicy::kLru && ways > 255) {
+        throw cell_error(spec,
+                         std::string(field) +
+                             " must be at most 255 under lru (the recency "
+                             "stack stores each way index in one byte)")
+            .with("value", ways);
+    }
+    if (ways > 64) {
+        throw cell_error(spec,
+                         std::string(field) +
+                             " must be at most 64 (each set's valid ways "
+                             "and replacement bits are one 64-bit word)")
+            .with("value", ways)
+            .with("policy", cache::to_string(policy));
     }
 }
 
@@ -140,10 +177,21 @@ validate(const ScenarioSpec &spec)
     require_pow2(spec, "cache.l2_sets", cache.l2_sets);
     require_pow2(spec, "cache.llc_sets_per_slice",
                  cache.llc_sets_per_slice);
-    require_nonzero(spec, "cache.l1_ways", cache.l1_ways);
-    require_nonzero(spec, "cache.l2_ways", cache.l2_ways);
-    require_nonzero(spec, "cache.llc_ways", cache.llc_ways);
-    require_nonzero(spec, "cache.llc_slices", cache.llc_slices);
+    require_cache_level(spec, "cache.l1_ways", cache.l1_ways,
+                        cache.l1_policy);
+    require_cache_level(spec, "cache.l2_ways", cache.l2_ways,
+                        cache.l2_policy);
+    require_cache_level(spec, "cache.llc_ways", cache.llc_ways,
+                        cache.llc_policy);
+    if (!is_pow2(cache.llc_slices) ||
+        cache.llc_slices > cache::kMaxLlcSlices) {
+        throw cell_error(spec,
+                         "cache.llc_slices must be a power of two no "
+                         "larger than 8 (the slice hash defines three "
+                         "index bits; other counts would leave slices "
+                         "unused)")
+            .with("value", cache.llc_slices);
+    }
 
     const dram::DramConfig &dram = spec.system.dram;
     require_nonzero(spec, "dram.channels", dram.channels);
@@ -157,6 +205,22 @@ validate(const ScenarioSpec &spec)
     }
     require_pow2(spec, "dram.row_bytes", dram.row_bytes);
     require_nonzero(spec, "dram.refresh_slots", dram.refresh_slots);
+    // capacity_bytes() in double: its integer products can overflow,
+    // and a double compares exactly against the 2^38 limit (every
+    // intermediate below 2^53 is exact; anything larger is over it).
+    const double capacity = static_cast<double>(dram.channels) *
+                            dram.ranks_per_channel * dram.banks_per_rank *
+                            dram.rows_per_bank * dram.row_bytes;
+    if (capacity > static_cast<double>(cache::kMaxPhysBytes)) {
+        char bytes[32];
+        std::snprintf(bytes, sizeof bytes, "%.0f", capacity);
+        throw cell_error(spec,
+                         "DRAM capacity exceeds 256 GiB — cache tags are "
+                         "32-bit line numbers, so physical addresses "
+                         "must stay below 2^38")
+            .with("capacity_bytes", std::string(bytes))
+            .with("max_bytes", cache::kMaxPhysBytes);
+    }
     if (dram.refresh_period == 0) {
         throw cell_error(spec,
                          "dram.refresh_period is zero — every row would "

@@ -6,12 +6,15 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <vector>
 
 #include "cache/cache.hh"
 #include "cache/hierarchy.hh"
 #include "cache/replacement.hh"
+#include "common/bits.hh"
+#include "common/rng.hh"
 
 namespace anvil::cache {
 namespace {
@@ -151,17 +154,19 @@ TEST_P(PolicyPropertyTest, TouchedLineSurvivesOneConflict)
 
 TEST_P(PolicyPropertyTest, VictimAlwaysInRange)
 {
+    // 12 ways, like the LLC; Tree-PLRU is defined for 2^k ways only.
+    const std::uint32_t ways = GetParam() == ReplPolicy::kTreePlru ? 16 : 12;
     Rng rng(12);
-    auto policy = make_set_policy(GetParam(), 12, &rng);
-    for (std::uint32_t w = 0; w < 12; ++w)
+    auto policy = make_set_policy(GetParam(), ways, &rng);
+    for (std::uint32_t w = 0; w < ways; ++w)
         policy->on_fill(w);
     Rng driver(13);
     for (int i = 0; i < 500; ++i) {
         if (driver.next_bool(0.5))
             policy->on_access(
-                static_cast<std::uint32_t>(driver.next_below(12)));
+                static_cast<std::uint32_t>(driver.next_below(ways)));
         const std::uint32_t victim = policy->victim();
-        EXPECT_LT(victim, 12u);
+        EXPECT_LT(victim, ways);
         if (driver.next_bool(0.3))
             policy->on_fill(victim);
     }
@@ -280,11 +285,9 @@ TEST(Cache, HitAfterFillMissBefore)
 TEST(Cache, FillEvictsWhenSetFull)
 {
     Cache cache("t", 1, 2, ReplPolicy::kLru, nullptr);
-    EXPECT_EQ(cache.fill(line_addr(1)), std::nullopt);
-    EXPECT_EQ(cache.fill(line_addr(2)), std::nullopt);
-    const auto evicted = cache.fill(line_addr(3));
-    ASSERT_TRUE(evicted.has_value());
-    EXPECT_EQ(*evicted, line_addr(1));  // LRU
+    EXPECT_EQ(cache.fill(line_addr(1)), kInvalidAddr);  // free way
+    EXPECT_EQ(cache.fill(line_addr(2)), kInvalidAddr);
+    EXPECT_EQ(cache.fill(line_addr(3)), line_addr(1));  // LRU
     EXPECT_FALSE(cache.contains(line_addr(1)));
     EXPECT_TRUE(cache.contains(line_addr(2)));
     EXPECT_TRUE(cache.contains(line_addr(3)));
@@ -330,6 +333,90 @@ TEST(Cache, LinesInSetTelemetry)
     EXPECT_EQ(cache.lines_in_set(0).size(), 2u);
     EXPECT_EQ(cache.lines_in_set(1).size(), 1u);
     EXPECT_TRUE(cache.lines_in_set(2).empty());
+}
+
+TEST(Cache, EmptyWaysAndPaddingLanesNeverHit)
+{
+    // 6 ways = 8 tag lanes. Fresh lanes hold 0, the tag of address 0, and
+    // an invalidated way keeps its stale tag; neither may hit.
+    Cache cache("t", 1, 6, ReplPolicy::kBitPlru, nullptr);
+    EXPECT_FALSE(cache.contains(0));
+    EXPECT_FALSE(cache.access(0));
+    cache.fill(line_addr(7));
+    EXPECT_FALSE(cache.contains(0));
+    EXPECT_TRUE(cache.invalidate(line_addr(7)));
+    EXPECT_FALSE(cache.contains(line_addr(7)));
+    cache.fill(0);
+    EXPECT_TRUE(cache.contains(0));
+    EXPECT_EQ(cache.lines_in_set(0), std::vector<Addr>{0});
+}
+
+TEST(Cache, DefaultGeometriesUseOneAlignedHostLinePerSet)
+{
+    const CacheHierarchy h{HierarchyConfig{}};
+    for (const Cache *c : {&h.l1(), &h.l2(), &h.llc(0), &h.llc(1)}) {
+        EXPECT_EQ(c->record_bytes(), 64u) << c->name();
+        for (const std::uint32_t set : {0u, 1u, c->sets() - 1}) {
+            EXPECT_EQ(
+                reinterpret_cast<std::uintptr_t>(c->record_address(set)) %
+                    64,
+                0u)
+                << c->name() << " set " << set;
+        }
+    }
+}
+
+TEST(CacheProbe, VectorAndScalarMasksAgreeOnRandomSets)
+{
+    // Tags are drawn from a small pool so lanes repeat; the probed tag is
+    // a valid way's, a stale (invalid) way's, a padding lane's or fresh.
+    // On x86 both the SSE2 probe and the scalar fallback run, so the
+    // fallback is tested even where it is not the one the cache uses.
+    Rng rng(0x7A6D05EULL);
+    for (const std::uint32_t ways : {1u, 2u, 6u, 8u, 12u, 16u, 64u}) {
+        const SetLayout layout(ways, 8);
+        ASSERT_EQ(layout.lanes % 4, 0u);
+        ASSERT_GE(layout.lanes, ways);
+        alignas(16) std::uint32_t tags[64];
+        for (int trial = 0; trial < 3000; ++trial) {
+            for (std::uint32_t lane = 0; lane < layout.lanes; ++lane)
+                tags[lane] = static_cast<std::uint32_t>(rng.next_below(8));
+            std::uint64_t valid = 0;
+            switch (trial % 3) {
+              case 0:
+                valid = low_mask(ways);
+                break;
+              case 1:
+                valid = rng.next_u64() & low_mask(ways);
+                break;
+              default:
+                break;  // empty set
+            }
+            const auto lane =
+                static_cast<std::uint32_t>(rng.next_below(layout.lanes));
+            const std::uint32_t key =
+                trial % 4 == 0 ? static_cast<std::uint32_t>(rng.next_u64())
+                               : tags[lane];
+
+            std::uint64_t want = 0;
+            for (std::uint32_t w = 0; w < layout.lanes; ++w)
+                want |= std::uint64_t{tags[w] == key} << w;
+            const std::uint64_t scalar =
+                tag_match_mask_scalar(tags, layout.lanes, key);
+            ASSERT_EQ(scalar, want) << ways << " ways, trial " << trial;
+#ifdef __SSE2__
+            ASSERT_EQ(tag_match_mask_sse2(tags, layout.lanes, key), scalar)
+                << ways << " ways, trial " << trial;
+#endif
+            // Masked by the valid ways, the probe never reports a padding
+            // lane or an invalid way.
+            EXPECT_EQ(tag_match_mask(tags, layout.lanes, key) & valid &
+                          ~low_mask(ways),
+                      0u);
+            EXPECT_EQ(tag_match_mask(tags, layout.lanes, key) & valid,
+                      want & valid);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -287,6 +287,91 @@ TEST(Validate, RejectsNonPowerOfTwoCacheSets)
     expect_invalid(spec, "llc_sets_per_slice");
 }
 
+TEST(Validate, RejectsCacheLevelsWiderThan64Ways)
+{
+    // A set's valid ways and replacement bits are one 64-bit word.
+    scenario::ScenarioSpec spec = detection_spec();
+    spec.system.cache.l1_ways = 128;  // 2^k, so tree-plru accepts it
+    expect_invalid(spec, "cache.l1_ways must be at most 64");
+
+    spec = detection_spec();
+    spec.system.cache.l2_policy = cache::ReplPolicy::kSrrip;
+    spec.system.cache.l2_ways = 65;
+    expect_invalid(spec, "cache.l2_ways must be at most 64");
+
+    spec = detection_spec();
+    spec.system.cache.llc_ways = 96;
+    expect_invalid(spec, "cache.llc_ways must be at most 64");
+
+    spec = detection_spec();
+    spec.system.cache.llc_ways = 64;
+    EXPECT_NO_THROW(scenario::validate(spec));
+}
+
+TEST(Validate, RejectsTreePlruWithNonPowerOfTwoWays)
+{
+    scenario::ScenarioSpec spec = detection_spec();
+    spec.system.cache.l2_ways = 12;  // L2 is tree-plru by default
+    expect_invalid(spec, "cache.l2_ways must be a power of two");
+
+    spec = detection_spec();
+    spec.system.cache.llc_policy = cache::ReplPolicy::kTreePlru;
+    expect_invalid(spec, "cache.llc_ways must be a power of two");
+
+    spec.system.cache.llc_ways = 16;
+    EXPECT_NO_THROW(scenario::validate(spec));
+}
+
+TEST(Validate, RejectsLruWiderThan255Ways)
+{
+    // The LRU recency stack keeps one byte per way.
+    scenario::ScenarioSpec spec = detection_spec();
+    spec.system.cache.llc_policy = cache::ReplPolicy::kLru;
+    spec.system.cache.llc_ways = 256;
+    expect_invalid(spec, "at most 255 under lru");
+
+    spec.system.cache.llc_ways = 12;
+    EXPECT_NO_THROW(scenario::validate(spec));
+}
+
+TEST(Validate, RejectsLlcSliceCountsTheHashCannotIndex)
+{
+    // The slice hash has three index bits; 3 slices used to map every
+    // line to slice 0 in optimized builds.
+    for (const std::uint32_t slices : {0u, 3u, 6u, 16u}) {
+        scenario::ScenarioSpec spec = detection_spec();
+        spec.system.cache.llc_slices = slices;
+        expect_invalid(spec, "cache.llc_slices");
+    }
+    for (const std::uint32_t slices : {1u, 2u, 4u, 8u}) {
+        scenario::ScenarioSpec spec = detection_spec();
+        spec.system.cache.llc_slices = slices;
+        EXPECT_NO_THROW(scenario::validate(spec)) << slices;
+    }
+}
+
+TEST(Validate, RejectsDramBeyond32BitLineTags)
+{
+    // Cache tags are 32-bit line numbers: at most 2^38 bytes (256 GiB).
+    scenario::ScenarioSpec spec = detection_spec();
+    const dram::DramConfig &dram = spec.system.dram;
+    const std::uint64_t per_channel = dram.capacity_bytes() / dram.channels;
+    spec.system.dram.channels =
+        static_cast<std::uint32_t>(cache::kMaxPhysBytes / per_channel);
+    ASSERT_EQ(spec.system.dram.capacity_bytes(), cache::kMaxPhysBytes);
+    EXPECT_NO_THROW(scenario::validate(spec));
+
+    spec.system.dram.channels += 1;
+    expect_invalid(spec, "256 GiB");
+
+    // A geometry whose byte count overflows 64 bits is still rejected.
+    spec = detection_spec();
+    spec.system.dram.channels = 1u << 20;
+    spec.system.dram.rows_per_bank = 0xFFFFFFFFu;
+    spec.system.dram.row_bytes = 1u << 31;
+    expect_invalid(spec, "256 GiB");
+}
+
 TEST(Validate, RejectsZeroRowDram)
 {
     scenario::ScenarioSpec spec = detection_spec();
