@@ -199,11 +199,18 @@ DisturbanceModel::disturb(std::uint32_t victim, std::uint32_t aggressor,
     }
     if (w.second_neighbor == 0.0 && w.left + w.right < state.flip_floor)
         return;
-    if (disturbance(w) >= static_cast<double>(state.threshold)) {
-        state.flipped = true;
-        flip_log_.push_back(FlipEvent{now, flat_bank_, victim,
-                                      disturbance(w), state.threshold});
-    }
+    if (disturbance(w) >= static_cast<double>(state.threshold))
+        record_flip(victim, state, now);
+}
+
+void
+DisturbanceModel::record_flip(std::uint32_t victim, RowState &state,
+                              Tick now)
+{
+    state.flipped = true;
+    flip_log_.push_back(FlipEvent{now, flat_bank_, victim,
+                                  disturbance(state.window),
+                                  state.threshold});
 }
 
 void

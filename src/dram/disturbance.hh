@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/compiler.hh"
 #include "dram/config.hh"
 
 namespace anvil::dram {
@@ -145,6 +146,10 @@ class DisturbanceModel
 
     void disturb(std::uint32_t victim, std::uint32_t aggressor, Tick now);
 
+    /** Marks @p victim flipped for this window and logs the flip. */
+    ANVIL_COLD void record_flip(std::uint32_t victim, RowState &state,
+                                Tick now);
+
     /** Index of @p row's slot, or of the empty slot it would take.
      * @pre table non-empty */
     std::size_t probe(std::uint32_t row) const;
@@ -162,7 +167,7 @@ class DisturbanceModel
     RowState &row_state(std::uint32_t row);
 
     /** Doubles the table (16 slots at first) and rehashes every row. */
-    void grow();
+    ANVIL_COLD void grow();
 
     /** Home slot of @p row (Fibonacci hashing). @pre table non-empty */
     std::size_t

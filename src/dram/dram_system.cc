@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "common/compiler.hh"
+
 namespace anvil::dram {
 
 Bank::Bank(const DramConfig &config, std::uint32_t flat_bank,
@@ -67,7 +69,7 @@ DramSystem::refresh_stall(Tick now)
     return now < window_end ? window_end - now : 0;
 }
 
-DramSystem::AccessResult
+ANVIL_FLATTEN DramSystem::AccessResult
 DramSystem::access(Addr pa, Tick now)
 {
     const DramCoord coord = map_.decode(pa);

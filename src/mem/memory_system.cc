@@ -3,6 +3,8 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "common/compiler.hh"
+
 namespace anvil::mem {
 
 MemorySystem::MemorySystem(const SystemConfig &config)
@@ -33,7 +35,7 @@ MemorySystem::create_process()
     return *spaces_.back();
 }
 
-AccessInfo
+ANVIL_FLATTEN AccessInfo
 MemorySystem::access(Pid pid, Addr va, AccessType type)
 {
     AddressSpace &space = process(pid);
@@ -70,7 +72,7 @@ MemorySystem::access(Pid pid, Addr va, AccessType type)
     return info;
 }
 
-void
+ANVIL_FLATTEN void
 MemorySystem::clflush(Pid pid, Addr va)
 {
     AddressSpace &space = process(pid);

@@ -25,17 +25,14 @@ HwCounter::disarm()
 }
 
 void
-HwCounter::tick()
+HwCounter::fire()
 {
-    ++value_;
-    if (armed_ && value_ >= threshold_) {
-        armed_ = false;
-        // Take the handler out first: the PMI handler may re-arm.
-        auto handler = std::move(handler_);
-        handler_ = nullptr;
-        if (handler)
-            handler();
-    }
+    armed_ = false;
+    // Take the handler out first: the PMI handler may re-arm.
+    auto handler = std::move(handler_);
+    handler_ = nullptr;
+    if (handler)
+        handler();
 }
 
 Pmu::Pmu(mem::MemorySystem &mem, std::uint64_t seed)
@@ -131,7 +128,7 @@ Pmu::on_access(const mem::AccessInfo &info)
         // Stage-1 PMI, and the handler should see this miss included in
         // its owner's total.
         if (info.pid >= pid_llc_misses_.size())
-            pid_llc_misses_.resize(info.pid + 1, 0);
+            grow_pid_counts(info.pid);
         ++pid_llc_misses_[info.pid];
         counter(Event::kLlcMisses).tick();
         if (info.type == AccessType::kLoad)
@@ -161,7 +158,18 @@ Pmu::on_access(const mem::AccessInfo &info)
     ++qualifying_events_;
     if (qualifying_events_ < next_sample_at_)
         return;
+    record_sample(info);
+}
 
+void
+Pmu::grow_pid_counts(Pid pid)
+{
+    pid_llc_misses_.resize(pid + 1, 0);
+}
+
+void
+Pmu::record_sample(const mem::AccessInfo &info)
+{
     records_.push_back(PebsRecord{info.pid, info.va, info.type, info.source,
                                   info.latency, info.complete_time});
     schedule_next_sample(info.complete_time);

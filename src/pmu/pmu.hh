@@ -24,6 +24,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/compiler.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "mem/memory_system.hh"
@@ -72,9 +73,18 @@ class HwCounter
     bool armed() const { return armed_; }
 
     /** Called by the PMU when the event occurs. */
-    void tick();
+    void
+    tick()
+    {
+        ++value_;
+        if (armed_ && value_ >= threshold_)
+            fire();
+    }
 
   private:
+    /** The overflow interrupt: disarms, then runs the handler. */
+    ANVIL_COLD void fire();
+
     std::uint64_t value_ = 0;
     std::uint64_t threshold_ = 0;
     std::function<void()> handler_;
@@ -169,6 +179,12 @@ class Pmu : public mem::AccessListener
 
   private:
     void schedule_next_sample(Tick now);
+
+    /** Extends the per-pid LLC-miss totals to cover @p pid. */
+    ANVIL_COLD void grow_pid_counts(Pid pid);
+
+    /** Appends the PEBS record of @p info and arms the next sample. */
+    ANVIL_COLD void record_sample(const mem::AccessInfo &info);
 
     mem::MemorySystem &mem_;
     Rng rng_;

@@ -145,8 +145,12 @@ class Execution
 class ScenarioBuilder
 {
   public:
+    /** Keeps references to @p spec and @p ctx: both must outlive it. */
     ScenarioBuilder(const ScenarioSpec &spec,
                     const runner::TrialContext &ctx);
+    ScenarioBuilder(ScenarioSpec &&, const runner::TrialContext &) = delete;
+    ScenarioBuilder(const ScenarioSpec &, runner::TrialContext &&) = delete;
+    ScenarioBuilder(ScenarioSpec &&, runner::TrialContext &&) = delete;
 
     /**
      * Builds the machine, tenants, detector, and attacks in the fixed

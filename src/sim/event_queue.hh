@@ -15,6 +15,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/compiler.hh"
 #include "common/types.hh"
 
 namespace anvil::sim {
@@ -109,7 +110,7 @@ class EventQueue
     void prune_top() const;
 
     /** Slow path of advance_to: at least one heap entry has deadline <= t. */
-    void run_due(Tick t);
+    ANVIL_COLD void run_due(Tick t);
 
     /** One-pass removal of all tombstones once they dominate the heap. */
     void maybe_compact();

@@ -8,9 +8,12 @@
 #include <set>
 #include <vector>
 
+#include "common/rng.hh"
 #include "common/units.hh"
 #include "mem/memory_system.hh"
 #include "mem/virtual_memory.hh"
+#include "pmu/pmu.hh"
+#include "sim/event_queue.hh"
 
 namespace anvil::mem {
 namespace {
@@ -563,6 +566,272 @@ TEST_F(MemorySystemTest, TlbFlushesStayWithinTheirSpace)
     const std::uint64_t misses_before = p1.tlb_misses();
     (void)p1.translate(va1);
     EXPECT_EQ(p1.tlb_misses(), misses_before);
+}
+
+/**
+ * One simulated machine plus everything observing it: a PMU with an armed
+ * overflow interrupt and PEBS sampling of loads and stores, a periodic
+ * timer, and an activation hook that re-enters DRAM with a refresh read
+ * (the tracker path). Built identically for both sides of the test.
+ */
+struct ObservedMachine {
+    explicit ObservedMachine(const SystemConfig &config)
+        : mem(config),
+          pmu(mem, 0x5A11ULL),
+          timer(mem.clock(), us(7), [this] { ++timer_fires; })
+    {
+        pmu::SampleConfig sampling;
+        sampling.mean_period = us(2);
+        sampling.sample_stores = true;
+        pmu.enable_sampling(sampling);
+        arm_pmi();
+        timer.start();
+        mem.dram().add_activation_hook(
+            [this](std::uint32_t bank, std::uint32_t row, Tick now) {
+                if (in_hook || ++activations % 61 != 0)
+                    return;
+                in_hook = true;
+                const std::uint32_t rows =
+                    mem.dram().config().rows_per_bank;
+                mem.dram().refresh_row(bank, (row + 8) % rows, now);
+                in_hook = false;
+            });
+        for (int p = 0; p < 2; ++p)
+            mem.create_process();
+    }
+
+    void
+    arm_pmi()
+    {
+        pmu.counter(pmu::Event::kLlcMisses).arm_overflow(37, [this] {
+            ++pmis;
+            arm_pmi();
+        });
+    }
+
+    MemorySystem mem;
+    pmu::Pmu pmu;
+    sim::PeriodicTimer timer;
+    std::uint64_t timer_fires = 0;
+    std::uint64_t pmis = 0;
+    std::uint64_t activations = 0;
+    bool in_hook = false;
+};
+
+/** MemorySystem::access as the public layer calls it is made of. */
+AccessInfo
+composed_access(ObservedMachine &m, Pid pid, Addr va, AccessType type)
+{
+    AddressSpace &space = m.mem.process(pid);
+    const Addr pa = space.translate(va);
+    const cache::CacheHierarchy::Result on_chip =
+        m.mem.hierarchy().access(pa, type);
+    Tick latency = m.mem.core().cycles_to_ticks(on_chip.latency);
+    if (on_chip.llc_miss) {
+        if (m.mem.config().overlap_llc_miss_lookup)
+            latency = m.mem.dram().access(pa, m.mem.now()).latency;
+        else
+            latency +=
+                m.mem.dram().access(pa, m.mem.now() + latency).latency;
+    }
+    m.mem.clock().elapse(latency);
+
+    AccessInfo info;
+    info.pid = pid;
+    info.va = va;
+    info.pa = pa;
+    info.type = type;
+    info.source = on_chip.source;
+    info.latency = latency;
+    info.llc_miss = on_chip.llc_miss;
+    info.complete_time = m.mem.now();
+    space.note_access();
+    m.pmu.on_access(info);
+    return info;
+}
+
+/** MemorySystem::clflush, composed the same way. */
+void
+composed_clflush(ObservedMachine &m, Pid pid, Addr va)
+{
+    m.mem.hierarchy().clflush(m.mem.process(pid).translate(va));
+    m.mem.clock().elapse(
+        m.mem.core().cycles_to_ticks(m.mem.config().clflush_cycles));
+}
+
+/** MemorySystem::refresh_row_phys, composed the same way. */
+void
+composed_refresh(ObservedMachine &m, Addr pa)
+{
+    m.mem.clock().elapse(m.mem.dram().refresh_row(pa, m.mem.now()));
+}
+
+void
+expect_same_stats(const cache::CacheStats &a, const cache::CacheStats &b,
+                  const std::string &level)
+{
+    EXPECT_EQ(a.accesses, b.accesses) << level;
+    EXPECT_EQ(a.hits, b.hits) << level;
+    EXPECT_EQ(a.misses, b.misses) << level;
+    EXPECT_EQ(a.fills, b.fills) << level;
+    EXPECT_EQ(a.evictions, b.evictions) << level;
+    EXPECT_EQ(a.invalidations, b.invalidations) << level;
+}
+
+/**
+ * The memory system's entry points against the public layer calls
+ * composed by hand (translate, CacheHierarchy::access, DramSystem::access
+ * under the same overlap rule, a PMU fed directly), over one mixed stream
+ * of random lines, a same-bank hammer pair, CLFLUSH, selective refresh,
+ * loads and stores from two processes. Every access, counter, flip and
+ * PMU observation must agree: the entry points may compile to one
+ * flattened body, but they must stay exactly the composition of the
+ * layers that perfbench's per-layer replays time on their own.
+ */
+TEST(MemorySystemLayers, EntryPointsMatchTheComposedLayerCalls)
+{
+    for (const bool overlap : {true, false}) {
+        SCOPED_TRACE(overlap ? "overlapped LLC miss" : "serial LLC miss");
+        SystemConfig config;
+        config.dram.ranks_per_channel = 1;
+        config.dram.banks_per_rank = 8;
+        config.dram.rows_per_bank = 4096;
+        config.dram.flip_threshold = 500;
+        config.overlap_llc_miss_lookup = overlap;
+
+        ObservedMachine whole(config);
+        ObservedMachine parts(config);
+        constexpr std::uint64_t kBig = 6ULL << 20;
+        constexpr std::uint64_t kSmall = 1ULL << 20;
+        const Addr big = whole.mem.process(0).mmap(kBig);
+        const Addr small = whole.mem.process(1).mmap(kSmall);
+        ASSERT_EQ(parts.mem.process(0).mmap(kBig), big);
+        ASSERT_EQ(parts.mem.process(1).mmap(kSmall), small);
+
+        // Two lines of one bank in different rows: alternating them with
+        // CLFLUSH activates both rows on every access. The search runs on
+        // both machines, so their TLBs see the same translations.
+        const auto same_bank_partner = [&](ObservedMachine &m) {
+            const dram::AddressMap &map = m.mem.dram().address_map();
+            const AddressSpace &space = m.mem.process(0);
+            const dram::DramCoord first = map.decode(space.translate(big));
+            for (Addr va = big + 64; va < big + kBig; va += 64) {
+                const dram::DramCoord c = map.decode(space.translate(va));
+                if (map.flat_bank(c) == map.flat_bank(first) &&
+                    c.row != first.row)
+                    return va;
+            }
+            return kInvalidAddr;
+        };
+        const Addr hammer[2] = {big, same_bank_partner(whole)};
+        ASSERT_NE(hammer[1], kInvalidAddr);
+        ASSERT_EQ(same_bank_partner(parts), hammer[1]);
+
+        Rng rng(0xC0FFEEULL);
+        for (int step = 0; step < 40000; ++step) {
+            const std::uint64_t kind = rng.next_below(100);
+            const AccessType type = rng.next_bool(0.3) ? AccessType::kStore
+                                                       : AccessType::kLoad;
+            const Pid pid = kind < 85 ? 0 : 1;
+            const Addr va =
+                pid == 0 ? big + rng.next_below(kBig / 64) * 64
+                         : small + rng.next_below(kSmall / 64) * 64;
+            if (kind < 40 || kind >= 85) {
+                const AccessInfo a = whole.mem.access(pid, va, type);
+                const AccessInfo b = composed_access(parts, pid, va, type);
+                ASSERT_EQ(a.pid, b.pid) << step;
+                ASSERT_EQ(a.va, b.va) << step;
+                ASSERT_EQ(a.pa, b.pa) << step;
+                ASSERT_EQ(a.type, b.type) << step;
+                ASSERT_EQ(a.source, b.source) << step;
+                ASSERT_EQ(a.latency, b.latency) << step;
+                ASSERT_EQ(a.llc_miss, b.llc_miss) << step;
+                ASSERT_EQ(a.complete_time, b.complete_time) << step;
+            } else if (kind < 75) {
+                const Addr target = hammer[step & 1];
+                const AccessInfo a = whole.mem.access(0, target, type);
+                const AccessInfo b = composed_access(parts, 0, target, type);
+                ASSERT_EQ(a.latency, b.latency) << step;
+                ASSERT_EQ(a.complete_time, b.complete_time) << step;
+                whole.mem.clflush(0, target);
+                composed_clflush(parts, 0, target);
+            } else if (kind < 82) {
+                whole.mem.clflush(pid, va);
+                composed_clflush(parts, pid, va);
+            } else {
+                whole.mem.refresh_row_phys(
+                    whole.mem.process(pid).translate(va));
+                composed_refresh(parts, parts.mem.process(pid).translate(va));
+            }
+            ASSERT_EQ(whole.mem.now(), parts.mem.now()) << step;
+        }
+
+        const cache::CacheHierarchy &hw = whole.mem.hierarchy();
+        const cache::CacheHierarchy &hp = parts.mem.hierarchy();
+        expect_same_stats(hw.l1().stats(), hp.l1().stats(), "L1");
+        expect_same_stats(hw.l2().stats(), hp.l2().stats(), "L2");
+        for (std::uint32_t s = 0; s < hw.config().llc_slices; ++s)
+            expect_same_stats(hw.llc(s).stats(), hp.llc(s).stats(),
+                              hw.llc(s).name());
+
+        const dram::DramSystem::Stats &dw = whole.mem.dram().stats();
+        const dram::DramSystem::Stats &dp = parts.mem.dram().stats();
+        EXPECT_EQ(dw.accesses, dp.accesses);
+        EXPECT_EQ(dw.row_hits, dp.row_hits);
+        EXPECT_EQ(dw.row_misses, dp.row_misses);
+        EXPECT_EQ(dw.selective_refreshes, dp.selective_refreshes);
+        EXPECT_EQ(dw.refresh_stall, dp.refresh_stall);
+
+        const std::vector<dram::FlipEvent> &fw = whole.mem.dram().flips();
+        const std::vector<dram::FlipEvent> &fp = parts.mem.dram().flips();
+        ASSERT_EQ(fw.size(), fp.size());
+        for (std::size_t i = 0; i < fw.size(); ++i) {
+            EXPECT_EQ(fw[i].time, fp[i].time) << i;
+            EXPECT_EQ(fw[i].flat_bank, fp[i].flat_bank) << i;
+            EXPECT_EQ(fw[i].row, fp[i].row) << i;
+            EXPECT_EQ(fw[i].disturbance, fp[i].disturbance) << i;
+            EXPECT_EQ(fw[i].threshold, fp[i].threshold) << i;
+        }
+
+        for (std::size_t e = 0; e < pmu::kNumEvents; ++e) {
+            const auto event = static_cast<pmu::Event>(e);
+            EXPECT_EQ(whole.pmu.counter(event).value(),
+                      parts.pmu.counter(event).value())
+                << "event " << e;
+        }
+        EXPECT_EQ(whole.pmu.llc_misses_by_pid(),
+                  parts.pmu.llc_misses_by_pid());
+        const std::vector<pmu::PebsRecord> rw = whole.pmu.drain_samples();
+        const std::vector<pmu::PebsRecord> rp = parts.pmu.drain_samples();
+        ASSERT_EQ(rw.size(), rp.size());
+        for (std::size_t i = 0; i < rw.size(); ++i) {
+            EXPECT_EQ(rw[i].pid, rp[i].pid) << i;
+            EXPECT_EQ(rw[i].va, rp[i].va) << i;
+            EXPECT_EQ(rw[i].type, rp[i].type) << i;
+            EXPECT_EQ(rw[i].source, rp[i].source) << i;
+            EXPECT_EQ(rw[i].latency, rp[i].latency) << i;
+            EXPECT_EQ(rw[i].time, rp[i].time) << i;
+        }
+        EXPECT_EQ(whole.pmis, parts.pmis);
+        EXPECT_EQ(whole.timer_fires, parts.timer_fires);
+        EXPECT_EQ(whole.activations, parts.activations);
+        for (Pid pid = 0; pid < 2; ++pid) {
+            EXPECT_EQ(whole.mem.process(pid).accesses(),
+                      parts.mem.process(pid).accesses());
+            EXPECT_EQ(whole.mem.process(pid).tlb_misses(),
+                      parts.mem.process(pid).tlb_misses());
+        }
+
+        // The stream reaches every path it is meant to compare.
+        EXPECT_FALSE(fw.empty());
+        EXPECT_FALSE(rw.empty());
+        EXPECT_GT(whole.pmis, 0u);
+        EXPECT_GT(whole.timer_fires, 0u);
+        EXPECT_GT(whole.activations, 61u);
+        EXPECT_GT(hw.l2().stats().hits, 0u);
+        EXPECT_GT(whole.mem.hierarchy().llc_stats().hits, 0u);
+        EXPECT_GT(whole.mem.process(1).tlb_misses(), 0u);
+    }
 }
 
 }  // namespace

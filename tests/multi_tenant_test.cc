@@ -208,8 +208,9 @@ TEST(MultiTenantScenario, BackToBackRunsAreBitIdentical)
     std::vector<Tick> detections[2];
     std::vector<std::uint64_t> ops[2];
     Tick end[2] = {0, 0};
+    const runner::TrialContext ctx = context_for(spec, 0);
     for (int rep = 0; rep < 2; ++rep) {
-        scenario::ScenarioBuilder builder(spec, context_for(spec, 0));
+        scenario::ScenarioBuilder builder(spec, ctx);
         scenario::Execution &exec = builder.build();
         builder.run();
         for (const auto &d : exec.anvil()->detections())
@@ -286,7 +287,8 @@ TEST(MultiTenantScenario, TenantSeedStreamsAreIsolated)
 TEST(CrossTenantAttribution, DetectionsBlameTheAttackerTenant)
 {
     const scenario::ScenarioSpec spec = colocation_spec();
-    scenario::ScenarioBuilder builder(spec, context_for(spec, 1));
+    const runner::TrialContext ctx = context_for(spec, 1);
+    scenario::ScenarioBuilder builder(spec, ctx);
     scenario::Execution &exec = builder.build();
     builder.run();
 
@@ -423,7 +425,8 @@ TEST(TenantValidation, BufferBytesFlowsThroughLegacyAttackList)
     spec.run.duration = ms(1);
     EXPECT_NO_THROW(scenario::validate(spec));
 
-    scenario::ScenarioBuilder builder(spec, context_for(spec, 0));
+    const runner::TrialContext ctx = context_for(spec, 0);
+    scenario::ScenarioBuilder builder(spec, ctx);
     scenario::Execution &exec = builder.build();
     ASSERT_EQ(exec.intruders().size(), 1u);
     EXPECT_EQ(exec.intruders()[0]->buffer_bytes, 32ULL << 20);

@@ -97,8 +97,9 @@ TEST(ScenarioBuilder, SameSpecAndSeedIsDeterministic)
 
     detector::AnvilStats stats[2];
     std::vector<Tick> detection_times[2];
+    const runner::TrialContext ctx = context_for(spec, 0);
     for (int rep = 0; rep < 2; ++rep) {
-        scenario::ScenarioBuilder builder(spec, context_for(spec, 0));
+        scenario::ScenarioBuilder builder(spec, ctx);
         scenario::Execution &exec = builder.build();
         builder.run();
         ASSERT_NE(exec.anvil(), nullptr);
@@ -128,7 +129,8 @@ TEST(ScenarioBuilder, SameSpecAndSeedIsDeterministic)
 TEST(ScenarioBuilder, DetectionOutsideAttackWindowIsFalsePositive)
 {
     const scenario::ScenarioSpec spec = detection_spec();
-    scenario::ScenarioBuilder builder(spec, context_for(spec, 0));
+    const runner::TrialContext ctx = context_for(spec, 0);
+    scenario::ScenarioBuilder builder(spec, ctx);
     scenario::Execution &exec = builder.build();
 
     ASSERT_NE(exec.anvil(), nullptr);
@@ -515,7 +517,8 @@ TEST(Validate, BuilderRefusesToBuildAnInvalidSpec)
 {
     scenario::ScenarioSpec spec = detection_spec();
     spec.system.cache.l1_sets = 63;
-    scenario::ScenarioBuilder builder(spec, context_for(spec, 0));
+    const runner::TrialContext ctx = context_for(spec, 0);
+    scenario::ScenarioBuilder builder(spec, ctx);
     EXPECT_THROW(builder.build(), Error);
 }
 
