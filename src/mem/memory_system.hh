@@ -75,7 +75,7 @@ class AccessListener
 /**
  * The machine. Single memory controller, single simulated hardware thread
  * (the paper's workloads are single-threaded; concurrent load is modelled
- * by interleaving drivers — see workload::LoadMix).
+ * by interleaving tenants — see scenario::TenantScheduler).
  */
 class MemorySystem
 {

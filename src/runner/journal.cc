@@ -17,8 +17,9 @@ namespace {
 
 constexpr char kMagic[8] = {'A', 'N', 'V', 'L', 'J', 'N', 'L', '1'};
 // v2 added the plan hash + shard identity to the header and a type byte
-// to every record payload (trial vs lease).
-constexpr std::uint32_t kVersion = 2;
+// to every record payload (trial vs lease); v3 made both mandatory — a
+// plain run's journal is shard 0 of 1.
+constexpr std::uint32_t kVersion = 3;
 
 /** Payload discriminator (first byte of every record payload). */
 enum RecordType : std::uint8_t { kTrialRecord = 0, kLeaseRecord = 1 };
@@ -182,10 +183,7 @@ decode_header(const std::string &data, const std::string &path,
     return header;
 }
 
-/**
- * Field-by-field header validation: exact for name and seed, and for
- * plan hash / shard identity when the caller recorded expectations.
- */
+/** Field-by-field header validation, naming the first mismatch. */
 void
 validate_header(const JournalHeader &got, const JournalHeader &expect,
                 const std::string &path)
@@ -201,8 +199,7 @@ validate_header(const JournalHeader &got, const JournalHeader &expect,
             .with_hex("journal_master_seed", got.master_seed)
             .with_hex("master_seed", expect.master_seed);
     }
-    if (expect.plan_hash != 0 && got.plan_hash != 0 &&
-        got.plan_hash != expect.plan_hash) {
+    if (got.plan_hash != expect.plan_hash) {
         throw Error("journal was written against a different sweep plan "
                     "(trial count or scenario set changed); delete it "
                     "or rerun with the original flags")
@@ -210,9 +207,8 @@ validate_header(const JournalHeader &got, const JournalHeader &expect,
             .with_hex("journal_plan", got.plan_hash)
             .with_hex("plan", expect.plan_hash);
     }
-    if (expect.shard_count != 0 &&
-        (got.shard_count != expect.shard_count ||
-         got.shard_index != expect.shard_index)) {
+    if (got.shard_count != expect.shard_count ||
+        got.shard_index != expect.shard_index) {
         throw Error("journal belongs to a different shard assignment")
             .with("path", path)
             .with_shard(got.shard_index, got.shard_count)
@@ -220,6 +216,23 @@ validate_header(const JournalHeader &got, const JournalHeader &expect,
                                         "/" +
                                         std::to_string(expect.shard_count));
     }
+}
+
+/** Refuses a record that is not the trial @p plan holds at its index. */
+void
+check_against_plan(const TrialSpec &spec, const std::vector<TrialSpec> &plan,
+                   const std::string &path)
+{
+    const std::uint64_t i = spec.global_index;
+    if (i < plan.size() && plan[i].scenario == spec.scenario &&
+        plan[i].trial == spec.trial && plan[i].seed == spec.seed)
+        return;
+    throw Error("journal record does not match the sweep plan (the sweep "
+                "definition or flags changed); delete the journal or "
+                "rerun with the original flags")
+        .with("path", path)
+        .with("record_trial", i)
+        .with("record_scenario", spec.scenario);
 }
 
 std::string
@@ -386,14 +399,11 @@ encode_journal_payload(const TrialSpec &spec, const TrialOutcome &outcome)
 }
 
 std::string
-journal_path(const std::string &json_out)
+journal_path(const std::string &json_out, std::uint32_t index,
+             std::uint32_t count)
 {
-    return json_out + ".journal";
-}
-
-std::string
-shard_journal_path(const std::string &json_out, std::uint32_t index)
-{
+    if (count == 1)
+        return json_out + ".journal";
     return json_out + ".shard-" + std::to_string(index) + ".journal";
 }
 
@@ -472,16 +482,6 @@ JournalWriter::open(const std::string &path, const JournalHeader &header,
 }
 
 void
-JournalWriter::open(const std::string &path, const std::string &sweep,
-                    std::uint64_t master_seed, bool append)
-{
-    JournalHeader header;
-    header.sweep = sweep;
-    header.master_seed = master_seed;
-    open(path, header, append);
-}
-
-void
 JournalWriter::append(const TrialSpec &spec, const TrialOutcome &outcome)
 {
     append_framed(fd_, mutex_, encode_journal_payload(spec, outcome),
@@ -517,7 +517,8 @@ read_journal_header(const std::string &path)
 }
 
 std::vector<JournalRecord>
-read_journal(const std::string &path, const JournalHeader &expect)
+read_journal(const std::string &path, const JournalHeader &expect,
+             const std::vector<TrialSpec> &plan)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in)
@@ -550,11 +551,15 @@ read_journal(const std::string &path, const JournalHeader &expect)
             if (fnv1a_bytes(payload, size) != checksum) {
                 torn = true;  // corrupt: treat like a torn tail
             } else {
+                std::optional<JournalRecord> rec;
                 try {
-                    if (auto rec = decode_payload(payload, size))
-                        records.push_back(std::move(*rec));
+                    rec = decode_payload(payload, size);
                 } catch (const Error &) {
                     torn = true;
+                }
+                if (rec) {
+                    check_against_plan(rec->spec, plan, path);
+                    records.push_back(std::move(*rec));
                 }
             }
         }
@@ -574,16 +579,6 @@ read_journal(const std::string &path, const JournalHeader &expect)
         offset += kPrefix + size;
     }
     return records;
-}
-
-std::vector<JournalRecord>
-read_journal(const std::string &path, const std::string &sweep,
-             std::uint64_t master_seed)
-{
-    JournalHeader expect;
-    expect.sweep = sweep;
-    expect.master_seed = master_seed;
-    return read_journal(path, expect);
 }
 
 }  // namespace anvil::runner

@@ -3,30 +3,34 @@
  * Crash-safe checkpoint journal for sweep execution.
  *
  * While a sweep with a file JSON destination runs, every completed
- * trial's outcome is appended to `<json-out>.journal` as a
- * length-prefixed, checksummed, fsync'd binary record. If the process
- * dies mid-sweep — Ctrl-C, SIGKILL, OOM — `--resume` replays the journal,
- * skips the trials it holds, runs only the remainder, and produces final
- * JSON byte-identical to an uninterrupted run (the sink aggregates in
- * plan order, and doubles are journaled as raw IEEE-754 bits, so replayed
+ * trial's outcome is appended to its journal as a length-prefixed,
+ * checksummed, fsync'd binary record. If the process dies mid-sweep —
+ * Ctrl-C, SIGKILL, OOM — `--resume` replays the journal, skips the trials
+ * it holds, runs only the remainder, and produces final JSON
+ * byte-identical to an uninterrupted run (the sink aggregates in plan
+ * order, and doubles are journaled as raw IEEE-754 bits, so replayed
  * results are bit-exact).
  *
- * Sharded runs (anvil-sim shard/supervise) write one journal per shard,
- * `<json-out>.shard-K.journal`. The header then carries the shard's
- * identity (index, count) and a hash of the full trial plan, so a merge
- * can refuse journals from a different sweep definition; shard journals
- * also interleave *lease records* — periodic heartbeats appended by the
- * child — so a supervisor can tell a shard that is slowly working from
- * one that is wedged.
+ * There is one journal format. Every run executes one shard of a
+ * campaign: a plain run is shard 0 of 1 and journals to
+ * `<json-out>.journal`; shard K of a larger campaign (anvil-sim
+ * shard/supervise) journals to `<json-out>.shard-K.journal`. The header
+ * always carries the shard's identity (index, count) and a hash of the
+ * full trial plan, so `--resume`, the supervisor and the merge all read
+ * and write the same file and refuse journals from a different sweep
+ * definition. Shard children also interleave *lease records* — periodic
+ * heartbeats — so a supervisor can tell a shard that is slowly working
+ * from one that is wedged.
  *
  * Recovery rules:
  *   - a torn trailing record (partial write at the kill point) is
  *     truncated away, never fatal;
- *   - a header that does not match the resuming sweep (different name,
- *     master seed, plan hash, or shard identity) refuses the resume with
- *     a structured error;
- *   - a record that contradicts the sweep plan (seed mismatch at its
- *     global index — the sweep definition changed) likewise refuses.
+ *   - a header that does not match the reading sweep (different name,
+ *     master seed, plan hash, or shard identity) is refused with a
+ *     structured error;
+ *   - a record that contradicts the sweep plan (scenario, trial or seed
+ *     mismatch at its global index — the sweep definition changed)
+ *     likewise refuses.
  *
  * The format is host-endian and process-local (a checkpoint, not an
  * interchange format); the version byte guards against record-layout
@@ -46,20 +50,19 @@ namespace anvil::runner {
 
 /**
  * Identity block at the front of every journal. Two journals with equal
- * headers were produced by the same sweep definition: same name, same
- * master seed, and — when recorded — the same full trial plan, so their
- * records are interchangeable facts about the same deterministic
- * computation.
+ * headers were produced by the same sweep definition — same name, same
+ * master seed, same full trial plan — as the same shard of the same
+ * campaign, so their records are interchangeable facts about the same
+ * deterministic computation.
  */
 struct JournalHeader {
     std::string sweep;
     std::uint64_t master_seed = 0;
-    /// plan_hash() over the *full* sweep plan; 0 = not recorded
-    /// (legacy callers that only know the sweep name and seed).
+    /// plan_hash() over the *full* sweep plan.
     std::uint64_t plan_hash = 0;
     std::uint32_t shard_index = 0;
-    /// Number of shards in the campaign; 0 = not a shard journal.
-    std::uint32_t shard_count = 0;
+    /// Number of shards in the campaign (1 for a plain run).
+    std::uint32_t shard_count = 1;
 };
 
 /** One replayed journal entry: the trial's identity and its outcome. */
@@ -93,10 +96,6 @@ class JournalWriter
     void open(const std::string &path, const JournalHeader &header,
               bool append);
 
-    /** Legacy convenience: header with only name + master seed. */
-    void open(const std::string &path, const std::string &sweep,
-              std::uint64_t master_seed, bool append);
-
     bool is_open() const { return fd_ >= 0; }
 
     /** Appends one record and fsyncs it to disk. @throw Error on I/O. */
@@ -120,19 +119,16 @@ class JournalWriter
 
 /**
  * Reads every intact trial record of @p path (lease records are
- * skipped), validating the header against @p expect: sweep name and
- * master seed always; plan hash and shard identity only when @p expect
- * records them (nonzero). A torn or corrupt tail is truncated from the
- * file (recovery, reported on stderr), not an error.
- * @throw Error when the file exists but belongs to a different sweep.
+ * skipped). The header must equal @p expect field for field, and every
+ * record must describe the trial @p plan holds at its global index. A
+ * torn or corrupt tail is truncated from the file (recovery, reported
+ * on stderr), not an error; a missing file reads as no records.
+ * @throw Error when the file belongs to a different sweep, plan or
+ *        shard, or holds a record that contradicts @p plan.
  */
 std::vector<JournalRecord> read_journal(const std::string &path,
-                                        const JournalHeader &expect);
-
-/** Legacy convenience: validate only name + master seed. */
-std::vector<JournalRecord> read_journal(const std::string &path,
-                                        const std::string &sweep,
-                                        std::uint64_t master_seed);
+                                        const JournalHeader &expect,
+                                        const std::vector<TrialSpec> &plan);
 
 /**
  * Reads and returns just the header of @p path (merge diagnostics:
@@ -150,12 +146,13 @@ JournalHeader read_journal_header(const std::string &path);
 std::string encode_journal_payload(const TrialSpec &spec,
                                    const TrialOutcome &outcome);
 
-/** The journal path for a JSON destination: `<json_out>.journal`. */
-std::string journal_path(const std::string &json_out);
-
-/** Shard @p index's journal: `<json_out>.shard-K.journal`. */
-std::string shard_journal_path(const std::string &json_out,
-                               std::uint32_t index);
+/**
+ * The journal of shard @p index of @p count for a JSON destination:
+ * `<json_out>.journal` for a plain run (shard 0 of 1), else
+ * `<json_out>.shard-K.journal`.
+ */
+std::string journal_path(const std::string &json_out, std::uint32_t index,
+                         std::uint32_t count);
 
 /**
  * fsyncs the directory containing @p path, making a just-created or

@@ -27,7 +27,7 @@ print_usage(const char *prog, const std::string &extra)
            "(same seed)\n"
         << "  --trial-timeout N  per-trial simulated-event budget "
            "(0 = unlimited)\n"
-        << "  --resume           replay <json-out>.journal and run only "
+        << "  --resume           replay the run's journal and run only "
            "missing trials\n"
         << "  --inject-fault S   inject a deterministic fault, "
            "S = kind@scenario:trial\n"
@@ -223,11 +223,12 @@ CliOptions::parse(int argc, char **argv, const std::string &extra_usage)
             usage_error("--replay-trial cannot be combined with a shard "
                         "assignment");
         }
-        ShardAssignment shard;
+        ShardAssignment &shard = opts.sweep.shard;
         shard.index = *shard_index;
         shard.count = *shard_count;
-        if (lease_interval_ms)
-            shard.lease_interval_ms = *lease_interval_ms;
+        shard.lease_interval_ms = lease_interval_ms.value_or(500);
+        // An absent --shard-trials means "shard K's slice of the even
+        // partition", which the run resolves once the plan is known.
         if (shard_trials) {
             try {
                 shard.ranges = parse_trial_ranges(*shard_trials);
@@ -236,9 +237,6 @@ CliOptions::parse(int argc, char **argv, const std::string &extra_usage)
                             e.what());
             }
         }
-        // An absent --shard-trials means "shard K's slice of the even
-        // partition"; the driver fills it in once the plan size is known.
-        opts.sweep.shard = std::move(shard);
     }
     return opts;
 }

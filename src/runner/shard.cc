@@ -1,9 +1,7 @@
 #include "runner/shard.hh"
 
-#include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <optional>
 
 #include "runner/journal.hh"
 
@@ -113,53 +111,38 @@ compress_indices(const std::vector<std::uint64_t> &sorted_indices)
 }
 
 MergeResult
-merge_shards(const std::vector<TrialSpec> &plan, const std::string &sweep,
-             std::uint64_t master_seed, const MergeOptions &options)
+merge_shards(const std::vector<TrialSpec> &plan, const SweepOptions &options,
+             bool check)
 {
     MergeResult merge;
-    if (options.shard_count == 0) {
+    const std::uint32_t count = options.shard.count;
+    if (count == 0) {
         merge.problems.push_back("no shards to merge (shard count is 0)");
         return merge;
     }
 
-    JournalHeader expect;
-    expect.sweep = sweep;
-    expect.master_seed = master_seed;
-    expect.plan_hash = plan_hash(plan);
-
     struct Claimed {
-        JournalRecord record;
+        TrialOutcome outcome;
         std::string encoded;  ///< canonical payload, for divergence checks
         std::uint32_t shard;
     };
     std::map<std::uint64_t, Claimed> claimed;  // global index -> record
 
-    for (std::uint32_t k = 0; k < options.shard_count; ++k) {
-        const std::string path =
-            shard_journal_path(options.json_out, k);
-        expect.shard_index = k;
-        expect.shard_count = options.shard_count;
+    const std::uint64_t digest = plan_hash(plan);
+    for (std::uint32_t k = 0; k < count; ++k) {
+        const std::string path = journal_path(options.json_out, k, count);
+        const JournalHeader expect{options.name, options.master_seed,
+                                   digest, k, count};
         std::vector<JournalRecord> records;
         try {
-            records = read_journal(path, expect);
+            records = read_journal(path, expect, plan);
         } catch (const Error &e) {
             merge.problems.push_back(shard_label(k) + ": " + e.what());
             continue;
         }
-        // read_journal returns empty both for "no file" and "no records";
-        // distinguish them for the coverage report.
         std::uint64_t kept = 0, dups = 0;
         for (JournalRecord &rec : records) {
             const std::uint64_t i = rec.spec.global_index;
-            if (i >= plan.size() || plan[i].scenario != rec.spec.scenario ||
-                plan[i].trial != rec.spec.trial ||
-                plan[i].seed != rec.spec.seed) {
-                merge.problems.push_back(
-                    shard_label(k) + ": record for trial #" +
-                    std::to_string(i) +
-                    " does not match the sweep plan (" + path + ")");
-                continue;
-            }
             std::string encoded =
                 encode_journal_payload(rec.spec, rec.outcome);
             const auto it = claimed.find(i);
@@ -174,7 +157,7 @@ merge_shards(const std::vector<TrialSpec> &plan, const std::string &sweep,
                 } else {
                     ++merge.duplicates;
                     ++dups;
-                    if (options.check) {
+                    if (check) {
                         merge.problems.push_back(
                             shard_label(k) + ": trial #" +
                             std::to_string(i) + " also claimed by " +
@@ -185,7 +168,7 @@ merge_shards(const std::vector<TrialSpec> &plan, const std::string &sweep,
                 continue;
             }
             claimed.emplace(
-                i, Claimed{std::move(rec), std::move(encoded), k});
+                i, Claimed{std::move(rec.outcome), std::move(encoded), k});
             ++kept;
         }
         merge.coverage.push_back(
@@ -216,23 +199,18 @@ merge_shards(const std::vector<TrialSpec> &plan, const std::string &sweep,
 
     // Fold in plan order — the exact loop a single-process run ends
     // with, which is what makes the merged JSON byte-identical.
-    merge.sink.set_meta(sweep, master_seed);
+    SweepRun &run = merge.run;
+    run.sink.set_meta(options.name, options.master_seed);
     for (std::uint64_t i = 0; i < plan.size(); ++i) {
-        const Claimed &c = claimed.at(i);
-        if (c.record.outcome.failed())
-            ++merge.failed;
-        merge.sink.add(plan[i], c.record.outcome);
-        ++merge.merged;
+        TrialOutcome &outcome = claimed.at(i).outcome;
+        if (outcome.failed())
+            ++run.failed;
+        else
+            ++run.completed;
+        run.sink.add(plan[i], outcome);
+        run.outcomes.push_back(std::move(outcome));
     }
     return merge;
-}
-
-void
-remove_shard_journals(const std::string &json_out,
-                      std::uint32_t shard_count)
-{
-    for (std::uint32_t k = 0; k < shard_count; ++k)
-        std::remove(shard_journal_path(json_out, k).c_str());
 }
 
 }  // namespace anvil::runner

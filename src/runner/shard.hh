@@ -5,16 +5,19 @@
  * A sharded campaign splits a sweep's trial plan into contiguous ranges,
  * runs each range in its own `anvil-sim shard` child process (its own
  * failure domain, its own checkpoint journal), and folds the journals
- * back into one canonical `anvil-sweep-v1` report. Because every trial's
- * result is a pure function of (master seed, scenario, trial index) and
- * the merge feeds the sink strictly in plan order, the merged JSON is
- * byte-identical to a single-process `--jobs N` run — no matter how many
- * shards ran, how often they crashed, or which surviving shard picked up
- * a dead one's requeued trials.
+ * back into one canonical `anvil-sweep-v1` report. A plain run is the
+ * one-shard case: its `<json-out>.journal` merges as shard 0 of 1.
+ * Because every trial's result is a pure function of (master seed,
+ * scenario, trial index) and the merge feeds the sink strictly in plan
+ * order, the merged JSON is byte-identical to a single-process
+ * `--jobs N` run — no matter how many shards ran, how often they
+ * crashed, or which surviving shard picked up a dead one's requeued
+ * trials.
  *
  * Merge rules:
  *   - every journal's header must match the sweep (name, master seed,
- *     plan hash) and its claimed shard identity;
+ *     plan hash) and its claimed shard identity, and every record must
+ *     match the plan (read_journal enforces both);
  *   - a trial recorded by two shards (a requeue race: the original
  *     owner's record survived *and* the work was reassigned) is accepted
  *     when both records encode identically — determinism guarantees they
@@ -58,24 +61,12 @@ std::string to_string(const std::vector<TrialRange> &ranges);
 std::vector<TrialRange> compress_indices(
     const std::vector<std::uint64_t> &sorted_indices);
 
-/** How merge_shards() behaves beyond the defaults. */
-struct MergeOptions {
-    /// The campaign's JSON destination; shard journals live beside it.
-    std::string json_out;
-    /// Journals to look for: `<json_out>.shard-0..count-1.journal`.
-    std::uint32_t shard_count = 0;
-    /// Strict validator mode (anvil-sim merge --check): overlaps —
-    /// even byte-identical ones — and missing journals are reported
-    /// as problems, and per-shard coverage is printed.
-    bool check = false;
-};
-
 /** What a merge found and (when clean) produced. */
 struct MergeResult {
-    ResultSink sink;                 ///< valid only when complete()
-    std::uint64_t merged = 0;        ///< distinct trials folded in
+    /// The campaign as one run over the whole plan, folded in plan
+    /// order — what finish_sweep() commits. Valid only when complete().
+    SweepRun run;
     std::uint64_t duplicates = 0;    ///< identical records dropped
-    std::uint64_t failed = 0;        ///< merged trials that had failed
     /// Human-readable, per-shard diagnostics; empty = mergeable.
     std::vector<std::string> problems;
     /// "shard K: N trial record(s) [+ M duplicate(s)]" coverage lines.
@@ -85,19 +76,16 @@ struct MergeResult {
 };
 
 /**
- * Reads every shard journal of the campaign and folds the records into
- * one canonical sink in plan order. Never throws for per-journal
- * problems — they become MergeResult::problems so a validator can show
- * all of them at once.
+ * Reads the journals of every shard of the campaign that @p options
+ * describes (sweep name, master seed, json_out, shard.count) and folds
+ * the records into one run over @p plan, in plan order. Never throws
+ * for per-journal problems — they become MergeResult::problems so a
+ * validator can show all of them at once. @p check selects the strict
+ * validator mode (anvil-sim merge --check): overlaps, even
+ * byte-identical ones, are reported as problems too.
  */
 MergeResult merge_shards(const std::vector<TrialSpec> &plan,
-                         const std::string &sweep,
-                         std::uint64_t master_seed,
-                         const MergeOptions &options);
-
-/** Removes every shard journal of the campaign (after a commit). */
-void remove_shard_journals(const std::string &json_out,
-                           std::uint32_t shard_count);
+                         const SweepOptions &options, bool check = false);
 
 }  // namespace anvil::runner
 

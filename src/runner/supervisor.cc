@@ -128,17 +128,14 @@ supervise(const std::vector<TrialSpec> &plan,
     // run again. A journal from a *different* campaign is a hard error —
     // silently mixing sweeps would corrupt the merge.
     const auto absorb_journal = [&](std::uint32_t k) {
-        JournalHeader expect;
-        expect.sweep = options.sweep;
-        expect.master_seed = options.master_seed;
-        expect.plan_hash = digest;
-        expect.shard_index = k;
-        expect.shard_count = options.shards;
+        const JournalHeader expect{options.sweep, options.master_seed,
+                                   digest, k, options.shards};
         std::uint64_t fresh = 0;
-        for (const JournalRecord &rec :
-             read_journal(shard_journal_path(options.json_out, k), expect)) {
+        for (const JournalRecord &rec : read_journal(
+                 journal_path(options.json_out, k, options.shards), expect,
+                 plan)) {
             const std::uint64_t i = rec.spec.global_index;
-            if (i < done.size() && !done[i]) {
+            if (!done[i]) {
                 done[i] = true;
                 ++fresh;
             }
@@ -310,7 +307,8 @@ supervise(const std::vector<TrialSpec> &plan,
                 // stopped by SIGSTOP, which SIGTERM cannot reach.
                 struct stat st {};
                 const off_t size =
-                    ::stat(shard_journal_path(options.json_out, k).c_str(),
+                    ::stat(journal_path(options.json_out, k, options.shards)
+                               .c_str(),
                            &st) == 0
                         ? st.st_size
                         : -1;

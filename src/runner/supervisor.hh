@@ -8,7 +8,7 @@
  *
  *   - **Crash detection.** A child that exits abnormally (SIGKILL, OOM,
  *     SIGABRT, a real bug) is detected by waitpid; its journal — every
- *     completed trial fsync'd, the torn tail truncated by PR 5's
+ *     completed trial fsync'd, the torn tail truncated by the journal's
  *     recovery — tells the supervisor exactly which trials are durable.
  *   - **Hang detection.** A healthy shard's journal grows continuously
  *     (trial records, plus lease heartbeats between them). A shard whose

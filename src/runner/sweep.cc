@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include "runner/journal.hh"
+#include "runner/shard.hh"
 #include "runner/thread_pool.hh"
 
 namespace anvil::runner {
@@ -173,14 +174,16 @@ install_signal_handlers()
     std::signal(SIGTERM, shutdown_signal_handler);
 }
 
-bool
-ShardAssignment::owns(std::uint64_t index) const
+std::vector<TrialRange>
+ShardAssignment::owned(std::uint64_t total) const
 {
-    for (const TrialRange &range : ranges) {
-        if (range.contains(index))
-            return true;
+    if (!ranges.empty())
+        return ranges;
+    if (index >= count) {
+        throw Error("shard index must be below the shard count")
+            .with_shard(index, count);
     }
-    return false;
+    return partition_trials(total, count)[index];
 }
 
 Sweep::Sweep(SweepOptions options) : options_(std::move(options)) {}
@@ -219,12 +222,6 @@ Sweep::plan_specs() const
     return specs;
 }
 
-std::uint64_t
-Sweep::plan_digest() const
-{
-    return plan_hash(plan_specs());
-}
-
 SweepRun
 Sweep::run()
 {
@@ -251,50 +248,34 @@ Sweep::run()
     run.outcomes.resize(pending.size());
     std::vector<bool> replayed(pending.size(), false);
 
-    // A sharded run executes only its assigned ranges; everything else
-    // in the plan belongs to sibling processes. `mine[i]` is the
-    // ownership mask (all-true when unsharded).
-    const ShardAssignment *shard =
-        options_.shard ? &*options_.shard : nullptr;
-    std::vector<bool> mine(pending.size(), true);
-    if (shard != nullptr) {
-        for (std::size_t i = 0; i < pending.size(); ++i)
-            mine[i] = shard->owns(pending[i].spec.global_index);
+    // Every run executes one shard of the plan; everything outside its
+    // ranges belongs to sibling processes. A plain run is shard 0 of 1,
+    // so `mine` is all-true and the run owns the whole plan.
+    const std::vector<TrialSpec> specs = plan_specs();
+    const ShardAssignment &shard = options_.shard;
+    const std::vector<TrialRange> ranges = shard.owned(specs.size());
+    std::vector<bool> mine(pending.size(), false);
+    std::uint64_t assigned = 0;
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+        for (const TrialRange &range : ranges) {
+            if (range.contains(pending[i].spec.global_index))
+                mine[i] = true;
+        }
+        assigned += mine[i] ? 1 : 0;
     }
 
-    // Checkpoint/resume: replay the journal, validate each record against
-    // the plan (the sweep definition must not have changed under us), and
-    // pre-fill those slots so only the remainder executes. A shard always
-    // resumes from its own journal — that is how a respawned child picks
-    // up where its predecessor crashed.
+    // Checkpoint/resume: replay the journal (the reader validates each
+    // record against the plan — the sweep definition must not have
+    // changed under us) and pre-fill those slots so only the remainder
+    // executes. A respawned shard child resumes this way too.
     const bool journaling = journaling_enabled(options_);
-    const bool resuming = options_.resume || shard != nullptr;
-    JournalHeader header;
-    header.sweep = options_.name;
-    header.master_seed = options_.master_seed;
-    header.plan_hash = plan_digest();
-    if (shard != nullptr) {
-        header.shard_index = shard->index;
-        header.shard_count = shard->count;
-    }
+    const JournalHeader header{options_.name, options_.master_seed,
+                               plan_hash(specs), shard.index, shard.count};
     const std::string jpath =
-        shard != nullptr
-            ? shard_journal_path(options_.json_out, shard->index)
-            : journal_path(options_.json_out);
-    if (resuming && journaling) {
-        for (JournalRecord &rec : read_journal(jpath, header)) {
+        journal_path(options_.json_out, shard.index, shard.count);
+    if (options_.resume && journaling) {
+        for (JournalRecord &rec : read_journal(jpath, header, specs)) {
             const std::uint64_t i = rec.spec.global_index;
-            if (i >= pending.size() ||
-                pending[i].spec.scenario != rec.spec.scenario ||
-                pending[i].spec.trial != rec.spec.trial ||
-                pending[i].spec.seed != rec.spec.seed) {
-                throw Error("journal record does not match the sweep plan "
-                            "(the sweep definition or flags changed); "
-                            "delete the journal or rerun without --resume")
-                    .with("path", jpath)
-                    .with("record_trial", rec.spec.global_index)
-                    .with("record_scenario", rec.spec.scenario);
-            }
             run.outcomes[i] = std::move(rec.outcome);
             replayed[i] = true;
             // Records outside this shard's assignment (an earlier
@@ -308,15 +289,15 @@ Sweep::run()
     JournalWriter journal;
     if (journaling) {
         try {
-            journal.open(jpath, header, /*append=*/resuming);
+            journal.open(jpath, header, /*append=*/options_.resume);
         } catch (const Error &e) {
             // A journal we cannot resume from is a configuration fault,
-            // and a shard without a journal would do work the merge can
-            // never see; a journal a plain sweep merely cannot create is
-            // not worth killing the run over — run unjournaled and let
-            // the final report write surface the unwritable path as its
-            // own exit code.
-            if (options_.resume || shard != nullptr)
+            // and a run that owns only part of the plan has no output
+            // but its journal; a journal a whole-plan run merely cannot
+            // create is not worth killing the run over — run unjournaled
+            // and let the final report write surface the unwritable path
+            // as its own exit code.
+            if (options_.resume || assigned != pending.size())
                 throw;
             std::cerr << "[runner] " << options_.name
                       << ": running without a checkpoint journal: "
@@ -334,10 +315,10 @@ Sweep::run()
     FaultPlan faults(options_.faults);
     if (journaling)
         faults.set_marker_base(options_.json_out);
-    // Shards prove liveness between trial completions; a supervisor
-    // whose lease on this journal expires declares the shard hung.
-    LeaseHeartbeat heartbeat(
-        journal, shard != nullptr ? shard->lease_interval_ms : 0);
+    // Supervised shards prove liveness between trial completions; a
+    // supervisor whose lease on this journal expires declares the shard
+    // hung. Plain runs have no lease interval and start no thread.
+    LeaseHeartbeat heartbeat(journal, shard.lease_interval_ms);
     const auto execute = [&](std::size_t i) {
         // The drain point: a shutdown request skips every trial that has
         // not started yet; in-flight trials run to completion.
@@ -388,8 +369,9 @@ Sweep::run()
 
     // Aggregate strictly in plan order: output is independent of the
     // completion order above, and of which trials were journal replays.
-    // A shard aggregates (and reports) only its assigned trials — its
-    // durable output is the journal, and the merge owns the JSON.
+    // A shard aggregates only its assigned trials; unless it owns the
+    // whole plan its durable output is the journal, and a merge owns the
+    // JSON.
     run.sink.set_meta(options_.name, options_.master_seed);
     for (std::size_t i = 0; i < pending.size(); ++i) {
         if (!mine[i])
@@ -427,12 +409,9 @@ Sweep::run()
                   << " (replay with --jobs 1 --replay-trial "
                   << pending[i].spec.global_index << ")\n";
     }
-    std::uint64_t assigned = 0;
-    for (std::size_t i = 0; i < pending.size(); ++i)
-        assigned += mine[i] ? 1 : 0;
     std::cerr << "[runner] " << options_.name;
-    if (shard != nullptr)
-        std::cerr << " shard " << shard->index << "/" << shard->count;
+    if (assigned != pending.size())
+        std::cerr << " shard " << shard.index << "/" << shard.count;
     std::cerr << ": " << assigned << " trial(s) on " << jobs
               << " job(s) in " << run.wall_seconds << " s";
     if (run.resumed != 0)
@@ -514,30 +493,33 @@ int
 finish_sweep(const SweepRun &run, const SweepOptions &options)
 {
     const bool journaling = journaling_enabled(options);
+    const ShardAssignment &shard = options.shard;
     if (!run.complete()) {
         std::cerr << "[runner] " << options.name << ": interrupted — "
                   << run.skipped << " trial(s) not run";
         if (journaling) {
             std::cerr << "; resume with --resume (journal: "
-                      << journal_path(options.json_out) << ")";
+                      << journal_path(options.json_out, shard.index,
+                                      shard.count)
+                      << ")";
         }
         std::cerr << "\n";
         // No JSON: a partial report must never overwrite a committed one.
         return kExitPartial;
     }
-    if (!write_json_output(run.sink, options))
-        return kExitJsonError;
-    // The report is durably committed; the checkpoint is now redundant.
-    if (journaling)
-        std::remove(journal_path(options.json_out).c_str());
-    return run.failed != 0 ? kExitTrialFailure : kExitOk;
-}
-
-int
-finish_shard(const SweepRun &run)
-{
-    if (!run.complete())
-        return kExitPartial;
+    // Only a run with an outcome for every plan trial commits: a report
+    // over part of the plan would look complete and be wrong.
+    if (run.completed + run.failed == run.outcomes.size()) {
+        if (!write_json_output(run.sink, options))
+            return kExitJsonError;
+        // The report is durably committed; the journals are redundant.
+        if (journaling) {
+            for (std::uint32_t k = 0; k < shard.count; ++k) {
+                std::remove(
+                    journal_path(options.json_out, k, shard.count).c_str());
+            }
+        }
+    }
     return run.failed != 0 ? kExitTrialFailure : kExitOk;
 }
 

@@ -20,6 +20,9 @@
  *     (append-only, checksummed, fsync'd) to `<json-out>.journal`;
  *     --resume replays the journal and runs only the remainder, and the
  *     final JSON is byte-identical to an uninterrupted run;
+ *   - every run executes one ShardAssignment: a plain run is shard 0 of
+ *     1 and owns the whole plan, so it shares its journal format, replay
+ *     and commit path with the shards of a supervised campaign;
  *   - request_shutdown() (wired to SIGINT/SIGTERM by the driver) drains
  *     the sweep: in-flight trials finish, unstarted trials are skipped,
  *     the journal stays on disk for --resume, and finish_sweep() maps
@@ -59,23 +62,29 @@ struct TrialRange {
 };
 
 /**
- * One shard's slice of a sharded campaign: which trials this process
- * owns, its identity within the shard set, and how often it proves
- * liveness. A sharded Sweep::run() journals to
- * `<json-out>.shard-K.journal`, always resumes from that journal, never
- * writes the JSON report (the supervisor's merge does), and appends a
- * lease heartbeat every @p lease_interval_ms so a supervisor can tell
- * slow progress from a wedged process.
+ * One shard's slice of a campaign: which trials this process owns, its
+ * identity within the shard set, and how often it proves liveness. Every
+ * Sweep::run() executes one; the default — shard 0 of 1 — owns the whole
+ * plan. The run journals to journal_path(json_out, index, count), and
+ * finish_sweep() commits a report only for a run that owns the whole
+ * plan (a merge of the shard journals commits the others').
  */
 struct ShardAssignment {
     std::uint32_t index = 0;  ///< shard slot K
     std::uint32_t count = 1;  ///< shards in the campaign
-    /// Trials this process owns; disjoint, ascending. Empty = none
-    /// (an empty shard exits immediately with a valid, bare journal).
+    /// Trials this process owns; disjoint, ascending. Empty = shard K's
+    /// slice of an even partition of the plan — all of it for shard 0
+    /// of 1, nothing for a shard past the trial count (which still
+    /// leaves a valid, bare journal).
     std::vector<TrialRange> ranges;
-    std::uint64_t lease_interval_ms = 500;
+    /// Lease heartbeat period for supervised shards; 0 = no heartbeat.
+    std::uint64_t lease_interval_ms = 0;
 
-    bool owns(std::uint64_t index) const;
+    /**
+     * The trials this shard owns in a plan of @p total trials.
+     * @throw Error when index is not below count.
+     */
+    std::vector<TrialRange> owned(std::uint64_t total) const;
 };
 
 /** How a sweep executes (not what it computes). */
@@ -93,13 +102,12 @@ struct SweepOptions {
     unsigned retries = 0;
     /// Per-trial simulated-event budget (memory accesses); 0 = unlimited.
     std::uint64_t trial_timeout = 0;
-    /// Replay `<json-out>.journal` and run only the missing trials.
+    /// Replay this shard's journal and run only the missing trials.
     bool resume = false;
     /// Deterministic fault injections (tests / CI).
     std::vector<FaultSpec> faults;
-    /// When set, run as one shard of a multi-process campaign (implies
-    /// resume-from-shard-journal; requires a file json_out).
-    std::optional<ShardAssignment> shard;
+    /// The slice of the plan this run executes (default: all of it).
+    ShardAssignment shard;
 };
 
 /** Computes one trial's TrialResult. Must be thread-safe & self-contained. */
@@ -141,7 +149,8 @@ class Sweep
      * sink a sweep).
      * @throw Error only for configuration-level faults: a --resume
      *        journal that belongs to a different sweep, or journal I/O
-     *        failure.
+     *        failure (when resuming, or when the run owns only part of
+     *        the plan and the journal is its sole output).
      */
     SweepRun run();
 
@@ -154,9 +163,6 @@ class Sweep
      * replay filtering.
      */
     std::vector<TrialSpec> plan_specs() const;
-
-    /** plan_hash() over plan_specs(). */
-    std::uint64_t plan_digest() const;
 
   private:
     struct Pending {
@@ -226,23 +232,17 @@ enum ExitCode : int {
 bool write_json_output(const ResultSink &sink, const SweepOptions &options);
 
 /**
- * Finishes a sweep run: writes the JSON report (complete runs only),
- * removes the journal once the report is durably committed, and maps the
- * run's state to its ExitCode — kExitPartial for an interrupted run
- * (journal kept for --resume), kExitTrialFailure when any trial failed,
- * kExitJsonError when the report could not be written, else kExitOk.
+ * Finishes a sweep run — the one commit path of plain runs, shards and
+ * merged campaigns. A complete run that owns the whole plan (every plan
+ * trial has an outcome in @p run) writes the JSON report and, once it is
+ * durably committed, removes the campaign's journals (all
+ * options.shard.count of them). A run that owns only part of the plan
+ * writes no report: its journal is its output, for a merge to fold.
+ * Maps the run's state to its ExitCode — kExitPartial for an interrupted
+ * run (journal kept for --resume), kExitJsonError when the report could
+ * not be written, kExitTrialFailure when any trial failed, else kExitOk.
  */
 int finish_sweep(const SweepRun &run, const SweepOptions &options);
-
-/**
- * Finishes a *shard* run: no JSON report (the supervisor's merge folds
- * the shard journals into the canonical one), just the exit-code
- * mapping — kExitPartial when a drain left assigned trials unrun,
- * kExitTrialFailure when any assigned trial failed, else kExitOk.
- * Either way every completed trial is already durable in the shard
- * journal.
- */
-int finish_shard(const SweepRun &run);
 
 }  // namespace anvil::runner
 

@@ -8,9 +8,9 @@
  * clock, thread identity, or iteration counts that drift with host
  * speed — so a schedule is a pure function of the tenant list and the
  * trial seed, and parallel sweeps stay byte-identical to serial ones.
- * With every quantum at 1 the scheduler reproduces, step for step, the
- * legacy one-step-per-turn interleave (workload::Runner), which keeps
- * all committed single-tenant sweep JSON unchanged.
+ * With every quantum at 1 the scheduler steps the tenants one at a time
+ * in turn — the one-step-per-turn interleave that every committed
+ * single-tenant sweep JSON was produced with.
  */
 #ifndef ANVIL_SCENARIO_SCHEDULER_HH
 #define ANVIL_SCENARIO_SCHEDULER_HH
@@ -80,9 +80,9 @@ class TenantScheduler
 
     /**
      * Runs the round-robin schedule until the clock reaches @p deadline.
-     * The deadline is checked before every step (the legacy
-     * workload::Runner contract), so a tenant never starts a step at or
-     * past the deadline. With no runnable tenant the clock jumps to the
+     * The deadline is checked before every step, so a tenant never
+     * starts a step at or past the deadline and the clock overshoots it
+     * by at most one step. With no runnable tenant the clock jumps to the
      * earliest arrival (or the deadline).
      */
     void run_until(Tick deadline);

@@ -92,7 +92,7 @@ temp_path(const std::string &name)
     const std::string path =
         ::testing::TempDir() + "anvil_fault_test_" + name;
     std::remove(path.c_str());
-    std::remove((path + ".journal").c_str());
+    std::remove(runner::journal_path(path, 0, 1).c_str());
     return path;
 }
 
@@ -273,23 +273,34 @@ TEST(FaultInjection, TimeoutFromTheTrialBodyIsRecorded)
 // Journal: round-trip, recovery, rejection
 // ---------------------------------------------------------------------------
 
-runner::TrialSpec
-spec_at(const std::string &scenario, std::uint64_t trial,
-        std::uint64_t global_index)
+/** The plan of the 2-scenario x 3-trial sweep named @p sweep. */
+std::vector<runner::TrialSpec>
+plan_of(const std::string &sweep, std::uint64_t master_seed)
 {
-    runner::TrialSpec s;
-    s.scenario = scenario;
-    s.trial = trial;
-    s.seed = runner::trial_seed(0x5eedULL, scenario, trial);
-    s.global_index = global_index;
-    return s;
+    runner::SweepOptions options = base_options();
+    options.name = sweep;
+    options.master_seed = master_seed;
+    runner::Sweep s(options);
+    s.add_scenario("alpha", 3, synthetic_result);
+    s.add_scenario("beta", 3, synthetic_result);
+    return s.plan_specs();
+}
+
+/** The header of a plain run's journal of @p sweep: shard 0 of 1. */
+runner::JournalHeader
+plain_header(const std::string &sweep, std::uint64_t master_seed)
+{
+    return {sweep, master_seed,
+            runner::plan_hash(plan_of(sweep, master_seed)), 0, 1};
 }
 
 TEST(Journal, RoundTripsEveryFieldBitExactly)
 {
     const std::string path = temp_path("roundtrip.journal");
+    const auto plan = plan_of("synthetic", 0x5eedULL);
+    const runner::JournalHeader header = plain_header("synthetic", 0x5eedULL);
 
-    runner::TrialSpec spec = spec_at("alpha", 2, 7);
+    const runner::TrialSpec &spec = plan[2];  // alpha, trial 2
     runner::TrialOutcome out;
     out.status = runner::TrialStatus::kFailed;
     out.error = "trial failed [scenario=alpha]: caused by: boom";
@@ -317,24 +328,24 @@ TEST(Journal, RoundTripsEveryFieldBitExactly)
 
     {
         runner::JournalWriter writer;
-        writer.open(path, "synthetic", 0x5eedULL, /*append=*/false);
+        writer.open(path, header, /*append=*/false);
         ASSERT_TRUE(writer.is_open());
         writer.append(spec, out);
         // A second, minimal record: ok status, no stat blocks.
         runner::TrialOutcome ok;
         ok.result.set_counter("events", 9);
-        writer.append(spec_at("beta", 0, 8), ok);
+        writer.append(plan[3], ok);  // beta, trial 0
     }
 
     const std::vector<runner::JournalRecord> records =
-        runner::read_journal(path, "synthetic", 0x5eedULL);
+        runner::read_journal(path, header, plan);
     ASSERT_EQ(records.size(), 2u);
 
     const runner::JournalRecord &rec = records[0];
     EXPECT_EQ(rec.spec.scenario, "alpha");
     EXPECT_EQ(rec.spec.trial, 2u);
     EXPECT_EQ(rec.spec.seed, spec.seed);
-    EXPECT_EQ(rec.spec.global_index, 7u);
+    EXPECT_EQ(rec.spec.global_index, 2u);
     EXPECT_EQ(rec.outcome.status, runner::TrialStatus::kFailed);
     EXPECT_EQ(rec.outcome.error, out.error);
     EXPECT_EQ(rec.outcome.attempts, 3u);
@@ -359,13 +370,15 @@ TEST(Journal, RoundTripsEveryFieldBitExactly)
 TEST(Journal, TornTrailingRecordIsTruncatedAway)
 {
     const std::string path = temp_path("torn.journal");
+    const auto plan = plan_of("synthetic", 1);
+    const runner::JournalHeader header = plain_header("synthetic", 1);
     {
         runner::JournalWriter writer;
-        writer.open(path, "synthetic", 1, /*append=*/false);
+        writer.open(path, header, /*append=*/false);
         runner::TrialOutcome ok;
         ok.result.set_counter("events", 1);
-        writer.append(spec_at("alpha", 0, 0), ok);
-        writer.append(spec_at("alpha", 1, 1), ok);
+        writer.append(plan[0], ok);
+        writer.append(plan[1], ok);
     }
     // Emulate a crash mid-append: a length prefix promising 48 bytes,
     // followed by only a few.
@@ -376,49 +389,57 @@ TEST(Journal, TornTrailingRecordIsTruncatedAway)
     }
 
     const std::vector<runner::JournalRecord> recovered =
-        runner::read_journal(path, "synthetic", 1);
+        runner::read_journal(path, header, plan);
     ASSERT_EQ(recovered.size(), 2u);
     EXPECT_EQ(recovered[1].spec.trial, 1u);
 
     // Recovery truncated the file: a second read sees a clean journal.
     const std::vector<runner::JournalRecord> again =
-        runner::read_journal(path, "synthetic", 1);
+        runner::read_journal(path, header, plan);
     EXPECT_EQ(again.size(), 2u);
 }
 
 TEST(Journal, RejectsForeignFilesAndMismatchedSweeps)
 {
+    const auto plan = plan_of("synthetic", 1);
     const std::string missing = temp_path("never_written.journal");
-    EXPECT_TRUE(
-        runner::read_journal(missing, "synthetic", 1).empty());
+    EXPECT_TRUE(runner::read_journal(missing, plain_header("synthetic", 1),
+                                     plan)
+                    .empty());
 
     const std::string garbage = temp_path("garbage.journal");
     {
         std::ofstream out(garbage, std::ios::binary);
         out << "this is not a journal";
     }
-    EXPECT_THROW(runner::read_journal(garbage, "synthetic", 1), Error);
+    EXPECT_THROW(runner::read_journal(garbage,
+                                      plain_header("synthetic", 1), plan),
+                 Error);
 
     const std::string other = temp_path("other_sweep.journal");
     {
         runner::JournalWriter writer;
-        writer.open(other, "sweep_a", 1, /*append=*/false);
+        writer.open(other, plain_header("sweep_a", 1), /*append=*/false);
     }
     // Different name or master seed: refuse, with guidance.
     try {
-        runner::read_journal(other, "sweep_b", 1);
+        runner::read_journal(other, plain_header("sweep_b", 1),
+                             plan_of("sweep_b", 1));
         FAIL() << "foreign journal accepted";
     } catch (const Error &e) {
         EXPECT_NE(std::string(e.what()).find("different sweep"),
                   std::string::npos)
             << e.what();
     }
-    EXPECT_THROW(runner::read_journal(other, "sweep_a", 2), Error);
+    EXPECT_THROW(runner::read_journal(other, plain_header("sweep_a", 2),
+                                      plan_of("sweep_a", 2)),
+                 Error);
 
     // The append-side re-check refuses the same mismatch.
     runner::JournalWriter writer;
-    EXPECT_THROW(writer.open(other, "sweep_b", 1, /*append=*/true),
-                 Error);
+    EXPECT_THROW(
+        writer.open(other, plain_header("sweep_b", 1), /*append=*/true),
+        Error);
 }
 
 // ---------------------------------------------------------------------------
@@ -447,7 +468,7 @@ TEST(Resume, DrainedSweepResumesToByteIdenticalJson)
         runner::SweepRun run =
             two_scenario_sweep(ref_options, synthetic_result).run();
         EXPECT_EQ(runner::finish_sweep(run, ref_options), runner::kExitOk);
-        EXPECT_FALSE(file_exists(runner::journal_path(ref_json)))
+        EXPECT_FALSE(file_exists(runner::journal_path(ref_json, 0, 1)))
             << "a committed report must remove its journal";
     }
     const std::string reference = slurp(ref_json);
@@ -476,7 +497,7 @@ TEST(Resume, DrainedSweepResumesToByteIdenticalJson)
                   runner::kExitPartial);
         EXPECT_FALSE(file_exists(out_json))
             << "a partial run must not write final JSON";
-        EXPECT_TRUE(file_exists(runner::journal_path(out_json)))
+        EXPECT_TRUE(file_exists(runner::journal_path(out_json, 0, 1)))
             << "the journal must survive for --resume";
     }
 
@@ -493,7 +514,7 @@ TEST(Resume, DrainedSweepResumesToByteIdenticalJson)
     }
     EXPECT_EQ(slurp(out_json), reference)
         << "resume must be byte-identical to an uninterrupted run";
-    EXPECT_FALSE(file_exists(runner::journal_path(out_json)));
+    EXPECT_FALSE(file_exists(runner::journal_path(out_json, 0, 1)));
 }
 
 TEST(Resume, RefusesAJournalThatContradictsThePlan)
@@ -529,7 +550,7 @@ TEST(Resume, RefusesAJournalThatContradictsThePlan)
                   std::string::npos)
             << e.what();
     }
-    std::remove(runner::journal_path(out_json).c_str());
+    std::remove(runner::journal_path(out_json, 0, 1).c_str());
 }
 
 TEST(Output, JsonWritesAreAtomicAndFailuresAreReported)

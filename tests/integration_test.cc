@@ -13,6 +13,7 @@
 #include "common/units.hh"
 #include "mem/memory_system.hh"
 #include "pmu/pmu.hh"
+#include "scenario/scheduler.hh"
 #include "workload/workload.hh"
 
 namespace anvil {
@@ -48,12 +49,12 @@ TEST(Integration, Table3HeavyLoadScenario)
 
     attack_running = true;
     const Tick start = machine.now();
-    workload::Runner runner(machine);
-    runner.add([&] { hammer.step(); });
-    runner.add([&] { mcf.step(); });
-    runner.add([&] { libq.step(); });
-    runner.add([&] { omnet.step(); });
-    runner.run_for(ms(128));
+    scenario::TenantScheduler sched(machine);
+    sched.add({.name = "hammer", .step = [&] { hammer.step(); }});
+    sched.add({.name = "mcf", .step = [&] { mcf.step(); }});
+    sched.add({.name = "libquantum", .step = [&] { libq.step(); }});
+    sched.add({.name = "omnetpp", .step = [&] { omnet.step(); }});
+    sched.run_until(machine.now() + ms(128));
     attack_running = false;
 
     EXPECT_TRUE(machine.dram().flips().empty()) << "bit flip under ANVIL";
@@ -88,10 +89,10 @@ TEST(Integration, UnprotectedHeavyLoadStillFlips)
 
     workload::Workload mcf(machine, workload::spec_profile("mcf"));
     attack::ClflushDoubleSided hammer(machine, attacker.pid(), *chosen);
-    workload::Runner runner(machine);
-    runner.add([&] { hammer.step(); });
-    runner.add([&] { mcf.step(); });
-    runner.run_for(ms(160));
+    scenario::TenantScheduler sched(machine);
+    sched.add({.name = "hammer", .step = [&] { hammer.step(); }});
+    sched.add({.name = "mcf", .step = [&] { mcf.step(); }});
+    sched.run_until(machine.now() + ms(160));
     EXPECT_FALSE(machine.dram().flips().empty());
 }
 

@@ -23,6 +23,7 @@
 #include "scenario/spec.hh"
 #include "scenario/testbed.hh"
 #include "scenario/validate.hh"
+#include "workload/workload.hh"
 
 using namespace anvil;
 
@@ -165,6 +166,19 @@ TEST(TenantScheduler, StartDelayHoldsATenantOut)
     sched.run_until(arrival + us(500));
     EXPECT_GE(first_step, arrival);
     EXPECT_GT(sched.stats()[0].steps, 0u);
+}
+
+TEST(TenantScheduler, RunUntilOvershootsByAtMostOneStep)
+{
+    // The deadline is checked before every step, so the clock passes it
+    // by no more than the one step that crossed it.
+    mem::MemorySystem machine{mem::SystemConfig{}};
+    workload::Workload load(machine, workload::spec_profile("sjeng"));
+    scenario::TenantScheduler sched(machine);
+    sched.add({.name = "sjeng", .step = [&] { load.step(); }});
+    sched.run_until(ms(3));
+    EXPECT_GE(machine.now(), ms(3));
+    EXPECT_LT(machine.now(), ms(3) + us(10));
 }
 
 TEST(TenantScheduler, EmptyScheduleAdvancesToDeadline)

@@ -3,8 +3,10 @@
  * Tests of the sharded-campaign machinery (runner/shard.hh,
  * runner/supervisor.hh): trial partitioning and range syntax, in-process
  * shard runs whose journals merge byte-identically to a direct run (in
- * any completion order, with empty shards, and across requeue-style
- * overlaps), the merge validator's rejection paths (divergent
+ * any completion order, with empty shards, across requeue-style
+ * overlaps, and for a plain run's journal as a one-shard campaign), the
+ * rule that only a whole-plan run commits a report, the merge
+ * validator's rejection paths (divergent
  * duplicates, foreign plan headers, incomplete campaigns), lease-record
  * replay semantics, process-fault once-markers, and — through the real
  * anvil-sim binary (ANVIL_SIM_PATH) — the headline guarantee: a
@@ -91,17 +93,27 @@ file_exists(const std::string &path)
     return std::ifstream(path).good();
 }
 
-/** A per-test scratch path, cleared of leftovers from earlier runs. */
+/**
+ * A per-test scratch path, cleared of leftovers from earlier runs: the
+ * report, the plain journal, and shard journals of up to 8 shards.
+ */
 std::string
 temp_path(const std::string &name)
 {
     const std::string path =
         ::testing::TempDir() + "anvil_shard_test_" + name;
     std::remove(path.c_str());
+    std::remove(runner::journal_path(path, 0, 1).c_str());
     for (std::uint32_t k = 0; k < 8; ++k)
-        std::remove(runner::shard_journal_path(path, k).c_str());
+        std::remove(runner::journal_path(path, k, 8).c_str());
     return path;
 }
+
+/** Tests that touch the process-wide drain flag must leave it cleared. */
+struct ShutdownGuard {
+    ShutdownGuard() { runner::clear_shutdown(); }
+    ~ShutdownGuard() { runner::clear_shutdown(); }
+};
 
 /** The direct (unsharded, 1-process) run every merge must reproduce. */
 std::string
@@ -121,10 +133,10 @@ synthetic_plan()
     return sweep.plan_specs();
 }
 
-/** Runs one in-process shard of the synthetic sweep over @p ranges. */
-int
-run_shard(const std::string &json_out, std::uint32_t index,
-          std::uint32_t count, std::vector<runner::TrialRange> ranges)
+/** Options for shard @p index of @p count of the synthetic sweep. */
+runner::SweepOptions
+shard_options(const std::string &json_out, std::uint32_t index,
+              std::uint32_t count, std::vector<runner::TrialRange> ranges)
 {
     runner::SweepOptions options = base_options();
     options.json_out = json_out;
@@ -134,20 +146,35 @@ run_shard(const std::string &json_out, std::uint32_t index,
     shard.ranges = std::move(ranges);
     shard.lease_interval_ms = 50;
     options.shard = shard;
-    runner::Sweep sweep(std::move(options));
+    return options;
+}
+
+/**
+ * Runs one in-process shard of the synthetic sweep over @p ranges the
+ * way `anvil-sim shard` does: resuming from its own journal, and
+ * finishing without a report (the journal is a shard's output).
+ */
+int
+run_shard(const std::string &json_out, std::uint32_t index,
+          std::uint32_t count, std::vector<runner::TrialRange> ranges)
+{
+    runner::SweepOptions options =
+        shard_options(json_out, index, count, std::move(ranges));
+    options.resume = true;
+    runner::Sweep sweep(options);
     add_synthetic_scenarios(sweep);
-    return runner::finish_shard(sweep.run());
+    const runner::SweepRun run = sweep.run();
+    options.json_out.clear();
+    return runner::finish_sweep(run, options);
 }
 
 runner::MergeResult
 merge(const std::string &json_out, std::uint32_t count, bool check = false)
 {
-    runner::MergeOptions mo;
-    mo.json_out = json_out;
-    mo.shard_count = count;
-    mo.check = check;
-    return runner::merge_shards(synthetic_plan(), "synthetic", 0x5eedULL,
-                                mo);
+    runner::SweepOptions options = base_options();
+    options.json_out = json_out;
+    options.shard.count = count;
+    return runner::merge_shards(synthetic_plan(), options, check);
 }
 
 // ---------------------------------------------------------------------------
@@ -223,9 +250,9 @@ TEST(ShardRun, MergedJournalsAreByteIdenticalToADirectRun)
     runner::MergeResult m = merge(out, 2);
     ASSERT_TRUE(m.complete()) << (m.problems.empty() ? ""
                                                      : m.problems.front());
-    EXPECT_EQ(m.merged, 6u);
+    EXPECT_EQ(m.run.outcomes.size(), 6u);
     EXPECT_EQ(m.duplicates, 0u);
-    EXPECT_EQ(json_of(m.sink), direct_json());
+    EXPECT_EQ(json_of(m.run.sink), direct_json());
 }
 
 TEST(ShardRun, OutOfOrderShardCompletionIsByteIdentical)
@@ -240,34 +267,29 @@ TEST(ShardRun, OutOfOrderShardCompletionIsByteIdentical)
 
     runner::MergeResult m = merge(out, 3);
     ASSERT_TRUE(m.complete());
-    EXPECT_EQ(json_of(m.sink), direct_json());
+    EXPECT_EQ(json_of(m.run.sink), direct_json());
 }
 
 TEST(ShardRun, EmptyShardWritesAValidBareJournal)
 {
     const std::string out = temp_path("merge_empty.json");
-    // 4 shards over 6 trials via an explicit assignment that leaves
-    // shard 3 with nothing (the CLI produces the same shape when a
-    // campaign has fewer trials than shards).
-    EXPECT_EQ(run_shard(out, 0, 4, {runner::TrialRange{0, 1}}),
-              runner::kExitOk);
-    EXPECT_EQ(run_shard(out, 1, 4, {runner::TrialRange{2, 3}}),
-              runner::kExitOk);
-    EXPECT_EQ(run_shard(out, 2, 4, {runner::TrialRange{4, 5}}),
-              runner::kExitOk);
-    EXPECT_EQ(run_shard(out, 3, 4, {}), runner::kExitOk);
+    // 7 shards over 6 trials, each owning its slice of the even
+    // partition (no explicit ranges, as the CLI runs them): shard 6 has
+    // nothing to run.
+    for (std::uint32_t k = 0; k < 7; ++k)
+        EXPECT_EQ(run_shard(out, k, 7, {}), runner::kExitOk);
 
     // The empty shard still left a header-only journal with the right
     // identity — evidence it ran, not a hole in the campaign.
-    runner::JournalHeader header = runner::read_journal_header(
-        runner::shard_journal_path(out, 3));
+    runner::JournalHeader header =
+        runner::read_journal_header(runner::journal_path(out, 6, 7));
     EXPECT_EQ(header.sweep, "synthetic");
-    EXPECT_EQ(header.shard_index, 3u);
-    EXPECT_EQ(header.shard_count, 4u);
+    EXPECT_EQ(header.shard_index, 6u);
+    EXPECT_EQ(header.shard_count, 7u);
 
-    runner::MergeResult m = merge(out, 4);
+    runner::MergeResult m = merge(out, 7);
     ASSERT_TRUE(m.complete());
-    EXPECT_EQ(json_of(m.sink), direct_json());
+    EXPECT_EQ(json_of(m.run.sink), direct_json());
 }
 
 TEST(ShardRun, ShardResumesFromItsOwnJournal)
@@ -285,7 +307,73 @@ TEST(ShardRun, ShardResumesFromItsOwnJournal)
     runner::MergeResult m = merge(out, 2);
     ASSERT_TRUE(m.complete());
     EXPECT_EQ(m.duplicates, 0u);  // replay, not re-execution
-    EXPECT_EQ(json_of(m.sink), direct_json());
+    EXPECT_EQ(json_of(m.run.sink), direct_json());
+}
+
+TEST(ShardRun, PartialOwnerCommitsNoReport)
+{
+    // A run handed shard flags owns part of the plan, whether its ranges
+    // are explicit or its default slice of the partition. Finishing it
+    // like a plain run must not commit a report over that part as if it
+    // were the whole sweep: its journal is its output.
+    for (const auto &ranges : {std::vector<runner::TrialRange>{{0, 2}},
+                               std::vector<runner::TrialRange>{}}) {
+        const std::string out = temp_path("partial_owner.json");
+        const runner::SweepOptions options =
+            shard_options(out, 0, 2, ranges);
+        runner::Sweep sweep(options);
+        add_synthetic_scenarios(sweep);
+        const runner::SweepRun run = sweep.run();
+        EXPECT_EQ(run.completed, 3u);
+        EXPECT_EQ(runner::finish_sweep(run, options), runner::kExitOk);
+        EXPECT_FALSE(file_exists(out))
+            << "a run over part of the plan committed a report";
+        EXPECT_TRUE(file_exists(runner::journal_path(out, 0, 2)));
+    }
+}
+
+TEST(ShardRun, PlainRunJournalMergesAsAOneShardCampaign)
+{
+    ShutdownGuard guard;
+    const std::string out = temp_path("one_shard.json");
+    runner::SweepOptions options = base_options();
+    options.json_out = out;
+
+    // A plain run drained after its second trial keeps its journal...
+    {
+        runner::Sweep sweep(options);
+        const auto drain_after_1 = [](const runner::TrialContext &ctx) {
+            runner::TrialResult r = synthetic_result(ctx);
+            if (ctx.spec().global_index == 1)
+                runner::request_shutdown();
+            return r;
+        };
+        sweep.add_scenario("alpha", 3, drain_after_1);
+        sweep.add_scenario("beta", 3, drain_after_1);
+        const runner::SweepRun run = sweep.run();
+        EXPECT_EQ(runner::finish_sweep(run, options),
+                  runner::kExitPartial);
+    }
+    // ...a resumed run completes it without committing...
+    runner::clear_shutdown();
+    options.resume = true;
+    {
+        runner::Sweep sweep(options);
+        add_synthetic_scenarios(sweep);
+        const runner::SweepRun run = sweep.run();
+        EXPECT_EQ(run.resumed, 2u);
+        EXPECT_TRUE(run.complete());
+    }
+    // ...and the journal is shard 0 of 1: it merges into the direct
+    // run's bytes, and committing the merge retires it.
+    runner::MergeResult m = merge(out, 1);
+    ASSERT_TRUE(m.complete()) << (m.problems.empty() ? ""
+                                                     : m.problems.front());
+    EXPECT_EQ(json_of(m.run.sink), direct_json());
+    EXPECT_EQ(runner::finish_sweep(m.run, options), runner::kExitOk);
+    EXPECT_EQ(slurp(out), direct_json());
+    EXPECT_FALSE(file_exists(runner::journal_path(out, 0, 1)));
+    std::remove(out.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -305,9 +393,9 @@ TEST(Merge, IdenticalDuplicateFromARequeueRaceIsAccepted)
 
     runner::MergeResult m = merge(out, 2);
     ASSERT_TRUE(m.complete());
-    EXPECT_EQ(m.merged, 6u);
+    EXPECT_EQ(m.run.outcomes.size(), 6u);
     EXPECT_EQ(m.duplicates, 1u);
-    EXPECT_EQ(json_of(m.sink), direct_json());
+    EXPECT_EQ(json_of(m.run.sink), direct_json());
 
     // The strict validator (merge --check) flags the same overlap.
     runner::MergeResult strict = merge(out, 2, /*check=*/true);
@@ -334,7 +422,7 @@ TEST(Merge, DivergentDuplicateIsRefused)
     header.shard_count = 2;
     {
         runner::JournalWriter writer;
-        writer.open(runner::shard_journal_path(out, 1), header,
+        writer.open(runner::journal_path(out, 1, 2), header,
                     /*append=*/false);
         runner::TrialOutcome outcome;
         outcome.result.set_value("metric", 123.456);
@@ -365,7 +453,7 @@ TEST(Merge, JournalWithMismatchedPlanHeaderIsRejected)
     header.shard_count = 2;
     {
         runner::JournalWriter writer;
-        writer.open(runner::shard_journal_path(out, 1), header,
+        writer.open(runner::journal_path(out, 1, 2), header,
                     /*append=*/false);
     }
 
@@ -400,9 +488,8 @@ TEST(Lease, HeartbeatRecordsAreInvisibleToReplay)
 {
     const std::string path = temp_path("lease.journal");
     const auto plan = synthetic_plan();
-    runner::JournalHeader header;
-    header.sweep = "synthetic";
-    header.master_seed = 0x5eedULL;
+    const runner::JournalHeader header{"synthetic", 0x5eedULL,
+                                       runner::plan_hash(plan), 0, 1};
     {
         runner::JournalWriter writer;
         writer.open(path, header, /*append=*/false);
@@ -413,7 +500,7 @@ TEST(Lease, HeartbeatRecordsAreInvisibleToReplay)
         writer.append_lease(1);
         writer.append_lease(2);
     }
-    const auto records = runner::read_journal(path, header);
+    const auto records = runner::read_journal(path, header, plan);
     ASSERT_EQ(records.size(), 1u);  // leases are liveness, not results
     EXPECT_EQ(records[0].spec.global_index, 0u);
     std::remove(path.c_str());
@@ -493,7 +580,7 @@ TEST(Supervise, CrashedAndStalledShardsRecoverByteIdentically)
     // Commit removed the shard journals — the campaign is spent.
     for (std::uint32_t k = 0; k < 4; ++k) {
         EXPECT_FALSE(
-            file_exists(runner::shard_journal_path(out, k)));
+            file_exists(runner::journal_path(out, k, 4)));
     }
     std::remove(out.c_str());
 }
@@ -516,7 +603,7 @@ TEST(Supervise, MergeCheckRejectsAnIncompleteCampaign)
     EXPECT_FALSE(file_exists(out));  // --check never writes the report
 
     for (std::uint32_t k = 0; k < 4; ++k)
-        std::remove(runner::shard_journal_path(out, k).c_str());
+        std::remove(runner::journal_path(out, k, 4).c_str());
 }
 
 #endif  // ANVIL_SIM_PATH

@@ -19,9 +19,15 @@
  * and merges the journals into a report byte-identical to a
  * single-process run (EXPERIMENTS.md "Sharded runs").
  *
+ * A plain `run` is shard 0 of 1: its `<json-out>.journal` has the same
+ * format as a shard journal, so `supervise --shards 1` or
+ * `merge --shards 1` can also finish or fold it.
+ *
  * Exit codes (runner::ExitCode): 0 = complete and all trials ok;
  * 1 = report not writable; 2 = usage error; 3 = interrupted
- * (SIGINT/SIGTERM drained the run — rerun the same command to resume);
+ * (SIGINT/SIGTERM drained the run and kept its journal — rerun `run`
+ * with --resume added, or rerun `shard`/`supervise` as is, to continue;
+ * a `run` without --resume discards the journal and starts over);
  * 4 = complete but at least one trial failed (see the JSON "failures"
  * records); 5 = supervise: trials outstanding after every shard slot
  * exhausted its respawn budget (journals kept — rerun to continue);
@@ -98,32 +104,48 @@ report_merge_problems(const runner::MergeResult &merge)
 }
 
 /**
- * `anvil-sim shard`: run this process's slice of the campaign. The
- * journal is the only output; the supervisor's merge writes the report.
+ * Folds the journals of the campaign cli.sweep describes (its
+ * shard.count shards) into the report and commits it through
+ * finish_sweep(), or with @p check only validates them.
+ */
+int
+merge_campaign(const scenario::SweepSpec &spec,
+               const std::vector<runner::TrialSpec> &plan,
+               const runner::CliOptions &cli, bool check)
+{
+    runner::MergeResult merge = runner::merge_shards(plan, cli.sweep, check);
+    if (!merge.complete())
+        return report_merge_problems(merge);
+    if (check) {
+        for (const std::string &line : merge.coverage)
+            std::fprintf(stderr, "anvil-sim: merge: %s\n", line.c_str());
+        std::fprintf(stderr,
+                     "anvil-sim: merge: ok — %zu trial(s) across %u "
+                     "shard journal(s), %llu failure record(s)\n",
+                     merge.run.outcomes.size(), cli.sweep.shard.count,
+                     static_cast<unsigned long long>(merge.run.failed));
+        return runner::kExitOk;
+    }
+    if (spec.finalize)
+        spec.finalize(merge.run.sink);
+    return runner::finish_sweep(merge.run, cli.sweep);
+}
+
+/**
+ * `anvil-sim shard`: run this process's slice of the campaign. A shard
+ * always resumes from its own journal — that is how a respawned child
+ * picks up where its predecessor died — and the journal is its only
+ * output: the supervisor's merge commits the report.
  */
 int
 run_shard(const scenario::SweepSpec &spec, runner::CliOptions &cli)
 {
-    if (!cli.sweep.shard) {
-        std::fprintf(stderr,
-                     "anvil-sim: `shard` needs --shard-index and "
-                     "--shard-count\n");
-        return runner::kExitUsage;
-    }
     if (!require_file_json_out(cli, "shard"))
         return runner::kExitUsage;
-    if (cli.sweep.shard->ranges.empty()) {
-        // No explicit --shard-trials: own shard K's slice of the even
-        // partition. Plan size requires a built sweep, so build twice —
-        // construction only registers closures, it runs nothing.
-        runner::CliOptions probe = cli;
-        const std::uint64_t total =
-            scenario::make_sweep(spec, probe).plan_specs().size();
-        cli.sweep.shard->ranges = runner::partition_trials(
-            total, cli.sweep.shard->count)[cli.sweep.shard->index];
-    }
-    runner::Sweep sweep = scenario::make_sweep(spec, cli);
-    return runner::finish_shard(sweep.run());
+    cli.sweep.resume = true;
+    const runner::SweepRun run = scenario::make_sweep(spec, cli).run();
+    cli.sweep.json_out.clear();  // exit-code mapping only; no report
+    return runner::finish_sweep(run, cli.sweep);
 }
 
 /**
@@ -140,6 +162,7 @@ run_supervise(const scenario::SweepFactory &factory,
         std::fprintf(stderr, "anvil-sim: --shards must be at least 1\n");
         return runner::kExitUsage;
     }
+    cli.sweep.shard.count = cli.supervisor.shards;
 
     runner::Sweep sweep = scenario::make_sweep(spec, cli);
     const std::vector<runner::TrialSpec> plan = sweep.plan_specs();
@@ -196,23 +219,7 @@ run_supervise(const scenario::SweepFactory &factory,
         return runner::kExitPartial;
     if (!report.complete)
         return runner::kExitShardDead;
-
-    runner::MergeOptions mo;
-    mo.json_out = cli.sweep.json_out;
-    mo.shard_count = sup.shards;
-    runner::MergeResult merge =
-        runner::merge_shards(plan, cli.sweep.name, cli.sweep.master_seed,
-                             mo);
-    if (!merge.complete())
-        return report_merge_problems(merge);
-    if (spec.finalize)
-        spec.finalize(merge.sink);
-    if (!runner::write_json_output(merge.sink, cli.sweep))
-        return runner::kExitJsonError;
-    // The report is durable; the shard journals' work is committed.
-    runner::remove_shard_journals(cli.sweep.json_out, sup.shards);
-    return merge.failed != 0 ? runner::kExitTrialFailure
-                             : runner::kExitOk;
+    return merge_campaign(spec, plan, cli, /*check=*/false);
 }
 
 /**
@@ -224,36 +231,9 @@ run_merge(const scenario::SweepSpec &spec, runner::CliOptions &cli)
 {
     if (!require_file_json_out(cli, "merge"))
         return runner::kExitUsage;
+    cli.sweep.shard.count = cli.supervisor.shards;
     runner::Sweep sweep = scenario::make_sweep(spec, cli);
-    const std::vector<runner::TrialSpec> plan = sweep.plan_specs();
-
-    runner::MergeOptions mo;
-    mo.json_out = cli.sweep.json_out;
-    mo.shard_count = cli.supervisor.shards;
-    mo.check = cli.check;
-    runner::MergeResult merge =
-        runner::merge_shards(plan, cli.sweep.name, cli.sweep.master_seed,
-                             mo);
-    if (!merge.complete())
-        return report_merge_problems(merge);
-    if (cli.check) {
-        for (const std::string &line : merge.coverage)
-            std::fprintf(stderr, "anvil-sim: merge: %s\n", line.c_str());
-        std::fprintf(stderr,
-                     "anvil-sim: merge: ok — %llu trial(s) across %u "
-                     "shard journal(s), %llu failure record(s)\n",
-                     static_cast<unsigned long long>(merge.merged),
-                     mo.shard_count,
-                     static_cast<unsigned long long>(merge.failed));
-        return runner::kExitOk;
-    }
-    if (spec.finalize)
-        spec.finalize(merge.sink);
-    if (!runner::write_json_output(merge.sink, cli.sweep))
-        return runner::kExitJsonError;
-    runner::remove_shard_journals(cli.sweep.json_out, mo.shard_count);
-    return merge.failed != 0 ? runner::kExitTrialFailure
-                             : runner::kExitOk;
+    return merge_campaign(spec, sweep.plan_specs(), cli, cli.check);
 }
 
 }  // namespace
