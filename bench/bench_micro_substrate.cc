@@ -9,12 +9,12 @@
 
 #include "cache/hierarchy.hh"
 #include "dram/dram_system.hh"
+#include "pmu/pmu.hh"
 #include "scenario/testbed.hh"
 #include "sim/event_queue.hh"
 #include "workload/workload.hh"
 
 using namespace anvil;
-using anvil::scenario::Testbed;
 
 namespace {
 
@@ -101,10 +101,11 @@ BENCHMARK(BM_WorkloadStep);
 void
 BM_HammerIterationClflush(benchmark::State &state)
 {
-    Testbed bed;
-    const auto target = bed.weakest_double_sided();
-    attack::ClflushDoubleSided hammer(bed.machine, bed.attacker->pid(),
-                                      *target);
+    mem::MemorySystem machine{mem::SystemConfig{}};
+    pmu::Pmu pmu(machine);
+    scenario::Attacker attacker(machine);
+    const auto target = scenario::weakest_double_sided(machine, attacker);
+    attack::ClflushDoubleSided hammer(machine, attacker.pid(), *target);
     for (auto _ : state)
         hammer.step();
 }
@@ -113,10 +114,13 @@ BENCHMARK(BM_HammerIterationClflush);
 void
 BM_HammerIterationClflushFree(benchmark::State &state)
 {
-    Testbed bed;
-    const auto target = bed.weakest_double_sided(true);
-    attack::ClflushFreeDoubleSided hammer(bed.machine, bed.attacker->pid(),
-                                          *target, bed.layout);
+    mem::MemorySystem machine{mem::SystemConfig{}};
+    pmu::Pmu pmu(machine);
+    scenario::Attacker attacker(machine);
+    const auto target = scenario::weakest_double_sided(
+        machine, attacker, /*require_slice_compatible=*/true);
+    attack::ClflushFreeDoubleSided hammer(machine, attacker.pid(), *target,
+                                          attacker.layout);
     for (auto _ : state)
         hammer.step();
 }
@@ -125,11 +129,13 @@ BENCHMARK(BM_HammerIterationClflushFree);
 void
 BM_EvictionSetConstruction(benchmark::State &state)
 {
-    Testbed bed;
-    const auto targets = bed.layout.find_double_sided_targets(4);
+    mem::MemorySystem machine{mem::SystemConfig{}};
+    pmu::Pmu pmu(machine);
+    scenario::Attacker attacker(machine);
+    const auto targets = attacker.layout.find_double_sided_targets(4);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            bed.layout.build_eviction_set(targets[0].low_aggressor_va, 12));
+        benchmark::DoNotOptimize(attacker.layout.build_eviction_set(
+            targets[0].low_aggressor_va, 12));
     }
 }
 BENCHMARK(BM_EvictionSetConstruction);

@@ -22,11 +22,11 @@
 #include <vector>
 
 #include "anvil/anvil.hh"
+#include "pmu/pmu.hh"
 #include "scenario/testbed.hh"
 #include "workload/workload.hh"
 
 using namespace anvil;
-using anvil::scenario::Testbed;
 
 namespace {
 
@@ -62,15 +62,16 @@ maybe_attach_anvil(mem::MemorySystem &machine, pmu::Pmu &pmu, bool enabled)
 void
 BM_HammerDoubleSidedClflush(benchmark::State &state)
 {
-    Testbed bed;
-    auto anvil = maybe_attach_anvil(bed.machine, bed.pmu, state.range(0));
-    const auto target = bed.weakest_double_sided();
-    attack::ClflushDoubleSided hammer(bed.machine, bed.attacker->pid(),
-                                      *target);
-    const std::uint64_t before = accesses_retired(bed.pmu);
+    mem::MemorySystem machine{mem::SystemConfig{}};
+    pmu::Pmu pmu(machine);
+    scenario::Attacker attacker(machine);
+    auto anvil = maybe_attach_anvil(machine, pmu, state.range(0));
+    const auto target = scenario::weakest_double_sided(machine, attacker);
+    attack::ClflushDoubleSided hammer(machine, attacker.pid(), *target);
+    const std::uint64_t before = accesses_retired(pmu);
     for (auto _ : state)
         hammer.step();
-    report_access_rate(state, accesses_retired(bed.pmu) - before);
+    report_access_rate(state, accesses_retired(pmu) - before);
 }
 BENCHMARK(BM_HammerDoubleSidedClflush)->ArgName("anvil")->Arg(0)->Arg(1);
 
@@ -78,15 +79,18 @@ BENCHMARK(BM_HammerDoubleSidedClflush)->ArgName("anvil")->Arg(0)->Arg(1);
 void
 BM_HammerClflushFree(benchmark::State &state)
 {
-    Testbed bed;
-    auto anvil = maybe_attach_anvil(bed.machine, bed.pmu, state.range(0));
-    const auto target = bed.weakest_double_sided(true);
-    attack::ClflushFreeDoubleSided hammer(bed.machine, bed.attacker->pid(),
-                                          *target, bed.layout);
-    const std::uint64_t before = accesses_retired(bed.pmu);
+    mem::MemorySystem machine{mem::SystemConfig{}};
+    pmu::Pmu pmu(machine);
+    scenario::Attacker attacker(machine);
+    auto anvil = maybe_attach_anvil(machine, pmu, state.range(0));
+    const auto target = scenario::weakest_double_sided(
+        machine, attacker, /*require_slice_compatible=*/true);
+    attack::ClflushFreeDoubleSided hammer(machine, attacker.pid(), *target,
+                                          attacker.layout);
+    const std::uint64_t before = accesses_retired(pmu);
     for (auto _ : state)
         hammer.step();
-    report_access_rate(state, accesses_retired(bed.pmu) - before);
+    report_access_rate(state, accesses_retired(pmu) - before);
 }
 BENCHMARK(BM_HammerClflushFree)->ArgName("anvil")->Arg(0)->Arg(1);
 

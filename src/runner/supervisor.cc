@@ -22,6 +22,11 @@
 namespace anvil::runner {
 namespace {
 
+/// Every shard child re-executes the running binary.
+constexpr const char *kShardExe = "/proc/self/exe";
+/// Supervision loop poll period.
+constexpr std::uint64_t kPollMs = 25;
+
 std::uint64_t
 now_ms()
 {
@@ -109,15 +114,14 @@ backoff_delay_ms(std::uint64_t base, unsigned attempt)
 }
 
 SupervisorReport
-supervise(const std::vector<TrialSpec> &plan,
-          const SupervisorOptions &options)
+supervise(const std::vector<TrialSpec> &plan, const SweepOptions &sweep,
+          const SupervisorCli &cli,
+          const std::vector<std::string> &child_args)
 {
-    if (options.shards == 0)
+    if (cli.shards == 0)
         throw Error("cannot supervise a campaign with zero shards");
     const std::uint64_t lease_interval =
-        options.lease_interval_ms != 0
-            ? options.lease_interval_ms
-            : std::max<std::uint64_t>(1, options.lease_timeout_ms / 4);
+        std::max<std::uint64_t>(1, cli.lease_timeout_ms / 4);
 
     SupervisorReport report;
     std::vector<bool> done(plan.size(), false);
@@ -128,11 +132,11 @@ supervise(const std::vector<TrialSpec> &plan,
     // run again. A journal from a *different* campaign is a hard error —
     // silently mixing sweeps would corrupt the merge.
     const auto absorb_journal = [&](std::uint32_t k) {
-        const JournalHeader expect{options.sweep, options.master_seed,
-                                   digest, k, options.shards};
+        const JournalHeader expect{sweep.name, sweep.master_seed, digest,
+                                   k, cli.shards};
         std::uint64_t fresh = 0;
         for (const JournalRecord &rec : read_journal(
-                 journal_path(options.json_out, k, options.shards), expect,
+                 journal_path(sweep.json_out, k, cli.shards), expect,
                  plan)) {
             const std::uint64_t i = rec.spec.global_index;
             if (!done[i]) {
@@ -143,7 +147,7 @@ supervise(const std::vector<TrialSpec> &plan,
         return fresh;
     };
     std::uint64_t resumed = 0;
-    for (std::uint32_t k = 0; k < options.shards; ++k)
+    for (std::uint32_t k = 0; k < cli.shards; ++k)
         resumed += absorb_journal(k);
     if (resumed != 0) {
         std::fprintf(stderr,
@@ -153,11 +157,11 @@ supervise(const std::vector<TrialSpec> &plan,
     }
 
     // Initial assignment: slot k owns partition k, minus anything done.
-    std::vector<Slot> slots(options.shards);
+    std::vector<Slot> slots(cli.shards);
     std::deque<std::vector<TrialRange>> queue;
     {
-        const auto partitions = partition_trials(plan.size(), options.shards);
-        for (std::uint32_t k = 0; k < options.shards; ++k) {
+        const auto partitions = partition_trials(plan.size(), cli.shards);
+        for (std::uint32_t k = 0; k < cli.shards; ++k) {
             std::vector<TrialRange> unit =
                 subtract_done(partitions[k], done);
             if (!unit.empty())
@@ -175,18 +179,17 @@ supervise(const std::vector<TrialSpec> &plan,
     const auto launch = [&](std::uint32_t k) {
         Slot &slot = slots[k];
         std::vector<std::string> args;
-        args.push_back(options.exe);
-        args.insert(args.end(), options.child_args.begin(),
-                    options.child_args.end());
+        args.push_back(kShardExe);
+        args.insert(args.end(), child_args.begin(), child_args.end());
         args.push_back("--shard-index");
         args.push_back(std::to_string(k));
         args.push_back("--shard-count");
-        args.push_back(std::to_string(options.shards));
+        args.push_back(std::to_string(cli.shards));
         args.push_back("--shard-trials");
         args.push_back(to_string(slot.unit));
         args.push_back("--lease-interval-ms");
         args.push_back(std::to_string(lease_interval));
-        slot.pid = spawn_child(options.exe, args);
+        slot.pid = spawn_child(kShardExe, args);
         slot.state = Slot::State::kRunning;
         slot.last_size = -1;
         slot.last_growth_ms = now_ms();
@@ -203,7 +206,7 @@ supervise(const std::vector<TrialSpec> &plan,
         slot.pid = -1;
         if (WIFEXITED(status) && WEXITSTATUS(status) == 127) {
             throw Error("shard child could not exec the simulator binary")
-                .with("exe", options.exe);
+                .with("exe", kShardExe);
         }
         // Whatever the exit path, the journal is the truth: every record
         // in it is durable (fsync'd before the trial counted as done).
@@ -226,13 +229,13 @@ supervise(const std::vector<TrialSpec> &plan,
         describe_status(status, why);
         slot.unit = std::move(remaining);
         ++slot.deaths;
-        if (slot.deaths > options.respawn_budget) {
+        if (slot.deaths > cli.respawn_budget) {
             std::fprintf(stderr,
                          "[supervisor] shard %u: %s with trial(s) %s "
                          "outstanding; respawn budget (%u) exhausted — "
                          "retiring slot and requeueing its trials\n",
                          k, why.c_str(), to_string(slot.unit).c_str(),
-                         options.respawn_budget);
+                         cli.respawn_budget);
             queue.push_back(std::move(slot.unit));
             slot.unit.clear();
             slot.state = Slot::State::kRetired;
@@ -241,13 +244,13 @@ supervise(const std::vector<TrialSpec> &plan,
             return;
         }
         const std::uint64_t delay =
-            backoff_delay_ms(options.backoff_ms, slot.deaths);
+            backoff_delay_ms(cli.backoff_ms, slot.deaths);
         std::fprintf(stderr,
                      "[supervisor] shard %u: %s with trial(s) %s "
                      "outstanding; respawning in %llu ms (death %u/%u)\n",
                      k, why.c_str(), to_string(slot.unit).c_str(),
                      static_cast<unsigned long long>(delay), slot.deaths,
-                     options.respawn_budget);
+                     cli.respawn_budget);
         slot.state = Slot::State::kBackoff;
         slot.backoff_deadline_ms = now_ms() + delay;
     };
@@ -307,8 +310,7 @@ supervise(const std::vector<TrialSpec> &plan,
                 // stopped by SIGSTOP, which SIGTERM cannot reach.
                 struct stat st {};
                 const off_t size =
-                    ::stat(journal_path(options.json_out, k, options.shards)
-                               .c_str(),
+                    ::stat(journal_path(sweep.json_out, k, cli.shards).c_str(),
                            &st) == 0
                         ? st.st_size
                         : -1;
@@ -316,7 +318,7 @@ supervise(const std::vector<TrialSpec> &plan,
                     slot.last_size = size;
                     slot.last_growth_ms = now;
                 } else if (now - slot.last_growth_ms >
-                           options.lease_timeout_ms) {
+                           cli.lease_timeout_ms) {
                     std::fprintf(
                         stderr,
                         "[supervisor] shard %u (pid %ld): lease expired "
@@ -359,7 +361,7 @@ supervise(const std::vector<TrialSpec> &plan,
         if (!any_running && !any_waiting && queue.empty())
             break;
         std::this_thread::sleep_for(
-            std::chrono::milliseconds(options.poll_ms));
+            std::chrono::milliseconds(kPollMs));
     }
 
     report.outstanding = outstanding();
@@ -369,7 +371,7 @@ supervise(const std::vector<TrialSpec> &plan,
                      "[supervisor] campaign complete: %zu trial(s) durable "
                      "across %u shard journal(s), %u respawn(s), %u "
                      "requeue(s)\n",
-                     plan.size(), options.shards, report.respawns,
+                     plan.size(), cli.shards, report.respawns,
                      report.requeues);
     } else {
         std::fprintf(stderr,

@@ -36,38 +36,12 @@
 #include <string>
 #include <vector>
 
+#include "runner/options.hh"
 #include "runner/shard.hh"
+#include "runner/sweep.hh"
 #include "runner/trial.hh"
 
 namespace anvil::runner {
-
-/** How a supervised campaign executes. */
-struct SupervisorOptions {
-    /// Binary to spawn for each shard (normally /proc/self/exe).
-    std::string exe;
-    /// argv tail shared by every shard: the `shard` verb, the sweep
-    /// name and its positionals, and every forwarded runner flag.
-    /// The supervisor appends the per-shard flags itself.
-    std::vector<std::string> child_args;
-    /// Campaign JSON destination; shard journals live beside it.
-    std::string json_out;
-    /// Sweep identity (shard-journal header validation).
-    std::string sweep;
-    std::uint64_t master_seed = 0;
-    std::uint32_t shards = 4;
-    /// Process deaths tolerated per slot before it is retired and its
-    /// remaining trials are requeued onto surviving slots.
-    unsigned respawn_budget = 3;
-    /// Journal-growth lease: a running shard whose journal has not
-    /// grown for this long is declared hung and SIGKILLed.
-    std::uint64_t lease_timeout_ms = 10000;
-    /// Heartbeat period passed to children; 0 = lease_timeout_ms / 4.
-    std::uint64_t lease_interval_ms = 0;
-    /// Initial respawn delay; doubles with each consecutive death.
-    std::uint64_t backoff_ms = 200;
-    /// Supervision loop poll period.
-    std::uint64_t poll_ms = 25;
-};
 
 /** What a supervision run did and where it ended. */
 struct SupervisorReport {
@@ -87,14 +61,23 @@ std::uint64_t backoff_delay_ms(std::uint64_t base, unsigned attempt);
 
 /**
  * Runs the campaign over @p plan to durable completion (or until every
- * slot is retired / the operator shuts it down). Purely a process-level
- * loop: the trials themselves run in the children, and the caller is
+ * slot is retired / the operator shuts it down). @p sweep names the
+ * campaign (sweep name, master seed, and the JSON path the shard
+ * journals live beside); @p cli sets the shard count, respawn budget,
+ * lease timeout and backoff. Each shard child re-executes this binary
+ * with @p child_args — the `shard` verb, the sweep name and its
+ * positionals, and every forwarded runner flag — followed by the
+ * per-shard assignment flags the supervisor appends itself. Children
+ * heartbeat every lease_timeout_ms / 4. Purely a process-level loop:
+ * the trials themselves run in the children, and the caller is
  * responsible for the merge afterwards.
  * @throw Error for configuration-level faults (an existing shard
  *        journal from a different sweep, an unspawnable child binary).
  */
 SupervisorReport supervise(const std::vector<TrialSpec> &plan,
-                           const SupervisorOptions &options);
+                           const SweepOptions &sweep,
+                           const SupervisorCli &cli,
+                           const std::vector<std::string> &child_args);
 
 }  // namespace anvil::runner
 

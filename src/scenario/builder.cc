@@ -118,15 +118,12 @@ ScenarioBuilder::build()
     if (spec_.seed_vm_from_trial)
         e.config_.vm_seed = ctx_.seed_for("vm");
 
-    const std::vector<TenantSpec> tenants = normalized_tenants(spec_);
-
     e.machine_ = std::make_unique<mem::MemorySystem>(e.config_);
     e.pmu_ = std::make_unique<pmu::Pmu>(*e.machine_);
 
     // Attacker processes map and scan their buffers right after the
-    // machine comes up (the legacy Testbed sequence), before any
-    // workload arena claims frames.
-    for (const TenantSpec &t : tenants) {
+    // machine and PMU come up, before any workload arena claims frames.
+    for (const TenantSpec &t : spec_.tenants) {
         if (t.attack) {
             e.intruders_.push_back(std::make_unique<Attacker>(
                 *e.machine_, t.attack->buffer_bytes));
@@ -153,7 +150,7 @@ ScenarioBuilder::build()
         e.machine().advance(draw(spec_.pre_detector));
 
     const auto build_workloads = [&] {
-        for (const TenantSpec &t : tenants) {
+        for (const TenantSpec &t : spec_.tenants) {
             if (!t.workload)
                 continue;
             const WorkloadSpec &ws = *t.workload;
@@ -197,11 +194,13 @@ ScenarioBuilder::build()
     if (!spec_.pre_attack.empty())
         e.machine().advance(draw(spec_.pre_attack));
 
+    const std::vector<std::string> labels = tenant_labels(spec_);
     std::size_t attacker_index = 0;
     std::size_t workload_index = 0;
-    for (const TenantSpec &t : tenants) {
+    for (std::size_t i = 0; i < spec_.tenants.size(); ++i) {
+        const TenantSpec &t = spec_.tenants[i];
         BuiltTenant built;
-        built.name = t.name;
+        built.name = labels[i];
         built.quantum_accesses =
             t.quantum_accesses != 0 ? t.quantum_accesses : 1;
         built.start_delay = t.start_delay.empty() ? 0 : draw(t.start_delay);

@@ -9,7 +9,7 @@
  *
  *   1. machine + PMU, with the trial's "vm" sub-stream seeding the page
  *      allocator; then every attacker tenant's process (buffer mmap +
- *      pagemap scan), in tenant order — the legacy Testbed sequence;
+ *      pagemap scan), in tenant order;
  *   2. hardware mitigation attached to the DRAM device;
  *   3. pre-detector clock advance (layout/refresh-phase jitter);
  *   4. workload tenants' processes (each seeded from its named
@@ -104,7 +104,7 @@ class Execution
         return workloads_;
     }
 
-    /** All tenants in schedule order (attacks, workloads, explicit). */
+    /** All tenants in schedule (= spec declaration) order. */
     const std::vector<BuiltTenant> &tenants() const { return tenants_; }
 
     /**

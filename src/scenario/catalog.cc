@@ -52,21 +52,21 @@ table3_detection()
                 s.name = cell.label;
                 // Per-trial layout / refresh-phase variation.
                 s.pre_detector = {us(137), us(6000), "phase"};
+                s.tenants = {attacker_tenant(
+                    {cell.clflush_free ? AttackKind::kClflushFreeDoubleSided
+                                       : AttackKind::kClflushDoubleSided})};
                 if (cell.heavy) {
                     // The paper runs mcf + libquantum + omnetpp.
                     for (const char *name :
                          {"mcf", "libquantum", "omnetpp"}) {
-                        s.workloads.push_back({name, name, false});
+                        s.tenants.push_back(
+                            workload_tenant({name, name, false}));
                     }
                 }
                 s.detector = detector::AnvilConfig::baseline();
                 // Let the detector free-run before the attack begins so
                 // the attack starts at an arbitrary window phase.
                 s.pre_attack = {ms(1), us(4000), "attack-phase"};
-                s.attacks = {
-                    {cell.clflush_free
-                         ? AttackKind::kClflushFreeDoubleSided
-                         : AttackKind::kClflushDoubleSided}};
                 s.run.mode = RunMode::kInterleaveFor;
                 s.run.duration = ms(128);  // two refresh periods
                 s.outputs = {Output::kFlips,
@@ -113,7 +113,8 @@ false_positive_cell(std::string name, const std::string &benchmark,
 {
     ScenarioSpec s;
     s.name = std::move(name);
-    s.workloads = {{benchmark, "workload", /*boost_thrash=*/true}};
+    s.tenants = {workload_tenant(
+        {benchmark, "workload", /*boost_thrash=*/true})};
     s.detector_before_workloads = true;
     s.detector = config;
     s.run.mode = RunMode::kInterleaveFor;
@@ -219,7 +220,7 @@ fig4_sensitivity()
                 for (const auto &setting : settings) {
                     ScenarioSpec s;
                     s.name = std::string(name) + "/" + setting.label;
-                    s.workloads = {{name, "workload", false}};
+                    s.tenants = {workload_tenant({name, "workload", false})};
                     s.detector_before_workloads = true;
                     s.detector = setting.config;
                     s.run.mode = RunMode::kWorkloadOps;
@@ -254,7 +255,8 @@ fig4_sensitivity()
                 s.system.dram.flip_threshold = 200000;  // 55 K per side
                 s.detector = c.config;
                 s.ground_truth = GroundTruth::kUnlabeled;
-                s.attacks = {{AttackKind::kClflushDoubleSided}};
+                s.tenants = {
+                    attacker_tenant({AttackKind::kClflushDoubleSided})};
                 s.run.mode = RunMode::kHammerUntilFlipOrDeadline;
                 s.run.duration = ms(200);
                 // Spread ~110 K total accesses across a whole refresh
@@ -298,7 +300,7 @@ attack_cell(std::string name, AttackKind kind, Tick refresh_period)
     // These cells characterize the fixed reference module; the layout is
     // not a random variable.
     s.seed_vm_from_trial = false;
-    s.attacks = {{kind}};
+    s.tenants = {attacker_tenant({kind})};
     s.run.mode = RunMode::kHammerToFirstFlip;
     s.run.duration = ms(16);  // grace beyond one refresh period
     s.outputs = {Output::kFlipped, Output::kAggressorAccesses,
@@ -365,7 +367,8 @@ fig1_pattern()
                 if (policy == cache::ReplPolicy::kTreePlru)
                     s.system.cache.llc_ways = 16;
                 s.seed_vm_from_trial = false;
-                s.attacks = {{AttackKind::kClflushFreeDoubleSided}};
+                s.tenants = {
+                    attacker_tenant({AttackKind::kClflushFreeDoubleSided})};
                 s.run.mode = RunMode::kPatternMeasure;
                 s.run.warmup_iterations = 8;
                 s.run.iterations = 20000;
@@ -414,7 +417,7 @@ fig3_overhead()
                     // Historic fixed-seed methodology: default VM layout
                     // and each profile's built-in workload seed.
                     s.seed_vm_from_trial = false;
-                    s.workloads = {{profile.name, "", false}};
+                    s.tenants = {workload_tenant({profile.name, "", false})};
                     s.detector_before_workloads = true;
                     if (setting.with_anvil)
                         s.detector = detector::AnvilConfig::baseline();
@@ -508,7 +511,7 @@ mitigation_comparison()
                 s.system.dram.refresh_period = defense.refresh_period;
                 s.seed_vm_from_trial = false;
                 s.mitigation = defense.mitigation;
-                s.workloads = {{"mcf", "", false}};
+                s.tenants = {workload_tenant({"mcf", "", false})};
                 s.detector_before_workloads = true;
                 if (defense.with_anvil)
                     s.detector = detector::AnvilConfig::baseline();
@@ -603,8 +606,10 @@ mitigation_matrix()
                 s.seed_vm_from_trial = false;
                 if (tracked)
                     s.mitigation = tracker;
-                s.workloads = {{"mcf", "", false}};
-                s.attacks = {{AttackKind::kTrackerThrash}};
+                s.tenants = {
+                    attacker_tenant({AttackKind::kTrackerThrash}),
+                    workload_tenant({"mcf", "", false}),
+                };
                 s.run.mode = RunMode::kInterleaveUntilOps;
                 s.run.ops = 300000;
                 s.outputs = {Output::kRunMs, Output::kOps};
@@ -692,12 +697,10 @@ multi_tenant_colocation()
             for (const char *victim : kColocationVictims) {
                 ScenarioSpec s;
                 s.name = std::string("solo/") + victim;
-                TenantSpec t;
-                t.workload =
-                    WorkloadSpec{victim, std::string("w:") + victim,
-                                 /*boost_thrash=*/false};
-                t.quantum_accesses = kColocationQuantum;
-                s.tenants.push_back(std::move(t));
+                s.tenants = {workload_tenant(
+                    {victim, std::string("w:") + victim,
+                     /*boost_thrash=*/false},
+                    kColocationQuantum)};
                 s.run.mode = RunMode::kInterleaveFor;
                 s.run.duration = ms(128);
                 s.outputs = {Output::kTenantOps, Output::kDramStats};
@@ -710,19 +713,14 @@ multi_tenant_colocation()
                 s.pre_detector = {us(137), us(6000), "phase"};
                 s.detector = detector::AnvilConfig::baseline();
                 s.pre_attack = {ms(1), us(4000), "attack-phase"};
-                TenantSpec attacker;
-                attacker.attack =
-                    AttackSpec{AttackKind::kClflushDoubleSided};
-                attacker.quantum_accesses = kColocationQuantum;
-                s.tenants.push_back(std::move(attacker));
+                s.tenants = {attacker_tenant(
+                    {AttackKind::kClflushDoubleSided}, kColocationQuantum)};
                 for (std::size_t i = 0; i < n; ++i) {
                     const char *victim = kColocationVictims[i];
-                    TenantSpec t;
-                    t.workload =
-                        WorkloadSpec{victim, std::string("w:") + victim,
-                                     /*boost_thrash=*/false};
-                    t.quantum_accesses = kColocationQuantum;
-                    s.tenants.push_back(std::move(t));
+                    s.tenants.push_back(workload_tenant(
+                        {victim, std::string("w:") + victim,
+                         /*boost_thrash=*/false},
+                        kColocationQuantum));
                 }
                 s.run.mode = RunMode::kInterleaveFor;
                 s.run.duration = ms(128);
@@ -788,12 +786,10 @@ noisy_neighbor_fp()
             const auto hogs = [&](ScenarioSpec &s, std::size_t n) {
                 for (std::size_t i = 0; i < n; ++i) {
                     const char *hog = kNoisyHogs[i];
-                    TenantSpec t;
-                    t.workload =
-                        WorkloadSpec{hog, std::string("w:") + hog,
-                                     /*boost_thrash=*/true};
-                    t.quantum_accesses = kColocationQuantum;
-                    s.tenants.push_back(std::move(t));
+                    s.tenants.push_back(workload_tenant(
+                        {hog, std::string("w:") + hog,
+                         /*boost_thrash=*/true},
+                        kColocationQuantum));
                 }
                 s.run.mode = RunMode::kInterleaveFor;
                 s.run.duration = seconds(run_sec);

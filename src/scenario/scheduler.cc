@@ -10,26 +10,13 @@ constexpr Tick kNoDeadline = ~static_cast<Tick>(0);
 
 }  // namespace
 
-std::vector<TenantSpec>
-normalized_tenants(const ScenarioSpec &spec)
+std::vector<std::string>
+tenant_labels(const ScenarioSpec &spec)
 {
-    std::vector<TenantSpec> out;
-    out.reserve(spec.attacks.size() + spec.workloads.size() +
-                spec.tenants.size());
-    for (const AttackSpec &attack : spec.attacks) {
-        TenantSpec t;
-        t.attack = attack;
-        out.push_back(std::move(t));
-    }
-    for (const WorkloadSpec &workload : spec.workloads) {
-        TenantSpec t;
-        t.workload = workload;
-        out.push_back(std::move(t));
-    }
-    out.insert(out.end(), spec.tenants.begin(), spec.tenants.end());
-
+    std::vector<std::string> labels;
+    labels.reserve(spec.tenants.size());
     std::map<std::string, std::uint32_t> used;
-    for (TenantSpec &t : out) {
+    for (const TenantSpec &t : spec.tenants) {
         std::string base = t.name;
         if (base.empty()) {
             if (t.attack)
@@ -40,9 +27,9 @@ normalized_tenants(const ScenarioSpec &spec)
                 base = "tenant";
         }
         const std::uint32_t n = ++used[base];
-        t.name = n == 1 ? base : base + "#" + std::to_string(n);
+        labels.push_back(n == 1 ? base : base + "#" + std::to_string(n));
     }
-    return out;
+    return labels;
 }
 
 void

@@ -28,14 +28,12 @@
 namespace anvil::scenario {
 
 /**
- * Flattens a spec's legacy `attacks`/`workloads` shorthands and its
- * explicit `tenants` into one ordered tenant list: attacks first, then
- * workloads, then explicit tenants, each in declaration order (the order
- * the legacy interleave loops stepped them). Empty names are derived
- * from the payload (profile name, or "attacker"); colliding names get
- * "#2", "#3", ... suffixes in list order.
+ * The attribution label of each of @p spec's tenants, parallel to
+ * `spec.tenants`. An empty name is derived from the payload (the
+ * workload's profile name, or "attacker"); colliding labels get "#2",
+ * "#3", ... suffixes in declaration order.
  */
-std::vector<TenantSpec> normalized_tenants(const ScenarioSpec &spec);
+std::vector<std::string> tenant_labels(const ScenarioSpec &spec);
 
 /** One runnable tenant handed to the scheduler. */
 struct ScheduledTenant {

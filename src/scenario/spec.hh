@@ -24,6 +24,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "anvil/config.hh"
@@ -110,10 +111,10 @@ struct PhaseJitter {
 /**
  * One tenant process of a multi-tenant scenario: an attacker OR a benign
  * workload, co-scheduled with every other tenant on the one shared
- * machine (shared frame allocator, caches, DRAM, and detector). The
- * legacy `attacks`/`workloads` shorthands normalize into tenants (see
- * normalized_tenants in scheduler.hh), so single-tenant specs are just
- * the degenerate one-entry case.
+ * machine (shared frame allocator, caches, DRAM, and detector). A
+ * scenario declares every process it runs as a tenant (attacker_tenant
+ * and workload_tenant below build one); single-process specs are just
+ * the one-entry case.
  */
 struct TenantSpec {
     /// Attribution label: the JSON counter suffix ("ops/<name>",
@@ -142,10 +143,29 @@ struct TenantSpec {
     PhaseJitter start_delay;
 };
 
+/** A tenant running @p attack, granted @p quantum_accesses per turn. */
+inline TenantSpec
+attacker_tenant(AttackSpec attack = {}, std::uint64_t quantum_accesses = 1)
+{
+    TenantSpec t;
+    t.attack = attack;
+    t.quantum_accesses = quantum_accesses;
+    return t;
+}
+
+/** A tenant running @p workload, granted @p quantum_accesses per turn. */
+inline TenantSpec
+workload_tenant(WorkloadSpec workload, std::uint64_t quantum_accesses = 1)
+{
+    TenantSpec t;
+    t.workload = std::move(workload);
+    t.quantum_accesses = quantum_accesses;
+    return t;
+}
+
 /** What the run phase of the scenario does. */
 enum class RunMode {
-    /// Interleave all attacks and workloads round-robin for `duration`
-    /// (a single workload with no attack runs directly).
+    /// Interleave all tenants round-robin for `duration`.
     kInterleaveFor,
     /// Each workload executes `ops` operations (fixed-work slowdowns).
     kWorkloadOps,
@@ -158,9 +178,9 @@ enum class RunMode {
     /// Warm the hammer up, then measure per-iteration cache/DRAM/latency
     /// behaviour over `iterations` iterations (Figure 1b cost model).
     kPatternMeasure,
-    /// Interleave all attacks and workloads round-robin until the FIRST
-    /// workload completes `ops` operations (fixed-work slowdown under
-    /// live attack pressure — e.g. tracker-thrash refresh storms).
+    /// Interleave all tenants round-robin until the FIRST workload
+    /// completes `ops` operations (fixed-work slowdown under live attack
+    /// pressure — e.g. tracker-thrash refresh storms).
     kInterleaveUntilOps,
 };
 
@@ -177,7 +197,9 @@ struct RunSpec {
 /**
  * Measurements the scenario emits, in emission order. Each kind maps to
  * a fixed counter/value name in the anvil-sweep-v1 JSON; specs list
- * exactly the outputs (and order) their table consumes.
+ * exactly the outputs (and order) their table consumes. Outputs tagged
+ * with a run mode (or "pattern", kPatternMeasure) are measured by that
+ * mode only, and validate() rejects them under any other.
  */
 enum class Output {
     kFlips,                   ///< counter "flips": DRAM bit flips
@@ -189,10 +211,12 @@ enum class Output {
     kBoost,                   ///< value "boost": thrash-rate boost applied
     kFalsePositiveRefreshes,  ///< counter "false_positive_refreshes"
     kRunMs,                   ///< value "run_ms": run-phase duration
-    kOps,                     ///< counter "ops": operations executed
-    kFlipped,                 ///< counter "flipped": hammer run flipped
-    kAggressorAccesses,       ///< counter "aggressor_accesses"
-    kFlipMs,                  ///< value "flip_ms": time to first flip
+    /// counter "ops": the per-workload quota of kWorkloadOps or
+    /// kInterleaveUntilOps (no other mode runs a fixed quota).
+    kOps,
+    kFlipped,                 ///< counter "flipped" (kHammerToFirstFlip)
+    kAggressorAccesses,       ///< counter "aggressor_accesses" (ditto)
+    kFlipMs,                  ///< value "flip_ms": first flip (ditto)
     kMissesPerIter,           ///< value "misses_per_iter" (pattern)
     kAccessesPerIter,         ///< value "accesses_per_iter" (pattern)
     kNsPerIter,               ///< value "ns_per_iter" (pattern)
@@ -234,9 +258,6 @@ struct ScenarioSpec {
     /// decorrelation across trials).
     PhaseJitter pre_detector;
 
-    /// Benign workloads, constructed before the detector loads.
-    std::vector<WorkloadSpec> workloads;
-
     /// Start the detector before constructing workloads. Anvil::start()
     /// charges its first stage-1 check to the simulated clock, so the
     /// construction order shifts the workloads' thrash-phase schedule
@@ -252,17 +273,13 @@ struct ScenarioSpec {
     /// attack begins at an arbitrary (seed-chosen) window phase.
     PhaseJitter pre_attack;
 
-    /// Attackers (target selection + hammer construction happen after
-    /// the free-run window, like a process that just started).
-    std::vector<AttackSpec> attacks;
-
-    /// Explicit tenants scheduled alongside the legacy shorthands.
-    /// Normalized execution (and attribution) order is: `attacks`, then
-    /// `workloads`, then `tenants`, each in declaration order. Process
-    /// creation keeps the legacy phase order regardless (attacker spaces
-    /// scan right after machine construction; workload arenas map at the
-    /// workload-construction point), so pids follow build order, not
-    /// schedule order.
+    /// Every process of the scenario. Schedule and attribution order is
+    /// declaration order. Process creation follows the build phases
+    /// instead (builder.hh): attacker spaces map and scan right after
+    /// machine construction, workload arenas map at the
+    /// workload-construction point, and attack targets are picked after
+    /// the free-run window, like a process that just started. Pids
+    /// therefore follow build order, not schedule order.
     std::vector<TenantSpec> tenants;
 
     RunSpec run;

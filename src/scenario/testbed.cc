@@ -67,47 +67,6 @@ align_to_refresh(mem::MemorySystem &machine, std::uint32_t victim_row)
                     machine.now());
 }
 
-Testbed::Testbed(mem::SystemConfig config)
-    : machine(config),
-      pmu(machine),
-      intruder_(machine),
-      attacker(intruder_.space),
-      buffer(intruder_.buffer),
-      layout(intruder_.layout)
-{
-}
-
-void
-Testbed::align_to_refresh(std::uint32_t victim_row)
-{
-    scenario::align_to_refresh(machine, victim_row);
-}
-
-bool
-Testbed::is_weakest(std::uint32_t flat_bank, std::uint32_t victim_row) const
-{
-    return is_weakest_victim(machine, flat_bank, victim_row);
-}
-
-std::optional<attack::DoubleSidedTarget>
-Testbed::weakest_double_sided(bool require_slice_compatible)
-{
-    return scenario::weakest_double_sided(machine, intruder_,
-                                          require_slice_compatible);
-}
-
-std::optional<attack::SingleSidedTarget>
-Testbed::weakest_single_sided()
-{
-    return scenario::weakest_single_sided(machine, intruder_);
-}
-
-std::optional<attack::HalfDoubleTarget>
-Testbed::weakest_half_double()
-{
-    return scenario::weakest_half_double(machine, intruder_);
-}
-
 double
 boost_thrash_rate(workload::SpecProfile &profile,
                   double target_component_rate, double max_total_rate)

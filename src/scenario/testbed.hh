@@ -1,11 +1,12 @@
 /**
  * @file
  * Shared experiment apparatus for paper-reproduction scenarios: an
- * attacker process with a scanned buffer, a machine + attacker bundle,
- * weakest-victim target selection, refresh-phase alignment, and the
- * thrash-rate importance-sampling boost. Formerly bench/harness.hh;
- * promoted into the library so scenarios, benches, examples, and tests
- * all share one apparatus.
+ * attacker process with a scanned buffer, weakest-victim target
+ * selection, refresh-phase alignment, and the thrash-rate
+ * importance-sampling boost. Scenarios, benches, examples, and tests all
+ * share this one apparatus; a caller that wants a bare machine with an
+ * attacker builds `mem::MemorySystem`, `pmu::Pmu` and `Attacker`, in
+ * that order, and calls the free functions below.
  */
 #ifndef ANVIL_SCENARIO_TESTBED_HH
 #define ANVIL_SCENARIO_TESTBED_HH
@@ -16,22 +17,18 @@
 #include "attack/hammer.hh"
 #include "attack/memory_layout.hh"
 #include "mem/memory_system.hh"
-#include "pmu/pmu.hh"
+#include "scenario/spec.hh"
 #include "workload/profile.hh"
 
 namespace anvil::scenario {
 
 /**
  * One attacker process on an existing machine: maps a buffer and scans
- * it through /proc/pagemap. Use directly when the machine (and its PMU /
- * detector / workloads) already exists — e.g. an attacker joining a
- * running system — or via Testbed for the common machine+attacker case.
+ * it through /proc/pagemap, like a process that just started.
  */
 struct Attacker {
-    static constexpr std::uint64_t kBufferBytes = 64ULL << 20;
-
     explicit Attacker(mem::MemorySystem &machine,
-                      std::uint64_t buffer_bytes = kBufferBytes);
+                      std::uint64_t buffer_bytes = kDefaultAttackBufferBytes);
 
     Pid pid() const { return space->pid(); }
 
@@ -60,43 +57,6 @@ weakest_half_double(mem::MemorySystem &machine, Attacker &attacker);
 
 /** Advances the clock to just after @p victim_row's next refresh. */
 void align_to_refresh(mem::MemorySystem &machine, std::uint32_t victim_row);
-
-/** A machine with one attacker process that has scanned a 64 MB buffer. */
-class Testbed
-{
-  public:
-    static constexpr std::uint64_t kBufferBytes = Attacker::kBufferBytes;
-
-    explicit Testbed(mem::SystemConfig config = mem::SystemConfig{});
-
-    /** Advances the clock to just after @p victim_row's next refresh. */
-    void align_to_refresh(std::uint32_t victim_row);
-
-    /** True if @p victim has the module's minimum flip threshold. */
-    bool is_weakest(std::uint32_t flat_bank, std::uint32_t victim_row) const;
-
-    /** First double-sided target whose victim is maximally sensitive. */
-    std::optional<attack::DoubleSidedTarget>
-    weakest_double_sided(bool require_slice_compatible = false);
-
-    /** First single-sided target with a maximally sensitive victim. */
-    std::optional<attack::SingleSidedTarget> weakest_single_sided();
-
-    /** First half-double target whose victim is maximally sensitive. */
-    std::optional<attack::HalfDoubleTarget> weakest_half_double();
-
-    mem::MemorySystem machine;
-    pmu::Pmu pmu;
-
-  private:
-    Attacker intruder_;
-
-  public:
-    // Aliases preserving the historical harness field names.
-    mem::AddressSpace *const attacker;
-    const Addr buffer;
-    attack::MemoryLayout &layout;
-};
 
 /**
  * Rate-boosted importance sampling for false-positive measurements.

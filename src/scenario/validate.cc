@@ -140,7 +140,7 @@ needs_detector(Output output)
 }
 
 bool
-needs_testbed(Output output)
+needs_attacker(Output output)
 {
     switch (output) {
       case Output::kFlips:
@@ -148,6 +148,33 @@ needs_testbed(Output output)
           return true;
       default:
           return false;
+    }
+}
+
+/**
+ * False when @p mode never measures @p output: emit() would write the
+ * output's zero-initialized field, a silently wrong table entry.
+ */
+bool
+mode_measures(RunMode mode, Output output)
+{
+    switch (output) {
+      case Output::kFlipped:
+      case Output::kAggressorAccesses:
+      case Output::kFlipMs:
+          return mode == RunMode::kHammerToFirstFlip;
+      case Output::kMissesPerIter:
+      case Output::kAccessesPerIter:
+      case Output::kNsPerIter:
+      case Output::kCyclesPerIter:
+      case Output::kHammersPerRefresh:
+      case Output::kAggressorActShare:
+          return mode == RunMode::kPatternMeasure;
+      case Output::kOps:
+          return mode == RunMode::kWorkloadOps ||
+                 mode == RunMode::kInterleaveUntilOps;
+      default:
+          return true;
     }
 }
 
@@ -249,13 +276,18 @@ validate(const ScenarioSpec &spec)
                   std::to_string(dram.variation_spread));
     }
 
-    for (const TenantSpec &t : spec.tenants) {
+    const std::vector<std::string> labels = tenant_labels(spec);
+    bool has_attack = false;
+    std::size_t workload_tenants = 0;
+    std::uint64_t buffer_total = 0;
+    for (std::size_t i = 0; i < spec.tenants.size(); ++i) {
+        const TenantSpec &t = spec.tenants[i];
         if (t.attack.has_value() == t.workload.has_value()) {
             throw cell_error(spec,
                              "a tenant must carry exactly one payload — "
                              "either an attack or a workload, not both "
                              "and not neither")
-                .with("tenant", t.name.empty() ? "<unnamed>" : t.name);
+                .with("tenant", labels[i]);
         }
         if (t.quantum_accesses == 0) {
             throw cell_error(spec,
@@ -263,40 +295,40 @@ validate(const ScenarioSpec &spec)
                              "scheduler grants quanta in completed "
                              "simulated accesses, so every tenant needs "
                              "at least one")
-                .with("tenant", t.name.empty() ? "<unnamed>" : t.name);
+                .with("tenant", labels[i]);
         }
-    }
-
-    const std::vector<TenantSpec> tenants = normalized_tenants(spec);
-    bool has_attack = false;
-    std::size_t workload_tenants = 0;
-    std::uint64_t buffer_total = 0;
-    for (const TenantSpec &t : tenants) {
-        if (t.attack) {
-            has_attack = true;
-            const std::uint64_t bytes = t.attack->buffer_bytes;
-            if (bytes == 0 || !is_pow2(bytes)) {
-                throw cell_error(spec,
-                                 "attack buffer_bytes must be a nonzero "
-                                 "power of two — the pagemap scan walks "
-                                 "the buffer in pow2 strides")
-                    .with("tenant", t.name)
-                    .with("buffer_bytes", bytes);
-            }
-            if (bytes < mem::kHugeBytes) {
-                throw cell_error(spec,
-                                 "attack buffer_bytes is below one huge "
-                                 "page — the attacker maps 2 MB THP "
-                                 "frames, so smaller buffers cannot be "
-                                 "placed")
-                    .with("tenant", t.name)
-                    .with("buffer_bytes", bytes)
-                    .with("huge_page_bytes", mem::kHugeBytes);
-            }
-            buffer_total += bytes;
-        } else {
+        if (t.workload) {
             ++workload_tenants;
+            try {
+                (void)workload::spec_profile(t.workload->profile);
+            } catch (const std::out_of_range &) {
+                throw cell_error(spec, "unknown workload profile")
+                    .with("tenant", labels[i])
+                    .with("profile", t.workload->profile)
+                    .with("known", known_profiles());
+            }
+            continue;
         }
+        has_attack = true;
+        const std::uint64_t bytes = t.attack->buffer_bytes;
+        if (bytes == 0 || !is_pow2(bytes)) {
+            throw cell_error(spec,
+                             "attack buffer_bytes must be a nonzero power "
+                             "of two — the pagemap scan walks the buffer "
+                             "in pow2 strides")
+                .with("tenant", labels[i])
+                .with("buffer_bytes", bytes);
+        }
+        if (bytes < mem::kHugeBytes) {
+            throw cell_error(spec,
+                             "attack buffer_bytes is below one huge page — "
+                             "the attacker maps 2 MB THP frames, so "
+                             "smaller buffers cannot be placed")
+                .with("tenant", labels[i])
+                .with("buffer_bytes", bytes)
+                .with("huge_page_bytes", mem::kHugeBytes);
+        }
+        buffer_total += bytes;
     }
     // The huge-page pool is the upper half of physical memory; an
     // attacker set that outgrows it would fail mid-mmap with an obscure
@@ -348,29 +380,29 @@ validate(const ScenarioSpec &spec)
         throw error;
     }
 
-    for (const TenantSpec &t : tenants) {
-        if (!t.workload)
-            continue;
-        try {
-            (void)workload::spec_profile(t.workload->profile);
-        } catch (const std::out_of_range &) {
-            throw cell_error(spec, "unknown workload profile")
-                .with("profile", t.workload->profile)
-                .with("known", known_profiles());
-        }
-    }
-
-    for (const Output output : spec.outputs) {
+    for (std::size_t i = 0; i < spec.outputs.size(); ++i) {
+        const Output output = spec.outputs[i];
         if (needs_detector(output) && !spec.detector) {
             throw cell_error(spec,
                              "an output reads detector statistics but the "
                              "scenario runs unprotected — configure "
                              "`detector` or drop the output");
         }
-        if (needs_testbed(output) && !has_attack) {
+        if (needs_attacker(output) && !has_attack) {
             throw cell_error(spec,
                              "an output reads attack results but the "
                              "scenario declares no attacks");
+        }
+        if (!mode_measures(spec.run.mode, output)) {
+            throw cell_error(spec,
+                             "an output is never measured by this run "
+                             "mode and would emit a silent zero — "
+                             "flipped/aggressor_accesses/flip_ms need "
+                             "kHammerToFirstFlip, the per-iteration "
+                             "pattern outputs need kPatternMeasure, and "
+                             "ops needs kWorkloadOps or "
+                             "kInterleaveUntilOps")
+                .with("output_index", i);
         }
         if (output == Output::kTenantOps && workload_tenants == 0) {
             throw cell_error(spec,

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests of the multi-tenant process model: tenant normalization, the
+ * Tests of the multi-tenant process model: tenant labels, the
  * round-robin TenantScheduler (quantum slicing, start delays), bit-exact
  * determinism of multi-tenant trials, per-tenant seed isolation, and the
  * daemon's cross-tenant detection attribution.
@@ -39,41 +39,22 @@ context_for(const scenario::ScenarioSpec &spec, std::uint64_t trial)
     return runner::TrialContext(ts);
 }
 
-scenario::TenantSpec
-workload_tenant(const std::string &profile, const std::string &stream,
-                std::uint64_t quantum = 1)
-{
-    scenario::TenantSpec t;
-    t.workload = scenario::WorkloadSpec{profile, stream, false};
-    t.quantum_accesses = quantum;
-    return t;
-}
-
-scenario::TenantSpec
-attacker_tenant(scenario::AttackKind kind =
-                    scenario::AttackKind::kClflushDoubleSided)
-{
-    scenario::TenantSpec t;
-    t.attack = scenario::AttackSpec{kind};
-    return t;
-}
-
-TEST(NormalizedTenants, OrdersAttacksThenWorkloadsThenExplicit)
+TEST(TenantLabels, DerivesAndDedupesLabelsInDeclarationOrder)
 {
     scenario::ScenarioSpec spec;
-    spec.attacks = {{scenario::AttackKind::kClflushDoubleSided}};
-    spec.workloads = {{"mcf", "", false}, {"mcf", "", false}};
-    scenario::TenantSpec named = workload_tenant("gcc", "w:gcc");
-    named.name = "hog";
-    spec.tenants.push_back(named);
+    scenario::TenantSpec hog =
+        scenario::workload_tenant({"gcc", "w:gcc", false});
+    hog.name = "hog";
+    spec.tenants = {
+        scenario::attacker_tenant(),
+        scenario::workload_tenant({"mcf", "", false}),
+        scenario::workload_tenant({"mcf", "", false}),
+        hog,
+    };
 
-    const auto tenants = scenario::normalized_tenants(spec);
-    ASSERT_EQ(tenants.size(), 4u);
-    EXPECT_EQ(tenants[0].name, "attacker");
-    EXPECT_TRUE(tenants[0].attack.has_value());
-    EXPECT_EQ(tenants[1].name, "mcf");
-    EXPECT_EQ(tenants[2].name, "mcf#2");  // deduped, declaration order
-    EXPECT_EQ(tenants[3].name, "hog");
+    EXPECT_EQ(scenario::tenant_labels(spec),
+              (std::vector<std::string>{"attacker", "mcf", "mcf#2",
+                                        "hog"}));
 }
 
 /**
@@ -199,14 +180,11 @@ colocation_spec()
     spec.pre_detector = {us(137), us(6000), "phase"};
     spec.detector = detector::AnvilConfig::baseline();
     spec.pre_attack = {ms(1), us(4000), "attack-phase"};
-    scenario::TenantSpec attacker = attacker_tenant();
-    attacker.quantum_accesses = 64;
-    spec.tenants.push_back(attacker);
-    scenario::TenantSpec mcf = workload_tenant("mcf", "w:mcf", 64);
-    spec.tenants.push_back(mcf);
-    scenario::TenantSpec lib =
-        workload_tenant("libquantum", "w:libquantum", 64);
-    spec.tenants.push_back(lib);
+    spec.tenants = {
+        scenario::attacker_tenant({}, 64),
+        scenario::workload_tenant({"mcf", "w:mcf", false}, 64),
+        scenario::workload_tenant({"libquantum", "w:libquantum", false}, 64),
+    };
     spec.run.mode = scenario::RunMode::kInterleaveFor;
     spec.run.duration = ms(32);
     spec.outputs = {scenario::Output::kDetections,
@@ -247,8 +225,10 @@ TEST(MultiTenantScenario, TenantSeedStreamsAreIsolated)
     auto spec_with = [](const std::string &hmmer_stream) {
         scenario::ScenarioSpec spec;
         spec.name = "test-seed-isolation";
-        spec.tenants.push_back(workload_tenant("h264ref", "w:h264"));
-        spec.tenants.push_back(workload_tenant("hmmer", hmmer_stream));
+        spec.tenants = {
+            scenario::workload_tenant({"h264ref", "w:h264", false}),
+            scenario::workload_tenant({"hmmer", hmmer_stream, false}),
+        };
         spec.run.mode = scenario::RunMode::kInterleaveFor;
         spec.run.duration = ms(4);
         return spec;
@@ -356,7 +336,7 @@ TEST(TenantValidation, RejectsPayloadlessAndDoublePayloadTenants)
     spec.tenants = {empty};
     EXPECT_THROW(scenario::validate(spec), Error);
 
-    scenario::TenantSpec both = attacker_tenant();
+    scenario::TenantSpec both = scenario::attacker_tenant();
     both.workload = scenario::WorkloadSpec{"mcf", "", false};
     spec.tenants = {both};
     EXPECT_THROW(scenario::validate(spec), Error);
@@ -368,9 +348,7 @@ TEST(TenantValidation, RejectsZeroQuantum)
     spec.name = "bad-quantum";
     spec.run.mode = scenario::RunMode::kInterleaveFor;
     spec.run.duration = ms(1);
-    scenario::TenantSpec t = workload_tenant("mcf", "");
-    t.quantum_accesses = 0;
-    spec.tenants = {t};
+    spec.tenants = {scenario::workload_tenant({"mcf", "", false}, 0)};
     EXPECT_THROW(scenario::validate(spec), Error);
 }
 
@@ -381,7 +359,7 @@ TEST(TenantValidation, RejectsBadAttackBuffers)
     spec.run.mode = scenario::RunMode::kInterleaveFor;
     spec.run.duration = ms(1);
 
-    scenario::TenantSpec t = attacker_tenant();
+    scenario::TenantSpec t = scenario::attacker_tenant();
     t.attack->buffer_bytes = (64ULL << 20) + 4096;  // not a power of two
     spec.tenants = {t};
     EXPECT_THROW(scenario::validate(spec), Error);
@@ -404,7 +382,7 @@ TEST(TenantValidation, TenantOpsNeedsAWorkloadTenant)
 {
     scenario::ScenarioSpec spec;
     spec.name = "no-workloads";
-    spec.tenants = {attacker_tenant()};
+    spec.tenants = {scenario::attacker_tenant()};
     spec.run.mode = scenario::RunMode::kInterleaveFor;
     spec.run.duration = ms(1);
     spec.outputs = {scenario::Output::kTenantOps};
@@ -428,13 +406,13 @@ TEST(TenantValidation, UnknownMitigationSuggestsTheNearestTracker)
     }
 }
 
-TEST(TenantValidation, BufferBytesFlowsThroughLegacyAttackList)
+TEST(TenantValidation, BufferBytesSizesTheAttackerProcess)
 {
-    // The satellite knob also applies to the legacy spec.attacks path.
     scenario::ScenarioSpec spec;
-    spec.name = "legacy-buffer";
-    spec.attacks = {{scenario::AttackKind::kClflushDoubleSided}};
-    spec.attacks[0].buffer_bytes = 32ULL << 20;
+    spec.name = "attacker-buffer";
+    scenario::AttackSpec attack;
+    attack.buffer_bytes = 32ULL << 20;
+    spec.tenants = {scenario::attacker_tenant(attack)};
     spec.run.mode = scenario::RunMode::kInterleaveFor;
     spec.run.duration = ms(1);
     EXPECT_NO_THROW(scenario::validate(spec));

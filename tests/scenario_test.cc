@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -74,7 +75,8 @@ detection_spec()
     spec.name = "test-detection";
     spec.detector = detector::AnvilConfig::baseline();
     spec.pre_attack = {ms(1), 0, ""};
-    spec.attacks = {{scenario::AttackKind::kClflushDoubleSided}};
+    spec.tenants = {scenario::attacker_tenant(
+        {scenario::AttackKind::kClflushDoubleSided})};
     spec.run.mode = scenario::RunMode::kInterleaveFor;
     spec.run.duration = ms(24);
     spec.outputs = {scenario::Output::kDetections, scenario::Output::kFlips};
@@ -384,7 +386,7 @@ TEST(Validate, RejectsZeroRowDram)
 TEST(Validate, RejectsHammerModeWithoutAttack)
 {
     scenario::ScenarioSpec spec = detection_spec();
-    spec.attacks.clear();
+    spec.tenants.clear();
     spec.run.mode = scenario::RunMode::kHammerToFirstFlip;
     spec.outputs.clear();
     expect_invalid(spec, "no attacks");
@@ -393,7 +395,8 @@ TEST(Validate, RejectsHammerModeWithoutAttack)
 TEST(Validate, RejectsUnknownWorkloadProfileWithKnownNames)
 {
     scenario::ScenarioSpec spec = detection_spec();
-    spec.workloads.push_back({"mfc", "", false});  // typo of "mcf"
+    // "mfc" is a typo of "mcf".
+    spec.tenants.push_back(scenario::workload_tenant({"mfc", "", false}));
     try {
         scenario::validate(spec);
         FAIL() << "unknown profile accepted";
@@ -433,8 +436,62 @@ TEST(Validate, RejectsInterleaveUntilOpsWithZeroQuota)
     scenario::ScenarioSpec spec = detection_spec();
     spec.run.mode = scenario::RunMode::kInterleaveUntilOps;
     spec.run.ops = 0;
-    spec.workloads.push_back({"mcf", "", false});
+    spec.tenants.push_back(scenario::workload_tenant({"mcf", "", false}));
     expect_invalid(spec, "run.ops");
+}
+
+/**
+ * Outputs a run mode never measures would emit the zero their field was
+ * initialized with. Every pairing of such an output with every run mode
+ * must validate exactly when that mode measures it.
+ */
+TEST(Validate, RejectsOutputsTheRunModeNeverMeasures)
+{
+    using scenario::Output;
+    using scenario::RunMode;
+    const RunMode kModes[] = {
+        RunMode::kInterleaveFor,        RunMode::kWorkloadOps,
+        RunMode::kHammerToFirstFlip,    RunMode::kHammerUntilFlipOrDeadline,
+        RunMode::kPatternMeasure,       RunMode::kInterleaveUntilOps,
+    };
+    const struct {
+        Output output;
+        std::vector<RunMode> measured_by;
+    } kTable[] = {
+        {Output::kFlipped, {RunMode::kHammerToFirstFlip}},
+        {Output::kAggressorAccesses, {RunMode::kHammerToFirstFlip}},
+        {Output::kFlipMs, {RunMode::kHammerToFirstFlip}},
+        {Output::kMissesPerIter, {RunMode::kPatternMeasure}},
+        {Output::kAccessesPerIter, {RunMode::kPatternMeasure}},
+        {Output::kNsPerIter, {RunMode::kPatternMeasure}},
+        {Output::kCyclesPerIter, {RunMode::kPatternMeasure}},
+        {Output::kHammersPerRefresh, {RunMode::kPatternMeasure}},
+        {Output::kAggressorActShare, {RunMode::kPatternMeasure}},
+        {Output::kOps,
+         {RunMode::kWorkloadOps, RunMode::kInterleaveUntilOps}},
+    };
+    for (const auto &row : kTable) {
+        for (const RunMode mode : kModes) {
+            // An attacker and a workload with a quota, so every mode's
+            // own requirements hold and only the pairing can fail.
+            scenario::ScenarioSpec spec = detection_spec();
+            spec.tenants.push_back(
+                scenario::workload_tenant({"mcf", "", false}));
+            spec.run.mode = mode;
+            spec.run.ops = 1000;
+            spec.outputs = {row.output};
+            const bool measured =
+                std::find(row.measured_by.begin(), row.measured_by.end(),
+                          mode) != row.measured_by.end();
+            SCOPED_TRACE(testing::Message()
+                         << "output " << static_cast<int>(row.output)
+                         << ", run mode " << static_cast<int>(mode));
+            if (measured)
+                EXPECT_NO_THROW(scenario::validate(spec));
+            else
+                expect_invalid(spec, "never measured by this run mode");
+        }
+    }
 }
 
 TEST(Validate, RejectsMitigationOutputsWithoutTracker)

@@ -167,20 +167,10 @@ run_supervise(const scenario::SweepFactory &factory,
     runner::Sweep sweep = scenario::make_sweep(spec, cli);
     const std::vector<runner::TrialSpec> plan = sweep.plan_specs();
 
-    runner::SupervisorOptions sup;
-    sup.exe = "/proc/self/exe";
-    sup.json_out = cli.sweep.json_out;
-    sup.sweep = cli.sweep.name;
-    sup.master_seed = cli.sweep.master_seed;
-    sup.shards = cli.supervisor.shards;
-    sup.respawn_budget = cli.supervisor.respawn_budget;
-    sup.lease_timeout_ms = cli.supervisor.lease_timeout_ms;
-    sup.backoff_ms = cli.supervisor.backoff_ms;
-
     // Children re-run this binary's `shard` verb over the same sweep
     // with the same determinism-relevant flags; the supervisor appends
     // the per-shard assignment itself.
-    std::vector<std::string> &args = sup.child_args;
+    std::vector<std::string> args;
     args.push_back("shard");
     args.push_back(factory.name);
     args.insert(args.end(), cli.positional.begin(), cli.positional.end());
@@ -204,7 +194,7 @@ run_supervise(const scenario::SweepFactory &factory,
     if (jobs == 0) {
         const unsigned hw =
             std::max(1u, std::thread::hardware_concurrency());
-        jobs = std::max(1u, hw / std::max(1u, sup.shards));
+        jobs = std::max(1u, hw / cli.supervisor.shards);
     }
     args.push_back("--jobs");
     args.push_back(std::to_string(jobs));
@@ -214,7 +204,7 @@ run_supervise(const scenario::SweepFactory &factory,
     }
 
     const runner::SupervisorReport report =
-        runner::supervise(plan, sup);
+        runner::supervise(plan, cli.sweep, cli.supervisor, args);
     if (report.interrupted)
         return runner::kExitPartial;
     if (!report.complete)
