@@ -87,8 +87,8 @@ DramSystem::access(Addr pa, Tick now)
         ++stats_.row_hits;
     } else {
         ++stats_.row_misses;
-        for (const auto &hook : activation_hooks_)
-            hook(fb, coord.row, start);
+        if (observer_ != nullptr)
+            observer_->on_activate(fb, coord.row, start);
     }
 
     return AccessResult{stall + (hit ? config_.t_row_hit

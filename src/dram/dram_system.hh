@@ -8,9 +8,9 @@
 #define ANVIL_DRAM_DRAM_SYSTEM_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "dram/address_map.hh"
@@ -18,6 +18,22 @@
 #include "dram/disturbance.hh"
 
 namespace anvil::dram {
+
+/**
+ * What an in-DRAM / in-controller rowhammer tracker implements to see a
+ * device's row activations. on_activate runs after the activation's
+ * disturbance is applied; a refresh read issued from it re-enters
+ * DramSystem::access, so it must guard against recursion itself.
+ */
+class ActivationObserver
+{
+  public:
+    virtual void on_activate(std::uint32_t flat_bank, std::uint32_t row,
+                             Tick now) = 0;
+
+  protected:
+    ~ActivationObserver() = default;
+};
 
 /**
  * One DRAM bank: an open-row (row buffer) tracker wired to the
@@ -67,14 +83,6 @@ class DramSystem
         Tick latency = 0;    ///< includes any refresh stall
         bool row_hit = false;
     };
-
-    /**
-     * Called on every row activation — the observation point in-DRAM /
-     * in-controller rowhammer mitigations (PARA, TRR) attach to.
-     */
-    using ActivationHook =
-        std::function<void(std::uint32_t flat_bank, std::uint32_t row,
-                           Tick now)>;
 
     /** Aggregate counters. */
     struct Stats {
@@ -137,14 +145,25 @@ class DramSystem
     }
 
     /**
-     * Registers an activation observer. The hook runs after the
-     * activation's disturbance is applied; a hook performing refresh
-     * reads re-enters access(), so implementations must guard against
-     * recursion themselves.
+     * Makes @p observer the device's one activation observer (not owned:
+     * an observer that dies first detaches itself).
+     * @throws std::logic_error if one is already attached.
      */
-    void add_activation_hook(ActivationHook hook)
+    void
+    attach(ActivationObserver &observer)
     {
-        activation_hooks_.push_back(std::move(hook));
+        if (observer_ != nullptr)
+            throw std::logic_error("DramSystem::attach: the device already "
+                                   "has an activation observer");
+        observer_ = &observer;
+    }
+
+    /** Empties the observer slot if @p observer holds it. */
+    void
+    detach(const ActivationObserver &observer)
+    {
+        if (observer_ == &observer)
+            observer_ = nullptr;
     }
 
   private:
@@ -156,7 +175,7 @@ class DramSystem
     RefreshSchedule schedule_;
     std::vector<FlipEvent> flips_;
     std::vector<Bank> banks_;
-    std::vector<ActivationHook> activation_hooks_;
+    ActivationObserver *observer_ = nullptr;
     Stats stats_;
 
     // Cached refresh-window bounds for refresh_stall: rolled forward

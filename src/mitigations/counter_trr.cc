@@ -1,101 +1,46 @@
 #include "mitigations/counter_trr.hh"
 
-#include <algorithm>
-
 namespace anvil::mitigations {
 
 CounterTrr::CounterTrr(dram::DramSystem &dram,
                        const CounterTrrConfig &config, std::uint64_t seed)
     : Mitigation(dram), config_(config), rng_(seed)
 {
-    tables_.resize(dram.config().total_banks());
-    for (BankTable &bank : tables_)
-        bank.entries.reserve(config_.table_size);
-}
-
-std::size_t
-CounterTrr::table_occupancy(std::uint32_t flat_bank) const
-{
-    return tables_.at(flat_bank).entries.size();
-}
-
-std::uint64_t
-CounterTrr::counter_of(std::uint32_t flat_bank, std::uint32_t row) const
-{
-    for (const Entry &e : tables_.at(flat_bank).entries) {
-        if (e.row == row)
-            return e.count;
-    }
-    return 0;
-}
-
-void
-CounterTrr::roll_window(BankTable &bank, std::uint64_t epoch)
-{
-    if (bank.epoch == epoch)
-        return;
-    bank.epoch = epoch;
-    switch (config_.reset) {
-      case CounterTrrConfig::Reset::kClear:
-          bank.entries.clear();
-          break;
-      case CounterTrrConfig::Reset::kHalve:
-          for (Entry &e : bank.entries)
-              e.count /= 2;
-          break;
-    }
-}
-
-std::size_t
-CounterTrr::victim_index(const BankTable &bank) const
-{
-    std::size_t victim = 0;
-    for (std::size_t i = 1; i < bank.entries.size(); ++i) {
-        const Entry &e = bank.entries[i];
-        const Entry &v = bank.entries[victim];
-        switch (config_.evict) {
-          case CounterTrrConfig::Evict::kMinCount:
-              if (e.count < v.count ||
-                  (e.count == v.count && e.order < v.order))
-                  victim = i;
-              break;
-          case CounterTrrConfig::Evict::kFifo:
-              if (e.order < v.order)
-                  victim = i;
-              break;
-        }
-    }
-    return victim;
+    for (std::uint32_t b = 0; b < dram.config().total_banks(); ++b)
+        tables_.emplace_back(config_.table_size);
 }
 
 void
 CounterTrr::on_activation(std::uint32_t flat_bank, std::uint32_t row,
                           Tick now)
 {
-    BankTable &bank = tables_[flat_bank];
-    roll_window(bank, now / dram_.config().refresh_period);
-
-    Entry *entry = nullptr;
-    for (Entry &e : bank.entries) {
-        if (e.row == row) {
-            entry = &e;
-            break;
+    TrackerTable<std::uint64_t> &table = tables_[flat_bank];
+    if (table.roll(now / dram_.config().refresh_period)) {
+        switch (config_.reset) {
+          case CounterTrrConfig::Reset::kClear:
+              table.clear();
+              break;
+          case CounterTrrConfig::Reset::kHalve:
+              for (std::uint64_t &count : table.values())
+                  count /= 2;
+              break;
         }
     }
 
-    if (entry == nullptr) {
+    std::size_t slot = table.find(row);
+    if (slot == table.npos) {
         // Sampler: only a fraction of untracked activations earn a table
         // entry. The coin is drawn per candidate so the stream is a pure
         // function of the tracker's seed and the activation sequence.
         if (config_.sample_probability < 1.0 &&
             !rng_.next_bool(config_.sample_probability))
             return;
-        if (bank.entries.size() >= config_.table_size) {
-            const std::size_t victim = victim_index(bank);
-            const std::uint32_t evicted_row = bank.entries[victim].row;
-            bank.entries.erase(bank.entries.begin() +
-                               static_cast<std::ptrdiff_t>(victim));
-            ++stats_.table_evictions;
+        if (table.full()) {
+            slot = config_.evict == CounterTrrConfig::Evict::kMinCount
+                       ? table.coldest()
+                       : table.oldest();
+            const std::uint32_t evicted_row = table.row(slot);
+            table.replace(slot, row, stats_);
             if (config_.refresh_on_evict) {
                 // The displaced row's history is lost; refresh its
                 // neighbourhood so laundering counters through eviction
@@ -103,17 +48,16 @@ CounterTrr::on_activation(std::uint32_t flat_bank, std::uint32_t row,
                 refresh_neighbors(flat_bank, evicted_row, now,
                                   config_.refresh_radius);
             }
+        } else {
+            slot = table.append(row, stats_);
         }
-        bank.entries.push_back(Entry{row, 0, next_order_++});
-        entry = &bank.entries.back();
-        stats_.table_peak_entries = std::max<std::uint64_t>(
-            stats_.table_peak_entries, bank.entries.size());
     }
 
-    if (entry->count < config_.counter_max())
-        ++entry->count;
-    if (entry->count >= config_.mac) {
-        entry->count = 0;
+    std::uint64_t &count = table.value(slot);
+    if (count < config_.counter_max())
+        ++count;
+    if (count >= config_.mac) {
+        count = 0;
         refresh_neighbors(flat_bank, row, now, config_.refresh_radius);
     }
 }

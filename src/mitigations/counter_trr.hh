@@ -26,6 +26,7 @@
 #include "common/types.hh"
 #include "dram/dram_system.hh"
 #include "mitigations/mitigation.hh"
+#include "mitigations/tracker_table.hh"
 
 namespace anvil::mitigations {
 
@@ -93,35 +94,26 @@ class CounterTrr : public Mitigation
     const CounterTrrConfig &config() const { return config_; }
 
     /** Current entry count of @p flat_bank's table (for tests). */
-    std::size_t table_occupancy(std::uint32_t flat_bank) const;
+    std::size_t table_occupancy(std::uint32_t flat_bank) const
+    {
+        return tables_.at(flat_bank).size();
+    }
 
     /** Counter value of (@p flat_bank, @p row), or 0 if untracked. */
     std::uint64_t counter_of(std::uint32_t flat_bank,
-                             std::uint32_t row) const;
+                             std::uint32_t row) const
+    {
+        return tables_.at(flat_bank).value_of(row);
+    }
 
   protected:
     void on_activation(std::uint32_t flat_bank, std::uint32_t row,
                        Tick now) override;
 
   private:
-    struct Entry {
-        std::uint32_t row = 0;
-        std::uint64_t count = 0;
-        std::uint64_t order = 0;  ///< global insertion sequence number
-    };
-    struct BankTable {
-        std::vector<Entry> entries;
-        std::uint64_t epoch = 0;  ///< refresh-window epoch of the counts
-    };
-
-    void roll_window(BankTable &bank, std::uint64_t epoch);
-    /** Index of the entry the eviction policy displaces. */
-    std::size_t victim_index(const BankTable &bank) const;
-
     CounterTrrConfig config_;
     Rng rng_;
-    std::vector<BankTable> tables_;  ///< one per flat bank
-    std::uint64_t next_order_ = 0;
+    std::vector<TrackerTable<std::uint64_t>> tables_;  ///< per flat bank
 };
 
 }  // namespace anvil::mitigations

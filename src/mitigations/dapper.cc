@@ -1,31 +1,12 @@
 #include "mitigations/dapper.hh"
 
-#include <algorithm>
-
 namespace anvil::mitigations {
 
 Dapper::Dapper(dram::DramSystem &dram, const DapperConfig &config)
     : Mitigation(dram), config_(config), t_refi_(dram.config().t_refi())
 {
-    tables_.resize(dram.config().total_banks());
-    for (BankTable &bank : tables_)
-        bank.entries.reserve(config_.table_size);
-}
-
-std::size_t
-Dapper::table_occupancy(std::uint32_t flat_bank) const
-{
-    return tables_.at(flat_bank).entries.size();
-}
-
-std::uint64_t
-Dapper::counter_of(std::uint32_t flat_bank, std::uint32_t row) const
-{
-    for (const Entry &e : tables_.at(flat_bank).entries) {
-        if (e.row == row)
-            return e.count;
-    }
-    return 0;
+    for (std::uint32_t b = 0; b < dram.config().total_banks(); ++b)
+        tables_.emplace_back(config_.table_size);
 }
 
 bool
@@ -45,51 +26,35 @@ Dapper::spend_budget(Tick now)
 void
 Dapper::on_activation(std::uint32_t flat_bank, std::uint32_t row, Tick now)
 {
-    BankTable &bank = tables_[flat_bank];
-    const std::uint64_t epoch = now / dram_.config().refresh_period;
-    if (bank.epoch != epoch) {
-        bank.epoch = epoch;
-        bank.entries.clear();
-    }
+    TrackerTable<std::uint64_t> &table = tables_[flat_bank];
+    if (table.roll(now / dram_.config().refresh_period))
+        table.clear();
 
-    Entry *entry = nullptr;
-    for (Entry &e : bank.entries) {
-        if (e.row == row) {
-            entry = &e;
-            break;
-        }
-    }
-    if (entry == nullptr) {
-        if (bank.entries.size() < config_.table_size) {
-            bank.entries.push_back(Entry{row, 0});
-            entry = &bank.entries.back();
-            stats_.table_peak_entries = std::max<std::uint64_t>(
-                stats_.table_peak_entries, bank.entries.size());
-        } else {
+    std::size_t slot = table.find(row);
+    if (slot == table.npos) {
+        if (table.full()) {
             // Misra-Gries step: a cold row at a full table decrements
             // every counter instead of evicting. Thrash traffic drains
             // state; it cannot manufacture refreshes.
-            for (Entry &e : bank.entries) {
-                if (e.count > 0)
-                    --e.count;
+            for (std::uint64_t &count : table.values()) {
+                if (count > 0)
+                    --count;
             }
-            const auto dead = std::remove_if(
-                bank.entries.begin(), bank.entries.end(),
-                [](const Entry &e) { return e.count == 0; });
-            stats_.table_evictions += static_cast<std::uint64_t>(
-                bank.entries.end() - dead);
-            bank.entries.erase(dead, bank.entries.end());
+            table.remove_if([](std::uint64_t count) { return count == 0; },
+                            stats_);
             return;
         }
+        slot = table.append(row, stats_);
     }
 
-    ++entry->count;
-    if (entry->count >= config_.mac) {
+    std::uint64_t &count = table.value(slot);
+    ++count;
+    if (count >= config_.mac) {
         // Budgeted response: past the per-tREFI cap the counter stays
         // armed (count is preserved) and the refresh retries on the
         // row's next activation, in a later interval.
         if (spend_budget(now)) {
-            entry->count = 0;
+            count = 0;
             refresh_neighbors(flat_bank, row, now,
                               config_.refresh_radius);
         } else {

@@ -29,6 +29,7 @@
 #include "common/types.hh"
 #include "dram/dram_system.hh"
 #include "mitigations/mitigation.hh"
+#include "mitigations/tracker_table.hh"
 
 namespace anvil::mitigations {
 
@@ -56,31 +57,28 @@ class Dapper : public Mitigation
     const DapperConfig &config() const { return config_; }
 
     /** Current entry count of @p flat_bank's summary (for tests). */
-    std::size_t table_occupancy(std::uint32_t flat_bank) const;
+    std::size_t table_occupancy(std::uint32_t flat_bank) const
+    {
+        return tables_.at(flat_bank).size();
+    }
 
     /** Counter value of (@p flat_bank, @p row), or 0 if untracked. */
     std::uint64_t counter_of(std::uint32_t flat_bank,
-                             std::uint32_t row) const;
+                             std::uint32_t row) const
+    {
+        return tables_.at(flat_bank).value_of(row);
+    }
 
   protected:
     void on_activation(std::uint32_t flat_bank, std::uint32_t row,
                        Tick now) override;
 
   private:
-    struct Entry {
-        std::uint32_t row = 0;
-        std::uint64_t count = 0;
-    };
-    struct BankTable {
-        std::vector<Entry> entries;
-        std::uint64_t epoch = 0;
-    };
-
     /** True if a refresh is within budget at @p now (and charges it). */
     bool spend_budget(Tick now);
 
     DapperConfig config_;
-    std::vector<BankTable> tables_;  ///< one per flat bank
+    std::vector<TrackerTable<std::uint64_t>> tables_;  ///< per flat bank
     Tick t_refi_ = 0;
     std::uint64_t budget_window_ = 0;   ///< tREFI index of the budget
     std::uint32_t budget_spent_ = 0;    ///< refreshes in that window

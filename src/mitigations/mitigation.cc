@@ -4,13 +4,16 @@ namespace anvil::mitigations {
 
 Mitigation::Mitigation(dram::DramSystem &dram) : dram_(dram)
 {
-    dram_.add_activation_hook(
-        [this](std::uint32_t bank, std::uint32_t row, Tick now) {
-            if (in_refresh_)
-                return;  // our own refresh reads do not re-trigger
-            ++stats_.activations_observed;
-            on_activation(bank, row, now);
-        });
+    dram_.attach(*this);
+}
+
+void
+Mitigation::on_activate(std::uint32_t flat_bank, std::uint32_t row, Tick now)
+{
+    if (in_refresh_)
+        return;  // our own refresh reads do not re-trigger
+    ++stats_.activations_observed;
+    on_activation(flat_bank, row, now);
 }
 
 void

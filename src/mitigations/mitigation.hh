@@ -3,8 +3,8 @@
  * The common interface of every in-DRAM / in-controller rowhammer
  * tracker the simulator can attach to a DramSystem.
  *
- * A Mitigation observes every row activation through the device's
- * activation hook and issues neighbour (or victim) refreshes in
+ * A Mitigation is its device's activation observer: it sees every row
+ * activation and issues neighbour (or victim) refreshes in
  * response. Refresh reads are absorbed into controller slack: they
  * consume no core time (the cost of these defenses is new silicon, not
  * software cycles), only DRAM state changes — which is exactly why the
@@ -12,9 +12,9 @@
  * hardware.
  *
  * Derived trackers implement on_activation(); the base class owns the
- * hook registration, the self-recursion guard (a tracker's own refresh
- * reads re-enter the activation path and must not re-trigger it), and
- * the shared statistics block.
+ * device attachment (attach on construction, detach on destruction), the
+ * self-recursion guard (a tracker's own refresh reads re-enter the
+ * activation path and must not re-trigger it), and the statistics block.
  */
 #ifndef ANVIL_MITIGATIONS_MITIGATION_HH
 #define ANVIL_MITIGATIONS_MITIGATION_HH
@@ -44,15 +44,15 @@ struct MitigationStats {
 /**
  * Base class of every hardware rowhammer tracker.
  *
- * Attach to a DramSystem before issuing traffic; detaching is not
- * supported (hardware does not unload). Exactly one tracker should be
- * attached per device (real controllers run one TRR engine).
+ * Construct it before issuing traffic. A device takes one tracker (real
+ * controllers run one TRR engine); a second throws std::logic_error. The
+ * device may outlive its tracker and then runs untracked.
  */
-class Mitigation
+class Mitigation : private dram::ActivationObserver
 {
   public:
     explicit Mitigation(dram::DramSystem &dram);
-    virtual ~Mitigation() = default;
+    virtual ~Mitigation() { dram_.detach(*this); }
 
     Mitigation(const Mitigation &) = delete;
     Mitigation &operator=(const Mitigation &) = delete;
@@ -90,6 +90,10 @@ class Mitigation
     MitigationStats stats_;
 
   private:
+    /** Filters the tracker's own refreshes, counts, and dispatches. */
+    void on_activate(std::uint32_t flat_bank, std::uint32_t row,
+                     Tick now) final;
+
     bool in_refresh_ = false;  ///< guards against self-recursion
 };
 

@@ -56,51 +56,6 @@ MitigationRegistry::known_names() const
     return os.str();
 }
 
-namespace {
-
-CounterTrrConfig
-ctrr_sampled_config()
-{
-    CounterTrrConfig config;
-    config.table_size = 16;
-    config.counter_bits = 24;
-    config.mac = 32000;
-    config.reset = CounterTrrConfig::Reset::kHalve;
-    config.evict = CounterTrrConfig::Evict::kMinCount;
-    config.sample_probability = 0.25;
-    config.refresh_radius = 1;
-    return config;
-}
-
-CounterTrrConfig
-ctrr_evict_config()
-{
-    CounterTrrConfig config;
-    config.table_size = 8;
-    config.counter_bits = 24;
-    config.mac = 32000;
-    config.reset = CounterTrrConfig::Reset::kClear;
-    config.evict = CounterTrrConfig::Evict::kFifo;
-    config.refresh_on_evict = true;
-    config.refresh_radius = 1;
-    return config;
-}
-
-CounterTrrConfig
-ctrr_radius2_config()
-{
-    CounterTrrConfig config;
-    config.table_size = 16;
-    config.counter_bits = 24;
-    config.mac = 16000;
-    config.reset = CounterTrrConfig::Reset::kClear;
-    config.evict = CounterTrrConfig::Evict::kMinCount;
-    config.refresh_radius = 2;
-    return config;
-}
-
-}  // namespace
-
 const MitigationRegistry &
 mitigation_registry()
 {
@@ -125,21 +80,37 @@ mitigation_registry()
                "halving reset, MAC 32000",
                [](dram::DramSystem &dram, std::uint64_t seed) {
                    return std::make_unique<CounterTrr>(
-                       dram, ctrr_sampled_config(), seed);
+                       dram,
+                       CounterTrrConfig{
+                           .table_size = 16,
+                           .mac = 32000,
+                           .reset = CounterTrrConfig::Reset::kHalve,
+                           .sample_probability = 0.25},
+                       seed);
                }});
         r.add({"ctrr-evict",
                "counter-table TRR: 8 entries/bank, FIFO eviction with "
                "refresh-on-evict, MAC 32000",
                [](dram::DramSystem &dram, std::uint64_t seed) {
                    return std::make_unique<CounterTrr>(
-                       dram, ctrr_evict_config(), seed);
+                       dram,
+                       CounterTrrConfig{
+                           .table_size = 8,
+                           .mac = 32000,
+                           .evict = CounterTrrConfig::Evict::kFifo,
+                           .refresh_on_evict = true},
+                       seed);
                }});
         r.add({"ctrr-radius2",
                "counter-table TRR: 16 entries/bank, refresh radius 2, "
                "MAC 16000",
                [](dram::DramSystem &dram, std::uint64_t seed) {
                    return std::make_unique<CounterTrr>(
-                       dram, ctrr_radius2_config(), seed);
+                       dram,
+                       CounterTrrConfig{.table_size = 16,
+                                        .mac = 16000,
+                                        .refresh_radius = 2},
+                       seed);
                }});
         r.add({"rvc",
                "victim-centric tracker: per-victim disturbance credit, "

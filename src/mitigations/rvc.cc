@@ -1,75 +1,41 @@
 #include "mitigations/rvc.hh"
 
-#include <algorithm>
-
 namespace anvil::mitigations {
 
 Rvc::Rvc(dram::DramSystem &dram, const RvcConfig &config)
     : Mitigation(dram), config_(config)
 {
-    tables_.resize(dram.config().total_banks());
-    for (BankTable &bank : tables_)
-        bank.entries.reserve(config_.table_size);
-}
-
-std::size_t
-Rvc::table_occupancy(std::uint32_t flat_bank) const
-{
-    return tables_.at(flat_bank).entries.size();
-}
-
-double
-Rvc::charge_of(std::uint32_t flat_bank, std::uint32_t row) const
-{
-    for (const Entry &e : tables_.at(flat_bank).entries) {
-        if (e.row == row)
-            return e.charge;
-    }
-    return 0.0;
+    for (std::uint32_t b = 0; b < dram.config().total_banks(); ++b)
+        tables_.emplace_back(config_.table_size);
 }
 
 void
-Rvc::credit(std::uint32_t flat_bank, BankTable &bank, std::int64_t row,
-            double weight, Tick now)
+Rvc::credit(std::uint32_t flat_bank, std::int64_t row, double weight,
+            Tick now)
 {
     if (row < 0 ||
         row >= static_cast<std::int64_t>(dram_.config().rows_per_bank))
         return;
     const auto victim = static_cast<std::uint32_t>(row);
+    TrackerTable<double> &table = tables_[flat_bank];
 
-    Entry *entry = nullptr;
-    for (Entry &e : bank.entries) {
-        if (e.row == victim) {
-            entry = &e;
-            break;
-        }
-    }
-    if (entry == nullptr) {
-        if (bank.entries.size() >= config_.table_size) {
+    std::size_t slot = table.find(victim);
+    if (slot == table.npos) {
+        if (table.full()) {
             // Displace the coldest victim (least charge, ties broken
             // oldest-first): a cold victim is by definition the one
             // furthest from its flip threshold.
-            std::size_t coldest = 0;
-            for (std::size_t i = 1; i < bank.entries.size(); ++i) {
-                const Entry &e = bank.entries[i];
-                const Entry &c = bank.entries[coldest];
-                if (e.charge < c.charge ||
-                    (e.charge == c.charge && e.order < c.order))
-                    coldest = i;
-            }
-            bank.entries.erase(bank.entries.begin() +
-                               static_cast<std::ptrdiff_t>(coldest));
-            ++stats_.table_evictions;
+            slot = table.coldest();
+            table.replace(slot, victim, stats_);
+        } else {
+            slot = table.append(victim, stats_);
         }
-        bank.entries.push_back(Entry{victim, 0.0, next_order_++});
-        entry = &bank.entries.back();
-        stats_.table_peak_entries = std::max<std::uint64_t>(
-            stats_.table_peak_entries, bank.entries.size());
     }
 
-    entry->charge += weight;
-    if (entry->charge >= config_.threshold) {
-        entry->charge = 0.0;
+    double &charge = table.value(slot);
+    charge += weight;
+    if (charge >= config_.threshold) {
+        charge = 0.0;
         // Victim-centric response: restore the victim itself. No
         // neighbourhood guessing, so it is blast-radius independent.
         refresh_row(flat_bank, row, now);
@@ -79,32 +45,23 @@ Rvc::credit(std::uint32_t flat_bank, BankTable &bank, std::int64_t row,
 void
 Rvc::on_activation(std::uint32_t flat_bank, std::uint32_t row, Tick now)
 {
-    BankTable &bank = tables_[flat_bank];
+    TrackerTable<double> &table = tables_[flat_bank];
     // Window rollover: the periodic refresh sweep restored every row, so
     // accumulated credit is stale.
-    const std::uint64_t epoch = now / dram_.config().refresh_period;
-    if (bank.epoch != epoch) {
-        bank.epoch = epoch;
-        bank.entries.clear();
-    }
+    if (table.roll(now / dram_.config().refresh_period))
+        table.clear();
 
     // The activation restored the accessed row's own charge; its
     // accumulated credit (if tracked) is gone with it.
-    for (Entry &e : bank.entries) {
-        if (e.row == row) {
-            e.charge = 0.0;
-            break;
-        }
-    }
+    if (const std::size_t slot = table.find(row); slot != table.npos)
+        table.value(slot) = 0.0;
 
     const auto r = static_cast<std::int64_t>(row);
-    credit(flat_bank, bank, r - 1, 1.0, now);
-    credit(flat_bank, bank, r + 1, 1.0, now);
+    credit(flat_bank, r - 1, 1.0, now);
+    credit(flat_bank, r + 1, 1.0, now);
     if (config_.second_neighbor_weight > 0.0) {
-        credit(flat_bank, bank, r - 2, config_.second_neighbor_weight,
-               now);
-        credit(flat_bank, bank, r + 2, config_.second_neighbor_weight,
-               now);
+        credit(flat_bank, r - 2, config_.second_neighbor_weight, now);
+        credit(flat_bank, r + 2, config_.second_neighbor_weight, now);
     }
 }
 

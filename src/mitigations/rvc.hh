@@ -22,6 +22,7 @@
 #include "common/types.hh"
 #include "dram/dram_system.hh"
 #include "mitigations/mitigation.hh"
+#include "mitigations/tracker_table.hh"
 
 namespace anvil::mitigations {
 
@@ -52,33 +53,28 @@ class Rvc : public Mitigation
     const RvcConfig &config() const { return config_; }
 
     /** Current entry count of @p flat_bank's table (for tests). */
-    std::size_t table_occupancy(std::uint32_t flat_bank) const;
+    std::size_t table_occupancy(std::uint32_t flat_bank) const
+    {
+        return tables_.at(flat_bank).size();
+    }
 
     /** Charge credited to (@p flat_bank, @p row), or 0 if untracked. */
-    double charge_of(std::uint32_t flat_bank, std::uint32_t row) const;
+    double charge_of(std::uint32_t flat_bank, std::uint32_t row) const
+    {
+        return tables_.at(flat_bank).value_of(row);
+    }
 
   protected:
     void on_activation(std::uint32_t flat_bank, std::uint32_t row,
                        Tick now) override;
 
   private:
-    struct Entry {
-        std::uint32_t row = 0;
-        double charge = 0.0;
-        std::uint64_t order = 0;  ///< global insertion sequence number
-    };
-    struct BankTable {
-        std::vector<Entry> entries;
-        std::uint64_t epoch = 0;
-    };
-
     /** Credits @p weight of disturbance to victim @p row. */
-    void credit(std::uint32_t flat_bank, BankTable &bank, std::int64_t row,
-                double weight, Tick now);
+    void credit(std::uint32_t flat_bank, std::int64_t row, double weight,
+                Tick now);
 
     RvcConfig config_;
-    std::vector<BankTable> tables_;  ///< one per flat bank
-    std::uint64_t next_order_ = 0;
+    std::vector<TrackerTable<double>> tables_;  ///< one per flat bank
 };
 
 }  // namespace anvil::mitigations

@@ -571,10 +571,10 @@ TEST_F(MemorySystemTest, TlbFlushesStayWithinTheirSpace)
 /**
  * One simulated machine plus everything observing it: a PMU with an armed
  * overflow interrupt and PEBS sampling of loads and stores, a periodic
- * timer, and an activation hook that re-enters DRAM with a refresh read
- * (the tracker path). Built identically for both sides of the test.
+ * timer, and an activation observer that re-enters DRAM with a refresh
+ * read (the tracker path). Built identically for both sides of the test.
  */
-struct ObservedMachine {
+struct ObservedMachine : dram::ActivationObserver {
     explicit ObservedMachine(const SystemConfig &config)
         : mem(config),
           pmu(mem, 0x5A11ULL),
@@ -586,18 +586,21 @@ struct ObservedMachine {
         pmu.enable_sampling(sampling);
         arm_pmi();
         timer.start();
-        mem.dram().add_activation_hook(
-            [this](std::uint32_t bank, std::uint32_t row, Tick now) {
-                if (in_hook || ++activations % 61 != 0)
-                    return;
-                in_hook = true;
-                const std::uint32_t rows =
-                    mem.dram().config().rows_per_bank;
-                mem.dram().refresh_row(bank, (row + 8) % rows, now);
-                in_hook = false;
-            });
+        mem.dram().attach(*this);
         for (int p = 0; p < 2; ++p)
             mem.create_process();
+    }
+
+    /** Every 61st activation refreshes a row from inside the callback. */
+    void
+    on_activate(std::uint32_t bank, std::uint32_t row, Tick now) override
+    {
+        if (in_hook || ++activations % 61 != 0)
+            return;
+        in_hook = true;
+        const std::uint32_t rows = mem.dram().config().rows_per_bank;
+        mem.dram().refresh_row(bank, (row + 8) % rows, now);
+        in_hook = false;
     }
 
     void

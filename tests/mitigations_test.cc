@@ -291,38 +291,51 @@ TEST(CounterTrr, HalveResetKeepsDecayedCountsAcrossWindows)
     EXPECT_EQ(trr.counter_of(0, 2000), 4u);
 }
 
-TEST(CounterTrr, MinCountEvictionDisplacesTheColdestEntry)
+/** Activations driven into a 2-entry table, and the counts they leave. */
+struct EvictionInput {
+    std::vector<std::uint32_t> activations;
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> counters;
+    std::uint64_t evictions;
+};
+
+void
+check_eviction(CounterTrrConfig::Evict evict, const EvictionInput &input)
 {
     Device dev;
     CounterTrrConfig config;
     config.table_size = 2;
+    config.evict = evict;
     CounterTrr trr(dev.dram, config, 1);
-    dev.access(0, 100);
-    dev.access(0, 200);
-    dev.access(0, 100);  // row 100 at count 2, row 200 at count 1
-    dev.access(0, 300);
-    EXPECT_EQ(trr.counter_of(0, 100), 2u);
-    EXPECT_EQ(trr.counter_of(0, 200), 0u);  // coldest, displaced
-    EXPECT_EQ(trr.counter_of(0, 300), 1u);
-    EXPECT_EQ(trr.stats().table_evictions, 1u);
+    for (const std::uint32_t row : input.activations)
+        dev.access(0, row);
+    for (const auto &[row, count] : input.counters)
+        EXPECT_EQ(trr.counter_of(0, row), count) << "row " << row;
+    EXPECT_EQ(trr.table_occupancy(0), 2u);
+    EXPECT_EQ(trr.stats().table_evictions, input.evictions);
+}
+
+TEST(CounterTrr, MinCountEvictionDisplacesTheColdestEntry)
+{
+    // Row 100 at count 2, row 200 at count 1: the coldest is displaced.
+    check_eviction(CounterTrrConfig::Evict::kMinCount,
+                   {{100, 200, 100, 300}, {{100, 2}, {200, 0}, {300, 1}}, 1});
+    // Equal counts: ties go oldest-first wherever the oldest entry sits
+    // (300 took 100's slot, yet 200 is displaced next, not 300).
+    check_eviction(
+        CounterTrrConfig::Evict::kMinCount,
+        {{100, 200, 300, 400}, {{100, 0}, {200, 0}, {300, 1}, {400, 1}}, 2});
 }
 
 TEST(CounterTrr, FifoEvictionDisplacesTheOldestEntry)
 {
-    Device dev;
-    CounterTrrConfig config;
-    config.table_size = 2;
-    config.evict = CounterTrrConfig::Evict::kFifo;
-    CounterTrr trr(dev.dram, config, 1);
-    dev.access(0, 100);
-    dev.access(0, 200);
-    dev.access(0, 100);
-    dev.access(0, 300);
     // FIFO ignores heat: the hot row 100 is the oldest and goes first —
     // exactly the laundering weakness the matrix measures.
-    EXPECT_EQ(trr.counter_of(0, 100), 0u);
-    EXPECT_EQ(trr.counter_of(0, 200), 1u);
-    EXPECT_EQ(trr.counter_of(0, 300), 1u);
+    check_eviction(CounterTrrConfig::Evict::kFifo,
+                   {{100, 200, 100, 300}, {{100, 0}, {200, 1}, {300, 1}}, 1});
+    // Age, not table position, picks the next victim.
+    check_eviction(
+        CounterTrrConfig::Evict::kFifo,
+        {{100, 200, 300, 400}, {{100, 0}, {200, 0}, {300, 1}, {400, 1}}, 2});
 }
 
 TEST(CounterTrr, RefreshOnEvictConvertsTablePressureIntoRefreshes)
@@ -437,6 +450,19 @@ TEST(Rvc, EvictionDisplacesTheColdestVictimFirst)
     EXPECT_DOUBLE_EQ(rvc.charge_of(0, 101), 40.0);
     EXPECT_EQ(rvc.stats().table_evictions, 39u);
     EXPECT_LE(rvc.charge_of(0, 99) + rvc.charge_of(0, 103), 2.0);
+
+    // Equal charges: ties go oldest-first wherever the oldest victim
+    // sits (199 took 99's slot, yet 101 is displaced next, not 199).
+    Device tie;
+    Rvc tied(tie.dram, config);
+    tie.access(0, 100);
+    tie.access(0, 200);
+    EXPECT_DOUBLE_EQ(tied.charge_of(0, 99), 0.0);
+    EXPECT_DOUBLE_EQ(tied.charge_of(0, 101), 0.0);
+    EXPECT_DOUBLE_EQ(tied.charge_of(0, 199), 1.0);
+    EXPECT_DOUBLE_EQ(tied.charge_of(0, 201), 1.0);
+    EXPECT_EQ(tied.table_occupancy(0), 2u);
+    EXPECT_EQ(tied.stats().table_evictions, 2u);
 }
 
 TEST(Rvc, WindowRolloverDropsStaleCredit)
@@ -480,6 +506,17 @@ TEST(Dapper, ThrashDrainsCountersWithoutManufacturingRefreshes)
     EXPECT_EQ(dapper.stats().neighbor_refreshes, 0u);
     EXPECT_EQ(dapper.stats().refreshes_suppressed, 0u);
     EXPECT_GT(dapper.stats().table_evictions, 0u);
+
+    // Equal counts: no tie-break singles a row out. One cold row drains
+    // the whole table at once and is itself not admitted.
+    Device tie;
+    Dapper tied(tie.dram, config);
+    for (std::uint32_t r : {100u, 200u, 300u, 400u, 500u})
+        tie.access(0, r);
+    for (std::uint32_t r : {100u, 200u, 300u, 400u, 500u})
+        EXPECT_EQ(tied.counter_of(0, r), 0u) << "row " << r;
+    EXPECT_EQ(tied.table_occupancy(0), 0u);
+    EXPECT_EQ(tied.stats().table_evictions, 4u);
 }
 
 TEST(Dapper, HotRowKeepsItsCounterThroughThrash)
@@ -518,6 +555,38 @@ TEST(Dapper, BudgetSuppressesThenRetriesWithTheCounterArmed)
     dev.access(0, 200);
     EXPECT_EQ(dapper.stats().neighbor_refreshes, 4u);
     EXPECT_EQ(dapper.counter_of(0, 200), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Attachment: one tracker per device, and a device may outlive it.
+
+TEST(Mitigation, DeviceOutlivesItsTracker)
+{
+    for (const MitigationEntry &entry : mitigation_registry().all()) {
+        Device dev;
+        {
+            const auto gone = entry.make(dev.dram, 1);
+            dev.hammer_pair(0, 100, 2000, 4);
+        }
+        // The device runs untracked; nothing may reach the dead tracker.
+        dev.hammer_pair(0, 100, 2000, 50);
+        // Its slot is free again: a successor sees only its own traffic.
+        const auto successor = entry.make(dev.dram, 2);
+        dev.hammer_pair(0, 100, 2000, 4);
+        EXPECT_EQ(successor->stats().activations_observed, 8u)
+            << entry.name;
+    }
+}
+
+TEST(Mitigation, SecondTrackerOnOneDeviceIsRejected)
+{
+    Device dev;
+    const auto first = mitigation_registry().at("rvc").make(dev.dram, 1);
+    EXPECT_THROW((void)mitigation_registry().at("trr").make(dev.dram, 1),
+                 std::logic_error);
+    // The rejected tracker left the first one attached.
+    dev.hammer_pair(0, 100, 2000, 4);
+    EXPECT_EQ(first->stats().activations_observed, 8u);
 }
 
 // ---------------------------------------------------------------------------
