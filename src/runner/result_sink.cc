@@ -1,6 +1,7 @@
 #include "runner/result_sink.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "runner/json.hh"
 
@@ -98,6 +99,16 @@ ScenarioAggregate::set_derived(std::string name, double v)
         }
     }
     derived_.push_back(NamedValue{std::move(name), v});
+}
+
+double
+ScenarioAggregate::derived(std::string_view name, double fallback) const
+{
+    for (const NamedValue &d : derived_) {
+        if (d.name == name)
+            return d.value;
+    }
+    return fallback;
 }
 
 const RunningStat *
@@ -219,11 +230,11 @@ ResultSink::find(std::string_view name) const
     return nullptr;
 }
 
-void
-ResultSink::set_derived(std::string_view scenario_name, std::string name,
-                        double v)
+ScenarioAggregate *
+ResultSink::find(std::string_view name)
 {
-    scenario(scenario_name).set_derived(std::move(name), v);
+    return const_cast<ScenarioAggregate *>(
+        std::as_const(*this).find(name));
 }
 
 void

@@ -45,8 +45,11 @@ class ScenarioAggregate
     /** Folds one trial in (order matters; the sink guarantees it). */
     void add(const TrialSpec &spec, const TrialOutcome &outcome);
 
-    /** Attaches a derived scalar (computed by the bench from aggregates). */
+    /** Attaches a derived scalar (computed by a sweep's finalize hook). */
     void set_derived(std::string name, double v);
+
+    /** A derived scalar, or @p fallback when it was never set. */
+    double derived(std::string_view name, double fallback = 0.0) const;
 
     const std::string &name() const { return name_; }
     std::uint64_t trials() const { return trials_; }
@@ -113,15 +116,13 @@ class ResultSink
      */
     void add(const TrialSpec &spec, const TrialOutcome &outcome);
 
-    /** Scenario accessor; creates the scenario on first use. */
-    ScenarioAggregate &scenario(std::string_view name);
-
-    /** Read-only lookup; nullptr when absent. */
+    /**
+     * Lookup; nullptr when no trial of @p name reached the sink (e.g.
+     * a --replay-trial run of another scenario). Lookups never create a
+     * scenario, so derived values cannot add empty rows to the report.
+     */
     const ScenarioAggregate *find(std::string_view name) const;
-
-    /** Attaches a derived scalar to @p scenario_name. */
-    void set_derived(std::string_view scenario_name, std::string name,
-                     double v);
+    ScenarioAggregate *find(std::string_view name);
 
     const std::vector<ScenarioAggregate> &scenarios() const
     {
@@ -138,6 +139,9 @@ class ResultSink
     void write_json(std::ostream &os) const;
 
   private:
+    /** The scenario @p name, created on first use by add(). */
+    ScenarioAggregate &scenario(std::string_view name);
+
     std::string sweep_name_ = "sweep";
     std::uint64_t master_seed_ = 0;
     std::vector<ScenarioAggregate> scenarios_;  ///< first-use order

@@ -509,7 +509,7 @@ finish_sweep(const SweepRun &run, const SweepOptions &options)
     }
     // Only a run with an outcome for every plan trial commits: a report
     // over part of the plan would look complete and be wrong.
-    if (run.completed + run.failed == run.outcomes.size()) {
+    if (run.commits_report()) {
         if (!write_json_output(run.sink, options))
             return kExitJsonError;
         // The report is durably committed; the journals are redundant.

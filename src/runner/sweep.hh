@@ -127,6 +127,16 @@ struct SweepRun {
 
     /** False when a shutdown drain left trials unrun (resumable). */
     bool complete() const { return skipped == 0; }
+
+    /**
+     * True when every trial of the run's plan has an outcome — the run
+     * owns the whole plan and was not drained — so finish_sweep()
+     * commits its report.
+     */
+    bool commits_report() const
+    {
+        return completed + failed == outcomes.size();
+    }
 };
 
 /** A set of scenarios executed as one (possibly parallel) batch. */

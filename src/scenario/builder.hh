@@ -197,8 +197,8 @@ runner::Sweep make_sweep(const SweepSpec &spec, runner::CliOptions &cli);
  * the fault-tolerance flags --retries/--trial-timeout/--resume/
  * --inject-fault), applying per-cell fixed trial counts and the sweep's
  * finalize hook (on the run's sink). Sets cli.sweep.name to the sweep's
- * name. Both the per-table bench binaries and the anvil-sim driver
- * funnel through here, so their anvil-sweep-v1 JSON is identical.
+ * name. Does not render: the driver prints spec.render's table only for
+ * a run whose report it commits.
  * @throw Error when the spec fails validation (validate.hh) or a
  *        --resume journal does not belong to this sweep.
  */

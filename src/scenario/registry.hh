@@ -1,8 +1,7 @@
 /**
  * @file
  * Named registry of scenario sweeps, so one driver binary (anvil-sim)
- * can list and run every paper table/figure, and per-table bench
- * binaries stay one-line wrappers over the same definitions.
+ * can list, run, and print every paper table/figure.
  */
 #ifndef ANVIL_SCENARIO_REGISTRY_HH
 #define ANVIL_SCENARIO_REGISTRY_HH
@@ -51,7 +50,8 @@ class ScenarioRegistry
 
 /**
  * The registry of every paper table/figure sweep (populated by
- * catalog.cc). Singleton so bench mains and the driver share one list.
+ * catalog.cc). Singleton so the driver, perfbench and the tests share
+ * one list.
  */
 const ScenarioRegistry &paper_registry();
 

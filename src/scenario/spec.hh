@@ -6,11 +6,12 @@
  *
  * A ScenarioSpec is one cell of a paper table/figure (one runner
  * scenario: a row label plus N trials). A SweepSpec is a whole
- * table/figure: an ordered list of cells plus sweep-level metadata and an
- * optional finalize hook computing derived aggregates. Specs carry no
- * behaviour; ScenarioBuilder (builder.hh) instantiates a spec into a
- * running testbed, and the ScenarioRegistry (registry.hh) names whole
- * sweeps so one driver binary can run any of them.
+ * table/figure: an ordered list of cells plus sweep-level metadata, an
+ * optional finalize hook computing derived aggregates, and an optional
+ * render hook printing the paper's table from the finished report.
+ * Specs carry no behaviour; ScenarioBuilder (builder.hh) instantiates a
+ * spec into a running testbed, and the ScenarioRegistry (registry.hh)
+ * names whole sweeps so one driver binary can run any of them.
  *
  * Evaluations of rowhammer defenses live or die on how easily new
  * attacker/workload combinations can be composed ("Another Flip in the
@@ -22,6 +23,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <utility>
@@ -290,7 +292,7 @@ struct ScenarioSpec {
     std::uint64_t fixed_trials = 0;
 };
 
-/** A whole paper table/figure: named, ordered cells + aggregation hook. */
+/** A whole paper table/figure: named, ordered cells + report hooks. */
 struct SweepSpec {
     /// Registry key and JSON "sweep" name, e.g. "table3_detection".
     std::string name;
@@ -300,10 +302,15 @@ struct SweepSpec {
     std::vector<ScenarioSpec> cells;
     /// Default trials per cell when --trials is not given.
     std::uint64_t default_trials = 1;
-    /// Computes derived aggregates (set_derived) after the sweep runs;
-    /// shared by the bench binaries and the anvil-sim driver so both
-    /// emit identical JSON.
+    /// Computes derived aggregates (set_derived) after the sweep runs,
+    /// on every path that builds a report (a run, a shard merge), so
+    /// they all emit identical JSON. Cells absent from the sink (a
+    /// --replay-trial run) are skipped, never created.
     std::function<void(runner::ResultSink &)> finalize;
+    /// Prints the paper's table(s) from a finalized whole-plan report.
+    /// Reads derived aggregates back from the sink rather than
+    /// recomputing them, and prints "-" for cells the sink lacks.
+    std::function<void(const runner::ResultSink &, std::ostream &)> render;
 };
 
 }  // namespace anvil::scenario

@@ -303,11 +303,14 @@ TEST(Sweep, DerivedValuesAppearInJson)
     runner::Sweep sweep(synthetic_options(1));
     sweep.add_scenario("alpha", 2, synthetic_trial);
     runner::SweepRun run = sweep.run();
-    runner::ResultSink &sink = run.sink;
-    sink.set_derived("alpha", "twice_mean",
-                     2.0 * sink.scenario("alpha").value_mean("seed_unit"));
+    runner::ScenarioAggregate *alpha = run.sink.find("alpha");
+    ASSERT_NE(alpha, nullptr);
+    const double twice_mean = 2.0 * alpha->value_mean("seed_unit");
+    alpha->set_derived("twice_mean", twice_mean);
+    EXPECT_EQ(alpha->derived("twice_mean"), twice_mean);
+    EXPECT_EQ(alpha->derived("missing", -1.0), -1.0);
     std::ostringstream os;
-    sink.write_json(os);
+    run.sink.write_json(os);
     EXPECT_NE(os.str().find("\"twice_mean\""), std::string::npos);
 }
 

@@ -2,11 +2,13 @@
  * @file
  * Tests of the declarative scenario layer (src/scenario): registry
  * naming, builder determinism, ground-truth scoping of the detection
- * oracle, and byte-exact golden-JSON equivalence of a migrated sweep.
+ * oracle, byte-exact golden-JSON equivalence of a migrated sweep, and
+ * the paper-table renderers reading the report's derived values.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -14,6 +16,7 @@
 #include <string>
 
 #include "common/error.hh"
+#include "common/table.hh"
 #include "runner/options.hh"
 #include "scenario/builder.hh"
 #include "scenario/registry.hh"
@@ -54,16 +57,20 @@ TEST(ScenarioRegistry, RejectsDuplicateNames)
                  std::invalid_argument);
 }
 
+/** Every paper table/figure (and the tracker matrix) prints its table. */
 TEST(ScenarioRegistry, PaperRegistryListsEveryTableAndFigure)
 {
     const scenario::ScenarioRegistry &registry =
         scenario::paper_registry();
+    runner::CliOptions cli;
     for (const char *name :
          {"table1_attacks", "fig1_pattern", "table3_detection",
           "table4_false_positives", "table5_fp_sensitivity",
           "fig3_overhead", "fig4_sensitivity", "mitigation_comparison",
           "mitigation_matrix"}) {
-        EXPECT_NE(registry.find(name), nullptr) << name;
+        const scenario::SweepFactory *factory = registry.find(name);
+        ASSERT_NE(factory, nullptr) << name;
+        EXPECT_TRUE(static_cast<bool>(factory->make(cli).render)) << name;
     }
 }
 
@@ -175,15 +182,21 @@ read_golden(const std::string &file)
     return golden.str();
 }
 
+/** The JSON report of @p sink. */
+std::string
+json_of(const runner::ResultSink &sink)
+{
+    std::ostringstream produced;
+    sink.write_json(produced);
+    return produced.str();
+}
+
 /** The JSON report of registered sweep @p name run under @p cli. */
 std::string
 render_sweep(const std::string &name, runner::CliOptions cli)
 {
     scenario::SweepSpec spec = scenario::paper_registry().at(name).make(cli);
-    runner::SweepRun run = scenario::run_sweep(spec, cli);
-    std::ostringstream produced;
-    run.sink.write_json(produced);
-    return produced.str();
+    return json_of(scenario::run_sweep(spec, cli).sink);
 }
 
 /**
@@ -252,6 +265,134 @@ TEST(ScenarioGolden, MitigationMatrixIsReproducibleAcrossJobs)
     const std::string serial = render(1);
     EXPECT_EQ(serial, render(1));  // back-to-back
     EXPECT_EQ(serial, render(4));  // scheduling-invariant
+}
+
+// ---------------------------------------------------------------------------
+// Derived aggregates and paper-table renderers
+// ---------------------------------------------------------------------------
+
+/** Occurrences of @p needle in @p text. */
+std::size_t
+count_of(const std::string &text, const std::string &needle)
+{
+    std::size_t n = 0;
+    for (std::size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + needle.size()))
+        ++n;
+    return n;
+}
+
+/** The table row of @p text that starts with @p label ("" if none). */
+std::string
+row_of(const std::string &text, const std::string &label)
+{
+    const std::size_t at = text.find("\n" + label + " ");
+    if (at == std::string::npos)
+        return "";
+    return text.substr(at + 1, text.find('\n', at + 1) - at - 1);
+}
+
+/** The derived @p metric of scenario @p cell, parsed from report @p json. */
+double
+json_derived(const std::string &json, const std::string &cell,
+             const std::string &metric)
+{
+    const std::size_t at = json.find("\"name\": \"" + cell + "\"");
+    EXPECT_NE(at, std::string::npos) << cell;
+    const std::size_t derived = json.find("\"derived\"", at);
+    const std::size_t entry =
+        json.find("\"name\": \"" + metric + "\"", derived);
+    const std::string key = "\"value\": ";
+    const std::size_t value = json.find(key, entry);
+    EXPECT_NE(value, std::string::npos) << cell << " " << metric;
+    return std::strtod(json.c_str() + value + key.size(), nullptr);
+}
+
+/** The paper table @p spec renders from @p sink. */
+std::string
+table_of(const scenario::SweepSpec &spec, const runner::ResultSink &sink)
+{
+    std::ostringstream os;
+    spec.render(sink, os);
+    return os.str();
+}
+
+/**
+ * Table 3's "Avg Time to Detect" and "Refreshes per 64 ms" columns print
+ * the doubles the JSON "derived" block carries — read back from the
+ * sink, not recomputed: overwriting the derived values changes the table.
+ */
+TEST(ScenarioRender, Table3PrintsTheReportsDerivedValues)
+{
+    runner::CliOptions cli;
+    cli.trials = 1;
+    cli.sweep.jobs = 4;
+    const scenario::SweepSpec spec =
+        scenario::paper_registry().at("table3_detection").make(cli);
+    runner::SweepRun run = scenario::run_sweep(spec, cli);
+    const std::string json = json_of(run.sink);
+    const std::string table = table_of(spec, run.sink);
+    const char *cells[] = {"CLFLUSH (Heavy Load)", "CLFLUSH (Light Load)",
+                           "CLFLUSH-free (Heavy Load)",
+                           "CLFLUSH-free (Light Load)"};
+    for (const char *cell : cells) {
+        const std::string row = row_of(table, cell);
+        const double detect = json_derived(json, cell, "avg_detect_ms");
+        const double per_64ms =
+            json_derived(json, cell, "refreshes_per_64ms");
+        EXPECT_NE(row.find(" " + TextTable::fmt(detect, 1) + " ms "),
+                  std::string::npos)
+            << row;
+        EXPECT_NE(row.find(" " + TextTable::fmt(per_64ms, 2) + " "),
+                  std::string::npos)
+            << row;
+    }
+
+    double marker = 100.5;
+    for (const char *cell : cells) {
+        run.sink.find(cell)->set_derived("avg_detect_ms", marker);
+        run.sink.find(cell)->set_derived("refreshes_per_64ms", marker + 1);
+        marker += 10.0;
+    }
+    const std::string tampered = table_of(spec, run.sink);
+    marker = 100.5;
+    for (const char *cell : cells) {
+        const std::string row = row_of(tampered, cell);
+        EXPECT_NE(row.find(" " + TextTable::fmt(marker, 1) + " ms "),
+                  std::string::npos)
+            << row;
+        EXPECT_NE(row.find(" " + TextTable::fmt(marker + 1, 2) + " "),
+                  std::string::npos)
+            << row;
+        marker += 10.0;
+    }
+}
+
+/**
+ * A --replay-trial run reports only the cell it replayed: finalize looks
+ * cells up without creating them, so the three unrun Table 3 cells do
+ * not appear as empty scenarios (trials 0, avg_detect_ms -1), and the
+ * table prints "-" for them.
+ */
+TEST(ScenarioRender, ReplayTrialReportsOnlyTheReplayedCell)
+{
+    runner::CliOptions cli;
+    cli.trials = 1;
+    cli.sweep.replay_trial = 0;
+    const scenario::SweepSpec spec =
+        scenario::paper_registry().at("table3_detection").make(cli);
+    const runner::SweepRun run = scenario::run_sweep(spec, cli);
+    const std::string json = json_of(run.sink);
+    EXPECT_EQ(count_of(json, "\"trials\": "), 1u) << json;
+    EXPECT_NE(json.find("\"name\": \"CLFLUSH (Heavy Load)\""),
+              std::string::npos);
+    EXPECT_NE(json.find("\"avg_detect_ms\""), std::string::npos);
+
+    const std::string table = table_of(spec, run.sink);
+    EXPECT_EQ(row_of(table, "CLFLUSH (Heavy Load)").find(" - "),
+              std::string::npos);
+    EXPECT_NE(row_of(table, "CLFLUSH (Light Load)").find(" - "),
+              std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@
  * anvil-sim binary (ANVIL_SIM_PATH) — the headline guarantee: a
  * supervised multi-process run with injected shard crashes and stalls
  * recovers and produces JSON byte-identical to the committed
- * single-process golden.
+ * single-process golden, and the driver's paper table never mixes into
+ * a report written to stdout.
  */
 #include <gtest/gtest.h>
 
@@ -604,6 +605,47 @@ TEST(Supervise, MergeCheckRejectsAnIncompleteCampaign)
 
     for (std::uint32_t k = 0; k < 4; ++k)
         std::remove(runner::journal_path(out, k, 4).c_str());
+}
+
+/**
+ * stdout stays one JSON document: with --json-out - the paper table goes
+ * to stderr, and stdout is exactly the committed golden report.
+ */
+TEST(Driver, ReportOnStdoutKeepsTheTableOnStderr)
+{
+    const std::string out = temp_path("stdout_report.json");
+    const std::string err = temp_path("stdout_report.err");
+    const std::string command =
+        std::string(ANVIL_SIM_PATH) +
+        " run table3_detection --trials 1 --json-out - > " + out + " 2> " +
+        err;
+    EXPECT_EQ(run_command(command), 0);
+    EXPECT_EQ(slurp(out),
+              slurp(std::string(ANVIL_TEST_DATA_DIR) +
+                    "/table3_golden.json"));
+    EXPECT_NE(slurp(err).find("Table 3: Rowhammer Detection Results"),
+              std::string::npos);
+    std::remove(out.c_str());
+    std::remove(err.c_str());
+}
+
+/** A run that writes its report to a file prints the table on stdout. */
+TEST(Driver, FileReportRunPrintsThePaperTable)
+{
+    const std::string report = temp_path("file_report.json");
+    const std::string out = temp_path("file_report.out");
+    const std::string command =
+        std::string(ANVIL_SIM_PATH) +
+        " run table3_detection --trials 1 --json-out " + report + " > " +
+        out + " 2>/dev/null";
+    EXPECT_EQ(run_command(command), 0);
+    EXPECT_NE(slurp(out).find("Table 3: Rowhammer Detection Results"),
+              std::string::npos);
+    EXPECT_EQ(slurp(report),
+              slurp(std::string(ANVIL_TEST_DATA_DIR) +
+                    "/table3_golden.json"));
+    std::remove(report.c_str());
+    std::remove(out.c_str());
 }
 
 #endif  // ANVIL_SIM_PATH

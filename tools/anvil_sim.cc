@@ -13,7 +13,10 @@
  * The sweep definitions live in the scenario catalog
  * (src/scenario/catalog.cc); this binary only resolves the name, runs
  * the sweep through the shared parallel runner, and emits the standard
- * `anvil-sweep-v1` JSON report. `supervise` splits the sweep's trial
+ * `anvil-sweep-v1` JSON report. Whenever it commits a report (`run`,
+ * `supervise`, `merge` without --check) it first prints the sweep's
+ * paper table: to stdout, or to stderr when the report itself goes to
+ * stdout (--json-out -). `supervise` splits the sweep's trial
  * plan over --shards child processes (each `anvil-sim shard`, its own
  * crash-isolated checkpoint journal), restarts or requeues dead shards,
  * and merges the journals into a report byte-identical to a
@@ -36,6 +39,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -92,6 +96,21 @@ require_file_json_out(const runner::CliOptions &cli, const char *verb)
     return false;
 }
 
+/**
+ * Commits @p run through finish_sweep(), first printing the sweep's
+ * paper table when that writes a report (a whole-plan run). The table
+ * goes to stderr when the report itself goes to stdout, so stdout stays
+ * one JSON document.
+ */
+int
+commit(const scenario::SweepSpec &spec, const runner::SweepRun &run,
+       const runner::SweepOptions &options)
+{
+    if (spec.render && run.commits_report())
+        spec.render(run.sink, options.json_out == "-" ? std::cerr : std::cout);
+    return runner::finish_sweep(run, options);
+}
+
 /** Prints merge diagnostics; returns the verb's exit code. */
 int
 report_merge_problems(const runner::MergeResult &merge)
@@ -105,8 +124,8 @@ report_merge_problems(const runner::MergeResult &merge)
 
 /**
  * Folds the journals of the campaign cli.sweep describes (its
- * shard.count shards) into the report and commits it through
- * finish_sweep(), or with @p check only validates them.
+ * shard.count shards) into the report and commits it, or with @p check
+ * only validates them.
  */
 int
 merge_campaign(const scenario::SweepSpec &spec,
@@ -128,7 +147,7 @@ merge_campaign(const scenario::SweepSpec &spec,
     }
     if (spec.finalize)
         spec.finalize(merge.run.sink);
-    return runner::finish_sweep(merge.run, cli.sweep);
+    return commit(spec, merge.run, cli.sweep);
 }
 
 /**
@@ -278,8 +297,8 @@ main(int argc, char **argv)
         return runner::kExitUsage;
     }
 
-    // The sweep sees its own positionals exactly as its bench binary
-    // would: argument 0 is the first after the sweep name.
+    // The sweep sees its own positionals: argument 0 is the first after
+    // the sweep name.
     cli.positional.erase(cli.positional.begin());
 
     // SIGINT/SIGTERM drain instead of kill: in-flight trials (or shard
@@ -296,7 +315,7 @@ main(int argc, char **argv)
         if (verb == "merge")
             return run_merge(spec, cli);
         runner::SweepRun run = scenario::run_sweep(spec, cli);
-        return runner::finish_sweep(run, cli.sweep);
+        return commit(spec, run, cli.sweep);
     } catch (const Error &e) {
         // Configuration-level faults (spec validation, a --resume journal
         // from a different sweep) — not per-trial failures, which the
