@@ -57,18 +57,6 @@ class Error : public std::exception
     }
 
     /**
-     * Attaches the shard coordinate ("shard=K/N") an error occurred in,
-     * so diagnostics from a supervised multi-process sweep identify
-     * which child journal or process to inspect.
-     */
-    Error &
-    with_shard(std::uint32_t index, std::uint32_t count)
-    {
-        return with("shard", std::to_string(index) + "/" +
-                                 std::to_string(count));
-    }
-
-    /**
      * Records @p cause as the underlying failure. A nested Error cause
      * flattens naturally: its what() already renders its own chain.
      */

@@ -5,12 +5,11 @@
  * A FaultPlan forces failures at chosen (scenario, trial) coordinates so
  * tests and CI can exercise every fault path of the sweep engine — error
  * boundaries, retries, watchdog timeouts, journaling, resume, and the
- * shard supervisor's crash/respawn machinery — without depending on real
- * infrastructure flaking at the right moment. All injected behaviour is
- * a pure function of the trial's identity (and, for corruption, of the
- * trial RNG's named "fault" sub-stream), so an injection is exactly
- * replayable: the same command line fails the same trial the same way
- * every run.
+ * SIGTERM drain — without depending on real infrastructure flaking at
+ * the right moment. All injected behaviour is a pure function of the
+ * trial's identity (and, for corruption, of the trial RNG's named
+ * "fault" sub-stream), so an injection is exactly replayable: the same
+ * command line fails the same trial the same way every run.
  *
  * CLI syntax (repeatable): --inject-fault kind@scenario:trial
  *
@@ -25,26 +24,10 @@
  *                perturbed by a seed-derived delta (silent corruption;
  *                exercises downstream detection such as resume
  *                byte-comparisons)
- *
- * Process-level kinds kill or wedge the whole process, exercising the
- * supervisor's shard-death paths (crash detection, lease expiry,
- * respawn, requeue):
- *
- *   abort        std::abort() mid-trial (SIGABRT — a real crash, not an
- *                exception the error boundary could catch)
- *   sigkill-self SIGKILL to the own process mid-trial (the external
- *                kill -9 / OOM-kill case, but deterministic)
- *   stall        SIGSTOP to the own process — every thread freezes,
- *                heartbeats stop, and the supervisor's lease expires
- *                (the hung-process case)
- *
- * Process-level kinds fire **once**: before crashing, the fault durably
- * creates a marker file next to the sweep's JSON destination, and a
- * respawned process that finds the marker skips the injection. Without
- * that, a deterministic crash would burn every respawn in the
- * supervisor's budget and no recovery path could ever be tested to
- * completion. (With no file JSON destination there is nowhere to put
- * the marker, so the fault fires every time.)
+ *   stall        SIGSTOP to the own process before the trial runs, on
+ *                every execution — every thread freezes, so a test or
+ *                CI step can deliver SIGTERM or SIGKILL at a known point
+ *                mid-sweep; a SIGCONT lets the trial continue normally
  */
 #ifndef ANVIL_RUNNER_FAULT_HH
 #define ANVIL_RUNNER_FAULT_HH
@@ -63,13 +46,8 @@ enum class FaultKind : std::uint8_t {
     kFlaky,
     kHang,
     kCorrupt,
-    kAbort,        ///< process-level: SIGABRT mid-trial
-    kSigkillSelf,  ///< process-level: SIGKILL mid-trial
-    kStall,        ///< process-level: SIGSTOP (freezes heartbeats too)
+    kStall,  ///< SIGSTOP to the own process before the trial
 };
-
-/** True for kinds that kill or wedge the whole process. */
-bool is_process_fault(FaultKind kind);
 
 /** One injection coordinate: fail trial @p trial of @p scenario. */
 struct FaultSpec {
@@ -85,17 +63,6 @@ struct FaultSpec {
  */
 FaultSpec parse_fault(const std::string &text);
 
-/** Renders @p fault back to its CLI form (supervisor respawn lines). */
-std::string to_string(const FaultSpec &fault);
-
-/**
- * The once-marker path for a process-level fault: @p base (the sweep's
- * JSON destination) plus a deterministic suffix derived from the fault
- * coordinate.
- */
-std::string fault_marker_path(const std::string &base,
-                              const FaultSpec &fault);
-
 /** The faults active for one sweep. */
 class FaultPlan
 {
@@ -108,25 +75,17 @@ class FaultPlan
 
     bool empty() const { return faults_.empty(); }
 
-    /**
-     * Sets the directory anchor for process-fault once-markers (the
-     * sweep's JSON destination). Empty = markers disabled, process
-     * faults fire on every execution.
-     */
-    void set_marker_base(std::string base) { marker_base_ = std::move(base); }
-
     /** The fault aimed at @p spec, or nullptr. */
     const FaultSpec *match(const TrialSpec &spec) const;
 
     /**
      * Runs the pre-execution stage of @p fault for attempt @p attempt
      * (1-based): throws for kThrow always and kFlaky on the first
-     * attempt; spins the watchdog down for kHang; crashes or stops the
-     * process for the process-level kinds (once, when a marker base is
-     * set). No-op for kCorrupt.
+     * attempt; spins the watchdog down for kHang; stops the process for
+     * kStall. No-op for kCorrupt.
      */
-    void inject_before(const FaultSpec &fault, const TrialContext &ctx,
-                       unsigned attempt) const;
+    static void inject_before(const FaultSpec &fault,
+                              const TrialContext &ctx, unsigned attempt);
 
     /**
      * Runs the post-execution stage: perturbs @p result's counters and
@@ -138,7 +97,6 @@ class FaultPlan
 
   private:
     std::vector<FaultSpec> faults_;
-    std::string marker_base_;
 };
 
 }  // namespace anvil::runner

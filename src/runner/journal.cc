@@ -5,24 +5,17 @@
 
 #include <bit>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <optional>
-#include <string_view>
 
 namespace anvil::runner {
 namespace {
 
 constexpr char kMagic[8] = {'A', 'N', 'V', 'L', 'J', 'N', 'L', '1'};
-// v2 added the plan hash + shard identity to the header and a type byte
-// to every record payload (trial vs lease); v3 made both mandatory — a
-// plain run's journal is shard 0 of 1.
-constexpr std::uint32_t kVersion = 3;
-
-/** Payload discriminator (first byte of every record payload). */
-enum RecordType : std::uint8_t { kTrialRecord = 0, kLeaseRecord = 1 };
+// v2 added the plan hash to the header; v4 dropped v3's shard identity
+// and the per-record type byte (every record is a trial record).
+constexpr std::uint32_t kVersion = 4;
 
 /** FNV-1a 64-bit over raw bytes (record checksums). */
 std::uint64_t
@@ -140,8 +133,6 @@ encode_header(const JournalHeader &header)
     e.put_u64(header.master_seed);
     e.put_string(header.sweep);
     e.put_u64(header.plan_hash);
-    e.put_u32(header.shard_index);
-    e.put_u32(header.shard_count);
     return e.bytes;
 }
 
@@ -157,27 +148,25 @@ decode_header(const std::string &data, const std::string &path,
     }
     Decoder d(data.data() + sizeof kMagic, data.size() - sizeof kMagic);
     JournalHeader header;
+    std::uint32_t version = 0;
     try {
-        const std::uint32_t version = d.get_u32();
-        if (version != kVersion) {
-            throw Error("journal format version is not supported by "
-                        "this build; delete the journal and rerun")
-                .with("path", path)
-                .with("version", std::uint64_t{version})
-                .with("supported", std::uint64_t{kVersion});
+        version = d.get_u32();
+        if (version == kVersion) {
+            header.master_seed = d.get_u64();
+            header.sweep = d.get_string();
+            header.plan_hash = d.get_u64();
         }
-        header.master_seed = d.get_u64();
-        header.sweep = d.get_string();
-        header.plan_hash = d.get_u64();
-        header.shard_index = d.get_u32();
-        header.shard_count = d.get_u32();
     } catch (const Error &e) {
-        if (std::string_view(e.message()).find("version") !=
-            std::string_view::npos)
-            throw;
         throw Error("journal header is truncated")
             .with("path", path)
             .caused_by(e);
+    }
+    if (version != kVersion) {
+        throw Error("journal format version is not supported by this "
+                    "build; delete the journal and rerun")
+            .with("path", path)
+            .with("version", std::uint64_t{version})
+            .with("supported", std::uint64_t{kVersion});
     }
     size = encode_header(header).size();
     return header;
@@ -207,15 +196,6 @@ validate_header(const JournalHeader &got, const JournalHeader &expect,
             .with_hex("journal_plan", got.plan_hash)
             .with_hex("plan", expect.plan_hash);
     }
-    if (got.shard_count != expect.shard_count ||
-        got.shard_index != expect.shard_index) {
-        throw Error("journal belongs to a different shard assignment")
-            .with("path", path)
-            .with_shard(got.shard_index, got.shard_count)
-            .with("expected_shard", std::to_string(expect.shard_index) +
-                                        "/" +
-                                        std::to_string(expect.shard_count));
-    }
 }
 
 /** Refuses a record that is not the trial @p plan holds at its index. */
@@ -235,37 +215,11 @@ check_against_plan(const TrialSpec &spec, const std::vector<TrialSpec> &plan,
         .with("record_scenario", spec.scenario);
 }
 
-std::string
-encode_lease_payload(std::uint64_t seq)
-{
-    Encoder e;
-    e.put_u8(kLeaseRecord);
-    e.put_u64(static_cast<std::uint64_t>(::getpid()));
-    e.put_u64(seq);
-    e.put_u64(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count()));
-    return e.bytes;
-}
-
-/** Decodes one payload; lease records yield nullopt (liveness only). */
-std::optional<JournalRecord>
+/** Decodes one trial-record payload. @throw Error when malformed. */
+JournalRecord
 decode_payload(const char *data, std::size_t size)
 {
     Decoder d(data, size);
-    const std::uint8_t type = d.get_u8();
-    if (type == kLeaseRecord) {
-        d.get_u64();  // pid
-        d.get_u64();  // seq
-        d.get_u64();  // wall-clock ms
-        if (!d.exhausted())
-            throw Error("lease record payload has trailing bytes");
-        return std::nullopt;
-    }
-    if (type != kTrialRecord)
-        throw Error("unknown journal record type")
-            .with("type", std::uint64_t{type});
     JournalRecord rec;
     rec.spec.global_index = d.get_u64();
     rec.spec.trial = d.get_u64();
@@ -312,50 +266,11 @@ decode_payload(const char *data, std::size_t size)
     return rec;
 }
 
-void
-write_all(int fd, const char *data, std::size_t size,
-          const std::string &path)
-{
-    while (size > 0) {
-        const ssize_t n = ::write(fd, data, size);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            throw Error("journal write failed")
-                .with("path", path)
-                .caused_by(std::strerror(errno));
-        }
-        data += n;
-        size -= static_cast<std::size_t>(n);
-    }
-}
-
-/** Frames @p payload (length prefix + checksum) and appends it. */
-void
-append_framed(int fd, std::mutex &mutex, const std::string &payload,
-              const std::string &path)
-{
-    Encoder record;
-    record.put_u32(static_cast<std::uint32_t>(payload.size()));
-    record.put_u64(fnv1a_bytes(payload.data(), payload.size()));
-    record.bytes.append(payload);
-
-    std::lock_guard<std::mutex> lock(mutex);
-    if (fd < 0)
-        return;
-    // One contiguous write then fsync: a crash leaves at most one torn
-    // trailing record, which read_journal truncates away on resume.
-    write_all(fd, record.bytes.data(), record.bytes.size(), path);
-    ::fsync(fd);
-}
-
-}  // namespace
-
+/** Canonical encoding of one trial record's payload. */
 std::string
-encode_journal_payload(const TrialSpec &spec, const TrialOutcome &outcome)
+encode_payload(const TrialSpec &spec, const TrialOutcome &outcome)
 {
     Encoder e;
-    e.put_u8(kTrialRecord);
     e.put_u64(spec.global_index);
     e.put_u64(spec.trial);
     e.put_u64(spec.seed);
@@ -398,13 +313,30 @@ encode_journal_payload(const TrialSpec &spec, const TrialOutcome &outcome)
     return e.bytes;
 }
 
-std::string
-journal_path(const std::string &json_out, std::uint32_t index,
-             std::uint32_t count)
+void
+write_all(int fd, const char *data, std::size_t size,
+          const std::string &path)
 {
-    if (count == 1)
-        return json_out + ".journal";
-    return json_out + ".shard-" + std::to_string(index) + ".journal";
+    while (size > 0) {
+        const ssize_t n = ::write(fd, data, size);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            throw Error("journal write failed")
+                .with("path", path)
+                .caused_by(std::strerror(errno));
+        }
+        data += n;
+        size -= static_cast<std::size_t>(n);
+    }
+}
+
+}  // namespace
+
+std::string
+journal_path(const std::string &json_out)
+{
+    return json_out + ".journal";
 }
 
 void
@@ -484,14 +416,19 @@ JournalWriter::open(const std::string &path, const JournalHeader &header,
 void
 JournalWriter::append(const TrialSpec &spec, const TrialOutcome &outcome)
 {
-    append_framed(fd_, mutex_, encode_journal_payload(spec, outcome),
-                  path_);
-}
+    const std::string payload = encode_payload(spec, outcome);
+    Encoder record;
+    record.put_u32(static_cast<std::uint32_t>(payload.size()));
+    record.put_u64(fnv1a_bytes(payload.data(), payload.size()));
+    record.bytes.append(payload);
 
-void
-JournalWriter::append_lease(std::uint64_t seq)
-{
-    append_framed(fd_, mutex_, encode_lease_payload(seq), path_);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (fd_ < 0)
+        return;
+    // One contiguous write then fsync: a crash leaves at most one torn
+    // trailing record, which read_journal truncates away on resume.
+    write_all(fd_, record.bytes.data(), record.bytes.size(), path_);
+    ::fsync(fd_);
 }
 
 void
@@ -502,18 +439,6 @@ JournalWriter::close()
         ::close(fd_);
         fd_ = -1;
     }
-}
-
-JournalHeader
-read_journal_header(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw Error("cannot read journal").with("path", path);
-    std::string data((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    std::size_t size = 0;
-    return decode_header(data, path, size);
 }
 
 std::vector<JournalRecord>
@@ -551,15 +476,15 @@ read_journal(const std::string &path, const JournalHeader &expect,
             if (fnv1a_bytes(payload, size) != checksum) {
                 torn = true;  // corrupt: treat like a torn tail
             } else {
-                std::optional<JournalRecord> rec;
+                JournalRecord rec;
                 try {
                     rec = decode_payload(payload, size);
                 } catch (const Error &) {
                     torn = true;
                 }
-                if (rec) {
-                    check_against_plan(rec->spec, plan, path);
-                    records.push_back(std::move(*rec));
+                if (!torn) {
+                    check_against_plan(rec.spec, plan, path);
+                    records.push_back(std::move(rec));
                 }
             }
         }

@@ -11,23 +11,17 @@
  * order, and doubles are journaled as raw IEEE-754 bits, so replayed
  * results are bit-exact).
  *
- * There is one journal format. Every run executes one shard of a
- * campaign: a plain run is shard 0 of 1 and journals to
- * `<json-out>.journal`; shard K of a larger campaign (anvil-sim
- * shard/supervise) journals to `<json-out>.shard-K.journal`. The header
- * always carries the shard's identity (index, count) and a hash of the
- * full trial plan, so `--resume`, the supervisor and the merge all read
- * and write the same file and refuse journals from a different sweep
- * definition. Shard children also interleave *lease records* — periodic
- * heartbeats — so a supervisor can tell a shard that is slowly working
- * from one that is wedged.
+ * The journal lives at `<json-out>.journal`. Its header carries the
+ * sweep name, the master seed and a hash of the full trial plan, so
+ * `--resume` refuses a journal written by a different sweep definition
+ * instead of replaying foreign records.
  *
  * Recovery rules:
  *   - a torn trailing record (partial write at the kill point) is
  *     truncated away, never fatal;
  *   - a header that does not match the reading sweep (different name,
- *     master seed, plan hash, or shard identity) is refused with a
- *     structured error;
+ *     master seed, or plan hash) or an older format version is refused
+ *     with a structured error;
  *   - a record that contradicts the sweep plan (scenario, trial or seed
  *     mismatch at its global index — the sweep definition changed)
  *     likewise refuses.
@@ -51,18 +45,14 @@ namespace anvil::runner {
 /**
  * Identity block at the front of every journal. Two journals with equal
  * headers were produced by the same sweep definition — same name, same
- * master seed, same full trial plan — as the same shard of the same
- * campaign, so their records are interchangeable facts about the same
- * deterministic computation.
+ * master seed, same full trial plan — so their records are
+ * interchangeable facts about the same deterministic computation.
  */
 struct JournalHeader {
     std::string sweep;
     std::uint64_t master_seed = 0;
     /// plan_hash() over the *full* sweep plan.
     std::uint64_t plan_hash = 0;
-    std::uint32_t shard_index = 0;
-    /// Number of shards in the campaign (1 for a plain run).
-    std::uint32_t shard_count = 1;
 };
 
 /** One replayed journal entry: the trial's identity and its outcome. */
@@ -101,14 +91,6 @@ class JournalWriter
     /** Appends one record and fsyncs it to disk. @throw Error on I/O. */
     void append(const TrialSpec &spec, const TrialOutcome &outcome);
 
-    /**
-     * Appends a lease (heartbeat) record: sequence number plus the
-     * writing process id. Lease records are liveness evidence for a
-     * supervisor — read_journal() skips them during replay.
-     * @throw Error on I/O.
-     */
-    void append_lease(std::uint64_t seq);
-
     void close();
 
   private:
@@ -118,41 +100,21 @@ class JournalWriter
 };
 
 /**
- * Reads every intact trial record of @p path (lease records are
- * skipped). The header must equal @p expect field for field, and every
- * record must describe the trial @p plan holds at its global index. A
- * torn or corrupt tail is truncated from the file (recovery, reported
- * on stderr), not an error; a missing file reads as no records.
- * @throw Error when the file belongs to a different sweep, plan or
- *        shard, or holds a record that contradicts @p plan.
+ * Reads every intact trial record of @p path. The header must equal
+ * @p expect field for field, and every record must describe the trial
+ * @p plan holds at its global index. A torn or corrupt tail is truncated
+ * from the file (recovery, reported on stderr), not an error; a missing
+ * file reads as no records.
+ * @throw Error when the file belongs to a different sweep or plan, has
+ *        another format version, or holds a record that contradicts
+ *        @p plan.
  */
 std::vector<JournalRecord> read_journal(const std::string &path,
                                         const JournalHeader &expect,
                                         const std::vector<TrialSpec> &plan);
 
-/**
- * Reads and returns just the header of @p path (merge diagnostics:
- * report which shard a journal claims to be before validating it).
- * @throw Error when the file is missing or not a journal.
- */
-JournalHeader read_journal_header(const std::string &path);
-
-/**
- * Canonical encoding of one trial record's payload. Two records encode
- * identically iff they describe the same outcome bit-for-bit — the
- * merge uses this to accept duplicate trials claimed by two shards
- * (requeue races) while refusing divergent ones.
- */
-std::string encode_journal_payload(const TrialSpec &spec,
-                                   const TrialOutcome &outcome);
-
-/**
- * The journal of shard @p index of @p count for a JSON destination:
- * `<json_out>.journal` for a plain run (shard 0 of 1), else
- * `<json_out>.shard-K.journal`.
- */
-std::string journal_path(const std::string &json_out, std::uint32_t index,
-                         std::uint32_t count);
+/** The checkpoint journal of a JSON destination: `<json_out>.journal`. */
+std::string journal_path(const std::string &json_out);
 
 /**
  * fsyncs the directory containing @p path, making a just-created or

@@ -1,9 +1,10 @@
 /**
  * @file
- * Shared command-line interface of the experiment-runner benchmarks.
+ * Shared command-line interface of the sweep drivers (anvil-sim and the
+ * reproduction benchmark's driver).
  *
- * Every migrated bench binary accepts the same sweep-control flags
- * (documented in EXPERIMENTS.md):
+ * Both accept the same sweep-control flags (documented in
+ * EXPERIMENTS.md):
  *
  *   --jobs N           worker threads (default: one per hardware thread)
  *   --master-seed N    seed root for all trials (default 0x5eed)
@@ -16,14 +17,8 @@
  *   --inject-fault S   deterministic fault "kind@scenario:trial" (CI/tests)
  *   --help             usage
  *
- * Sharded-campaign flags (EXPERIMENTS.md "Sharded runs"): a shard child
- * is selected with --shard-index/--shard-count (+ optional
- * --shard-trials A-B[,C-D...] and --lease-interval-ms), and a supervisor
- * is tuned with --shards, --respawn-budget, --lease-timeout-ms,
- * --backoff-ms and --shard-jobs. `anvil-sim merge` accepts --check.
- *
- * Unrecognized non-flag arguments are passed through as positionals so
- * benches keep their historical argument (e.g. seconds per cell).
+ * Unrecognized non-flag arguments are passed through as positionals: the
+ * sweep name and the sweep's own arguments (e.g. seconds per cell).
  */
 #ifndef ANVIL_RUNNER_OPTIONS_HH
 #define ANVIL_RUNNER_OPTIONS_HH
@@ -36,28 +31,13 @@
 
 namespace anvil::runner {
 
-/** Supervisor tuning knobs (anvil-sim supervise). */
-struct SupervisorCli {
-    std::uint32_t shards = 4;            ///< --shards
-    unsigned respawn_budget = 3;         ///< --respawn-budget
-    std::uint64_t lease_timeout_ms = 10000;  ///< --lease-timeout-ms
-    std::uint64_t backoff_ms = 200;      ///< --backoff-ms
-    /// --shard-jobs: worker threads per shard child; 0 = divide the
-    /// machine's hardware threads evenly across the shards.
-    unsigned shard_jobs = 0;
-};
-
-/** Parsed command line of a runner-based bench binary. */
+/** Parsed command line of a sweep driver. */
 struct CliOptions {
     SweepOptions sweep;
     /// --trials override; 0 keeps each bench's default.
     std::uint64_t trials = 0;
     /// Non-flag arguments, in order.
     std::vector<std::string> positional;
-    /// Supervisor knobs (meaningful to `anvil-sim supervise` only).
-    SupervisorCli supervisor;
-    /// --check: merge validates shard journals without writing a report.
-    bool check = false;
 
     /** Trial count: the --trials override, else @p bench_default. */
     std::uint64_t
@@ -66,7 +46,12 @@ struct CliOptions {
         return trials != 0 ? trials : bench_default;
     }
 
-    /** Positional @p index parsed as double, else @p fallback. */
+    /**
+     * Positional @p index parsed as a finite number > 0, else
+     * @p fallback when absent.
+     * @throw Error naming the index and text when the whole argument is
+     *        not such a number.
+     */
     double positional_double(std::size_t index, double fallback) const;
 
     /**

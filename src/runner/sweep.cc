@@ -2,21 +2,17 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <exception>
 #include <iostream>
 #include <sstream>
-#include <thread>
-#include <unordered_map>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include "runner/journal.hh"
-#include "runner/shard.hh"
 #include "runner/thread_pool.hh"
 
 namespace anvil::runner {
@@ -38,56 +34,6 @@ journaling_enabled(const SweepOptions &options)
     return !options.replay_trial && !options.json_out.empty() &&
            options.json_out != "-";
 }
-
-/**
- * Appends a lease heartbeat to @p journal every @p interval_ms until
- * stopped, so a supervisor watching the journal grow can distinguish a
- * shard mid-long-trial from one that is wedged (a stopped or deadlocked
- * process stops beating).
- */
-class LeaseHeartbeat
-{
-  public:
-    LeaseHeartbeat(JournalWriter &journal, std::uint64_t interval_ms)
-    {
-        if (interval_ms == 0 || !journal.is_open())
-            return;
-        thread_ = std::thread([this, &journal, interval_ms] {
-            std::uint64_t seq = 0;
-            std::unique_lock<std::mutex> lock(mutex_);
-            while (!cv_.wait_for(lock,
-                                 std::chrono::milliseconds(interval_ms),
-                                 [this] { return stop_; })) {
-                try {
-                    journal.append_lease(seq++);
-                } catch (const Error &) {
-                    // Heartbeats are liveness evidence, not data; a
-                    // failing append means the journal itself is dying
-                    // and the supervisor will see the silence.
-                    return;
-                }
-            }
-        });
-    }
-
-    ~LeaseHeartbeat()
-    {
-        if (!thread_.joinable())
-            return;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            stop_ = true;
-        }
-        cv_.notify_all();
-        thread_.join();
-    }
-
-  private:
-    std::thread thread_;
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    bool stop_ = false;
-};
 
 std::string
 boundary_error(const char *what_happened, const TrialSpec &spec,
@@ -123,7 +69,7 @@ run_one(const TrialSpec &spec, const TrialFn &fn,
             TrialContext ctx(spec);
             ctx.watchdog().arm(options.trial_timeout);
             if (fault != nullptr)
-                faults.inject_before(*fault, ctx, attempt);
+                FaultPlan::inject_before(*fault, ctx, attempt);
             outcome.result = fn(ctx);
             if (fault != nullptr)
                 FaultPlan::inject_after(*fault, spec, outcome.result);
@@ -172,18 +118,6 @@ install_signal_handlers()
 {
     std::signal(SIGINT, shutdown_signal_handler);
     std::signal(SIGTERM, shutdown_signal_handler);
-}
-
-std::vector<TrialRange>
-ShardAssignment::owned(std::uint64_t total) const
-{
-    if (!ranges.empty())
-        return ranges;
-    if (index >= count) {
-        throw Error("shard index must be below the shard count")
-            .with_shard(index, count);
-    }
-    return partition_trials(total, count)[index];
 }
 
 Sweep::Sweep(SweepOptions options) : options_(std::move(options)) {}
@@ -248,41 +182,21 @@ Sweep::run()
     run.outcomes.resize(pending.size());
     std::vector<bool> replayed(pending.size(), false);
 
-    // Every run executes one shard of the plan; everything outside its
-    // ranges belongs to sibling processes. A plain run is shard 0 of 1,
-    // so `mine` is all-true and the run owns the whole plan.
-    const std::vector<TrialSpec> specs = plan_specs();
-    const ShardAssignment &shard = options_.shard;
-    const std::vector<TrialRange> ranges = shard.owned(specs.size());
-    std::vector<bool> mine(pending.size(), false);
-    std::uint64_t assigned = 0;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-        for (const TrialRange &range : ranges) {
-            if (range.contains(pending[i].spec.global_index))
-                mine[i] = true;
-        }
-        assigned += mine[i] ? 1 : 0;
-    }
-
     // Checkpoint/resume: replay the journal (the reader validates each
     // record against the plan — the sweep definition must not have
     // changed under us) and pre-fill those slots so only the remainder
-    // executes. A respawned shard child resumes this way too.
+    // executes.
+    const std::vector<TrialSpec> specs = plan_specs();
     const bool journaling = journaling_enabled(options_);
     const JournalHeader header{options_.name, options_.master_seed,
-                               plan_hash(specs), shard.index, shard.count};
-    const std::string jpath =
-        journal_path(options_.json_out, shard.index, shard.count);
+                               plan_hash(specs)};
+    const std::string jpath = journal_path(options_.json_out);
     if (options_.resume && journaling) {
         for (JournalRecord &rec : read_journal(jpath, header, specs)) {
             const std::uint64_t i = rec.spec.global_index;
             run.outcomes[i] = std::move(rec.outcome);
             replayed[i] = true;
-            // Records outside this shard's assignment (an earlier
-            // requeue unit run by the same slot) are durable facts the
-            // merge will collect; they are not "resumed work" here.
-            if (mine[i])
-                ++run.resumed;
+            ++run.resumed;
         }
     }
 
@@ -291,13 +205,11 @@ Sweep::run()
         try {
             journal.open(jpath, header, /*append=*/options_.resume);
         } catch (const Error &e) {
-            // A journal we cannot resume from is a configuration fault,
-            // and a run that owns only part of the plan has no output
-            // but its journal; a journal a whole-plan run merely cannot
-            // create is not worth killing the run over — run unjournaled
-            // and let the final report write surface the unwritable path
-            // as its own exit code.
-            if (options_.resume || assigned != pending.size())
+            // A journal we cannot resume from is a configuration fault;
+            // a journal we merely cannot create is not worth killing the
+            // run over — run unjournaled and let the final report write
+            // surface the unwritable path as its own exit code.
+            if (options_.resume)
                 throw;
             std::cerr << "[runner] " << options_.name
                       << ": running without a checkpoint journal: "
@@ -312,13 +224,7 @@ Sweep::run()
                                   : ThreadPool::default_threads());
     run.jobs_used = jobs;
 
-    FaultPlan faults(options_.faults);
-    if (journaling)
-        faults.set_marker_base(options_.json_out);
-    // Supervised shards prove liveness between trial completions; a
-    // supervisor whose lease on this journal expires declares the shard
-    // hung. Plain runs have no lease interval and start no thread.
-    LeaseHeartbeat heartbeat(journal, shard.lease_interval_ms);
+    const FaultPlan faults(options_.faults);
     const auto execute = [&](std::size_t i) {
         // The drain point: a shutdown request skips every trial that has
         // not started yet; in-flight trials run to completion.
@@ -349,7 +255,7 @@ Sweep::run()
     const auto wall_start = std::chrono::steady_clock::now();
     if (jobs <= 1 || pending.size() <= 1) {
         for (std::size_t i = 0; i < pending.size(); ++i) {
-            if (mine[i] && !replayed[i])
+            if (!replayed[i])
                 execute(i);
         }
     } else {
@@ -357,7 +263,7 @@ Sweep::run()
         for (std::size_t i = 0; i < pending.size(); ++i) {
             // Each task writes only its own pre-allocated slot;
             // wait_idle() publishes all slots to this thread.
-            if (mine[i] && !replayed[i])
+            if (!replayed[i])
                 pool.submit([&execute, i] { execute(i); });
         }
         pool.wait_idle();
@@ -369,13 +275,8 @@ Sweep::run()
 
     // Aggregate strictly in plan order: output is independent of the
     // completion order above, and of which trials were journal replays.
-    // A shard aggregates only its assigned trials; unless it owns the
-    // whole plan its durable output is the journal, and a merge owns the
-    // JSON.
     run.sink.set_meta(options_.name, options_.master_seed);
     for (std::size_t i = 0; i < pending.size(); ++i) {
-        if (!mine[i])
-            continue;
         const TrialOutcome &outcome = run.outcomes[i];
         switch (outcome.status) {
           case TrialStatus::kSkipped:
@@ -393,8 +294,6 @@ Sweep::run()
     }
 
     for (std::size_t i = 0; i < pending.size(); ++i) {
-        if (!mine[i])
-            continue;
         const TrialOutcome &outcome = run.outcomes[i];
         if (!outcome.failed())
             continue;
@@ -409,10 +308,8 @@ Sweep::run()
                   << " (replay with --jobs 1 --replay-trial "
                   << pending[i].spec.global_index << ")\n";
     }
-    std::cerr << "[runner] " << options_.name;
-    if (assigned != pending.size())
-        std::cerr << " shard " << shard.index << "/" << shard.count;
-    std::cerr << ": " << assigned << " trial(s) on " << jobs
+    std::cerr << "[runner] " << options_.name << ": " << pending.size()
+              << " trial(s) on " << jobs
               << " job(s) in " << run.wall_seconds << " s";
     if (run.resumed != 0)
         std::cerr << ", " << run.resumed << " resumed from journal";
@@ -493,33 +390,22 @@ int
 finish_sweep(const SweepRun &run, const SweepOptions &options)
 {
     const bool journaling = journaling_enabled(options);
-    const ShardAssignment &shard = options.shard;
     if (!run.complete()) {
         std::cerr << "[runner] " << options.name << ": interrupted — "
                   << run.skipped << " trial(s) not run";
         if (journaling) {
             std::cerr << "; resume with --resume (journal: "
-                      << journal_path(options.json_out, shard.index,
-                                      shard.count)
-                      << ")";
+                      << journal_path(options.json_out) << ")";
         }
         std::cerr << "\n";
         // No JSON: a partial report must never overwrite a committed one.
         return kExitPartial;
     }
-    // Only a run with an outcome for every plan trial commits: a report
-    // over part of the plan would look complete and be wrong.
-    if (run.commits_report()) {
-        if (!write_json_output(run.sink, options))
-            return kExitJsonError;
-        // The report is durably committed; the journals are redundant.
-        if (journaling) {
-            for (std::uint32_t k = 0; k < shard.count; ++k) {
-                std::remove(
-                    journal_path(options.json_out, k, shard.count).c_str());
-            }
-        }
-    }
+    if (!write_json_output(run.sink, options))
+        return kExitJsonError;
+    // The report is durably committed; the journal is redundant.
+    if (journaling)
+        std::remove(journal_path(options.json_out).c_str());
     return run.failed != 0 ? kExitTrialFailure : kExitOk;
 }
 

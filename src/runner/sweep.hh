@@ -20,9 +20,6 @@
  *     (append-only, checksummed, fsync'd) to `<json-out>.journal`;
  *     --resume replays the journal and runs only the remainder, and the
  *     final JSON is byte-identical to an uninterrupted run;
- *   - every run executes one ShardAssignment: a plain run is shard 0 of
- *     1 and owns the whole plan, so it shares its journal format, replay
- *     and commit path with the shards of a supervised campaign;
  *   - request_shutdown() (wired to SIGINT/SIGTERM by the driver) drains
  *     the sweep: in-flight trials finish, unstarted trials are skipped,
  *     the journal stays on disk for --resume, and finish_sweep() maps
@@ -48,45 +45,6 @@
 
 namespace anvil::runner {
 
-/** An inclusive range of global trial indices. */
-struct TrialRange {
-    std::uint64_t first = 0;
-    std::uint64_t last = 0;
-
-    bool
-    contains(std::uint64_t index) const
-    {
-        return index >= first && index <= last;
-    }
-    std::uint64_t size() const { return last - first + 1; }
-};
-
-/**
- * One shard's slice of a campaign: which trials this process owns, its
- * identity within the shard set, and how often it proves liveness. Every
- * Sweep::run() executes one; the default — shard 0 of 1 — owns the whole
- * plan. The run journals to journal_path(json_out, index, count), and
- * finish_sweep() commits a report only for a run that owns the whole
- * plan (a merge of the shard journals commits the others').
- */
-struct ShardAssignment {
-    std::uint32_t index = 0;  ///< shard slot K
-    std::uint32_t count = 1;  ///< shards in the campaign
-    /// Trials this process owns; disjoint, ascending. Empty = shard K's
-    /// slice of an even partition of the plan — all of it for shard 0
-    /// of 1, nothing for a shard past the trial count (which still
-    /// leaves a valid, bare journal).
-    std::vector<TrialRange> ranges;
-    /// Lease heartbeat period for supervised shards; 0 = no heartbeat.
-    std::uint64_t lease_interval_ms = 0;
-
-    /**
-     * The trials this shard owns in a plan of @p total trials.
-     * @throw Error when index is not below count.
-     */
-    std::vector<TrialRange> owned(std::uint64_t total) const;
-};
-
 /** How a sweep executes (not what it computes). */
 struct SweepOptions {
     std::string name = "sweep";
@@ -102,12 +60,10 @@ struct SweepOptions {
     unsigned retries = 0;
     /// Per-trial simulated-event budget (memory accesses); 0 = unlimited.
     std::uint64_t trial_timeout = 0;
-    /// Replay this shard's journal and run only the missing trials.
+    /// Replay the run's journal and run only the missing trials.
     bool resume = false;
     /// Deterministic fault injections (tests / CI).
     std::vector<FaultSpec> faults;
-    /// The slice of the plan this run executes (default: all of it).
-    ShardAssignment shard;
 };
 
 /** Computes one trial's TrialResult. Must be thread-safe & self-contained. */
@@ -125,18 +81,11 @@ struct SweepRun {
     double wall_seconds = 0.0;
     unsigned jobs_used = 0;
 
-    /** False when a shutdown drain left trials unrun (resumable). */
-    bool complete() const { return skipped == 0; }
-
     /**
-     * True when every trial of the run's plan has an outcome — the run
-     * owns the whole plan and was not drained — so finish_sweep()
-     * commits its report.
+     * False when a shutdown drain left trials unrun (resumable); true
+     * exactly when finish_sweep() commits the report.
      */
-    bool commits_report() const
-    {
-        return completed + failed == outcomes.size();
-    }
+    bool complete() const { return skipped == 0; }
 };
 
 /** A set of scenarios executed as one (possibly parallel) batch. */
@@ -159,8 +108,7 @@ class Sweep
      * sink a sweep).
      * @throw Error only for configuration-level faults: a --resume
      *        journal that belongs to a different sweep, or journal I/O
-     *        failure (when resuming, or when the run owns only part of
-     *        the plan and the journal is its sole output).
+     *        failure while resuming.
      */
     SweepRun run();
 
@@ -168,9 +116,8 @@ class Sweep
 
     /**
      * The full deterministic trial plan (every scenario × trial, seeds
-     * assigned) — what a supervisor partitions into shards and a merge
-     * validates journals against. Independent of shard assignment and
-     * replay filtering.
+     * assigned) — what a --resume journal is validated against.
+     * Independent of replay filtering.
      */
     std::vector<TrialSpec> plan_specs() const;
 
@@ -224,12 +171,6 @@ enum ExitCode : int {
     kExitUsage = 2,         ///< bad command line / unknown sweep
     kExitPartial = 3,       ///< drained by shutdown; resumable
     kExitTrialFailure = 4,  ///< complete, but >= 1 trial failed
-    kExitShardDead = 5,     ///< supervisor: trials outstanding after
-                            ///< every shard slot exhausted its respawn
-                            ///< budget (rerun `supervise` to continue)
-    kExitMergeError = 6,    ///< merge: shard journals incomplete,
-                            ///< conflicting, or invalid — no report
-                            ///< was written
 };
 
 /**
@@ -242,12 +183,8 @@ enum ExitCode : int {
 bool write_json_output(const ResultSink &sink, const SweepOptions &options);
 
 /**
- * Finishes a sweep run — the one commit path of plain runs, shards and
- * merged campaigns. A complete run that owns the whole plan (every plan
- * trial has an outcome in @p run) writes the JSON report and, once it is
- * durably committed, removes the campaign's journals (all
- * options.shard.count of them). A run that owns only part of the plan
- * writes no report: its journal is its output, for a merge to fold.
+ * Finishes a sweep run — its one commit path. A complete run writes the
+ * JSON report and, once it is durably committed, removes the journal.
  * Maps the run's state to its ExitCode — kExitPartial for an interrupted
  * run (journal kept for --resume), kExitJsonError when the report could
  * not be written, kExitTrialFailure when any trial failed, else kExitOk.

@@ -56,8 +56,8 @@ std::uint64_t sub_seed(std::uint64_t seed, std::string_view stream);
 
 /**
  * Order-sensitive digest of a whole trial plan (every spec's scenario,
- * trial index, seed, and global index). Shard journals record it so a
- * merge or resume can refuse records produced against a different sweep
+ * trial index, seed, and global index). The checkpoint journal records
+ * it so --resume can refuse records produced against a different sweep
  * definition without replaying them first.
  */
 std::uint64_t plan_hash(const std::vector<TrialSpec> &plan);

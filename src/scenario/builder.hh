@@ -181,12 +181,10 @@ class ScenarioBuilder
  * Instantiates a SweepSpec as a configured (not yet run) runner::Sweep:
  * validates the spec, sets cli.sweep.name to the spec's name, and
  * registers every cell with its per-cell fixed trial count (else
- * cli.trials_or(default)). The sharded-campaign machinery builds on
- * this — a supervisor needs the sweep's deterministic trial plan
- * (Sweep::plan_specs()) without running anything, and a shard child
- * needs the same Sweep run under its ShardAssignment. Does NOT apply
+ * cli.trials_or(default)). Also yields the sweep's deterministic trial
+ * plan (Sweep::plan_specs()) without running anything. Does NOT apply
  * spec.finalize; callers that run the sweep themselves must apply it to
- * the resulting sink (run_sweep and the merge path both do).
+ * the resulting sink (run_sweep does).
  * @throw Error when the spec fails validation (validate.hh).
  */
 runner::Sweep make_sweep(const SweepSpec &spec, runner::CliOptions &cli);

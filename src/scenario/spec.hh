@@ -303,9 +303,9 @@ struct SweepSpec {
     /// Default trials per cell when --trials is not given.
     std::uint64_t default_trials = 1;
     /// Computes derived aggregates (set_derived) after the sweep runs,
-    /// on every path that builds a report (a run, a shard merge), so
-    /// they all emit identical JSON. Cells absent from the sink (a
-    /// --replay-trial run) are skipped, never created.
+    /// on every driver's path that builds a report, so they all emit
+    /// identical JSON. Cells absent from the sink (a --replay-trial
+    /// run) are skipped, never created.
     std::function<void(runner::ResultSink &)> finalize;
     /// Prints the paper's table(s) from a finalized whole-plan report.
     /// Reads derived aggregates back from the sink rather than

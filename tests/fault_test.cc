@@ -92,7 +92,7 @@ temp_path(const std::string &name)
     const std::string path =
         ::testing::TempDir() + "anvil_fault_test_" + name;
     std::remove(path.c_str());
-    std::remove(runner::journal_path(path, 0, 1).c_str());
+    std::remove(runner::journal_path(path).c_str());
     return path;
 }
 
@@ -119,6 +119,9 @@ TEST(FaultSpec, ParsesKindScenarioAndTrial)
     EXPECT_EQ(g.kind, runner::FaultKind::kHang);
     EXPECT_EQ(g.scenario, "a:b");
     EXPECT_EQ(g.trial, 2u);
+
+    EXPECT_EQ(runner::parse_fault("stall@alpha:0").kind,
+              runner::FaultKind::kStall);
 }
 
 TEST(FaultSpec, RejectsMalformedSpecs)
@@ -128,6 +131,9 @@ TEST(FaultSpec, RejectsMalformedSpecs)
     EXPECT_THROW(runner::parse_fault("throw@x:notanumber"), Error);
     EXPECT_THROW(runner::parse_fault("bogus@x:1"), Error);
     EXPECT_THROW(runner::parse_fault("throw@x:"), Error);
+    // The process-killing kinds left with the process supervisor.
+    EXPECT_THROW(runner::parse_fault("abort@x:1"), Error);
+    EXPECT_THROW(runner::parse_fault("sigkill-self@x:1"), Error);
 }
 
 TEST(FaultSpec, PlanMatchesExactCoordinatesOnly)
@@ -286,12 +292,12 @@ plan_of(const std::string &sweep, std::uint64_t master_seed)
     return s.plan_specs();
 }
 
-/** The header of a plain run's journal of @p sweep: shard 0 of 1. */
+/** The header of a run's journal of @p sweep. */
 runner::JournalHeader
 plain_header(const std::string &sweep, std::uint64_t master_seed)
 {
     return {sweep, master_seed,
-            runner::plan_hash(plan_of(sweep, master_seed)), 0, 1};
+            runner::plan_hash(plan_of(sweep, master_seed))};
 }
 
 TEST(Journal, RoundTripsEveryFieldBitExactly)
@@ -440,6 +446,44 @@ TEST(Journal, RejectsForeignFilesAndMismatchedSweeps)
     EXPECT_THROW(
         writer.open(other, plain_header("sweep_b", 1), /*append=*/true),
         Error);
+
+    // A journal of an older format version (v3 carried shard identity)
+    // is refused by name, never misparsed — by the reader and by a
+    // --resume run.
+    const std::string old_version = temp_path("v3.json");
+    const std::string old_journal = runner::journal_path(old_version);
+    {
+        runner::JournalWriter v4;
+        v4.open(old_journal, plain_header("synthetic", 1),
+                /*append=*/false);
+    }
+    {
+        // The version field follows the 8-byte magic.
+        std::fstream patch(old_journal,
+                           std::ios::binary | std::ios::in | std::ios::out);
+        patch.seekp(8);
+        const std::uint32_t v3 = 3;
+        patch.write(reinterpret_cast<const char *>(&v3), sizeof v3);
+    }
+    try {
+        runner::read_journal(old_journal, plain_header("synthetic", 1),
+                             plan);
+        FAIL() << "v3 journal accepted";
+    } catch (const Error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("version=3"), std::string::npos) << what;
+        EXPECT_NE(what.find("supported=4"), std::string::npos) << what;
+    }
+    runner::SweepOptions options = base_options();
+    options.name = "synthetic";
+    options.master_seed = 1;
+    options.json_out = old_version;
+    options.resume = true;
+    runner::Sweep resumed(options);
+    resumed.add_scenario("alpha", 3, synthetic_result);
+    resumed.add_scenario("beta", 3, synthetic_result);
+    EXPECT_THROW(resumed.run(), Error);
+    std::remove(old_journal.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -468,7 +512,7 @@ TEST(Resume, DrainedSweepResumesToByteIdenticalJson)
         runner::SweepRun run =
             two_scenario_sweep(ref_options, synthetic_result).run();
         EXPECT_EQ(runner::finish_sweep(run, ref_options), runner::kExitOk);
-        EXPECT_FALSE(file_exists(runner::journal_path(ref_json, 0, 1)))
+        EXPECT_FALSE(file_exists(runner::journal_path(ref_json)))
             << "a committed report must remove its journal";
     }
     const std::string reference = slurp(ref_json);
@@ -497,7 +541,7 @@ TEST(Resume, DrainedSweepResumesToByteIdenticalJson)
                   runner::kExitPartial);
         EXPECT_FALSE(file_exists(out_json))
             << "a partial run must not write final JSON";
-        EXPECT_TRUE(file_exists(runner::journal_path(out_json, 0, 1)))
+        EXPECT_TRUE(file_exists(runner::journal_path(out_json)))
             << "the journal must survive for --resume";
     }
 
@@ -514,7 +558,7 @@ TEST(Resume, DrainedSweepResumesToByteIdenticalJson)
     }
     EXPECT_EQ(slurp(out_json), reference)
         << "resume must be byte-identical to an uninterrupted run";
-    EXPECT_FALSE(file_exists(runner::journal_path(out_json, 0, 1)));
+    EXPECT_FALSE(file_exists(runner::journal_path(out_json)));
 }
 
 TEST(Resume, RefusesAJournalThatContradictsThePlan)
@@ -550,7 +594,7 @@ TEST(Resume, RefusesAJournalThatContradictsThePlan)
                   std::string::npos)
             << e.what();
     }
-    std::remove(runner::journal_path(out_json, 0, 1).c_str());
+    std::remove(runner::journal_path(out_json).c_str());
 }
 
 TEST(Output, JsonWritesAreAtomicAndFailuresAreReported)

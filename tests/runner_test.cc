@@ -336,6 +336,22 @@ TEST(CliOptions, ParsesRunnerFlagsAndPositionals)
     ASSERT_EQ(opts.positional.size(), 1u);
     EXPECT_DOUBLE_EQ(opts.positional_double(0, 3.0), 2.5);
     EXPECT_DOUBLE_EQ(opts.positional_double(1, 3.0), 3.0);
+
+    // A sweep argument must be wholly a finite number > 0: anything
+    // else would run a silently wrong (nan rates) or endless sweep.
+    for (const char *bad : {"abc", "1e3x", "-1", "0", "nan", "inf"}) {
+        opts.positional = {bad};
+        try {
+            opts.positional_double(0, 3.0);
+            ADD_FAILURE() << "accepted sweep argument '" << bad << "'";
+        } catch (const Error &e) {
+            EXPECT_NE(std::string(e.what()).find(bad), std::string::npos)
+                << e.what();
+            EXPECT_NE(std::string(e.what()).find("argument=0"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(CliOptions, ParsesFaultToleranceFlags)
