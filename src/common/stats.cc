@@ -67,39 +67,4 @@ RunningStat::stddev() const
     return std::sqrt(variance());
 }
 
-void
-SampleStat::add(double x)
-{
-    summary_.add(x);
-    if (samples_.size() < max_samples_) {
-        samples_.push_back(x);
-        sorted_ = false;
-    }
-}
-
-void
-SampleStat::reset()
-{
-    summary_.reset();
-    samples_.clear();
-    sorted_ = true;
-}
-
-double
-SampleStat::percentile(double p) const
-{
-    if (samples_.empty())
-        return 0.0;
-    if (!sorted_) {
-        std::sort(samples_.begin(), samples_.end());
-        sorted_ = true;
-    }
-    const double rank =
-        (p / 100.0) * static_cast<double>(samples_.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const auto hi = std::min(lo + 1, samples_.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
 }  // namespace anvil

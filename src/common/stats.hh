@@ -62,31 +62,6 @@ class RunningStat
     double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/**
- * Sample reservoir that also keeps full summary stats; percentiles are
- * computed over the (bounded) stored sample set.
- */
-class SampleStat
-{
-  public:
-    explicit SampleStat(std::size_t max_samples = 1 << 16)
-        : max_samples_(max_samples) {}
-
-    void add(double x);
-    void reset();
-
-    const RunningStat &summary() const { return summary_; }
-
-    /** p in [0, 100]; linear interpolation between order statistics. */
-    double percentile(double p) const;
-
-  private:
-    RunningStat summary_;
-    std::size_t max_samples_;
-    mutable std::vector<double> samples_;
-    mutable bool sorted_ = true;
-};
-
 /** A labelled scalar for report output. */
 struct NamedValue {
     std::string name;

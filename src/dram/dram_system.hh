@@ -130,7 +130,6 @@ class DramSystem
 
     /** All bit flips recorded so far, in time order. */
     const std::vector<FlipEvent> &flips() const { return flips_; }
-    void clear_flips() { flips_.clear(); }
 
     /** Disturbance telemetry for tests. */
     const DisturbanceModel &

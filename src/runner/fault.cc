@@ -4,8 +4,6 @@
 
 #include <cstdlib>
 
-#include "common/rng.hh"
-
 namespace anvil::runner {
 namespace {
 
@@ -14,16 +12,11 @@ parse_kind(const std::string &text)
 {
     if (text == "throw")
         return FaultKind::kThrow;
-    if (text == "flaky")
-        return FaultKind::kFlaky;
     if (text == "hang")
         return FaultKind::kHang;
-    if (text == "corrupt")
-        return FaultKind::kCorrupt;
     if (text == "stall")
         return FaultKind::kStall;
-    throw Error("unknown fault kind (expected throw, flaky, hang, "
-                "corrupt, or stall)")
+    throw Error("unknown fault kind (expected throw, hang, or stall)")
         .with("kind", text);
 }
 
@@ -64,16 +57,11 @@ FaultPlan::match(const TrialSpec &spec) const
 }
 
 void
-FaultPlan::inject_before(const FaultSpec &fault, const TrialContext &ctx,
-                         unsigned attempt)
+FaultPlan::inject_before(const FaultSpec &fault, const TrialContext &ctx)
 {
     switch (fault.kind) {
       case FaultKind::kThrow:
           throw Error("injected fault").with("kind", "throw");
-      case FaultKind::kFlaky:
-          if (attempt == 1)
-              throw Error("injected fault").with("kind", "flaky");
-          break;
       case FaultKind::kHang:
           if (!ctx.watchdog().armed()) {
               throw Error("injected hang would never terminate; set "
@@ -81,7 +69,7 @@ FaultPlan::inject_before(const FaultSpec &fault, const TrialContext &ctx,
                   .with("kind", "hang");
           }
           // A runaway trial: consume simulated events until the watchdog
-          // aborts the attempt with TimeoutError.
+          // aborts the trial with TimeoutError.
           for (;;)
               ctx.watchdog().tick();
       case FaultKind::kStall:
@@ -89,27 +77,6 @@ FaultPlan::inject_before(const FaultSpec &fault, const TrialContext &ctx,
           // normally) or a kill.
           ::raise(SIGSTOP);
           break;
-      default:
-          break;
-    }
-}
-
-void
-FaultPlan::inject_after(const FaultSpec &fault, const TrialSpec &spec,
-                        TrialResult &result)
-{
-    if (fault.kind != FaultKind::kCorrupt)
-        return;
-    // Silent corruption, seeded from the trial's named sub-stream so the
-    // perturbation itself is replayable.
-    std::uint64_t x = sub_seed(spec.seed, "fault");
-    for (auto &[name, v] : result.counters()) {
-        x = splitmix64(x);
-        v += 1 + x % 1000;
-    }
-    for (auto &[name, v] : result.values()) {
-        x = splitmix64(x);
-        v += 1.0 + static_cast<double>(x % 1000);
     }
 }
 

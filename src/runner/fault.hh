@@ -4,26 +4,18 @@
  *
  * A FaultPlan forces failures at chosen (scenario, trial) coordinates so
  * tests and CI can exercise every fault path of the sweep engine — error
- * boundaries, retries, watchdog timeouts, journaling, resume, and the
- * SIGTERM drain — without depending on real infrastructure flaking at
- * the right moment. All injected behaviour is a pure function of the
- * trial's identity (and, for corruption, of the trial RNG's named
- * "fault" sub-stream), so an injection is exactly replayable: the same
- * command line fails the same trial the same way every run.
+ * boundaries, watchdog timeouts, journaling, resume, and the SIGTERM
+ * drain — without depending on real infrastructure failing at the right
+ * moment. All injected behaviour is a pure function of the trial's
+ * identity, so an injection is exactly replayable: the same command line
+ * fails the same trial the same way every run.
  *
  * CLI syntax (repeatable): --inject-fault kind@scenario:trial
  *
- *   throw        the trial throws before running (fails every attempt)
- *   flaky        the trial throws on its first attempt only — succeeds
- *                when retried, with the identical re-derived seed
- *                (exercises --retries determinism)
+ *   throw        the trial throws before running
  *   hang         the trial spins consuming simulated events until the
  *                --trial-timeout watchdog aborts it (an error when no
  *                timeout is configured, since it would never terminate)
- *   corrupt      the trial runs normally, then its counters are
- *                perturbed by a seed-derived delta (silent corruption;
- *                exercises downstream detection such as resume
- *                byte-comparisons)
  *   stall        SIGSTOP to the own process before the trial runs, on
  *                every execution — every thread freezes, so a test or
  *                CI step can deliver SIGTERM or SIGKILL at a known point
@@ -43,9 +35,7 @@ namespace anvil::runner {
 /** What an injected fault does to its trial. */
 enum class FaultKind : std::uint8_t {
     kThrow,
-    kFlaky,
     kHang,
-    kCorrupt,
     kStall,  ///< SIGSTOP to the own process before the trial
 };
 
@@ -79,21 +69,11 @@ class FaultPlan
     const FaultSpec *match(const TrialSpec &spec) const;
 
     /**
-     * Runs the pre-execution stage of @p fault for attempt @p attempt
-     * (1-based): throws for kThrow always and kFlaky on the first
-     * attempt; spins the watchdog down for kHang; stops the process for
-     * kStall. No-op for kCorrupt.
+     * Runs @p fault before its trial body: throws for kThrow, spins the
+     * watchdog down for kHang, stops the process for kStall.
      */
     static void inject_before(const FaultSpec &fault,
-                              const TrialContext &ctx, unsigned attempt);
-
-    /**
-     * Runs the post-execution stage: perturbs @p result's counters and
-     * values by deltas drawn from the trial's "fault" sub-stream
-     * (kCorrupt only).
-     */
-    static void inject_after(const FaultSpec &fault, const TrialSpec &spec,
-                             TrialResult &result);
+                              const TrialContext &ctx);
 
   private:
     std::vector<FaultSpec> faults_;

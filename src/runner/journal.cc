@@ -14,8 +14,9 @@ namespace {
 
 constexpr char kMagic[8] = {'A', 'N', 'V', 'L', 'J', 'N', 'L', '1'};
 // v2 added the plan hash to the header; v4 dropped v3's shard identity
-// and the per-record type byte (every record is a trial record).
-constexpr std::uint32_t kVersion = 4;
+// and the per-record type byte (every record is a trial record); v5
+// dropped the per-record attempt count.
+constexpr std::uint32_t kVersion = 5;
 
 /** FNV-1a 64-bit over raw bytes (record checksums). */
 std::uint64_t
@@ -226,7 +227,6 @@ decode_payload(const char *data, std::size_t size)
     rec.spec.seed = d.get_u64();
     rec.spec.scenario = d.get_string();
     rec.outcome.status = static_cast<TrialStatus>(d.get_u8());
-    rec.outcome.attempts = d.get_u32();
     rec.outcome.error = d.get_string();
     const std::uint32_t nvalues = d.get_u32();
     for (std::uint32_t i = 0; i < nvalues; ++i) {
@@ -276,7 +276,6 @@ encode_payload(const TrialSpec &spec, const TrialOutcome &outcome)
     e.put_u64(spec.seed);
     e.put_string(spec.scenario);
     e.put_u8(static_cast<std::uint8_t>(outcome.status));
-    e.put_u32(outcome.attempts);
     e.put_string(outcome.error);
     const TrialResult &r = outcome.result;
     e.put_u32(static_cast<std::uint32_t>(r.values().size()));
@@ -313,30 +312,38 @@ encode_payload(const TrialSpec &spec, const TrialOutcome &outcome)
     return e.bytes;
 }
 
-void
-write_all(int fd, const char *data, std::size_t size,
-          const std::string &path)
-{
-    while (size > 0) {
-        const ssize_t n = ::write(fd, data, size);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            throw Error("journal write failed")
-                .with("path", path)
-                .caused_by(std::strerror(errno));
-        }
-        data += n;
-        size -= static_cast<std::size_t>(n);
-    }
-}
-
 }  // namespace
 
 std::string
 journal_path(const std::string &json_out)
 {
     return json_out + ".journal";
+}
+
+void
+write_all(int fd, std::string_view data, const std::string &path)
+{
+    while (!data.empty()) {
+        const ssize_t n = ::write(fd, data.data(), data.size());
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            throw Error("write failed")
+                .with("path", path)
+                .caused_by(std::strerror(errno));
+        }
+        data.remove_prefix(static_cast<std::size_t>(n));
+    }
+}
+
+void
+fsync_file(int fd, const std::string &path)
+{
+    if (::fsync(fd) != 0) {
+        throw Error("fsync failed")
+            .with("path", path)
+            .caused_by(std::strerror(errno));
+    }
 }
 
 void
@@ -406,8 +413,16 @@ JournalWriter::open(const std::string &path, const JournalHeader &header,
             .with("path", path)
             .caused_by(std::strerror(errno));
     }
-    write_all(fd_, encoded.data(), encoded.size(), path_);
-    ::fsync(fd_);
+    try {
+        write_all(fd_, encoded, path_);
+        fsync_file(fd_, path_);
+    } catch (const Error &) {
+        // A journal whose header never reached the disk resumes nothing;
+        // closed, later appends are no-ops.
+        ::close(fd_);
+        fd_ = -1;
+        throw;
+    }
     // A journal whose directory entry evaporates on power loss would
     // leave a committed-looking run with nothing to resume from.
     fsync_parent_dir(path_);
@@ -427,8 +442,8 @@ JournalWriter::append(const TrialSpec &spec, const TrialOutcome &outcome)
         return;
     // One contiguous write then fsync: a crash leaves at most one torn
     // trailing record, which read_journal truncates away on resume.
-    write_all(fd_, record.bytes.data(), record.bytes.size(), path_);
-    ::fsync(fd_);
+    write_all(fd_, record.bytes, path_);
+    fsync_file(fd_, path_);
 }
 
 void

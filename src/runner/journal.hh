@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "runner/trial.hh"
@@ -115,6 +116,15 @@ std::vector<JournalRecord> read_journal(const std::string &path,
 
 /** The checkpoint journal of a JSON destination: `<json_out>.journal`. */
 std::string journal_path(const std::string &json_out);
+
+/**
+ * Writes all of @p data to @p fd, resuming after short writes and EINTR.
+ * @throw Error naming @p path on a write failure.
+ */
+void write_all(int fd, std::string_view data, const std::string &path);
+
+/** fsyncs @p fd. @throw Error naming @p path when the sync fails. */
+void fsync_file(int fd, const std::string &path);
 
 /**
  * fsyncs the directory containing @p path, making a just-created or

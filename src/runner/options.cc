@@ -1,6 +1,8 @@
 #include "runner/options.hh"
 
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string_view>
@@ -21,30 +23,31 @@ print_usage(const char *prog, const std::string &extra)
         << "  --json-out PATH    write aggregated JSON report (\"-\" = "
            "stdout)\n"
         << "  --replay-trial N   run only global trial N, serially\n"
-        << "  --retries N        re-run failed trials up to N extra times "
-           "(same seed)\n"
         << "  --trial-timeout N  per-trial simulated-event budget "
            "(0 = unlimited)\n"
         << "  --resume           replay the run's journal and run only "
            "missing trials\n"
         << "  --inject-fault S   inject a deterministic fault, "
            "S = kind@scenario:trial\n"
-        << "                     (kind: throw | flaky | hang | corrupt | "
-           "stall;\n"
-        << "                      repeatable)\n"
+        << "                     (kind: throw | hang | stall; "
+           "repeatable)\n"
         << "  --help             this message\n";
     if (!extra.empty())
         std::cerr << extra << "\n";
 }
 
-/** Parses a uint64 flag value; exits 2 with usage on garbage. */
+/**
+ * Parses a uint64 flag value of at most @p max; exits 2 with usage on
+ * garbage or a larger value.
+ */
 std::uint64_t
 parse_u64(const char *prog, const std::string &extra,
-          std::string_view flag, const char *text)
+          std::string_view flag, const char *text,
+          std::uint64_t max = UINT64_MAX)
 {
     char *end = nullptr;
     const std::uint64_t v = std::strtoull(text, &end, 0);
-    if (end == text || *end != '\0') {
+    if (end == text || *end != '\0' || v > max) {
         std::cerr << prog << ": bad value for " << flag << ": '" << text
                   << "'\n";
         print_usage(prog, extra);
@@ -104,8 +107,8 @@ CliOptions::parse(int argc, char **argv, const std::string &extra_usage)
             print_usage(prog, extra_usage);
             std::exit(0);
         } else if (arg == "--jobs" || arg == "-j") {
-            opts.sweep.jobs = static_cast<unsigned>(
-                parse_u64(prog, extra_usage, arg, take_value()));
+            opts.sweep.jobs = static_cast<unsigned>(parse_u64(
+                prog, extra_usage, arg, take_value(), UINT_MAX));
         } else if (arg == "--master-seed") {
             opts.sweep.master_seed =
                 parse_u64(prog, extra_usage, arg, take_value());
@@ -116,9 +119,6 @@ CliOptions::parse(int argc, char **argv, const std::string &extra_usage)
         } else if (arg == "--replay-trial") {
             opts.sweep.replay_trial =
                 parse_u64(prog, extra_usage, arg, take_value());
-        } else if (arg == "--retries") {
-            opts.sweep.retries = static_cast<unsigned>(
-                parse_u64(prog, extra_usage, arg, take_value()));
         } else if (arg == "--trial-timeout") {
             opts.sweep.trial_timeout =
                 parse_u64(prog, extra_usage, arg, take_value());

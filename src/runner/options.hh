@@ -6,12 +6,12 @@
  * Both accept the same sweep-control flags (documented in
  * EXPERIMENTS.md):
  *
- *   --jobs N           worker threads (default: one per hardware thread)
+ *   --jobs N           workers, <= UINT_MAX (default: one per hardware
+ *                      thread)
  *   --master-seed N    seed root for all trials (default 0x5eed)
  *   --trials N         override each scenario's default trial count
  *   --json-out PATH    write the aggregated JSON report (PATH or "-")
  *   --replay-trial N   run only global trial N, serially (debugging)
- *   --retries N        re-run failed trials up to N extra times
  *   --trial-timeout N  per-trial simulated-event budget (0 = unlimited)
  *   --resume           replay <json-out>.journal; run only what's missing
  *   --inject-fault S   deterministic fault "kind@scenario:trial" (CI/tests)

@@ -51,8 +51,7 @@ ScenarioAggregate::add(const TrialSpec &spec, const TrialOutcome &outcome)
     if (outcome.failed()) {
         ++errors_;
         failures_.push_back(TrialFailure{spec.trial, spec.seed,
-                                         outcome.status, outcome.attempts,
-                                         outcome.error});
+                                         outcome.status, outcome.error});
         return;
     }
     const TrialResult &result = outcome.result;
@@ -154,7 +153,6 @@ ScenarioAggregate::write_json(JsonWriter &json) const
             json.field("trial", f.trial);
             json.field("seed", f.seed);
             json.field("status", to_string(f.status));
-            json.field("attempts", std::uint64_t{f.attempts});
             json.field("error", f.error);
             json.end_object();
         }

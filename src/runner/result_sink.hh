@@ -32,7 +32,6 @@ struct TrialFailure {
     std::uint64_t trial = 0;
     std::uint64_t seed = 0;
     TrialStatus status = TrialStatus::kFailed;
-    std::uint32_t attempts = 1;
     std::string error;
 };
 

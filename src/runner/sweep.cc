@@ -1,5 +1,6 @@
 #include "runner/sweep.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -8,12 +9,12 @@
 #include <exception>
 #include <iostream>
 #include <sstream>
+#include <thread>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include "runner/journal.hh"
-#include "runner/thread_pool.hh"
 
 namespace anvil::runner {
 namespace {
@@ -48,47 +49,32 @@ boundary_error(const char *what_happened, const TrialSpec &spec,
 }
 
 /**
- * The per-trial error boundary: runs @p fn with fault injection, the
- * watchdog, and deterministic retries. Never throws — every failure mode
- * becomes a structured outcome.
+ * The per-trial error boundary: runs @p fn under fault injection and the
+ * watchdog. Never throws — every failure mode becomes a structured
+ * outcome. There is no retry: the trial is a pure function of its seed,
+ * so running it again could only reproduce the failure.
  */
 TrialOutcome
 run_one(const TrialSpec &spec, const TrialFn &fn,
         const SweepOptions &options, const FaultPlan &faults)
 {
-    const FaultSpec *fault = faults.match(spec);
-    const unsigned max_attempts = 1 + options.retries;
     TrialOutcome outcome;
-    for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
-        outcome = TrialOutcome{};
-        outcome.attempts = attempt;
-        try {
-            // The context (and therefore every seed stream) is re-derived
-            // identically on every attempt: a retry that succeeds yields
-            // the result the trial would always have produced.
-            TrialContext ctx(spec);
-            ctx.watchdog().arm(options.trial_timeout);
-            if (fault != nullptr)
-                FaultPlan::inject_before(*fault, ctx, attempt);
-            outcome.result = fn(ctx);
-            if (fault != nullptr)
-                FaultPlan::inject_after(*fault, spec, outcome.result);
-            outcome.status = TrialStatus::kOk;
-            return outcome;
-        } catch (const TimeoutError &e) {
-            // Deterministic by construction: a retry would burn the whole
-            // budget again and time out at the identical event, so don't.
-            outcome.status = TrialStatus::kTimedOut;
-            outcome.error = boundary_error("trial timed out", spec, e);
-            return outcome;
-        } catch (const std::exception &e) {
-            outcome.status = TrialStatus::kFailed;
-            outcome.error = boundary_error("trial failed", spec, e);
-        } catch (...) {
-            outcome.status = TrialStatus::kFailed;
-            outcome.error = boundary_error(
-                "trial failed", spec, Error("unknown exception"));
-        }
+    try {
+        TrialContext ctx(spec);
+        ctx.watchdog().arm(options.trial_timeout);
+        if (const FaultSpec *fault = faults.match(spec))
+            FaultPlan::inject_before(*fault, ctx);
+        outcome.result = fn(ctx);
+    } catch (const TimeoutError &e) {
+        outcome.status = TrialStatus::kTimedOut;
+        outcome.error = boundary_error("trial timed out", spec, e);
+    } catch (const std::exception &e) {
+        outcome.status = TrialStatus::kFailed;
+        outcome.error = boundary_error("trial failed", spec, e);
+    } catch (...) {
+        outcome.status = TrialStatus::kFailed;
+        outcome.error =
+            boundary_error("trial failed", spec, Error("unknown exception"));
     }
     return outcome;
 }
@@ -217,11 +203,13 @@ Sweep::run()
         }
     }
 
+    // --jobs 0 means one worker per hardware thread (a count the host
+    // may report as 0).
     const unsigned jobs =
-        options_.replay_trial
-            ? 1u
-            : (options_.jobs != 0 ? options_.jobs
-                                  : ThreadPool::default_threads());
+        options_.replay_trial ? 1u
+        : options_.jobs != 0
+            ? options_.jobs
+            : std::max(1u, std::thread::hardware_concurrency());
     run.jobs_used = jobs;
 
     const FaultPlan faults(options_.faults);
@@ -252,21 +240,29 @@ Sweep::run()
         }
     };
 
+    // One worker loop: the trials still to run are claimed from a single
+    // atomic index in plan order. The calling thread is a worker too, so
+    // --jobs 1 is this same loop with no helper threads. Each trial
+    // writes only its own pre-allocated slot.
+    std::vector<std::size_t> todo;
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+        if (!replayed[i])
+            todo.push_back(i);
+    }
+    std::atomic<std::size_t> next{0};
+    const auto worker = [&] {
+        for (std::size_t k; (k = next++) < todo.size();)
+            execute(todo[k]);
+    };
     const auto wall_start = std::chrono::steady_clock::now();
-    if (jobs <= 1 || pending.size() <= 1) {
-        for (std::size_t i = 0; i < pending.size(); ++i) {
-            if (!replayed[i])
-                execute(i);
-        }
-    } else {
-        ThreadPool pool(jobs);
-        for (std::size_t i = 0; i < pending.size(); ++i) {
-            // Each task writes only its own pre-allocated slot;
-            // wait_idle() publishes all slots to this thread.
-            if (!replayed[i])
-                pool.submit([&execute, i] { execute(i); });
-        }
-        pool.wait_idle();
+    {
+        // The helpers join as this scope ends (on an exception path too),
+        // which publishes every slot to this thread.
+        std::vector<std::jthread> helpers;
+        for (std::size_t t = 1;
+             t < std::min<std::size_t>(jobs, todo.size()); ++t)
+            helpers.emplace_back(worker);
+        worker();
     }
     run.wall_seconds = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - wall_start)
@@ -301,10 +297,7 @@ Sweep::run()
                   << pending[i].spec.global_index << " ("
                   << pending[i].spec.scenario << "/"
                   << pending[i].spec.trial << ") "
-                  << to_string(outcome.status);
-        if (outcome.attempts > 1)
-            std::cerr << " after " << outcome.attempts << " attempts";
-        std::cerr << ": " << outcome.error
+                  << to_string(outcome.status) << ": " << outcome.error
                   << " (replay with --jobs 1 --replay-trial "
                   << pending[i].spec.global_index << ")\n";
     }
@@ -339,24 +332,24 @@ atomic_write_file(const std::string &path, const std::string &data)
                   << " for writing: " << std::strerror(errno) << "\n";
         return false;
     }
-    const char *p = data.data();
-    std::size_t left = data.size();
-    while (left > 0) {
-        const ssize_t n = ::write(fd, p, left);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            std::cerr << "[runner] error writing " << tmp << ": "
-                      << std::strerror(errno) << "\n";
-            ::close(fd);
-            std::remove(tmp.c_str());
-            return false;
-        }
-        p += n;
-        left -= static_cast<std::size_t>(n);
+    // An unsynced or unclosed temp file must never be renamed over the
+    // report: the caller would then delete the journal, and a crash could
+    // leave neither the data nor anything to resume from.
+    try {
+        write_all(fd, data, tmp);
+        fsync_file(fd, tmp);
+    } catch (const Error &e) {
+        std::cerr << "[runner] " << e.what() << "\n";
+        ::close(fd);
+        std::remove(tmp.c_str());
+        return false;
     }
-    ::fsync(fd);
-    ::close(fd);
+    if (::close(fd) != 0) {
+        std::cerr << "[runner] cannot close " << tmp << ": "
+                  << std::strerror(errno) << "\n";
+        std::remove(tmp.c_str());
+        return false;
+    }
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         std::cerr << "[runner] cannot rename " << tmp << " to " << path
                   << ": " << std::strerror(errno) << "\n";

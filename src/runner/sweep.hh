@@ -3,19 +3,19 @@
  * The parallel, fault-tolerant experiment-sweep engine.
  *
  * A Sweep is a list of scenarios, each contributing N independent trials.
- * run() fans the trials out over a fixed-size thread pool (each trial
- * builds its own simulated machine, so there is no shared mutable state),
- * buffers every outcome in its pre-assigned slot, and then feeds the sink
- * in trial order — making the aggregate output invariant under the
- * number of worker threads and their scheduling.
+ * run() hands the trials to --jobs workers that claim them one at a time,
+ * in plan order, from a shared atomic index (each trial builds its own
+ * simulated machine, so there is no shared mutable state), buffers every
+ * outcome in its pre-assigned slot, and then feeds the sink in trial
+ * order — making the aggregate output invariant under the number of
+ * worker threads and their scheduling.
  *
  * Fault tolerance, end to end:
  *   - every trial runs inside a structured error boundary: an escaped
  *     exception (or watchdog timeout) becomes a TrialOutcome, recorded in
  *     the JSON as a "failed"/"timed_out" record — it never takes down
- *     sibling trials or the pool;
- *   - --retries N re-runs a failing trial with its identical re-derived
- *     seed, so a flaky-infra retry cannot change results;
+ *     sibling trials or the workers; it is never retried, because a
+ *     trial is a pure function of its seed and would fail the same way;
  *   - with a file JSON destination, every completed trial is journaled
  *     (append-only, checksummed, fsync'd) to `<json-out>.journal`;
  *     --resume replays the journal and runs only the remainder, and the
@@ -48,7 +48,8 @@ namespace anvil::runner {
 /** How a sweep executes (not what it computes). */
 struct SweepOptions {
     std::string name = "sweep";
-    /// Worker threads; 0 means one per hardware thread.
+    /// Workers (the calling thread is one); 0 means one per hardware
+    /// thread.
     unsigned jobs = 0;
     /// Root of the per-trial seed derivation chain.
     std::uint64_t master_seed = 0x5eedULL;
@@ -56,8 +57,6 @@ struct SweepOptions {
     std::optional<std::uint64_t> replay_trial;
     /// JSON report destination: empty = none, "-" = stdout, else a path.
     std::string json_out;
-    /// Re-run a failed trial up to this many extra times (same seed).
-    unsigned retries = 0;
     /// Per-trial simulated-event budget (memory accesses); 0 = unlimited.
     std::uint64_t trial_timeout = 0;
     /// Replay the run's journal and run only the missing trials.
@@ -79,6 +78,8 @@ struct SweepRun {
     std::uint64_t skipped = 0;    ///< drained by a shutdown request
     std::uint64_t resumed = 0;    ///< replayed from the journal
     double wall_seconds = 0.0;
+    /// The resolved --jobs value (1 for a replay), even when fewer
+    /// trials than that were left to run.
     unsigned jobs_used = 0;
 
     /**

@@ -11,9 +11,9 @@
  * aggregates to bit-identical results as a serial one.
  *
  * Fault tolerance rests on the same property: a trial that fails is
- * captured as a structured TrialOutcome (never an escaped exception), a
- * retried trial re-derives the identical seed (so a flaky-infra retry
- * cannot change results), and a runaway trial is bounded by a Watchdog
+ * captured as a structured TrialOutcome (never an escaped exception) and
+ * is never retried, since rerunning a pure function of its seed could
+ * only reproduce the failure; a runaway trial is bounded by a Watchdog
  * counting simulated events — not wall-clock time — so timeouts are
  * reproducible too.
  */
@@ -183,14 +183,8 @@ class TrialResult
     {
         return values_;
     }
-    std::vector<std::pair<std::string, double>> &values() { return values_; }
     const std::vector<std::pair<std::string, std::uint64_t>> &
     counters() const
-    {
-        return counters_;
-    }
-    std::vector<std::pair<std::string, std::uint64_t>> &
-    counters()
     {
         return counters_;
     }
@@ -221,15 +215,13 @@ std::string_view to_string(TrialStatus status);
 
 /**
  * The structured record of one trial's execution: its classification,
- * the result (valid only when ok), the rendered error chain (failed or
- * timed-out), and how many attempts were spent (> 1 when --retries
- * re-ran a failing trial with its identical re-derived seed).
+ * the result (valid only when ok) and the rendered error chain (failed
+ * or timed-out).
  */
 struct TrialOutcome {
     TrialStatus status = TrialStatus::kOk;
     TrialResult result;
     std::string error;
-    std::uint32_t attempts = 1;
 
     bool ok() const { return status == TrialStatus::kOk; }
     bool

@@ -192,8 +192,8 @@ runner::Sweep make_sweep(const SweepSpec &spec, runner::CliOptions &cli);
 /**
  * Runs a whole SweepSpec on the parallel experiment runner with the
  * shared CLI options (--jobs/--master-seed/--trials/--replay-trial plus
- * the fault-tolerance flags --retries/--trial-timeout/--resume/
- * --inject-fault), applying per-cell fixed trial counts and the sweep's
+ * the fault-tolerance flags --trial-timeout/--resume/--inject-fault),
+ * applying per-cell fixed trial counts and the sweep's
  * finalize hook (on the run's sink). Sets cli.sweep.name to the sweep's
  * name. Does not render: the driver prints spec.render's table only for
  * a run whose report it commits.

@@ -52,21 +52,16 @@ enum class AttackKind {
     kTrackerThrash,
 };
 
-/** How the attacker picks its target among the scanned candidates. */
-enum class TargetPolicy {
-    /// First candidate whose victim has the module's minimum flip
-    /// threshold (slice-compatibility is additionally required for the
-    /// CLFLUSH-free attack). This is how all paper experiments select.
-    kWeakestVictim,
-};
-
 /// The paper's attacker buffer: 64 MB mapped and scanned via pagemap.
 inline constexpr std::uint64_t kDefaultAttackBufferBytes = 64ULL << 20;
 
-/** One attacker in the scenario. */
+/**
+ * One attacker in the scenario. It targets the first scanned candidate
+ * whose victim has the module's minimum flip threshold (slice-compatible,
+ * for the CLFLUSH-free attack), as every paper experiment does.
+ */
 struct AttackSpec {
     AttackKind kind = AttackKind::kClflushDoubleSided;
-    TargetPolicy target = TargetPolicy::kWeakestVictim;
     /// Bytes the attacker mmaps and scans for targets. Must be a nonzero
     /// power of two of at least one THP block, and all attackers together
     /// must fit the huge-page pool (validate.cc enforces both).

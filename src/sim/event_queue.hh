@@ -142,9 +142,6 @@ class PeriodicTimer
     /** Stops the timer; no further fires. */
     void stop();
 
-    /** Changes the period; takes effect at the next (re)arm. */
-    void set_period(Tick period) { period_ = period; }
-
     Tick period() const { return period_; }
     bool running() const { return running_; }
 

@@ -158,26 +158,6 @@ TEST(RunningStat, MergeWithEmptySides)
     EXPECT_DOUBLE_EQ(a.mean(), 3.0);
 }
 
-TEST(SampleStat, PercentilesInterpolate)
-{
-    SampleStat s;
-    for (int i = 1; i <= 100; ++i)
-        s.add(i);
-    EXPECT_DOUBLE_EQ(s.percentile(0), 1.0);
-    EXPECT_DOUBLE_EQ(s.percentile(100), 100.0);
-    EXPECT_NEAR(s.percentile(50), 50.5, 1e-9);
-    EXPECT_NEAR(s.percentile(90), 90.1, 0.2);
-}
-
-TEST(SampleStat, ResetClearsEverything)
-{
-    SampleStat s;
-    s.add(5.0);
-    s.reset();
-    EXPECT_EQ(s.summary().count(), 0u);
-    EXPECT_EQ(s.percentile(50), 0.0);
-}
-
 TEST(Units, TickConversionsRoundTrip)
 {
     EXPECT_EQ(ms(1), 1000 * us(1));

@@ -1,20 +1,23 @@
 /**
  * @file
  * Tests of the sweep engine's fault paths, driven by deterministic fault
- * injection (runner/fault.hh): error boundaries, retries with re-derived
- * seeds, watchdog timeouts, the crash-safe journal (round-trip, torn-tail
- * recovery, foreign-file rejection), and the headline recovery guarantee —
- * a sweep drained mid-run and finished with --resume writes final JSON
- * byte-identical to an uninterrupted run.
+ * injection (runner/fault.hh): error boundaries, watchdog timeouts, the
+ * crash-safe journal (round-trip, torn-tail recovery, foreign-file
+ * rejection, a failed fsync), the report commit that refuses an unsynced
+ * file, and the headline recovery guarantee — a sweep drained mid-run,
+ * serially or on four workers, and finished with --resume writes final
+ * JSON byte-identical to an uninterrupted run.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hh"
@@ -85,6 +88,13 @@ file_exists(const std::string &path)
     return std::ifstream(path).good();
 }
 
+/** True when @p path names a directory entry, even a dangling symlink. */
+bool
+entry_exists(const std::string &path)
+{
+    return std::filesystem::exists(std::filesystem::symlink_status(path));
+}
+
 /** A per-test scratch path, cleared of leftovers from earlier runs. */
 std::string
 temp_path(const std::string &name)
@@ -131,8 +141,11 @@ TEST(FaultSpec, RejectsMalformedSpecs)
     EXPECT_THROW(runner::parse_fault("throw@x:notanumber"), Error);
     EXPECT_THROW(runner::parse_fault("bogus@x:1"), Error);
     EXPECT_THROW(runner::parse_fault("throw@x:"), Error);
-    // The process-killing kinds left with the process supervisor.
+    // The process-killing kinds left with the process supervisor, and
+    // the flaky/corrupt kinds with the retries they existed to test.
     EXPECT_THROW(runner::parse_fault("abort@x:1"), Error);
+    EXPECT_THROW(runner::parse_fault("flaky@x:1"), Error);
+    EXPECT_THROW(runner::parse_fault("corrupt@x:1"), Error);
     EXPECT_THROW(runner::parse_fault("sigkill-self@x:1"), Error);
 }
 
@@ -180,45 +193,15 @@ TEST(FaultInjection, ThrowBecomesFailedOutcomeNotCrash)
     EXPECT_NE(json.find("\"status\": \"failed\""), std::string::npos);
 }
 
-TEST(FaultInjection, RetriedFlakeIsByteIdenticalToCleanRun)
-{
-    const std::string clean = json_of(run_synthetic(base_options()));
-
-    runner::SweepOptions options = base_options();
-    options.faults = {runner::parse_fault("flaky@alpha:1")};
-    options.retries = 1;
-    const runner::SweepRun run = run_synthetic(std::move(options));
-
-    EXPECT_EQ(run.completed, 3u);
-    EXPECT_EQ(run.failed, 0u);
-    ASSERT_EQ(run.outcomes.size(), 3u);
-    EXPECT_EQ(run.outcomes[1].status, runner::TrialStatus::kOk);
-    EXPECT_EQ(run.outcomes[1].attempts, 2u);
-    // The retry re-derives the identical seed, so a flaky-infra retry
-    // cannot change results: the report is byte-identical.
-    EXPECT_EQ(json_of(run), clean);
-}
-
-TEST(FaultInjection, FlakeWithoutRetriesFails)
-{
-    runner::SweepOptions options = base_options();
-    options.faults = {runner::parse_fault("flaky@alpha:1")};
-    const runner::SweepRun run = run_synthetic(std::move(options));
-    EXPECT_EQ(run.failed, 1u);
-    EXPECT_EQ(run.outcomes[1].status, runner::TrialStatus::kFailed);
-}
-
 TEST(FaultInjection, HangIsBoundedByTheWatchdogAndNeverRetried)
 {
     runner::SweepOptions options = base_options();
     options.faults = {runner::parse_fault("hang@alpha:0")};
     options.trial_timeout = 1000;
-    options.retries = 3;  // timeouts are deterministic: retrying is futile
     const runner::SweepRun run = run_synthetic(std::move(options));
 
     ASSERT_EQ(run.outcomes.size(), 3u);
     EXPECT_EQ(run.outcomes[0].status, runner::TrialStatus::kTimedOut);
-    EXPECT_EQ(run.outcomes[0].attempts, 1u);
     EXPECT_NE(run.outcomes[0].error.find("budget"), std::string::npos)
         << run.outcomes[0].error;
     EXPECT_EQ(run.completed, 2u);
@@ -240,29 +223,10 @@ TEST(FaultInjection, HangWithoutTimeoutFailsWithGuidance)
         << run.outcomes[0].error;
 }
 
-TEST(FaultInjection, CorruptionIsSilentDeterministicAndSeedDerived)
-{
-    const std::string clean = json_of(run_synthetic(base_options()));
-
-    runner::SweepOptions options = base_options();
-    options.faults = {runner::parse_fault("corrupt@alpha:1")};
-    const runner::SweepRun first = run_synthetic(options);
-    const runner::SweepRun second = run_synthetic(options);
-
-    // Silent: the trial still reports ok...
-    EXPECT_EQ(first.failed, 0u);
-    EXPECT_EQ(first.outcomes[1].status, runner::TrialStatus::kOk);
-    // ...corrupted: the report differs from a clean run...
-    EXPECT_NE(json_of(first), clean);
-    // ...deterministic: the perturbation replays exactly.
-    EXPECT_EQ(json_of(first), json_of(second));
-}
-
 TEST(FaultInjection, TimeoutFromTheTrialBodyIsRecorded)
 {
     runner::SweepOptions options = base_options();
     options.trial_timeout = 100;
-    options.retries = 2;
     runner::Sweep sweep(std::move(options));
     sweep.add_scenario("ticking", 1, [](const runner::TrialContext &ctx) {
         for (int i = 0; i < 10000; ++i)
@@ -272,7 +236,6 @@ TEST(FaultInjection, TimeoutFromTheTrialBodyIsRecorded)
     const runner::SweepRun run = sweep.run();
     ASSERT_EQ(run.outcomes.size(), 1u);
     EXPECT_EQ(run.outcomes[0].status, runner::TrialStatus::kTimedOut);
-    EXPECT_EQ(run.outcomes[0].attempts, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -310,7 +273,6 @@ TEST(Journal, RoundTripsEveryFieldBitExactly)
     runner::TrialOutcome out;
     out.status = runner::TrialStatus::kFailed;
     out.error = "trial failed [scenario=alpha]: caused by: boom";
-    out.attempts = 3;
     out.result.set_value("mean_ms", 1.0 / 3.0);  // not exactly printable
     out.result.set_value("neg_zero", -0.0);
     out.result.set_counter("flips", 0xdeadbeefcafeULL);
@@ -354,7 +316,6 @@ TEST(Journal, RoundTripsEveryFieldBitExactly)
     EXPECT_EQ(rec.spec.global_index, 2u);
     EXPECT_EQ(rec.outcome.status, runner::TrialStatus::kFailed);
     EXPECT_EQ(rec.outcome.error, out.error);
-    EXPECT_EQ(rec.outcome.attempts, 3u);
     ASSERT_EQ(rec.outcome.result.values().size(), 2u);
     EXPECT_EQ(rec.outcome.result.values()[0].first, "mean_ms");
     EXPECT_EQ(rec.outcome.result.values()[0].second, 1.0 / 3.0);
@@ -447,14 +408,14 @@ TEST(Journal, RejectsForeignFilesAndMismatchedSweeps)
         writer.open(other, plain_header("sweep_b", 1), /*append=*/true),
         Error);
 
-    // A journal of an older format version (v3 carried shard identity)
-    // is refused by name, never misparsed — by the reader and by a
-    // --resume run.
-    const std::string old_version = temp_path("v3.json");
+    // A journal of an older format version (v4 carried per-record
+    // attempt counts) is refused by name, never misparsed — by the reader
+    // and by a --resume run.
+    const std::string old_version = temp_path("v4.json");
     const std::string old_journal = runner::journal_path(old_version);
     {
-        runner::JournalWriter v4;
-        v4.open(old_journal, plain_header("synthetic", 1),
+        runner::JournalWriter v5;
+        v5.open(old_journal, plain_header("synthetic", 1),
                 /*append=*/false);
     }
     {
@@ -462,17 +423,17 @@ TEST(Journal, RejectsForeignFilesAndMismatchedSweeps)
         std::fstream patch(old_journal,
                            std::ios::binary | std::ios::in | std::ios::out);
         patch.seekp(8);
-        const std::uint32_t v3 = 3;
-        patch.write(reinterpret_cast<const char *>(&v3), sizeof v3);
+        const std::uint32_t v4 = 4;
+        patch.write(reinterpret_cast<const char *>(&v4), sizeof v4);
     }
     try {
         runner::read_journal(old_journal, plain_header("synthetic", 1),
                              plan);
-        FAIL() << "v3 journal accepted";
+        FAIL() << "v4 journal accepted";
     } catch (const Error &e) {
         const std::string what = e.what();
-        EXPECT_NE(what.find("version=3"), std::string::npos) << what;
-        EXPECT_NE(what.find("supported=4"), std::string::npos) << what;
+        EXPECT_NE(what.find("version=4"), std::string::npos) << what;
+        EXPECT_NE(what.find("supported=5"), std::string::npos) << what;
     }
     runner::SweepOptions options = base_options();
     options.name = "synthetic";
@@ -484,6 +445,20 @@ TEST(Journal, RejectsForeignFilesAndMismatchedSweeps)
     resumed.add_scenario("beta", 3, synthetic_result);
     EXPECT_THROW(resumed.run(), Error);
     std::remove(old_journal.c_str());
+}
+
+TEST(Journal, FailedFsyncThrowsAndLeavesTheWriterClosed)
+{
+    // /dev/null takes every write but refuses fsync (EINVAL): a journal
+    // there would claim durability it does not have.
+    const std::string path = temp_path("fsync.journal");
+    std::filesystem::create_symlink("/dev/null", path);
+    runner::JournalWriter writer;
+    EXPECT_THROW(writer.open(path, plain_header("synthetic", 1),
+                             /*append=*/false),
+                 Error);
+    EXPECT_FALSE(writer.is_open());
+    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -561,6 +536,64 @@ TEST(Resume, DrainedSweepResumesToByteIdenticalJson)
     EXPECT_FALSE(file_exists(runner::journal_path(out_json)));
 }
 
+TEST(Resume, DrainedParallelSweepResumesToByteIdenticalJson)
+{
+    ShutdownGuard guard;
+
+    const std::string ref_json = temp_path("resume_par_ref.json");
+    runner::SweepOptions ref_options = base_options();
+    ref_options.json_out = ref_json;
+    {
+        runner::SweepRun run =
+            two_scenario_sweep(ref_options, synthetic_result).run();
+        ASSERT_EQ(runner::finish_sweep(run, ref_options), runner::kExitOk);
+    }
+    const std::string reference = slurp(ref_json);
+
+    // Four workers: trial 1 requests the drain and every other trial
+    // holds its worker until it sees the request, so no trial claimed
+    // after the request can run — the cut is deterministic.
+    const std::string out_json = temp_path("resume_par_out.json");
+    runner::SweepOptions options = base_options();
+    options.jobs = 4;
+    options.json_out = out_json;
+    {
+        runner::SweepRun run =
+            two_scenario_sweep(
+                options,
+                [](const runner::TrialContext &ctx) {
+                    runner::TrialResult r = synthetic_result(ctx);
+                    if (ctx.spec().global_index == 1)
+                        runner::request_shutdown();
+                    while (!runner::shutdown_requested())
+                        std::this_thread::yield();
+                    return r;
+                })
+                .run();
+        EXPECT_EQ(run.jobs_used, 4u);
+        EXPECT_EQ(run.completed + run.skipped, run.outcomes.size());
+        EXPECT_GT(run.skipped, 0u);
+        EXPECT_EQ(runner::finish_sweep(run, options),
+                  runner::kExitPartial);
+        EXPECT_FALSE(file_exists(out_json));
+        EXPECT_TRUE(file_exists(runner::journal_path(out_json)));
+    }
+
+    runner::clear_shutdown();
+    options.resume = true;
+    {
+        runner::SweepRun run =
+            two_scenario_sweep(options, synthetic_result).run();
+        EXPECT_GT(run.resumed, 0u);
+        EXPECT_TRUE(run.complete());
+        EXPECT_EQ(runner::finish_sweep(run, options), runner::kExitOk);
+    }
+    EXPECT_EQ(slurp(out_json), reference)
+        << "a parallel drain + resume must be byte-identical to an "
+           "uninterrupted run";
+    EXPECT_FALSE(file_exists(runner::journal_path(out_json)));
+}
+
 TEST(Resume, RefusesAJournalThatContradictsThePlan)
 {
     ShutdownGuard guard;
@@ -613,6 +646,31 @@ TEST(Output, JsonWritesAreAtomicAndFailuresAreReported)
 
     runner::SweepOptions none = base_options();  // no report requested
     EXPECT_TRUE(runner::write_json_output(sink, none));
+}
+
+TEST(Output, FailedFsyncCommitsNoReportAndKeepsTheJournal)
+{
+    // The report's temp file is a symlink to /dev/null, whose fsync
+    // fails: nothing may be renamed into place, and the journal — the
+    // only durable copy of the results — must survive.
+    runner::SweepOptions options = base_options();
+    options.json_out = temp_path("fsync_report.json");
+    const std::string tmp = options.json_out + ".tmp";
+    std::remove(tmp.c_str());
+    std::filesystem::create_symlink("/dev/null", tmp);
+
+    const runner::SweepRun run = run_synthetic(options);
+    EXPECT_EQ(runner::finish_sweep(run, options),
+              runner::kExitJsonError);
+    EXPECT_FALSE(entry_exists(options.json_out))
+        << "an unsynced report was committed";
+    EXPECT_FALSE(entry_exists(tmp));
+    EXPECT_TRUE(file_exists(runner::journal_path(options.json_out)))
+        << "the journal must survive a failed commit";
+
+    std::remove(options.json_out.c_str());
+    std::remove(tmp.c_str());
+    std::remove(runner::journal_path(options.json_out).c_str());
 }
 
 TEST(Output, UnwritableReportPathStillRunsAndExitsJsonError)

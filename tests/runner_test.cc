@@ -1,14 +1,13 @@
 /**
  * @file
- * Tests for the parallel experiment runner: thread-pool behaviour, the
- * deterministic seed chain, JSON formatting, and the headline guarantee —
- * a parallel sweep emits byte-identical aggregated JSON to a serial one
+ * Tests for the parallel experiment runner: the deterministic seed
+ * chain, JSON formatting, CLI parsing, and the headline guarantee — a
+ * parallel sweep emits byte-identical aggregated JSON to a serial one
  * with the same master seed, including on a real Table-3-style
  * detection sweep.
  */
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -23,64 +22,10 @@
 #include "runner/options.hh"
 #include "runner/result_sink.hh"
 #include "runner/sweep.hh"
-#include "runner/thread_pool.hh"
 #include "runner/trial.hh"
 
 namespace anvil {
 namespace {
-
-// ---------------------------------------------------------------------------
-// ThreadPool
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPool, RunsEverySubmittedTask)
-{
-    runner::ThreadPool pool(4);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&] { count.fetch_add(1); });
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleIsReusable)
-{
-    runner::ThreadPool pool(2);
-    std::atomic<int> count{0};
-    pool.submit([&] { count.fetch_add(1); });
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), 1);
-    pool.submit([&] { count.fetch_add(1); });
-    pool.submit([&] { count.fetch_add(1); });
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), 3);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns)
-{
-    runner::ThreadPool pool(2);
-    pool.wait_idle();  // must not hang
-    SUCCEED();
-}
-
-TEST(ThreadPool, SurvivesThrowingTasks)
-{
-    runner::ThreadPool pool(2);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 20; ++i) {
-        pool.submit([&, i] {
-            if (i % 3 == 0)
-                throw std::runtime_error("task blew up");
-            count.fetch_add(1);
-        });
-    }
-    pool.wait_idle();
-    // Every non-throwing task still ran; no worker died, no terminate.
-    EXPECT_EQ(count.load(), 13);
-    pool.submit([&] { count.fetch_add(1); });
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), 14);
-}
 
 // ---------------------------------------------------------------------------
 // Error + Watchdog
@@ -227,11 +172,11 @@ synthetic_options(unsigned jobs)
 }
 
 std::string
-run_synthetic_json(unsigned jobs)
+run_synthetic_json(unsigned jobs, std::uint64_t trials = 25)
 {
     runner::Sweep sweep(synthetic_options(jobs));
-    sweep.add_scenario("alpha", 25, synthetic_trial);
-    sweep.add_scenario("beta", 25, synthetic_trial);
+    sweep.add_scenario("alpha", trials, synthetic_trial);
+    sweep.add_scenario("beta", trials, synthetic_trial);
     const runner::SweepRun run = sweep.run();
     std::ostringstream os;
     run.sink.write_json(os);
@@ -245,6 +190,8 @@ TEST(Sweep, ParallelJsonIsByteIdenticalToSerial)
     EXPECT_EQ(serial, parallel);
     EXPECT_NE(serial.find("\"schema\": \"anvil-sweep-v1\""),
               std::string::npos);
+    // More workers than trials: the surplus is never started.
+    EXPECT_EQ(run_synthetic_json(16, 3), run_synthetic_json(1, 3));
 }
 
 TEST(Sweep, ReplaySelectsExactlyOneTrial)
@@ -357,8 +304,6 @@ TEST(CliOptions, ParsesRunnerFlagsAndPositionals)
 TEST(CliOptions, ParsesFaultToleranceFlags)
 {
     const char *argv[] = {"bench",
-                          "--retries",
-                          "2",
                           "--trial-timeout=5000",
                           "--json-out",
                           "out.json",
@@ -368,7 +313,6 @@ TEST(CliOptions, ParsesFaultToleranceFlags)
                           "--inject-fault=hang@beta:0"};
     runner::CliOptions opts = runner::CliOptions::parse(
         static_cast<int>(std::size(argv)), const_cast<char **>(argv));
-    EXPECT_EQ(opts.sweep.retries, 2u);
     EXPECT_EQ(opts.sweep.trial_timeout, 5000u);
     EXPECT_TRUE(opts.sweep.resume);
     ASSERT_EQ(opts.sweep.faults.size(), 2u);
@@ -378,6 +322,24 @@ TEST(CliOptions, ParsesFaultToleranceFlags)
     EXPECT_EQ(opts.sweep.faults[1].kind, runner::FaultKind::kHang);
     EXPECT_EQ(opts.sweep.faults[1].scenario, "beta");
     EXPECT_EQ(opts.sweep.faults[1].trial, 0u);
+}
+
+TEST(CliOptions, RejectsAJobCountThatDoesNotFitUnsigned)
+{
+    // A cast would wrap 2^32 + 1 to 1 job and 2^32 to 0 (every core).
+    for (const char *jobs : {"4294967297", "4294967296"}) {
+        const char *argv[] = {"bench", "--jobs", jobs};
+        EXPECT_EXIT(runner::CliOptions::parse(
+                        static_cast<int>(std::size(argv)),
+                        const_cast<char **>(argv)),
+                    ::testing::ExitedWithCode(2), "bad value for --jobs")
+            << jobs;
+    }
+    const char *argv[] = {"bench", "--jobs", "4294967295"};
+    EXPECT_EQ(runner::CliOptions::parse(static_cast<int>(std::size(argv)),
+                                        const_cast<char **>(argv))
+                  .sweep.jobs,
+              4294967295u);
 }
 
 TEST(CliOptions, DefaultsLeaveBenchDefaultsAlone)
