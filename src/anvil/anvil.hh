@@ -67,21 +67,6 @@ struct AnvilStats {
     Tick overhead = 0;  ///< core time charged to the detector
 };
 
-/** Accumulates stats across independent detector instances (sweeps). */
-inline AnvilStats &
-operator+=(AnvilStats &a, const AnvilStats &b)
-{
-    a.stage1_windows += b.stage1_windows;
-    a.stage1_triggers += b.stage1_triggers;
-    a.stage2_windows += b.stage2_windows;
-    a.detections += b.detections;
-    a.selective_refreshes += b.selective_refreshes;
-    a.false_positive_detections += b.false_positive_detections;
-    a.false_positive_refreshes += b.false_positive_refreshes;
-    a.overhead += b.overhead;
-    return a;
-}
-
 /** The detector module. */
 class Anvil
 {

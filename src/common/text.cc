@@ -1,8 +1,27 @@
 #include "common/text.hh"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cstdlib>
 
 namespace anvil {
+
+std::optional<std::uint64_t>
+parse_u64(std::string_view text, std::uint64_t max)
+{
+    // strtoull skips leading space and negates a leading '-' modulo
+    // 2^64; only a digit may start a count or a seed.
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
+        return std::nullopt;
+    const std::string copy(text);
+    char *end = nullptr;
+    errno = 0;
+    const std::uint64_t v = std::strtoull(copy.c_str(), &end, 0);
+    if (*end != '\0' || errno == ERANGE || v > max)
+        return std::nullopt;
+    return v;
+}
 
 std::size_t
 edit_distance(std::string_view a, std::string_view b)

@@ -91,18 +91,6 @@ class DramSystem
         std::uint64_t row_misses = 0;
         std::uint64_t selective_refreshes = 0;
         Tick refresh_stall = 0;
-
-        /** Accumulates stats across independent devices (sweeps). */
-        Stats &
-        operator+=(const Stats &o)
-        {
-            accesses += o.accesses;
-            row_hits += o.row_hits;
-            row_misses += o.row_misses;
-            selective_refreshes += o.selective_refreshes;
-            refresh_stall += o.refresh_stall;
-            return *this;
-        }
     };
 
     explicit DramSystem(const DramConfig &config);

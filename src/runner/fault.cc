@@ -2,7 +2,9 @@
 
 #include <signal.h>
 
-#include <cstdlib>
+#include <optional>
+
+#include "common/text.hh"
 
 namespace anvil::runner {
 namespace {
@@ -36,13 +38,13 @@ parse_fault(const std::string &text)
     fault.kind = parse_kind(text.substr(0, at));
     fault.scenario = text.substr(at + 1, colon - at - 1);
     const std::string trial = text.substr(colon + 1);
-    char *end = nullptr;
-    fault.trial = std::strtoull(trial.c_str(), &end, 0);
-    if (end == trial.c_str() || *end != '\0') {
+    const std::optional<std::uint64_t> index = parse_u64(trial);
+    if (!index) {
         throw Error("malformed fault trial index")
             .with("spec", text)
             .with("trial", trial);
     }
+    fault.trial = *index;
     return fault;
 }
 

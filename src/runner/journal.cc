@@ -15,8 +15,9 @@ namespace {
 constexpr char kMagic[8] = {'A', 'N', 'V', 'L', 'J', 'N', 'L', '1'};
 // v2 added the plan hash to the header; v4 dropped v3's shard identity
 // and the per-record type byte (every record is a trial record); v5
-// dropped the per-record attempt count.
-constexpr std::uint32_t kVersion = 5;
+// dropped the per-record attempt count; v6 journals stat blocks as
+// named field lists instead of two fixed detector/DRAM layouts.
+constexpr std::uint32_t kVersion = 6;
 
 /** FNV-1a 64-bit over raw bytes (record checksums). */
 std::uint64_t
@@ -240,26 +241,16 @@ decode_payload(const char *data, std::size_t size)
         const std::uint64_t v = d.get_u64();
         rec.outcome.result.set_counter(std::move(name), v);
     }
-    if (d.get_u8() != 0) {
-        detector::AnvilStats s;
-        s.stage1_windows = d.get_u64();
-        s.stage1_triggers = d.get_u64();
-        s.stage2_windows = d.get_u64();
-        s.detections = d.get_u64();
-        s.selective_refreshes = d.get_u64();
-        s.false_positive_detections = d.get_u64();
-        s.false_positive_refreshes = d.get_u64();
-        s.overhead = d.get_u64();
-        rec.outcome.result.set_anvil(s);
-    }
-    if (d.get_u8() != 0) {
-        dram::DramSystem::Stats s;
-        s.accesses = d.get_u64();
-        s.row_hits = d.get_u64();
-        s.row_misses = d.get_u64();
-        s.selective_refreshes = d.get_u64();
-        s.refresh_stall = d.get_u64();
-        rec.outcome.result.set_dram(s);
+    const std::uint32_t nblocks = d.get_u32();
+    for (std::uint32_t i = 0; i < nblocks; ++i) {
+        std::string name = d.get_string();
+        StatFields fields;
+        const std::uint32_t nfields = d.get_u32();
+        for (std::uint32_t j = 0; j < nfields; ++j) {
+            std::string field = d.get_string();
+            fields.emplace_back(std::move(field), d.get_u64());
+        }
+        rec.outcome.result.set_block(std::move(name), std::move(fields));
     }
     if (!d.exhausted())
         throw Error("journal record payload has trailing bytes");
@@ -288,26 +279,14 @@ encode_payload(const TrialSpec &spec, const TrialOutcome &outcome)
         e.put_string(name);
         e.put_u64(v);
     }
-    e.put_u8(r.has_anvil() ? 1 : 0);
-    if (r.has_anvil()) {
-        const detector::AnvilStats &s = r.anvil();
-        e.put_u64(s.stage1_windows);
-        e.put_u64(s.stage1_triggers);
-        e.put_u64(s.stage2_windows);
-        e.put_u64(s.detections);
-        e.put_u64(s.selective_refreshes);
-        e.put_u64(s.false_positive_detections);
-        e.put_u64(s.false_positive_refreshes);
-        e.put_u64(s.overhead);
-    }
-    e.put_u8(r.has_dram() ? 1 : 0);
-    if (r.has_dram()) {
-        const dram::DramSystem::Stats &s = r.dram();
-        e.put_u64(s.accesses);
-        e.put_u64(s.row_hits);
-        e.put_u64(s.row_misses);
-        e.put_u64(s.selective_refreshes);
-        e.put_u64(s.refresh_stall);
+    e.put_u32(static_cast<std::uint32_t>(r.blocks().size()));
+    for (const StatBlock &b : r.blocks()) {
+        e.put_string(b.name);
+        e.put_u32(static_cast<std::uint32_t>(b.fields.size()));
+        for (const auto &[field, v] : b.fields) {
+            e.put_string(field);
+            e.put_u64(v);
+        }
     }
     return e.bytes;
 }

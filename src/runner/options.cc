@@ -5,7 +5,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string_view>
+
+#include "common/text.hh"
 
 namespace anvil::runner {
 namespace {
@@ -38,22 +41,21 @@ print_usage(const char *prog, const std::string &extra)
 
 /**
  * Parses a uint64 flag value of at most @p max; exits 2 with usage on
- * garbage or a larger value.
+ * garbage, a sign or a larger value.
  */
 std::uint64_t
-parse_u64(const char *prog, const std::string &extra,
-          std::string_view flag, const char *text,
-          std::uint64_t max = UINT64_MAX)
+parse_flag_u64(const char *prog, const std::string &extra,
+               std::string_view flag, const char *text,
+               std::uint64_t max = UINT64_MAX)
 {
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(text, &end, 0);
-    if (end == text || *end != '\0' || v > max) {
+    const std::optional<std::uint64_t> v = parse_u64(text, max);
+    if (!v) {
         std::cerr << prog << ": bad value for " << flag << ": '" << text
                   << "'\n";
         print_usage(prog, extra);
         std::exit(2);
     }
-    return v;
+    return *v;
 }
 
 }  // namespace
@@ -107,21 +109,22 @@ CliOptions::parse(int argc, char **argv, const std::string &extra_usage)
             print_usage(prog, extra_usage);
             std::exit(0);
         } else if (arg == "--jobs" || arg == "-j") {
-            opts.sweep.jobs = static_cast<unsigned>(parse_u64(
+            opts.sweep.jobs = static_cast<unsigned>(parse_flag_u64(
                 prog, extra_usage, arg, take_value(), UINT_MAX));
         } else if (arg == "--master-seed") {
             opts.sweep.master_seed =
-                parse_u64(prog, extra_usage, arg, take_value());
+                parse_flag_u64(prog, extra_usage, arg, take_value());
         } else if (arg == "--trials") {
-            opts.trials = parse_u64(prog, extra_usage, arg, take_value());
+            opts.trials =
+                parse_flag_u64(prog, extra_usage, arg, take_value());
         } else if (arg == "--json-out") {
             opts.sweep.json_out = take_value();
         } else if (arg == "--replay-trial") {
             opts.sweep.replay_trial =
-                parse_u64(prog, extra_usage, arg, take_value());
+                parse_flag_u64(prog, extra_usage, arg, take_value());
         } else if (arg == "--trial-timeout") {
             opts.sweep.trial_timeout =
-                parse_u64(prog, extra_usage, arg, take_value());
+                parse_flag_u64(prog, extra_usage, arg, take_value());
         } else if (arg == "--resume") {
             opts.sweep.resume = true;
         } else if (arg == "--inject-fault") {

@@ -19,27 +19,20 @@ write_stat(JsonWriter &json, const RunningStat &stat)
     json.field("stddev", stat.stddev());
 }
 
+/** Adds @p from into @p into field by field, appending new fields. */
 void
-write_anvil(JsonWriter &json, const detector::AnvilStats &s)
+add_fields(StatFields &into, const StatFields &from)
 {
-    json.field("stage1_windows", s.stage1_windows);
-    json.field("stage1_triggers", s.stage1_triggers);
-    json.field("stage2_windows", s.stage2_windows);
-    json.field("detections", s.detections);
-    json.field("selective_refreshes", s.selective_refreshes);
-    json.field("false_positive_detections", s.false_positive_detections);
-    json.field("false_positive_refreshes", s.false_positive_refreshes);
-    json.field("overhead_ticks", s.overhead);
-}
-
-void
-write_dram(JsonWriter &json, const dram::DramSystem::Stats &s)
-{
-    json.field("accesses", s.accesses);
-    json.field("row_hits", s.row_hits);
-    json.field("row_misses", s.row_misses);
-    json.field("selective_refreshes", s.selective_refreshes);
-    json.field("refresh_stall_ticks", s.refresh_stall);
+    for (const auto &[field, v] : from) {
+        auto it = std::find_if(into.begin(), into.end(),
+                               [&](const auto &f) {
+                                   return f.first == field;
+                               });
+        if (it == into.end())
+            into.emplace_back(field, v);
+        else
+            it->second += v;
+    }
 }
 
 }  // namespace
@@ -78,13 +71,15 @@ ScenarioAggregate::add(const TrialSpec &spec, const TrialOutcome &outcome)
         it->sum += v;
         it->per_trial.add(static_cast<double>(v));
     }
-    if (result.has_anvil()) {
-        anvil_ += result.anvil();
-        has_anvil_ = true;
-    }
-    if (result.has_dram()) {
-        dram_ += result.dram();
-        has_dram_ = true;
+    for (const StatBlock &b : result.blocks()) {
+        auto it = std::find_if(blocks_.begin(), blocks_.end(),
+                               [&](const StatBlock &a) {
+                                   return a.name == b.name;
+                               });
+        if (it == blocks_.end())
+            blocks_.push_back(b);
+        else
+            add_fields(it->fields, b.fields);
     }
 }
 
@@ -116,6 +111,16 @@ ScenarioAggregate::value_stat(std::string_view name) const
     for (const ValueAgg &a : values_) {
         if (a.name == name)
             return &a.stat;
+    }
+    return nullptr;
+}
+
+const StatBlock *
+ScenarioAggregate::block(std::string_view name) const
+{
+    for (const StatBlock &b : blocks_) {
+        if (b.name == name)
+            return &b;
     }
     return nullptr;
 }
@@ -175,14 +180,10 @@ ScenarioAggregate::write_json(JsonWriter &json) const
         json.end_object();
     }
     json.end_array();
-    if (has_anvil_) {
-        json.key("anvil").begin_object();
-        write_anvil(json, anvil_);
-        json.end_object();
-    }
-    if (has_dram_) {
-        json.key("dram").begin_object();
-        write_dram(json, dram_);
+    for (const StatBlock &b : blocks_) {
+        json.key(b.name).begin_object();
+        for (const auto &[field, v] : b.fields)
+            json.field(field, v);
         json.end_object();
     }
     if (!derived_.empty()) {

@@ -64,10 +64,8 @@ class ScenarioAggregate
     /** Mean of a named value, or @p fallback when it was never recorded. */
     double value_mean(std::string_view name, double fallback = 0.0) const;
 
-    const detector::AnvilStats &anvil() const { return anvil_; }
-    bool has_anvil() const { return has_anvil_; }
-    const dram::DramSystem::Stats &dram() const { return dram_; }
-    bool has_dram() const { return has_dram_; }
+    /** Field-wise sums of a named stat block, or nullptr if never set. */
+    const StatBlock *block(std::string_view name) const;
 
     /** Serializes this scenario as one JSON object. */
     void write_json(class JsonWriter &json) const;
@@ -89,11 +87,8 @@ class ScenarioAggregate
     std::vector<TrialFailure> failures_;  ///< one per failed trial
     std::vector<ValueAgg> values_;      ///< insertion order
     std::vector<CounterAgg> counters_;  ///< insertion order
+    std::vector<StatBlock> blocks_;     ///< first-seen order, summed
     std::vector<NamedValue> derived_;   ///< insertion order
-    detector::AnvilStats anvil_;
-    dram::DramSystem::Stats dram_;
-    bool has_anvil_ = false;
-    bool has_dram_ = false;
 };
 
 /** Orders scenarios and writes the sweep-level JSON document. */

@@ -26,9 +26,7 @@
 #include <utility>
 #include <vector>
 
-#include "anvil/anvil.hh"
 #include "common/error.hh"
-#include "dram/dram_system.hh"
 
 namespace anvil::runner {
 
@@ -139,11 +137,24 @@ class TrialContext
     mutable Watchdog watchdog_;
 };
 
+/** Ordered (field name, value) pairs of one stat block. */
+using StatFields = std::vector<std::pair<std::string, std::uint64_t>>;
+
+/**
+ * A named group of event totals, such as a simulator component's stat
+ * struct. Aggregated field by field (summed) and written as one JSON
+ * object whose keys keep the fields' order.
+ */
+struct StatBlock {
+    std::string name;
+    StatFields fields;
+};
+
 /**
  * The measurements one trial produced: insertion-ordered named scalars
- * plus (optionally) the standard detector/DRAM stat blocks. Values are
- * per-trial observations aggregated into count/mean/min/max/stddev;
- * counters are event totals aggregated by summation.
+ * plus named stat blocks. Values are per-trial observations aggregated
+ * into count/mean/min/max/stddev; counters and block fields are event
+ * totals aggregated by summation.
  */
 class TrialResult
 {
@@ -162,20 +173,20 @@ class TrialResult
         counters_.emplace_back(std::move(name), v);
     }
 
-    /** Attaches the trial's detector statistics block. */
+    /**
+     * Attaches the stat block @p name; a block of that name already
+     * attached is replaced in place.
+     */
     void
-    set_anvil(const detector::AnvilStats &stats)
+    set_block(std::string name, StatFields fields)
     {
-        anvil_ = stats;
-        has_anvil_ = true;
-    }
-
-    /** Attaches the trial's DRAM statistics block. */
-    void
-    set_dram(const dram::DramSystem::Stats &stats)
-    {
-        dram_ = stats;
-        has_dram_ = true;
+        for (StatBlock &b : blocks_) {
+            if (b.name == name) {
+                b.fields = std::move(fields);
+                return;
+            }
+        }
+        blocks_.push_back(StatBlock{std::move(name), std::move(fields)});
     }
 
     const std::vector<std::pair<std::string, double>> &
@@ -188,18 +199,12 @@ class TrialResult
     {
         return counters_;
     }
-    bool has_anvil() const { return has_anvil_; }
-    const detector::AnvilStats &anvil() const { return anvil_; }
-    bool has_dram() const { return has_dram_; }
-    const dram::DramSystem::Stats &dram() const { return dram_; }
+    const std::vector<StatBlock> &blocks() const { return blocks_; }
 
   private:
     std::vector<std::pair<std::string, double>> values_;
     std::vector<std::pair<std::string, std::uint64_t>> counters_;
-    detector::AnvilStats anvil_;
-    dram::DramSystem::Stats dram_;
-    bool has_anvil_ = false;
-    bool has_dram_ = false;
+    std::vector<StatBlock> blocks_;  ///< first-set order
 };
 
 /** How one trial ended. */

@@ -203,7 +203,6 @@ ScenarioBuilder::build()
         built.name = labels[i];
         built.quantum_accesses =
             t.quantum_accesses != 0 ? t.quantum_accesses : 1;
-        built.start_delay = t.start_delay.empty() ? 0 : draw(t.start_delay);
         if (t.attack) {
             built.is_attacker = true;
             built.payload = attacker_index;
@@ -241,7 +240,6 @@ ScenarioBuilder::run()
             st.name = t.name;
             st.pid = t.pid;
             st.quantum_accesses = t.quantum_accesses;
-            st.not_before = e.run_start_ + t.start_delay;
             if (t.is_attacker) {
                 attack::Hammer *hammer = e.attacks_[t.payload].hammer.get();
                 st.step = [hammer] { hammer->step(); };
@@ -427,12 +425,32 @@ ScenarioBuilder::emit() const
                           e.pattern_.aggressor_activation_share);
               break;
           case Output::kAnvilStats:
-              if (e.anvil_)
-                  r.set_anvil(e.anvil_->stats());
+              if (e.anvil_) {
+                  const detector::AnvilStats &s = e.anvil_->stats();
+                  r.set_block(
+                      "anvil",
+                      {{"stage1_windows", s.stage1_windows},
+                       {"stage1_triggers", s.stage1_triggers},
+                       {"stage2_windows", s.stage2_windows},
+                       {"detections", s.detections},
+                       {"selective_refreshes", s.selective_refreshes},
+                       {"false_positive_detections",
+                        s.false_positive_detections},
+                       {"false_positive_refreshes",
+                        s.false_positive_refreshes},
+                       {"overhead_ticks", s.overhead}});
+              }
               break;
-          case Output::kDramStats:
-              r.set_dram(e.machine_->dram().stats());
+          case Output::kDramStats: {
+              const dram::DramSystem::Stats &s = e.machine_->dram().stats();
+              r.set_block("dram",
+                          {{"accesses", s.accesses},
+                           {"row_hits", s.row_hits},
+                           {"row_misses", s.row_misses},
+                           {"selective_refreshes", s.selective_refreshes},
+                           {"refresh_stall_ticks", s.refresh_stall}});
               break;
+          }
           case Output::kMitigationRefreshes:
               r.set_counter("mitigation_refreshes",
                             e.mitigation_->stats().neighbor_refreshes);

@@ -63,7 +63,6 @@ struct BuiltTenant {
     Pid pid = kInvalidPid;      ///< the tenant's address space
     std::size_t payload = 0;    ///< index into attacks() or workloads()
     std::uint64_t quantum_accesses = 1;
-    Tick start_delay = 0;       ///< drawn at build, applied at run start
     std::uint64_t run_start_ops = 0;  ///< workload ops() when run began
 };
 

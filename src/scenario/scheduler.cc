@@ -41,7 +41,7 @@ TenantScheduler::add(ScheduledTenant tenant)
     stats_.emplace_back();
 }
 
-bool
+void
 TenantScheduler::run_quantum(std::size_t index, Tick deadline)
 {
     ScheduledTenant &t = tenants_[index];
@@ -67,7 +67,6 @@ TenantScheduler::run_quantum(std::size_t index, Tick deadline)
     }
     if (stepped)
         ++s.quanta;
-    return stepped;
 }
 
 void
@@ -79,24 +78,8 @@ TenantScheduler::run_until(Tick deadline)
         return;
     }
     while (mem_.now() < deadline) {
-        bool progressed = false;
-        Tick earliest_arrival = deadline;
-        for (std::size_t i = 0; i < tenants_.size(); ++i) {
-            if (mem_.now() >= deadline)
-                return;
-            if (mem_.now() < tenants_[i].not_before) {
-                earliest_arrival =
-                    std::min(earliest_arrival, tenants_[i].not_before);
-                continue;
-            }
-            progressed = run_quantum(i, deadline) || progressed;
-        }
-        if (!progressed && mem_.now() < deadline) {
-            // Every tenant is still waiting on its start delay: jump the
-            // clock to the first arrival instead of spinning.
-            mem_.advance(std::min(earliest_arrival, deadline) -
-                         mem_.now());
-        }
+        for (std::size_t i = 0; i < tenants_.size(); ++i)
+            run_quantum(i, deadline);
     }
 }
 
@@ -106,18 +89,8 @@ TenantScheduler::run_rounds(const std::function<bool()> &more)
     if (tenants_.empty())
         return;
     while (more()) {
-        bool progressed = false;
-        Tick earliest_arrival = kNoDeadline;
-        for (std::size_t i = 0; i < tenants_.size(); ++i) {
-            if (mem_.now() < tenants_[i].not_before) {
-                earliest_arrival =
-                    std::min(earliest_arrival, tenants_[i].not_before);
-                continue;
-            }
-            progressed = run_quantum(i, kNoDeadline) || progressed;
-        }
-        if (!progressed && earliest_arrival != kNoDeadline)
-            mem_.advance(earliest_arrival - mem_.now());
+        for (std::size_t i = 0; i < tenants_.size(); ++i)
+            run_quantum(i, kNoDeadline);
     }
 }
 

@@ -43,8 +43,6 @@ struct ScheduledTenant {
     Pid pid = kInvalidPid;
     /// Completed accesses per turn before the next tenant runs (>= 1).
     std::uint64_t quantum_accesses = 1;
-    /// Absolute tick of first eligibility (staggered arrival).
-    Tick not_before = 0;
     /// One atomic step of the tenant (one hammer iteration, one workload
     /// operation). Must advance the simulated clock and/or complete at
     /// least the bookkeeping of one unit of work.
@@ -61,10 +59,10 @@ struct TenantRunStats {
 /**
  * Round-robin quantum scheduler over one shared MemorySystem.
  *
- * Determinism contract: given the same tenant list (order, quanta,
- * arrival ticks) and the same per-tenant step behaviour, the interleaving
- * of steps — and therefore every downstream observable (clock, DRAM
- * state, detector windows) — is identical run to run.
+ * Determinism contract: given the same tenant list (order, quanta) and
+ * the same per-tenant step behaviour, the interleaving of steps — and
+ * therefore every downstream observable (clock, DRAM state, detector
+ * windows) — is identical run to run.
  */
 class TenantScheduler
 {
@@ -80,8 +78,8 @@ class TenantScheduler
      * Runs the round-robin schedule until the clock reaches @p deadline.
      * The deadline is checked before every step, so a tenant never
      * starts a step at or past the deadline and the clock overshoots it
-     * by at most one step. With no runnable tenant the clock jumps to the
-     * earliest arrival (or the deadline).
+     * by at most one step. With no tenant the clock jumps to the
+     * deadline.
      */
     void run_until(Tick deadline);
 
@@ -98,11 +96,8 @@ class TenantScheduler
     const std::vector<TenantRunStats> &stats() const { return stats_; }
 
   private:
-    /**
-     * Runs one quantum of tenant @p index, stopping early at
-     * @p deadline. @return true if at least one step ran.
-     */
-    bool run_quantum(std::size_t index, Tick deadline);
+    /** Runs one quantum of tenant @p index, stopping early at @p deadline. */
+    void run_quantum(std::size_t index, Tick deadline);
 
     mem::MemorySystem &mem_;
     std::vector<ScheduledTenant> tenants_;

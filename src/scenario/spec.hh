@@ -132,12 +132,6 @@ struct TenantSpec {
     /// access (e.g. a pure-CLFLUSH iteration) still consumes one unit,
     /// so every quantum makes forward progress.
     std::uint64_t quantum_accesses = 1;
-
-    /// The tenant joins the schedule only after this (seed-jittered)
-    /// advance past run start — staggered tenant arrival. While every
-    /// tenant is still waiting, the scheduler jumps the clock to the
-    /// first arrival.
-    PhaseJitter start_delay;
 };
 
 /** A tenant running @p attack, granted @p quantum_accesses per turn. */
@@ -220,8 +214,8 @@ enum class Output {
     kCyclesPerIter,           ///< value "cycles_per_iter" (pattern)
     kHammersPerRefresh,       ///< value "hammers_per_refresh" (pattern)
     kAggressorActShare,       ///< value "aggressor_act_share" (pattern)
-    kAnvilStats,              ///< detector stats block (when configured)
-    kDramStats,               ///< DRAM stats block
+    kAnvilStats,              ///< block "anvil": detector stats (if any)
+    kDramStats,               ///< block "dram": DRAM stats
     kMitigationRefreshes,     ///< counter "mitigation_refreshes"
     kMitigationEvictions,     ///< counter "mitigation_evictions"
     /// counter "ops/<tenant>" per workload tenant: run-phase operations

@@ -141,6 +141,14 @@ TEST(FaultSpec, RejectsMalformedSpecs)
     EXPECT_THROW(runner::parse_fault("throw@x:notanumber"), Error);
     EXPECT_THROW(runner::parse_fault("bogus@x:1"), Error);
     EXPECT_THROW(runner::parse_fault("throw@x:"), Error);
+    // The trial index is range-checked and unsigned: no clamp to
+    // 2^64 - 1, no wrap of a sign.
+    EXPECT_THROW(runner::parse_fault("throw@x:99999999999999999999"),
+                 Error);
+    EXPECT_THROW(runner::parse_fault("throw@x:-1"), Error);
+    EXPECT_THROW(runner::parse_fault("throw@x:+1"), Error);
+    EXPECT_EQ(runner::parse_fault("throw@x:18446744073709551615").trial,
+              UINT64_MAX);
     // The process-killing kinds left with the process supervisor, and
     // the flaky/corrupt kinds with the retries they existed to test.
     EXPECT_THROW(runner::parse_fault("abort@x:1"), Error);
@@ -276,23 +284,14 @@ TEST(Journal, RoundTripsEveryFieldBitExactly)
     out.result.set_value("mean_ms", 1.0 / 3.0);  // not exactly printable
     out.result.set_value("neg_zero", -0.0);
     out.result.set_counter("flips", 0xdeadbeefcafeULL);
-    detector::AnvilStats anvil{};
-    anvil.stage1_windows = 11;
-    anvil.stage1_triggers = 22;
-    anvil.stage2_windows = 33;
-    anvil.detections = 44;
-    anvil.selective_refreshes = 55;
-    anvil.false_positive_detections = 66;
-    anvil.false_positive_refreshes = 77;
-    anvil.overhead = 88;
-    out.result.set_anvil(anvil);
-    dram::DramSystem::Stats dram{};
-    dram.accesses = 101;
-    dram.row_hits = 102;
-    dram.row_misses = 103;
-    dram.selective_refreshes = 104;
-    dram.refresh_stall = 105;
-    out.result.set_dram(dram);
+    const runner::StatFields anvil = {{"stage1_windows", 11},
+                                      {"detections", 44},
+                                      {"overhead_ticks", UINT64_MAX}};
+    out.result.set_block("anvil", anvil);
+    const runner::StatFields dram = {{"accesses", 101},
+                                     {"refresh_stall_ticks", 105}};
+    out.result.set_block("dram", dram);
+    out.result.set_block("empty", {});
 
     {
         runner::JournalWriter writer;
@@ -323,15 +322,18 @@ TEST(Journal, RoundTripsEveryFieldBitExactly)
     ASSERT_EQ(rec.outcome.result.counters().size(), 1u);
     EXPECT_EQ(rec.outcome.result.counters()[0].second,
               0xdeadbeefcafeULL);
-    ASSERT_TRUE(rec.outcome.result.has_anvil());
-    EXPECT_EQ(rec.outcome.result.anvil().false_positive_refreshes, 77u);
-    EXPECT_EQ(rec.outcome.result.anvil().overhead, 88u);
-    ASSERT_TRUE(rec.outcome.result.has_dram());
-    EXPECT_EQ(rec.outcome.result.dram().refresh_stall, 105u);
+    const std::vector<runner::StatBlock> &blocks =
+        rec.outcome.result.blocks();
+    ASSERT_EQ(blocks.size(), 3u);
+    EXPECT_EQ(blocks[0].name, "anvil");
+    EXPECT_EQ(blocks[0].fields, anvil);
+    EXPECT_EQ(blocks[1].name, "dram");
+    EXPECT_EQ(blocks[1].fields, dram);
+    EXPECT_EQ(blocks[2].name, "empty");
+    EXPECT_TRUE(blocks[2].fields.empty());
 
     EXPECT_EQ(records[1].spec.scenario, "beta");
-    EXPECT_FALSE(records[1].outcome.result.has_anvil());
-    EXPECT_FALSE(records[1].outcome.result.has_dram());
+    EXPECT_TRUE(records[1].outcome.result.blocks().empty());
 }
 
 TEST(Journal, TornTrailingRecordIsTruncatedAway)
@@ -408,14 +410,14 @@ TEST(Journal, RejectsForeignFilesAndMismatchedSweeps)
         writer.open(other, plain_header("sweep_b", 1), /*append=*/true),
         Error);
 
-    // A journal of an older format version (v4 carried per-record
-    // attempt counts) is refused by name, never misparsed — by the reader
-    // and by a --resume run.
-    const std::string old_version = temp_path("v4.json");
+    // A journal of an older format version (v5 wrote fixed detector and
+    // DRAM stat layouts) is refused by name, never misparsed — by the
+    // reader and by a --resume run.
+    const std::string old_version = temp_path("v5.json");
     const std::string old_journal = runner::journal_path(old_version);
     {
-        runner::JournalWriter v5;
-        v5.open(old_journal, plain_header("synthetic", 1),
+        runner::JournalWriter v6;
+        v6.open(old_journal, plain_header("synthetic", 1),
                 /*append=*/false);
     }
     {
@@ -423,17 +425,17 @@ TEST(Journal, RejectsForeignFilesAndMismatchedSweeps)
         std::fstream patch(old_journal,
                            std::ios::binary | std::ios::in | std::ios::out);
         patch.seekp(8);
-        const std::uint32_t v4 = 4;
-        patch.write(reinterpret_cast<const char *>(&v4), sizeof v4);
+        const std::uint32_t v5 = 5;
+        patch.write(reinterpret_cast<const char *>(&v5), sizeof v5);
     }
     try {
         runner::read_journal(old_journal, plain_header("synthetic", 1),
                              plan);
-        FAIL() << "v4 journal accepted";
+        FAIL() << "v5 journal accepted";
     } catch (const Error &e) {
         const std::string what = e.what();
-        EXPECT_NE(what.find("version=4"), std::string::npos) << what;
-        EXPECT_NE(what.find("supported=5"), std::string::npos) << what;
+        EXPECT_NE(what.find("version=5"), std::string::npos) << what;
+        EXPECT_NE(what.find("supported=6"), std::string::npos) << what;
     }
     runner::SweepOptions options = base_options();
     options.name = "synthetic";

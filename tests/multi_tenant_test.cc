@@ -115,40 +115,6 @@ TEST(TenantScheduler, QuantumIsGrantedInCompletedAccesses)
     EXPECT_EQ(b.accesses(), stats[1].accesses);
 }
 
-TEST(TenantScheduler, StartDelayHoldsATenantOut)
-{
-    mem::MemorySystem machine{mem::SystemConfig{}};
-    mem::AddressSpace &a = machine.create_process();
-    const Addr va = a.mmap(1 << 20);
-
-    Tick first_step = 0;
-    Addr off = 0;
-    scenario::TenantScheduler sched(machine);
-    scenario::ScheduledTenant t;
-    t.pid = a.pid();
-    t.not_before = machine.now() + us(500);
-    t.step = [&] {
-        if (first_step == 0)
-            first_step = machine.now();
-        off = (off + 64) % (1 << 20);
-        machine.access(a.pid(), va + off, AccessType::kLoad);
-    };
-    const Tick arrival = t.not_before;
-    sched.add(std::move(t));
-
-    // Deadline before the arrival: the clock must jump straight to the
-    // deadline (no livelock, no steps).
-    const Tick early_deadline = machine.now() + us(100);
-    sched.run_until(early_deadline);
-    EXPECT_EQ(machine.now(), early_deadline);
-    EXPECT_EQ(first_step, 0u);
-
-    // Past the arrival the tenant runs, and not a tick earlier.
-    sched.run_until(arrival + us(500));
-    EXPECT_GE(first_step, arrival);
-    EXPECT_GT(sched.stats()[0].steps, 0u);
-}
-
 TEST(TenantScheduler, RunUntilOvershootsByAtMostOneStep)
 {
     // The deadline is checked before every step, so the clock passes it

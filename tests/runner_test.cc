@@ -245,6 +245,83 @@ TEST(Sweep, TrialExceptionBecomesErrorNotCrash)
     EXPECT_EQ(agg->value_stat("seed_unit")->count(), 3u);
 }
 
+/** A trial with two stat blocks whose fields derive from the trial. */
+runner::TrialResult
+block_trial(const runner::TrialContext &ctx)
+{
+    const std::uint64_t t = ctx.spec().trial;
+    runner::TrialResult r;
+    if (t == 1)
+        throw std::runtime_error("no blocks from a failed trial");
+    r.set_block("machine", {{"zeta", t + 1}, {"alpha", 10 * (t + 1)}});
+    // A later trial may add a field; it follows the fields seen before.
+    runner::StatFields detector = {{"windows", t}};
+    if (t == 2)
+        detector.emplace_back("late", 7);
+    r.set_block("detector", std::move(detector));
+    return r;
+}
+
+TEST(StatBlock, FieldsSumOverOkTrialsOnly)
+{
+    runner::Sweep sweep(synthetic_options(1));
+    sweep.add_scenario("alpha", 3, block_trial);
+    const runner::SweepRun run = sweep.run();
+    const runner::ScenarioAggregate *agg = run.sink.find("alpha");
+    ASSERT_NE(agg, nullptr);
+    EXPECT_EQ(agg->errors(), 1u);
+    // Trials 0 and 2 are ok; trial 1 failed and contributes nothing.
+    const runner::StatBlock *machine = agg->block("machine");
+    ASSERT_NE(machine, nullptr);
+    const runner::StatFields want_machine = {{"zeta", 1 + 3},
+                                             {"alpha", 10 + 30}};
+    EXPECT_EQ(machine->fields, want_machine);
+    const runner::StatBlock *detector = agg->block("detector");
+    ASSERT_NE(detector, nullptr);
+    const runner::StatFields want_detector = {{"windows", 0 + 2},
+                                              {"late", 7}};
+    EXPECT_EQ(detector->fields, want_detector);
+    EXPECT_EQ(agg->block("dram"), nullptr);
+}
+
+TEST(StatBlock, JsonKeepsFirstSeenOrder)
+{
+    runner::Sweep sweep(synthetic_options(1));
+    sweep.add_scenario("alpha", 3, block_trial);
+    std::ostringstream os;
+    sweep.run().sink.write_json(os);
+    const std::string json = os.str();
+    // Blocks follow the counters in the order trials first set them,
+    // and each block's keys keep their field order, not a sorted one.
+    const std::size_t counters = json.find("\"counters\"");
+    const std::size_t machine = json.find("\"machine\": {");
+    const std::size_t zeta = json.find("\"zeta\": 4");
+    const std::size_t alpha = json.find("\"alpha\": 40");
+    const std::size_t detector = json.find("\"detector\": {");
+    const std::size_t windows = json.find("\"windows\": 2");
+    const std::size_t late = json.find("\"late\": 7");
+    ASSERT_NE(late, std::string::npos) << json;
+    EXPECT_LT(counters, machine) << json;
+    EXPECT_LT(machine, zeta) << json;
+    EXPECT_LT(zeta, alpha) << json;
+    EXPECT_LT(alpha, detector) << json;
+    EXPECT_LT(detector, windows) << json;
+    EXPECT_LT(windows, late) << json;
+}
+
+TEST(StatBlock, SettingANameTwiceReplacesTheBlock)
+{
+    runner::TrialResult r;
+    r.set_block("anvil", {{"detections", 1}, {"stage1_windows", 2}});
+    r.set_block("dram", {{"accesses", 3}});
+    r.set_block("anvil", {{"detections", 5}});
+    ASSERT_EQ(r.blocks().size(), 2u);
+    EXPECT_EQ(r.blocks()[0].name, "anvil");
+    const runner::StatFields want = {{"detections", 5}};
+    EXPECT_EQ(r.blocks()[0].fields, want);
+    EXPECT_EQ(r.blocks()[1].name, "dram");
+}
+
 TEST(Sweep, DerivedValuesAppearInJson)
 {
     runner::Sweep sweep(synthetic_options(1));
@@ -335,6 +412,34 @@ TEST(CliOptions, RejectsAJobCountThatDoesNotFitUnsigned)
                     ::testing::ExitedWithCode(2), "bad value for --jobs")
             << jobs;
     }
+    // Past 2^64 - 1 strtoull clamps, and a sign wraps modulo 2^64:
+    // either would run silently with another number than was given.
+    const std::pair<const char *, const char *> bad[] = {
+        {"--master-seed", "99999999999999999999"},
+        {"--master-seed", "0x10000000000000000"},
+        {"--trials", "-1"},
+        {"--trials", "+3"},
+        {"--trials", " 3"},
+        {"--replay-trial", "-0"},
+        {"--trial-timeout", "18446744073709551616"},
+        {"--jobs", "-1"},
+    };
+    for (const auto &[flag, value] : bad) {
+        const char *argv[] = {"bench", flag, value};
+        EXPECT_EXIT(runner::CliOptions::parse(
+                        static_cast<int>(std::size(argv)),
+                        const_cast<char **>(argv)),
+                    ::testing::ExitedWithCode(2),
+                    std::string("bad value for ") + flag)
+            << flag << " " << value;
+    }
+    const char *max_seed[] = {"bench", "--master-seed",
+                              "18446744073709551615"};
+    EXPECT_EQ(runner::CliOptions::parse(
+                  static_cast<int>(std::size(max_seed)),
+                  const_cast<char **>(max_seed))
+                  .sweep.master_seed,
+              UINT64_MAX);
     const char *argv[] = {"bench", "--jobs", "4294967295"};
     EXPECT_EQ(runner::CliOptions::parse(static_cast<int>(std::size(argv)),
                                         const_cast<char **>(argv))
@@ -402,8 +507,9 @@ detection_trial(const runner::TrialContext &ctx)
         r.set_value("detect_ms",
                     to_ms(anvil.detections().front().time - start));
     }
-    r.set_anvil(anvil.stats());
-    r.set_dram(machine.dram().stats());
+    r.set_block("anvil", {{"stage1_windows", anvil.stats().stage1_windows},
+                          {"detections", anvil.stats().detections}});
+    r.set_block("dram", {{"accesses", machine.dram().stats().accesses}});
     return r;
 }
 
