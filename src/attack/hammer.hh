@@ -70,9 +70,6 @@ class Hammer
      */
     HammerResult run(Tick max_duration);
 
-    /** Attack name for reports. */
-    virtual const char *name() const = 0;
-
     /**
      * Performs one iteration of the access pattern — for interleaving the
      * attack with other drivers (heavy-load experiments, Table 3).
@@ -104,8 +101,6 @@ class ClflushDoubleSided : public Hammer
                        const DoubleSidedTarget &target,
                        AccessType type = AccessType::kLoad);
 
-    const char *name() const override { return "double-sided CLFLUSH"; }
-
   protected:
     void iteration() override;
     std::uint64_t aggressor_accesses_per_iteration() const override
@@ -125,8 +120,6 @@ class ClflushSingleSided : public Hammer
   public:
     ClflushSingleSided(mem::MemorySystem &mem, Pid pid,
                        const SingleSidedTarget &target);
-
-    const char *name() const override { return "single-sided CLFLUSH"; }
 
   protected:
     void iteration() override;
@@ -158,8 +151,6 @@ class ClflushFreeDoubleSided : public Hammer
     ClflushFreeDoubleSided(mem::MemorySystem &mem, Pid pid,
                            const DoubleSidedTarget &target,
                            const MemoryLayout &layout);
-
-    const char *name() const override { return "double-sided CLFLUSH-free"; }
 
     /**
      * True if @p target admits the shared-set placement (the two
@@ -206,8 +197,6 @@ class ClflushHalfDouble : public Hammer
                       const HalfDoubleTarget &target,
                       std::uint64_t near_touch_interval = 512);
 
-    const char *name() const override { return "half-double CLFLUSH"; }
-
   protected:
     void iteration() override;
     /// Only the far (distance-2) rows are hammered; the rare near-row
@@ -244,8 +233,6 @@ class TrackerThrash : public Hammer
      *        MemoryLayout::find_thrash_rows). Must be non-empty.
      */
     TrackerThrash(mem::MemorySystem &mem, Pid pid, std::vector<Addr> rows);
-
-    const char *name() const override { return "tracker thrash"; }
 
     std::size_t working_set_rows() const { return rows_.size(); }
 

@@ -1,9 +1,23 @@
 #include "attack/memory_layout.hh"
 
-#include <cstdlib>
+#include <algorithm>
 #include <stdexcept>
 
 namespace anvil::attack {
+namespace {
+
+using Key = std::pair<std::uint32_t, std::uint32_t>;
+constexpr auto kKey = &RowIndex::value_type::first;
+
+/// The VA indexed for @p key, or kInvalidAddr.
+Addr
+va_of(const RowIndex &rows, Key key)
+{
+    const auto it = std::ranges::lower_bound(rows, key, {}, kKey);
+    return it != rows.end() && it->first == key ? it->second : kInvalidAddr;
+}
+
+}  // namespace
 
 MemoryLayout::MemoryLayout(const mem::AddressSpace &space,
                            const dram::AddressMap &dram_map,
@@ -20,11 +34,17 @@ MemoryLayout::scan(Addr va_base, std::uint64_t bytes)
         if (frame == kInvalidAddr)
             continue;
         const dram::DramCoord coord = dram_map_.decode(frame);
-        const std::uint32_t fb = dram_map_.flat_bank(coord);
-        rows_.emplace(std::make_pair(fb, coord.row), va);
+        const Key key{dram_map_.flat_bank(coord), coord.row};
+        // Consecutive pages mostly share a row: keep the first of a run.
+        if (rows_.empty() || rows_.back().first != key)
+            rows_.emplace_back(key, va);
         page_vas_.push_back(va);
-        ++page_count_;
     }
+    // The stable sort keeps equal keys in scan order, so the first VA
+    // scanned into a row wins, as with earlier calls' rows.
+    std::ranges::stable_sort(rows_, {}, kKey);
+    const auto repeats = std::ranges::unique(rows_, {}, kKey);
+    rows_.erase(repeats.begin(), repeats.end());
 }
 
 std::vector<DoubleSidedTarget>
@@ -37,11 +57,10 @@ MemoryLayout::find_double_sided_targets(std::size_t max_targets) const
         const auto [bank, row] = key;
         // va is in row `row`; check for an owned page two rows up, which
         // sandwiches victim row `row + 1`.
-        auto high = rows_.find({bank, row + 2});
-        if (high == rows_.end())
+        const Addr high = va_of(rows_, {bank, row + 2});
+        if (high == kInvalidAddr)
             continue;
-        targets.push_back(DoubleSidedTarget{va, high->second, bank,
-                                            row + 1});
+        targets.push_back(DoubleSidedTarget{va, high, bank, row + 1});
     }
     return targets;
 }
@@ -55,13 +74,12 @@ MemoryLayout::find_single_sided_targets(std::size_t max_targets,
         if (targets.size() >= max_targets)
             break;
         const auto [bank, row] = key;
-        // Find any owned row in the same bank far enough away to act as
+        // The first owned row in the same bank far enough away acts as
         // the row-closer.
-        for (auto it = rows_.lower_bound({bank, row + min_row_gap});
-             it != rows_.end() && it->first.first == bank; ++it) {
+        const auto it = std::ranges::lower_bound(
+            rows_, Key{bank, row + min_row_gap}, {}, kKey);
+        if (it != rows_.end() && it->first.first == bank)
             targets.push_back(SingleSidedTarget{va, it->second, bank, row});
-            break;
-        }
     }
     return targets;
 }
@@ -77,16 +95,14 @@ MemoryLayout::find_half_double_targets(std::size_t max_targets) const
         // va is in row `row` = v-2; the sandwich needs v-1, v+1, v+2
         // owned too (v itself need not be — the victim is someone
         // else's data, which is the point of the attack).
-        auto near_low = rows_.find({bank, row + 1});
-        auto near_high = rows_.find({bank, row + 3});
-        auto far_high = rows_.find({bank, row + 4});
-        if (near_low == rows_.end() || near_high == rows_.end() ||
-            far_high == rows_.end())
+        const Addr near_low = va_of(rows_, {bank, row + 1});
+        const Addr near_high = va_of(rows_, {bank, row + 3});
+        const Addr far_high = va_of(rows_, {bank, row + 4});
+        if (near_low == kInvalidAddr || near_high == kInvalidAddr ||
+            far_high == kInvalidAddr)
             continue;
-        targets.push_back(HalfDoubleTarget{va, near_low->second,
-                                           near_high->second,
-                                           far_high->second, bank,
-                                           row + 2});
+        targets.push_back(HalfDoubleTarget{va, near_low, near_high, far_high,
+                                           bank, row + 2});
     }
     return targets;
 }
@@ -128,15 +144,18 @@ MemoryLayout::build_eviction_set(Addr target_va,
     const std::uint32_t target_bank =
         dram_map_.flat_bank(dram_map_.decode(target_pa));
 
+    // Frames are page-aligned, so only every step-th line of a page can
+    // share the target's set-index bits: one line on a 64+-set slice.
+    const std::uint32_t step =
+        cache::kLineBytes * std::min(hierarchy_.config().llc_sets_per_slice,
+                                     mem::kPageBytes / cache::kLineBytes);
     std::vector<Addr> conflicts;
     for (const Addr page_va : page_vas_) {
         if (conflicts.size() >= n_conflicts)
             break;
         const Addr frame = space_.pagemap(page_va);
-        // Only LLC-set-index bits below the page offset vary within a
-        // page, so check each line of the page.
-        for (std::uint32_t off = 0; off < mem::kPageBytes;
-             off += cache::kLineBytes) {
+        for (std::uint32_t off = want_set * cache::kLineBytes % step;
+             off < mem::kPageBytes; off += step) {
             const Addr pa = frame + off;
             if (cache::line_of(pa) == cache::line_of(target_pa))
                 continue;

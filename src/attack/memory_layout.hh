@@ -7,13 +7,14 @@
  * physical frame of every page, and from the reverse-engineered DRAM and
  * LLC mappings derives (a) aggressor/victim row triples for double-sided
  * hammering and (b) LLC eviction sets (same set, same slice) for the
- * CLFLUSH-free attack.
+ * CLFLUSH-free attack. The owned rows are one sorted vector searched by
+ * bisection, not a node per page: the first VA scanned into a row wins.
  */
 #ifndef ANVIL_ATTACK_MEMORY_LAYOUT_HH
 #define ANVIL_ATTACK_MEMORY_LAYOUT_HH
 
 #include <cstdint>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "cache/hierarchy.hh"
@@ -56,6 +57,11 @@ struct HalfDoubleTarget {
     std::uint32_t victim_row = 0;
 };
 
+/// A flat map (flat_bank, row) -> one attacker VA whose page starts in
+/// that row, sorted by key, one entry per row.
+using RowIndex =
+    std::vector<std::pair<std::pair<std::uint32_t, std::uint32_t>, Addr>>;
+
 /**
  * Scans an attacker-owned buffer through pagemap and answers layout
  * queries. All knowledge used here is exactly what the paper's attacker
@@ -68,7 +74,7 @@ class MemoryLayout
                  const dram::AddressMap &dram_map,
                  const cache::CacheHierarchy &hierarchy);
 
-    /** Indexes the pages of [va_base, va_base + bytes). */
+    /** Indexes the pages of [va_base, va_base + bytes); first VA wins. */
     void scan(Addr va_base, std::uint64_t bytes);
 
     /**
@@ -118,17 +124,15 @@ class MemoryLayout
                                          std::size_t n_conflicts) const;
 
     /** Number of pages indexed by scan(). */
-    std::size_t pages_scanned() const { return page_count_; }
+    std::size_t pages_scanned() const { return page_vas_.size(); }
 
   private:
     const mem::AddressSpace &space_;
     const dram::AddressMap &dram_map_;
     const cache::CacheHierarchy &hierarchy_;
 
-    /// (flat_bank, row) -> one attacker VA whose page starts in that row.
-    std::map<std::pair<std::uint32_t, std::uint32_t>, Addr> rows_;
+    RowIndex rows_;
     std::vector<Addr> page_vas_;  ///< all scanned page base VAs
-    std::size_t page_count_ = 0;
 };
 
 }  // namespace anvil::attack

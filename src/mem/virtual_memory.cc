@@ -139,7 +139,7 @@ AddressSpace::mmap(std::uint64_t bytes)
         region.frames.push_back(huge ? frames_.allocate_huge()
                                      : frames_.allocate());
     regions_.push_back(std::move(region));
-    tlb_flush();
+    reset_memo();
     return base;
 }
 
@@ -158,7 +158,7 @@ AddressSpace::mmap_shared(const AddressSpace &source, Addr src_va,
         region.frames.push_back(frame);
     }
     regions_.push_back(std::move(region));
-    tlb_flush();
+    reset_memo();
     return base;
 }
 
@@ -173,7 +173,7 @@ AddressSpace::munmap(Addr va_base, std::uint64_t bytes)
         return;
     (void)bytes;  // whole-region unmap, like the attack code's usage
 
-    tlb_flush();
+    reset_memo();
     // A shared view's frames belong to the source mapping; only the
     // view is dropped.
     if (!region->shared) {
@@ -211,30 +211,27 @@ AddressSpace::find_region(Addr va) const
 }
 
 void
-AddressSpace::tlb_flush()
+AddressSpace::reset_memo()
 {
-    tlb_.fill(TlbEntry{});
+    last_region_ = SIZE_MAX;
     ++tlb_flushes_;
 }
 
 Addr
 AddressSpace::translate(Addr va) const
 {
-    const Addr page = va & ~static_cast<Addr>(kPageBytes - 1);
-    const std::uint32_t idx =
-        static_cast<std::uint32_t>(page >> kPageShift) & (kTlbEntries - 1);
-    TlbEntry &entry = tlb_[idx];
-    if (entry.va_page == page) {
+    const Addr in_page = va & (kPageBytes - 1);
+    if (last_region_ < regions_.size() &&
+        regions_[last_region_].contains(va)) {
         ++tlb_hits_;
-        return entry.pa_page | (va & (kPageBytes - 1));
+        return regions_[last_region_].frame_of(va) | in_page;
     }
     ++tlb_misses_;
-    const MappedRegion *region = find_region(page);
+    const MappedRegion *region = find_region(va);
     if (region == nullptr)
         return kInvalidAddr;
-    entry.va_page = page;
-    entry.pa_page = region->frame_of(page);
-    return entry.pa_page | (va & (kPageBytes - 1));
+    last_region_ = static_cast<std::size_t>(region - regions_.data());
+    return region->frame_of(va) | in_page;
 }
 
 Addr

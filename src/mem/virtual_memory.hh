@@ -6,11 +6,13 @@
  * (Section 2.3: "The CLFLUSH-free rowhammering attack uses the Linux
  * /proc/pagemap utility to convert virtual addresses to physical
  * addresses").
+ * Translation indexes the frame table of the region holding the address,
+ * behind a memo of the last region hit; there is no TLB model.
  */
 #ifndef ANVIL_MEM_VIRTUAL_MEMORY_HH
 #define ANVIL_MEM_VIRTUAL_MEMORY_HH
 
-#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -69,7 +71,6 @@ class FrameAllocator
     /** Returns a huge block to the pool. */
     void free_huge(Addr block);
 
-    std::uint64_t total_frames() const { return total_frames_; }
     std::uint64_t frames_allocated() const { return allocated_; }
     std::uint64_t huge_blocks_allocated() const { return huge_allocated_; }
 
@@ -171,23 +172,22 @@ class AddressSpace
      * Translates a virtual address.
      * @return the physical address, or kInvalidAddr if unmapped.
      *
-     * Hot path: a small direct-mapped TLB caches page translations in
-     * front of the page table; it is flushed on every mapping change
-     * (mmap/mmap_shared/munmap), so it can never serve a stale frame
-     * across an unmap/remap frame reuse. A miss binary-searches the
-     * regions (kept in increasing VA order) and indexes the region's
-     * frame vector.
+     * Hot path: when the last region translated contains @p va, its
+     * frame table answers directly; otherwise the regions (kept in
+     * increasing VA order) are binary-searched and the memo moves to the
+     * hit. Every mapping change (mmap/mmap_shared/munmap) resets the
+     * memo, so it never names an unmapped or renumbered region.
      */
     Addr translate(Addr va) const;
 
-    /** TLB telemetry. */
+    /** Translations served by the last-region memo, and the rest. */
     std::uint64_t tlb_hits() const { return tlb_hits_; }
     std::uint64_t tlb_misses() const { return tlb_misses_; }
 
     /**
-     * Times this TLB was flushed. Flushes happen only on THIS space's
-     * mapping changes — another tenant's mmap/munmap churn never evicts
-     * this process's cached translations (per-tenant TLB isolation).
+     * Times the memo was reset. Resets happen only on THIS space's
+     * mapping changes — another tenant's mmap/munmap churn never touches
+     * this process's memo.
      */
     std::uint64_t tlb_flushes() const { return tlb_flushes_; }
 
@@ -200,9 +200,6 @@ class AddressSpace
 
     /** Called by MemorySystem on every completed access of this space. */
     void note_access() { ++accesses_; }
-
-    /** Number of direct-mapped TLB entries. */
-    static constexpr std::uint32_t kTlbEntries = 256;
 
     /**
      * The /proc/pagemap interface: physical frame base of the page
@@ -217,13 +214,8 @@ class AddressSpace
     std::uint64_t mapped_pages() const;
 
   private:
-    struct TlbEntry {
-        Addr va_page = kInvalidAddr;
-        Addr pa_page = 0;
-    };
-
-    /** Drops every cached translation (any mapping change). */
-    void tlb_flush();
+    /** Forgets the memoized region (any mapping change). */
+    void reset_memo();
 
     /** The live region containing @p va, or nullptr. */
     const MappedRegion *find_region(Addr va) const;
@@ -235,9 +227,9 @@ class AddressSpace
     /// above every earlier one and munmap preserves the order.
     std::vector<MappedRegion> regions_;
 
-    // Direct-mapped translation cache (mutable: translate() is
-    // semantically const; the TLB is pure memoization).
-    mutable std::array<TlbEntry, kTlbEntries> tlb_;
+    // Index into regions_ of the last region translated, or SIZE_MAX
+    // (mutable: translate() is semantically const).
+    mutable std::size_t last_region_ = SIZE_MAX;
     mutable std::uint64_t tlb_hits_ = 0;
     mutable std::uint64_t tlb_misses_ = 0;
     std::uint64_t tlb_flushes_ = 0;

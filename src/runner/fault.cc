@@ -2,6 +2,8 @@
 
 #include <signal.h>
 
+#include <algorithm>
+#include <iterator>
 #include <optional>
 
 #include "common/text.hh"
@@ -9,15 +11,16 @@
 namespace anvil::runner {
 namespace {
 
+/// Indexed by FaultKind.
+constexpr const char *kKindNames[] = {"throw", "hang", "stall"};
+
 FaultKind
 parse_kind(const std::string &text)
 {
-    if (text == "throw")
-        return FaultKind::kThrow;
-    if (text == "hang")
-        return FaultKind::kHang;
-    if (text == "stall")
-        return FaultKind::kStall;
+    for (std::size_t k = 0; k < std::size(kKindNames); ++k) {
+        if (text == kKindNames[k])
+            return static_cast<FaultKind>(k);
+    }
     throw Error("unknown fault kind (expected throw, hang, or stall)")
         .with("kind", text);
 }
@@ -56,6 +59,38 @@ FaultPlan::match(const TrialSpec &spec) const
             return &fault;
     }
     return nullptr;
+}
+
+void
+FaultPlan::check_planned(const std::vector<TrialSpec> &plan) const
+{
+    for (const FaultSpec &fault : faults_) {
+        const auto aimed = [&](const TrialSpec &t) {
+            return t.trial == fault.trial && t.scenario == fault.scenario;
+        };
+        if (std::any_of(plan.begin(), plan.end(), aimed))
+            continue;
+        // The plan runs each scenario's trials 0..n-1 in turn.
+        std::vector<std::string> names;
+        std::string planned;
+        for (std::size_t i = 0; i < plan.size(); ++i) {
+            if (i + 1 < plan.size() &&
+                plan[i + 1].scenario == plan[i].scenario)
+                continue;
+            names.push_back(plan[i].scenario);
+            planned += (planned.empty() ? "" : "; ") + plan[i].scenario +
+                       ":0.." + std::to_string(plan[i].trial);
+        }
+        const std::string spec =
+            std::string(kKindNames[static_cast<std::size_t>(fault.kind)]) +
+            "@" + fault.scenario + ":" + std::to_string(fault.trial);
+        Error error("--inject-fault names no trial of this sweep");
+        error.with("spec", spec)
+            .with("planned", planned.empty() ? "nothing" : planned);
+        if (const auto near = nearest_name(fault.scenario, names))
+            error.with("did_you_mean", *near);
+        throw error;
+    }
 }
 
 void

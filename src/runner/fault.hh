@@ -10,7 +10,8 @@
  * identity, so an injection is exactly replayable: the same command line
  * fails the same trial the same way every run.
  *
- * CLI syntax (repeatable): --inject-fault kind@scenario:trial
+ * CLI syntax (repeatable): --inject-fault kind@scenario:trial, where
+ * the coordinate must name a trial of the sweep's plan.
  *
  *   throw        the trial throws before running
  *   hang         the trial spins consuming simulated events until the
@@ -67,6 +68,13 @@ class FaultPlan
 
     /** The fault aimed at @p spec, or nullptr. */
     const FaultSpec *match(const TrialSpec &spec) const;
+
+    /**
+     * Refuses a fault aimed at no trial of @p plan (the sweep's full
+     * plan), which would otherwise silently test the fault-free path.
+     * @throw Error naming the fault and the planned scenarios.
+     */
+    void check_planned(const std::vector<TrialSpec> &plan) const;
 
     /**
      * Runs @p fault before its trial body: throws for kThrow, spins the

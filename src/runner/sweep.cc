@@ -146,6 +146,11 @@ SweepRun
 Sweep::run()
 {
     std::vector<Pending> pending = plan();
+    const std::vector<TrialSpec> specs = plan_specs();
+    // Checked against the full plan, so a replay still refuses a fault
+    // that no run of this sweep could fire.
+    const FaultPlan faults(options_.faults);
+    faults.check_planned(specs);
 
     if (options_.replay_trial) {
         const std::uint64_t want = *options_.replay_trial;
@@ -172,7 +177,6 @@ Sweep::run()
     // record against the plan — the sweep definition must not have
     // changed under us) and pre-fill those slots so only the remainder
     // executes.
-    const std::vector<TrialSpec> specs = plan_specs();
     const bool journaling = journaling_enabled(options_);
     const JournalHeader header{options_.name, options_.master_seed,
                                plan_hash(specs)};
@@ -212,7 +216,6 @@ Sweep::run()
             : std::max(1u, std::thread::hardware_concurrency());
     run.jobs_used = jobs;
 
-    const FaultPlan faults(options_.faults);
     const auto execute = [&](std::size_t i) {
         // The drain point: a shutdown request skips every trial that has
         // not started yet; in-flight trials run to completion.

@@ -8,13 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "attack/hammer.hh"
 #include "attack/memory_layout.hh"
+#include "common/rng.hh"
 #include "common/units.hh"
 #include "mem/memory_system.hh"
 
@@ -274,6 +277,32 @@ TEST_F(AttackTest, ClflushFreePatternMissesOnlyAggressors)
               static_cast<std::uint64_t>(2 * iterations));
 }
 
+TEST_F(AttackTest, ClflushFreeEvictionSetTranslatesWithoutMisses)
+{
+    // The two aggressors plus ways - 1 = 11 conflicts are the paper's
+    // 13-line set. All 13 lie in the one THP-backed buffer, so after the
+    // first iteration every translation is a hit of the last-region memo.
+    const auto targets = layout_->find_double_sided_targets(256);
+    std::optional<DoubleSidedTarget> chosen;
+    for (const auto &t : targets) {
+        if (ClflushFreeDoubleSided::slice_compatible(*machine_,
+                                                     attacker_->pid(), t)) {
+            chosen = t;
+            break;
+        }
+    }
+    ASSERT_TRUE(chosen.has_value());
+    ClflushFreeDoubleSided hammer(*machine_, attacker_->pid(), *chosen,
+                                  *layout_);
+    hammer.step();
+    const std::uint64_t misses = attacker_->tlb_misses();
+    const std::uint64_t hits = attacker_->tlb_hits();
+    for (int i = 0; i < 100; ++i)
+        hammer.step();
+    EXPECT_EQ(attacker_->tlb_misses(), misses);
+    EXPECT_GE(attacker_->tlb_hits() - hits, 100u * 13u);
+}
+
 TEST_F(AttackTest, ClflushFreeThroughputSupports190KHammersPerRefresh)
 {
     // Section 2.2: "This allows up to 190K double-sided hammers with-in a
@@ -530,6 +559,249 @@ TEST_F(Attack16msTest, ClflushDoubleSidedStillFlipsAt16ms)
     EXPECT_TRUE(result.flipped);
     EXPECT_LT(to_ms(result.duration), 16.0);
 }
+
+// ---------------------------------------------------------------------------
+// The flat row index against a std::map reference
+// ---------------------------------------------------------------------------
+
+/** (flat bank, row) -> the first VA scanned into that row. */
+using RowMap = std::map<std::pair<std::uint32_t, std::uint32_t>, Addr>;
+
+void
+reference_scan(RowMap &rows, const mem::AddressSpace &space,
+               const dram::AddressMap &map, Addr base, std::uint64_t bytes)
+{
+    for (Addr va = base; va < base + bytes; va += mem::kPageBytes) {
+        const Addr frame = space.pagemap(va);
+        if (frame == kInvalidAddr)
+            continue;
+        const dram::DramCoord coord = map.decode(frame);
+        rows.emplace(std::make_pair(map.flat_bank(coord), coord.row), va);
+    }
+}
+
+using Key = std::pair<std::uint32_t, std::uint32_t>;
+
+std::vector<std::tuple<Addr, Addr, std::uint32_t, std::uint32_t>>
+reference_double_sided(const RowMap &rows)
+{
+    std::vector<std::tuple<Addr, Addr, std::uint32_t, std::uint32_t>> out;
+    for (const auto &[key, va] : rows) {
+        const auto high = rows.find(Key{key.first, key.second + 2});
+        if (high != rows.end())
+            out.emplace_back(va, high->second, key.first, key.second + 1);
+    }
+    return out;
+}
+
+std::vector<std::tuple<Addr, Addr, std::uint32_t, std::uint32_t>>
+reference_single_sided(const RowMap &rows, std::uint32_t gap)
+{
+    std::vector<std::tuple<Addr, Addr, std::uint32_t, std::uint32_t>> out;
+    for (const auto &[key, va] : rows) {
+        const auto it = rows.lower_bound(Key{key.first, key.second + gap});
+        if (it != rows.end() && it->first.first == key.first)
+            out.emplace_back(va, it->second, key.first, key.second);
+    }
+    return out;
+}
+
+std::vector<std::tuple<Addr, Addr, Addr, Addr, std::uint32_t, std::uint32_t>>
+reference_half_double(const RowMap &rows)
+{
+    std::vector<
+        std::tuple<Addr, Addr, Addr, Addr, std::uint32_t, std::uint32_t>>
+        out;
+    for (const auto &[key, va] : rows) {
+        const auto [bank, row] = key;
+        const auto a = rows.find(Key{bank, row + 1});
+        const auto b = rows.find(Key{bank, row + 3});
+        const auto c = rows.find(Key{bank, row + 4});
+        if (a != rows.end() && b != rows.end() && c != rows.end()) {
+            out.emplace_back(va, a->second, b->second, c->second, bank,
+                             row + 2);
+        }
+    }
+    return out;
+}
+
+std::vector<Addr>
+reference_thrash_rows(const RowMap &rows, std::uint32_t gap)
+{
+    std::vector<Addr> out;
+    const Key *last = nullptr;
+    for (const auto &[key, va] : rows) {
+        if (last != nullptr && key.first == last->first &&
+            key.second < last->second + gap)
+            continue;
+        out.push_back(va);
+        last = &key;
+    }
+    return out;
+}
+
+class RowIndexEquivalence : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(RowIndexEquivalence, EveryFinderMatchesTheMapReference)
+{
+    mem::SystemConfig config;
+    config.vm_seed = GetParam();
+    mem::MemorySystem machine(config);
+    mem::AddressSpace &proc = machine.create_process();
+    const dram::AddressMap &map = machine.dram().address_map();
+    constexpr std::uint64_t kHuge = 16ULL << 20;
+    constexpr std::uint64_t kSmall = 1ULL << 20;
+    const Addr thp = proc.mmap(kHuge);
+    const Addr small = proc.mmap(kSmall);  // scattered 4 KB frames
+    // A second VA range over the same frames: every key it scans was
+    // (or will be) scanned through `thp` too, at a different VA.
+    const Addr view = proc.mmap_shared(proc, thp, kHuge);
+
+    // Each scan below revisits keys of an earlier one; the first VA
+    // scanned into a row must win. The odd page offset makes the first
+    // scan start mid-row.
+    const Addr offset = (1 + GetParam() % 7) * mem::kPageBytes;
+    const std::vector<std::pair<Addr, std::uint64_t>> scans = {
+        {thp + offset, kHuge / 2}, {view, kHuge}, {small, kSmall},
+        {thp, kHuge}, {view, kHuge / 4}};
+    MemoryLayout layout(proc, map, machine.hierarchy());
+    RowMap reference;
+    for (const auto &[base, bytes] : scans) {
+        layout.scan(base, bytes);
+        reference_scan(reference, proc, map, base, bytes);
+    }
+
+    // The whole index, in order: gap 0 never skips a row.
+    const std::vector<Addr> all = layout.find_thrash_rows(SIZE_MAX, 0);
+    EXPECT_EQ(all, reference_thrash_rows(reference, 0));
+    ASSERT_EQ(all.size(), reference.size());
+    const auto in = [](Addr va, Addr base, std::uint64_t bytes) {
+        return va >= base && va - base < bytes;
+    };
+    EXPECT_TRUE(std::any_of(all.begin(), all.end(), [&](Addr va) {
+        return in(va, thp, kHuge);
+    }));
+    EXPECT_TRUE(std::any_of(all.begin(), all.end(), [&](Addr va) {
+        return in(va, view, kHuge);
+    }));
+    EXPECT_TRUE(std::any_of(all.begin(), all.end(), [&](Addr va) {
+        return in(va, small, kSmall);
+    }));
+
+    std::vector<std::tuple<Addr, Addr, std::uint32_t, std::uint32_t>>
+        doubles;
+    for (const auto &t : layout.find_double_sided_targets(SIZE_MAX)) {
+        doubles.emplace_back(t.low_aggressor_va, t.high_aggressor_va,
+                             t.flat_bank, t.victim_row);
+    }
+    EXPECT_FALSE(doubles.empty());
+    EXPECT_EQ(doubles, reference_double_sided(reference));
+    // A cap keeps a prefix of the uncapped answer.
+    const auto capped = layout.find_double_sided_targets(3);
+    ASSERT_EQ(capped.size(), std::min<std::size_t>(3, doubles.size()));
+    for (std::size_t i = 0; i < capped.size(); ++i)
+        EXPECT_EQ(capped[i].low_aggressor_va, std::get<0>(doubles[i]));
+
+    for (const std::uint32_t gap : {1u, 3u, 64u, 100000u}) {
+        std::vector<std::tuple<Addr, Addr, std::uint32_t, std::uint32_t>>
+            singles;
+        for (const auto &t :
+             layout.find_single_sided_targets(SIZE_MAX, gap)) {
+            singles.emplace_back(t.aggressor_va, t.closer_va, t.flat_bank,
+                                 t.aggressor_row);
+        }
+        EXPECT_EQ(singles, reference_single_sided(reference, gap)) << gap;
+        EXPECT_EQ(layout.find_thrash_rows(SIZE_MAX, gap),
+                  reference_thrash_rows(reference, gap))
+            << gap;
+    }
+
+    std::vector<
+        std::tuple<Addr, Addr, Addr, Addr, std::uint32_t, std::uint32_t>>
+        half;
+    for (const auto &t : layout.find_half_double_targets(SIZE_MAX)) {
+        half.emplace_back(t.far_low_va, t.near_low_va, t.near_high_va,
+                          t.far_high_va, t.flat_bank, t.victim_row);
+    }
+    EXPECT_FALSE(half.empty());
+    EXPECT_EQ(half, reference_half_double(reference));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RowIndexEquivalence,
+                         ::testing::Values(1ULL, 7ULL, 0xF4A3E5EEDULL,
+                                           0xBADC0FFEEULL));
+
+// ---------------------------------------------------------------------------
+// Eviction sets against a line-by-line reference
+// ---------------------------------------------------------------------------
+
+/** build_eviction_set visiting all 64 lines of every scanned page. */
+std::vector<Addr>
+reference_eviction_set(const mem::MemorySystem &machine,
+                       const mem::AddressSpace &space, Addr base,
+                       std::uint64_t bytes, Addr target_va, std::size_t n)
+{
+    const cache::CacheHierarchy &h = machine.hierarchy();
+    const dram::AddressMap &map = machine.dram().address_map();
+    const Addr target_pa = space.translate(target_va);
+    const dram::DramCoord target = map.decode(target_pa);
+    std::vector<Addr> out;
+    for (Addr page = base; page < base + bytes && out.size() < n;
+         page += mem::kPageBytes) {
+        const Addr frame = space.pagemap(page);
+        for (Addr off = 0; off < mem::kPageBytes && out.size() < n;
+             off += cache::kLineBytes) {
+            const Addr pa = frame + off;
+            if (cache::line_of(pa) == cache::line_of(target_pa) ||
+                h.llc_set(pa) != h.llc_set(target_pa) ||
+                h.llc_slice(pa) != h.llc_slice(target_pa))
+                continue;
+            const dram::DramCoord coord = map.decode(pa);
+            if (map.flat_bank(coord) == map.flat_bank(target) &&
+                coord.row + 4 >= target.row && coord.row <= target.row + 4)
+                continue;
+            out.push_back(page + off);
+        }
+    }
+    return out;
+}
+
+/** (LLC slices, sets per slice) */
+class EvictionSetGeometry
+    : public ::testing::TestWithParam<std::pair<std::uint32_t, std::uint32_t>>
+{
+};
+
+TEST_P(EvictionSetGeometry, MatchesTheLineByLineReference)
+{
+    mem::SystemConfig config;
+    config.cache.llc_slices = GetParam().first;
+    config.cache.llc_sets_per_slice = GetParam().second;
+    mem::MemorySystem machine(config);
+    mem::AddressSpace &proc = machine.create_process();
+    constexpr std::uint64_t kBytes = 16ULL << 20;
+    const Addr buffer = proc.mmap(kBytes);
+    MemoryLayout layout(proc, machine.dram().address_map(),
+                        machine.hierarchy());
+    layout.scan(buffer, kBytes);
+
+    Rng rng(GetParam().second);
+    for (int trial = 0; trial < 16; ++trial) {
+        const Addr target = buffer + rng.next_below(kBytes / 64) * 64;
+        const std::size_t n = 1 + trial % 13;
+        const std::vector<Addr> want =
+            reference_eviction_set(machine, proc, buffer, kBytes, target, n);
+        ASSERT_EQ(want.size(), n);
+        EXPECT_EQ(layout.build_eviction_set(target, n), want) << trial;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, EvictionSetGeometry,
+    ::testing::Values(std::make_pair(2u, 2048u), std::make_pair(1u, 16u),
+                      std::make_pair(4u, 32u), std::make_pair(8u, 64u)));
 
 }  // namespace
 }  // namespace anvil::attack

@@ -173,6 +173,66 @@ TEST(FaultSpec, PlanMatchesExactCoordinatesOnly)
     EXPECT_TRUE(runner::FaultPlan().empty());
 }
 
+TEST(FaultSpec, UnplannedInjectionIsRefusedBeforeAnyTrialRuns)
+{
+    const std::string path = temp_path("unplanned.json");
+    for (const char *text : {"throw@alpah:0", "throw@alpha:3",
+                             "stall@no such scenario:0"}) {
+        int runs = 0;
+        runner::SweepOptions options = base_options();
+        options.json_out = path;
+        options.faults = {runner::parse_fault(text)};
+        runner::Sweep sweep(std::move(options));
+        sweep.add_scenario("alpha", 3, [&](const runner::TrialContext &c) {
+            ++runs;
+            return synthetic_result(c);
+        });
+        sweep.add_scenario("beta", 2, synthetic_result);
+        try {
+            (void)sweep.run();
+            ADD_FAILURE() << text << " was accepted";
+        } catch (const Error &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(std::string("spec=") + text),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find("planned=alpha:0..2; beta:0..1"),
+                      std::string::npos)
+                << what;
+        }
+        EXPECT_EQ(runs, 0) << text;
+        EXPECT_FALSE(file_exists(runner::journal_path(path))) << text;
+    }
+
+    // A near miss of a planned scenario name gets a suggestion.
+    runner::SweepOptions options = base_options();
+    options.faults = {runner::parse_fault("throw@alpah:0")};
+    try {
+        (void)run_synthetic(std::move(options));
+        ADD_FAILURE() << "a typo'd scenario was accepted";
+    } catch (const Error &e) {
+        EXPECT_NE(std::string(e.what()).find("did_you_mean=alpha"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(FaultSpec, ReplayChecksInjectionsAgainstTheFullPlan)
+{
+    // The fault aims at trial 2, the replay runs trial 0: valid, since a
+    // run of the whole sweep fires it; the replayed trial is clean.
+    runner::SweepOptions options = base_options();
+    options.replay_trial = 0;
+    options.faults = {runner::parse_fault("throw@alpha:2")};
+    const runner::SweepRun run = run_synthetic(options);
+    ASSERT_EQ(run.outcomes.size(), 1u);
+    EXPECT_EQ(run.outcomes[0].status, runner::TrialStatus::kOk);
+
+    // Aimed at no trial of the full plan: refused under a replay too.
+    options.faults = {runner::parse_fault("throw@alpha:3")};
+    EXPECT_THROW((void)run_synthetic(options), Error);
+}
+
 // ---------------------------------------------------------------------------
 // Injected faults become structured outcomes
 // ---------------------------------------------------------------------------

@@ -239,24 +239,42 @@ TEST(AddressSpace, RegionsDoNotOverlap)
     EXPECT_GE(r2, r1 + 3 * kPageBytes);
 }
 
-TEST(AddressSpace, TlbCountsHitsAndMisses)
+TEST(AddressSpace, RegionMemoCountsHitsMissesAndResets)
 {
     FrameAllocator frames(64ULL << 20, 9);
     AddressSpace space(0, frames);
-    const Addr base = space.mmap(2 * kPageBytes);
+    const Addr a = space.mmap(2 * kPageBytes);
+    const Addr b = space.mmap(kPageBytes);
+    EXPECT_EQ(space.tlb_flushes(), 2u);  // one reset per mmap
     EXPECT_EQ(space.tlb_hits(), 0u);
 
-    const Addr pa = space.translate(base);  // cold: page-table walk
+    const Addr pa = space.translate(a);  // cold: region search
     EXPECT_EQ(space.tlb_misses(), 1u);
-    EXPECT_EQ(space.translate(base + 64), pa + 64);  // warm: TLB hit
-    EXPECT_EQ(space.tlb_hits(), 1u);
+    EXPECT_EQ(space.translate(a + 64), pa + 64);  // memo hit
+    // Any page of the memoized region hits: there are no per-page entries.
+    EXPECT_EQ(space.translate(a + kPageBytes + 8),
+              space.pagemap(a + kPageBytes) + 8);
+    EXPECT_EQ(space.tlb_hits(), 3u);
     EXPECT_EQ(space.tlb_misses(), 1u);
 
-    // A different page is a separate entry: one more miss, then hits.
-    space.translate(base + kPageBytes);
+    // Another region misses once, then takes over the memo.
+    space.translate(b);
+    space.translate(b + 8);
     EXPECT_EQ(space.tlb_misses(), 2u);
-    space.translate(base + kPageBytes + 8);
-    EXPECT_EQ(space.tlb_hits(), 2u);
+    EXPECT_EQ(space.tlb_hits(), 4u);
+
+    // An unmapped address misses and leaves the memo where it was.
+    EXPECT_EQ(space.translate(a + 2 * kPageBytes), kInvalidAddr);
+    EXPECT_EQ(space.tlb_misses(), 3u);
+    space.translate(b + 16);
+    EXPECT_EQ(space.tlb_hits(), 5u);
+
+    // A mapping change resets the memo: the next translation misses.
+    space.mmap(kPageBytes);
+    EXPECT_EQ(space.tlb_flushes(), 3u);
+    space.translate(b);
+    EXPECT_EQ(space.tlb_misses(), 4u);
+    EXPECT_EQ(space.tlb_hits(), 5u);
 }
 
 TEST(AddressSpace, TlbMunmapRemapFrameReuseDoesNotAlias)
