@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <stdexcept>
 
 #include "common/log.hh"
 
@@ -75,6 +76,10 @@ Anvil::start()
 {
     if (running_)
         return;
+    // Refused before anything is armed, so the running one is untouched.
+    if (mem_.clock().alarm_pending())
+        throw std::logic_error("Anvil::start: the machine's clock already "
+                               "has an alarm set");
     running_ = true;
     begin_stage1();
 }
@@ -86,10 +91,7 @@ Anvil::stop()
         return;
     running_ = false;
     stage_ = Stage::kIdle;
-    if (window_event_ != 0) {
-        mem_.clock().cancel(window_event_);
-        window_event_ = 0;
-    }
+    mem_.clock().cancel_alarm();
     pmu_.counter(pmu::Event::kLlcMisses).disarm();
     pmu_.disable_sampling();
 }
@@ -118,10 +120,7 @@ Anvil::begin_stage1()
     pmu_.counter(pmu::Event::kLlcMisses)
         .arm_overflow(config_.llc_miss_threshold,
                       [this] { on_miss_overflow(); });
-    window_event_ = mem_.clock().schedule_in(config_.tc, [this] {
-        window_event_ = 0;
-        on_stage1_timeout();
-    });
+    mem_.clock().set_alarm_in(config_.tc, [this] { on_stage1_timeout(); });
 }
 
 void
@@ -137,10 +136,7 @@ Anvil::on_miss_overflow()
 {
     if (!running_ || stage_ != Stage::kStage1)
         return;
-    if (window_event_ != 0) {
-        mem_.clock().cancel(window_event_);
-        window_event_ = 0;
-    }
+    mem_.clock().cancel_alarm();
     ++stats_.stage1_triggers;
     begin_stage2();
 }
@@ -180,10 +176,7 @@ Anvil::begin_stage2()
     pmu_.enable_sampling(sc);
     misses_at_stage_start_ = pmu_.counter(pmu::Event::kLlcMisses).value();
 
-    window_event_ = mem_.clock().schedule_in(config_.ts, [this] {
-        window_event_ = 0;
-        on_stage2_end();
-    });
+    mem_.clock().set_alarm_in(config_.ts, [this] { on_stage2_end(); });
 }
 
 void

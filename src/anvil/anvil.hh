@@ -30,7 +30,6 @@
 #include "dram/address_map.hh"
 #include "mem/memory_system.hh"
 #include "pmu/pmu.hh"
-#include "sim/event_queue.hh"
 
 namespace anvil::detector {
 
@@ -82,10 +81,14 @@ class Anvil
     Anvil(const Anvil &) = delete;
     Anvil &operator=(const Anvil &) = delete;
 
-    /** Loads the module: begins Stage-1 monitoring. */
+    /**
+     * Loads the module: begins Stage-1 monitoring.
+     * @throws std::logic_error if the machine's clock already holds an
+     *         alarm (another detector is running on it).
+     */
     void start();
 
-    /** Unloads the module: cancels all monitoring. */
+    /** Unloads the module: cancels all monitoring and its window alarm. */
     void stop();
 
     bool running() const { return running_; }
@@ -125,7 +128,6 @@ class Anvil
 
     bool running_ = false;
     Stage stage_ = Stage::kIdle;
-    sim::EventId window_event_ = 0;
 
     // Stage-bookkeeping snapshots.
     std::uint64_t misses_at_stage_start_ = 0;

@@ -29,6 +29,7 @@ MemoryLayout::MemoryLayout(const mem::AddressSpace &space,
 void
 MemoryLayout::scan(Addr va_base, std::uint64_t bytes)
 {
+    scanned_.emplace_back(va_base, bytes);
     for (Addr va = va_base; va < va_base + bytes; va += mem::kPageBytes) {
         const Addr frame = space_.pagemap(va);
         if (frame == kInvalidAddr)
@@ -38,7 +39,7 @@ MemoryLayout::scan(Addr va_base, std::uint64_t bytes)
         // Consecutive pages mostly share a row: keep the first of a run.
         if (rows_.empty() || rows_.back().first != key)
             rows_.emplace_back(key, va);
-        page_vas_.push_back(va);
+        ++pages_scanned_;
     }
     // The stable sort keeps equal keys in scan order, so the first VA
     // scanned into a row wins, as with earlier calls' rows.
@@ -150,12 +151,10 @@ MemoryLayout::build_eviction_set(Addr target_va,
         cache::kLineBytes * std::min(hierarchy_.config().llc_sets_per_slice,
                                      mem::kPageBytes / cache::kLineBytes);
     std::vector<Addr> conflicts;
-    for (const Addr page_va : page_vas_) {
-        if (conflicts.size() >= n_conflicts)
-            break;
-        const Addr frame = space_.pagemap(page_va);
+    const auto add_conflicts = [&](Addr page_va, Addr frame) {
         for (std::uint32_t off = want_set * cache::kLineBytes % step;
-             off < mem::kPageBytes; off += step) {
+             off < mem::kPageBytes && conflicts.size() < n_conflicts;
+             off += step) {
             const Addr pa = frame + off;
             if (cache::line_of(pa) == cache::line_of(target_pa))
                 continue;
@@ -171,8 +170,17 @@ MemoryLayout::build_eviction_set(Addr target_va,
                 continue;
             }
             conflicts.push_back(page_va + off);
-            if (conflicts.size() >= n_conflicts)
-                break;
+        }
+    };
+    // The scanned pages in scan order, skipping unmapped ones as scan()
+    // does.
+    for (const auto &[va_base, bytes] : scanned_) {
+        for (Addr va = va_base;
+             va < va_base + bytes && conflicts.size() < n_conflicts;
+             va += mem::kPageBytes) {
+            const Addr frame = space_.pagemap(va);
+            if (frame != kInvalidAddr)
+                add_conflicts(va, frame);
         }
     }
     if (conflicts.size() < n_conflicts) {

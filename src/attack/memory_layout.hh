@@ -123,8 +123,8 @@ class MemoryLayout
     std::vector<Addr> build_eviction_set(Addr target_va,
                                          std::size_t n_conflicts) const;
 
-    /** Number of pages indexed by scan(). */
-    std::size_t pages_scanned() const { return page_vas_.size(); }
+    /** Number of mapped pages indexed by scan(). */
+    std::size_t pages_scanned() const { return pages_scanned_; }
 
   private:
     const mem::AddressSpace &space_;
@@ -132,7 +132,9 @@ class MemoryLayout
     const cache::CacheHierarchy &hierarchy_;
 
     RowIndex rows_;
-    std::vector<Addr> page_vas_;  ///< all scanned page base VAs
+    /// The [va, va + bytes) ranges passed to scan(), in call order.
+    std::vector<std::pair<Addr, std::uint64_t>> scanned_;
+    std::size_t pages_scanned_ = 0;
 };
 
 }  // namespace anvil::attack

@@ -21,8 +21,8 @@
 #include "common/types.hh"
 #include "common/units.hh"
 #include "dram/dram_system.hh"
+#include "mem/clock.hh"
 #include "mem/virtual_memory.hh"
-#include "sim/event_queue.hh"
 
 namespace anvil::mem {
 
@@ -84,8 +84,8 @@ class MemorySystem
 
     explicit MemorySystem(const SystemConfig &config);
 
-    /** The simulated clock / event queue. */
-    sim::EventQueue &clock() { return clock_; }
+    /** The simulated clock and its alarm. */
+    Clock &clock() { return clock_; }
     Tick now() const { return clock_.now(); }
 
     /** Creates a new process address space. */
@@ -101,7 +101,7 @@ class MemorySystem
     /**
      * Performs one load or store: translates, walks the cache hierarchy,
      * touches DRAM on an LLC miss, advances the clock by the access
-     * latency, fires due events, and notifies observers.
+     * latency, rings a due alarm, and notifies observers.
      * @pre va is mapped in @p pid.
      */
     AccessInfo access(Pid pid, Addr va, AccessType type);
@@ -146,7 +146,7 @@ class MemorySystem
 
   private:
     SystemConfig config_;
-    sim::EventQueue clock_;
+    Clock clock_;
     FrameAllocator frames_;
     dram::DramSystem dram_;
     cache::CacheHierarchy hierarchy_;

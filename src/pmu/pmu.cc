@@ -83,12 +83,6 @@ Pmu::disable_sampling()
     sampling_enabled_ = false;
 }
 
-std::vector<PebsRecord>
-Pmu::drain_samples()
-{
-    return std::exchange(records_, {});
-}
-
 void
 Pmu::drain_samples(std::vector<PebsRecord> &out)
 {

@@ -158,9 +158,6 @@ class Pmu : public mem::AccessListener
 
     bool sampling_enabled() const { return sampling_enabled_; }
 
-    /** Takes all accumulated PEBS records. */
-    std::vector<PebsRecord> drain_samples();
-
     /**
      * Takes all accumulated PEBS records into @p out (cleared first) by
      * swapping buffers — the steady-state path allocates nothing once both

@@ -134,19 +134,25 @@ Sweep::plan() const
 }
 
 std::vector<TrialSpec>
-Sweep::plan_specs() const
+Sweep::specs_of(const std::vector<Pending> &pending)
 {
     std::vector<TrialSpec> specs;
-    for (const Pending &p : plan())
+    for (const Pending &p : pending)
         specs.push_back(p.spec);
     return specs;
+}
+
+std::vector<TrialSpec>
+Sweep::plan_specs() const
+{
+    return specs_of(plan());
 }
 
 SweepRun
 Sweep::run()
 {
     std::vector<Pending> pending = plan();
-    const std::vector<TrialSpec> specs = plan_specs();
+    const std::vector<TrialSpec> specs = specs_of(pending);
     // Checked against the full plan, so a replay still refuses a fault
     // that no run of this sweep could fire.
     const FaultPlan faults(options_.faults);

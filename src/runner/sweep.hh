@@ -131,6 +131,10 @@ class Sweep
     /** All trials in deterministic order, seeds assigned. */
     std::vector<Pending> plan() const;
 
+    /** The specs of @p pending, in order. */
+    static std::vector<TrialSpec>
+    specs_of(const std::vector<Pending> &pending);
+
     struct Scenario {
         std::string name;
         std::uint64_t trials;

@@ -7,6 +7,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "anvil/anvil.hh"
 #include "attack/hammer.hh"
 #include "attack/memory_layout.hh"
@@ -103,6 +105,50 @@ TEST_F(AnvilTest, StartStopIdempotent)
     const auto windows = anvil.stats().stage1_windows;
     machine_->advance(ms(50));
     EXPECT_EQ(anvil.stats().stage1_windows, windows);
+}
+
+TEST_F(AnvilTest, StopLeavesNoAlarmPending)
+{
+    Anvil anvil(*machine_, *pmu_, AnvilConfig::baseline());
+    anvil.start();
+    EXPECT_TRUE(machine_->clock().alarm_pending());  // the tc window
+    machine_->advance(ms(20));
+    anvil.stop();
+    EXPECT_FALSE(machine_->clock().alarm_pending());
+
+    // Stopped under attack, mid Stage 1 or Stage 2.
+    anvil.start();
+    attack::ClflushDoubleSided hammer(*machine_, attacker_->pid(),
+                                      first_target());
+    hammer.run(ms(10));
+    EXPECT_GT(anvil.stats().stage2_windows, 0u);
+    anvil.stop();
+    EXPECT_FALSE(machine_->clock().alarm_pending());
+    EXPECT_FALSE(pmu_->counter(pmu::Event::kLlcMisses).armed());
+    EXPECT_FALSE(pmu_->sampling_enabled());
+}
+
+TEST_F(AnvilTest, SecondDetectorStartIsRefused)
+{
+    // One machine, one window alarm: a second detector may start only
+    // once the first has stopped, and a refused start leaves the running
+    // one untouched.
+    Anvil first(*machine_, *pmu_, AnvilConfig::baseline());
+    Anvil second(*machine_, *pmu_, AnvilConfig::heavy());
+    first.start();
+    EXPECT_THROW(second.start(), std::logic_error);
+    EXPECT_FALSE(second.running());
+    EXPECT_TRUE(pmu_->counter(pmu::Event::kLlcMisses).armed());
+
+    machine_->advance(ms(30));
+    EXPECT_GE(first.stats().stage1_windows, 5u);
+    EXPECT_EQ(second.stats().stage1_windows, 0u);
+
+    first.stop();
+    second.start();
+    EXPECT_TRUE(second.running());
+    machine_->advance(ms(10));
+    EXPECT_GE(second.stats().stage1_windows, 5u);  // 2 ms tc windows
 }
 
 TEST_F(AnvilTest, DetectsClflushAttackWithinOneRefreshPeriod)

@@ -737,19 +737,33 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RowIndexEquivalence,
 // Eviction sets against a line-by-line reference
 // ---------------------------------------------------------------------------
 
-/** build_eviction_set visiting all 64 lines of every scanned page. */
+/** The mapped pages of [base, base + bytes), as scan() indexes them. */
+std::vector<Addr>
+mapped_pages(const mem::AddressSpace &space, Addr base, std::uint64_t bytes)
+{
+    std::vector<Addr> pages;
+    for (Addr page = base; page < base + bytes; page += mem::kPageBytes) {
+        if (space.pagemap(page) != kInvalidAddr)
+            pages.push_back(page);
+    }
+    return pages;
+}
+
+/** build_eviction_set visiting all 64 lines of each page in @p pages. */
 std::vector<Addr>
 reference_eviction_set(const mem::MemorySystem &machine,
-                       const mem::AddressSpace &space, Addr base,
-                       std::uint64_t bytes, Addr target_va, std::size_t n)
+                       const mem::AddressSpace &space,
+                       const std::vector<Addr> &pages, Addr target_va,
+                       std::size_t n)
 {
     const cache::CacheHierarchy &h = machine.hierarchy();
     const dram::AddressMap &map = machine.dram().address_map();
     const Addr target_pa = space.translate(target_va);
     const dram::DramCoord target = map.decode(target_pa);
     std::vector<Addr> out;
-    for (Addr page = base; page < base + bytes && out.size() < n;
-         page += mem::kPageBytes) {
+    for (const Addr page : pages) {
+        if (out.size() >= n)
+            break;
         const Addr frame = space.pagemap(page);
         for (Addr off = 0; off < mem::kPageBytes && out.size() < n;
              off += cache::kLineBytes) {
@@ -787,12 +801,13 @@ TEST_P(EvictionSetGeometry, MatchesTheLineByLineReference)
                         machine.hierarchy());
     layout.scan(buffer, kBytes);
 
+    const std::vector<Addr> pages = mapped_pages(proc, buffer, kBytes);
     Rng rng(GetParam().second);
     for (int trial = 0; trial < 16; ++trial) {
         const Addr target = buffer + rng.next_below(kBytes / 64) * 64;
         const std::size_t n = 1 + trial % 13;
         const std::vector<Addr> want =
-            reference_eviction_set(machine, proc, buffer, kBytes, target, n);
+            reference_eviction_set(machine, proc, pages, target, n);
         ASSERT_EQ(want.size(), n);
         EXPECT_EQ(layout.build_eviction_set(target, n), want) << trial;
     }
@@ -802,6 +817,46 @@ INSTANTIATE_TEST_SUITE_P(
     Geometries, EvictionSetGeometry,
     ::testing::Values(std::make_pair(2u, 2048u), std::make_pair(1u, 16u),
                       std::make_pair(4u, 32u), std::make_pair(8u, 64u)));
+
+TEST(EvictionSetScanOrder, WalksEveryScanInCallOrderSkippingUnmappedPages)
+{
+    // Two scans, the later one at lower addresses and across a region
+    // unmapped before it: conflicts come from the first scan's pages,
+    // then the second's, never from the hole.
+    mem::MemorySystem machine(mem::SystemConfig{});
+    mem::AddressSpace &proc = machine.create_process();
+    constexpr std::uint64_t kRegion = 4ULL << 20;
+    const Addr low = proc.mmap(kRegion);
+    const Addr hole = proc.mmap(kRegion);
+    const Addr high = proc.mmap(kRegion);
+    proc.munmap(hole, kRegion);
+    constexpr std::uint64_t kFirst = 1ULL << 20;
+    const std::uint64_t second = high + kRegion - low;
+    MemoryLayout layout(proc, machine.dram().address_map(),
+                        machine.hierarchy());
+    layout.scan(high, kFirst);
+    layout.scan(low, second);
+
+    std::vector<Addr> pages = mapped_pages(proc, high, kFirst);
+    const std::vector<Addr> later = mapped_pages(proc, low, second);
+    pages.insert(pages.end(), later.begin(), later.end());
+    ASSERT_EQ(proc.pagemap(hole), kInvalidAddr);
+    EXPECT_LE(later.size(), (second - kRegion) / mem::kPageBytes);
+    EXPECT_EQ(layout.pages_scanned(), pages.size());
+
+    Rng rng(0x5CA7ULL);
+    bool crossed = false;
+    for (int trial = 0; trial < 8; ++trial) {
+        const Addr target = high + rng.next_below(kFirst / 64) * 64;
+        const std::size_t n = 6 + trial;
+        const std::vector<Addr> want =
+            reference_eviction_set(machine, proc, pages, target, n);
+        ASSERT_EQ(want.size(), n);
+        crossed = crossed || want.back() < high;
+        EXPECT_EQ(layout.build_eviction_set(target, n), want) << trial;
+    }
+    EXPECT_TRUE(crossed);  // some sets needed the second scan's pages
+}
 
 }  // namespace
 }  // namespace anvil::attack

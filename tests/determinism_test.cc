@@ -4,9 +4,8 @@
  *
  * Two back-to-back serial runs of the double-sided attack + ANVIL
  * scenario must produce identical Detection sequences and AnvilStats.
- * This guards the contracts parallel sweeps rely on: the EventQueue's
- * FIFO tie-break among equal deadlines (src/sim/event_queue.hh), the
- * explicit seeding of every random stream, and the absence of any
+ * This guards the contracts parallel sweeps rely on: a clock whose one
+ * alarm rings at its deadline (src/mem/clock.hh), the explicit seeding of every random stream, and the absence of any
  * global mutable state shared between simulated machines.
  */
 #include <gtest/gtest.h>

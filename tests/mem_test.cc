@@ -13,7 +13,6 @@
 #include "mem/memory_system.hh"
 #include "mem/virtual_memory.hh"
 #include "pmu/pmu.hh"
-#include "sim/event_queue.hh"
 
 namespace anvil::mem {
 namespace {
@@ -542,7 +541,7 @@ TEST_F(MemorySystemTest, EventsFireDuringAccessLatency)
     AddressSpace &proc = machine_.create_process();
     const Addr va = proc.mmap(kPageBytes);
     bool fired = false;
-    machine_.clock().schedule_in(1, [&] { fired = true; });
+    machine_.clock().set_alarm_in(1, [&] { fired = true; });
     machine_.access(proc.pid(), va, AccessType::kLoad);
     EXPECT_TRUE(fired);
 }
@@ -588,22 +587,21 @@ TEST_F(MemorySystemTest, TlbFlushesStayWithinTheirSpace)
 
 /**
  * One simulated machine plus everything observing it: a PMU with an armed
- * overflow interrupt and PEBS sampling of loads and stores, a periodic
- * timer, and an activation observer that re-enters DRAM with a refresh
- * read (the tracker path). Built identically for both sides of the test.
+ * overflow interrupt and PEBS sampling of loads and stores, a clock
+ * alarm its handler re-arms every 7 us, and an activation observer that
+ * re-enters DRAM with a refresh read (the tracker path). Built
+ * identically for both sides of the test.
  */
 struct ObservedMachine : dram::ActivationObserver {
     explicit ObservedMachine(const SystemConfig &config)
-        : mem(config),
-          pmu(mem, 0x5A11ULL),
-          timer(mem.clock(), us(7), [this] { ++timer_fires; })
+        : mem(config), pmu(mem, 0x5A11ULL)
     {
         pmu::SampleConfig sampling;
         sampling.mean_period = us(2);
         sampling.sample_stores = true;
         pmu.enable_sampling(sampling);
         arm_pmi();
-        timer.start();
+        arm_timer();
         mem.dram().attach(*this);
         for (int p = 0; p < 2; ++p)
             mem.create_process();
@@ -630,9 +628,17 @@ struct ObservedMachine : dram::ActivationObserver {
         });
     }
 
+    void
+    arm_timer()
+    {
+        mem.clock().set_alarm_in(us(7), [this] {
+            ++timer_fires;
+            arm_timer();
+        });
+    }
+
     MemorySystem mem;
     pmu::Pmu pmu;
-    sim::PeriodicTimer timer;
     std::uint64_t timer_fires = 0;
     std::uint64_t pmis = 0;
     std::uint64_t activations = 0;
@@ -822,8 +828,10 @@ TEST(MemorySystemLayers, EntryPointsMatchTheComposedLayerCalls)
         }
         EXPECT_EQ(whole.pmu.llc_misses_by_pid(),
                   parts.pmu.llc_misses_by_pid());
-        const std::vector<pmu::PebsRecord> rw = whole.pmu.drain_samples();
-        const std::vector<pmu::PebsRecord> rp = parts.pmu.drain_samples();
+        std::vector<pmu::PebsRecord> rw;
+        std::vector<pmu::PebsRecord> rp;
+        whole.pmu.drain_samples(rw);
+        parts.pmu.drain_samples(rp);
         ASSERT_EQ(rw.size(), rp.size());
         for (std::size_t i = 0; i < rw.size(); ++i) {
             EXPECT_EQ(rw[i].pid, rp[i].pid) << i;

@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/units.hh"
 #include "mem/memory_system.hh"
 #include "pmu/pmu.hh"
@@ -50,6 +52,15 @@ class PmuTest : public ::testing::Test
         machine_.access(proc_->pid(), arena_, AccessType::kLoad);
         for (std::uint64_t i = 0; i < n; ++i)
             machine_.access(proc_->pid(), arena_, AccessType::kLoad);
+    }
+
+    /** Takes the PMU's accumulated PEBS records. */
+    std::vector<PebsRecord>
+    drain()
+    {
+        std::vector<PebsRecord> samples;
+        pmu_.drain_samples(samples);
+        return samples;
     }
 
     static constexpr std::uint64_t arena_bytes_ = 16ULL << 20;
@@ -140,7 +151,7 @@ TEST_F(PmuTest, SamplingRateMatchesConfiguredMeanPeriod)
     const Tick start = machine_.now();
     while (machine_.now() - start < ms(6))
         stream_misses(100);
-    const auto samples = pmu_.drain_samples();
+    const auto samples = drain();
     // Paper: ~30 samples per 6 ms window on average.
     EXPECT_GE(samples.size(), 18u);
     EXPECT_LE(samples.size(), 45u);
@@ -155,9 +166,9 @@ TEST_F(PmuTest, LoadLatencyThresholdFiltersCacheHits)
     sc.sample_loads = true;
     pmu_.enable_sampling(sc);
     hit_l1(5000);
-    EXPECT_EQ(pmu_.drain_samples().size(), 0u);
+    EXPECT_EQ(drain().size(), 0u);
     stream_misses(5000);
-    const auto samples = pmu_.drain_samples();
+    const auto samples = drain();
     EXPECT_GT(samples.size(), 0u);
     for (const auto &s : samples) {
         EXPECT_EQ(s.source, DataSource::kDram);
@@ -175,9 +186,9 @@ TEST_F(PmuTest, StoreSamplingCapturesStoreMisses)
     sc.sample_stores = true;
     pmu_.enable_sampling(sc);
     stream_misses(2000, AccessType::kLoad);
-    EXPECT_EQ(pmu_.drain_samples().size(), 0u);  // loads not eligible
+    EXPECT_EQ(drain().size(), 0u);  // loads not eligible
     stream_misses(2000, AccessType::kStore);
-    const auto samples = pmu_.drain_samples();
+    const auto samples = drain();
     EXPECT_GT(samples.size(), 0u);
     for (const auto &s : samples)
         EXPECT_EQ(s.type, AccessType::kStore);
@@ -190,7 +201,7 @@ TEST_F(PmuTest, SampledVirtualAddressesAreReal)
     sc.sample_loads = true;
     pmu_.enable_sampling(sc);
     stream_misses(5000);
-    for (const auto &s : pmu_.drain_samples()) {
+    for (const auto &s : drain()) {
         EXPECT_GE(s.va, arena_);
         EXPECT_LT(s.va, arena_ + arena_bytes_);
         // The VA resolves through the process page table.
@@ -209,7 +220,7 @@ TEST_F(PmuTest, DisableSamplingStopsRecords)
     const std::size_t frozen = pmu_.pending_samples();
     stream_misses(1000);
     EXPECT_EQ(pmu_.pending_samples(), frozen);
-    EXPECT_EQ(pmu_.drain_samples().size(), frozen);
+    EXPECT_EQ(drain().size(), frozen);
     EXPECT_EQ(pmu_.pending_samples(), 0u);
 }
 

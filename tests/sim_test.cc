@@ -1,338 +1,161 @@
 /**
  * @file
- * Unit tests for the discrete-event core (event queue, periodic timer),
- * including the nested time-advance behaviour the ANVIL module relies on.
+ * Unit tests for the simulated clock and its one alarm slot, including
+ * the nested time-advance behaviour the ANVIL module relies on. The
+ * suites keep the test names they had when the clock was an event queue.
  */
 #include <gtest/gtest.h>
 
-#include <map>
-#include <utility>
+#include <functional>
+#include <stdexcept>
 #include <vector>
 
-#include "common/rng.hh"
-#include "common/units.hh"
-#include "sim/event_queue.hh"
+#include "mem/clock.hh"
 
-namespace anvil::sim {
+namespace anvil::mem {
 namespace {
 
 TEST(EventQueue, StartsAtZero)
 {
-    EventQueue q;
-    EXPECT_EQ(q.now(), 0u);
-    EXPECT_EQ(q.pending(), 0u);
-}
-
-TEST(EventQueue, FiresEventsInTimestampOrder)
-{
-    EventQueue q;
-    std::vector<int> order;
-    q.schedule_at(30, [&] { order.push_back(3); });
-    q.schedule_at(10, [&] { order.push_back(1); });
-    q.schedule_at(20, [&] { order.push_back(2); });
-    q.advance_to(100);
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(q.now(), 100u);
-}
-
-TEST(EventQueue, EqualDeadlinesFireFifo)
-{
-    EventQueue q;
-    std::vector<int> order;
-    q.schedule_at(5, [&] { order.push_back(1); });
-    q.schedule_at(5, [&] { order.push_back(2); });
-    q.schedule_at(5, [&] { order.push_back(3); });
-    q.advance_to(5);
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    Clock clock;
+    EXPECT_EQ(clock.now(), 0u);
+    EXPECT_FALSE(clock.alarm_pending());
 }
 
 TEST(EventQueue, HandlerObservesItsDeadline)
 {
-    EventQueue q;
+    Clock clock;
     Tick seen = 0;
-    q.schedule_at(42, [&] { seen = q.now(); });
-    q.advance_to(100);
+    clock.set_alarm_in(42, [&] { seen = clock.now(); });
+    clock.advance_to(100);
     EXPECT_EQ(seen, 42u);
+    EXPECT_EQ(clock.now(), 100u);
+    EXPECT_FALSE(clock.alarm_pending());
 }
 
 TEST(EventQueue, EventsBeyondTargetStayPending)
 {
-    EventQueue q;
+    Clock clock;
     bool fired = false;
-    q.schedule_at(50, [&] { fired = true; });
-    q.advance_to(49);
+    clock.set_alarm_in(50, [&] { fired = true; });
+    clock.advance_to(49);
     EXPECT_FALSE(fired);
-    EXPECT_EQ(q.pending(), 1u);
-    q.advance_to(50);
+    EXPECT_TRUE(clock.alarm_pending());
+    clock.advance_to(50);
     EXPECT_TRUE(fired);
+    EXPECT_FALSE(clock.alarm_pending());
 }
 
 TEST(EventQueue, CancelPreventsFiring)
 {
-    EventQueue q;
+    Clock clock;
     bool fired = false;
-    const EventId id = q.schedule_at(10, [&] { fired = true; });
-    EXPECT_TRUE(q.cancel(id));
-    EXPECT_FALSE(q.cancel(id));  // already gone
-    q.advance_to(20);
+    clock.set_alarm_in(10, [&] { fired = true; });
+    clock.cancel_alarm();
+    EXPECT_FALSE(clock.alarm_pending());
+    clock.cancel_alarm();  // nothing pending: a no-op
+    clock.advance_to(20);
     EXPECT_FALSE(fired);
+    EXPECT_EQ(clock.now(), 20u);
+    // The emptied slot takes a new alarm.
+    clock.set_alarm_in(5, [&] { fired = true; });
+    clock.advance_to(25);
+    EXPECT_TRUE(fired);
+}
+
+TEST(EventQueue, SecondAlarmIsRefused)
+{
+    // Like DramSystem::attach, the slot refuses a second occupant rather
+    // than queueing it or replacing the first.
+    Clock clock;
+    std::vector<int> fires;
+    clock.set_alarm_in(10, [&] { fires.push_back(1); });
+    EXPECT_THROW(clock.set_alarm_in(5, [&] { fires.push_back(2); }),
+                 std::logic_error);
+    EXPECT_TRUE(clock.alarm_pending());
+    clock.advance_to(100);
+    EXPECT_EQ(fires, (std::vector<int>{1}));
 }
 
 TEST(EventQueue, HandlersMayScheduleFurtherDueEvents)
 {
-    EventQueue q;
+    // The slot is empty while the handler runs, so it may set the alarm
+    // again; a re-armed alarm due by the target rings in the same call.
+    Clock clock;
     std::vector<Tick> fires;
-    q.schedule_at(10, [&] {
-        fires.push_back(q.now());
-        q.schedule_at(15, [&] { fires.push_back(q.now()); });
+    clock.set_alarm_in(10, [&] {
+        fires.push_back(clock.now());
+        clock.set_alarm_in(5, [&] { fires.push_back(clock.now()); });
     });
-    q.advance_to(20);
+    clock.advance_to(20);
     EXPECT_EQ(fires, (std::vector<Tick>{10, 15}));
 }
 
 TEST(EventQueue, NestedElapseKeepsClockMonotonic)
 {
-    // An event handler that itself elapses time (ANVIL charging detector
+    // An alarm handler that itself elapses time (ANVIL charging detector
     // overhead) must not make the clock run backwards afterwards.
-    EventQueue q;
+    Clock clock;
     std::vector<Tick> trace;
-    q.schedule_at(10, [&] {
-        q.elapse(100);  // nested: pushes now to 110
-        trace.push_back(q.now());
+    clock.set_alarm_in(10, [&] {
+        clock.set_alarm_in(40, [&] { trace.push_back(clock.now()); });
+        clock.elapse(100);  // nested: pushes now to 110
+        trace.push_back(clock.now());
     });
-    q.schedule_at(50, [&] { trace.push_back(q.now()); });
-    q.advance_to(60);
+    clock.advance_to(60);
     ASSERT_EQ(trace.size(), 2u);
-    // The t=50 event fires *during* the nested elapse (at its own
-    // deadline), before the outer handler resumes at t=110.
+    // The re-armed alarm rings *during* the nested elapse (at its own
+    // deadline, t=50), before the outer handler resumes at t=110.
     EXPECT_EQ(trace[0], 50u);
     EXPECT_EQ(trace[1], 110u);
-    EXPECT_EQ(q.now(), 110u);  // never pulled back to 60
-}
-
-TEST(EventQueue, NextDeadlineReportsEarliest)
-{
-    EventQueue q;
-    EXPECT_EQ(q.next_deadline(), std::numeric_limits<Tick>::max());
-    q.schedule_at(30, [] {});
-    q.schedule_at(20, [] {});
-    EXPECT_EQ(q.next_deadline(), 20u);
+    EXPECT_EQ(clock.now(), 110u);  // never pulled back to 60
 }
 
 TEST(EventQueue, ScheduleInIsRelative)
 {
-    EventQueue q;
-    q.advance_to(100);
+    Clock clock;
+    clock.advance_to(100);
     Tick fired_at = 0;
-    q.schedule_in(5, [&] { fired_at = q.now(); });
-    q.advance_to(200);
+    clock.set_alarm_in(5, [&] { fired_at = clock.now(); });
+    clock.advance_to(200);
     EXPECT_EQ(fired_at, 105u);
 }
 
-TEST(PeriodicTimer, FiresEveryPeriod)
-{
-    EventQueue q;
-    int fires = 0;
-    PeriodicTimer timer(q, 10, [&] { ++fires; });
-    timer.start();
-    q.advance_to(55);
-    EXPECT_EQ(fires, 5);
-}
-
-TEST(PeriodicTimer, StopHaltsFiring)
-{
-    EventQueue q;
-    int fires = 0;
-    PeriodicTimer timer(q, 10, [&] { ++fires; });
-    timer.start();
-    q.advance_to(25);
-    timer.stop();
-    q.advance_to(100);
-    EXPECT_EQ(fires, 2);
-    EXPECT_FALSE(timer.running());
-}
-
-TEST(PeriodicTimer, CallbackMayStopItself)
-{
-    EventQueue q;
-    int fires = 0;
-    PeriodicTimer self(q, 10, [&] {
-        ++fires;
-        if (fires >= 2)
-            self.stop();
-    });
-    self.start();
-    q.advance_to(100);
-    EXPECT_EQ(fires, 2);
-}
-
-TEST(PeriodicTimer, RestartResetsPhase)
-{
-    EventQueue q;
-    std::vector<Tick> fires;
-    PeriodicTimer timer(q, 10, [&] { fires.push_back(q.now()); });
-    timer.start();
-    q.advance_to(15);
-    timer.start();  // restart at t=15: next fire at 25
-    q.advance_to(30);
-    EXPECT_EQ(fires, (std::vector<Tick>{10, 25}));
-}
-
-TEST(PeriodicTimer, DestructionCancelsCleanly)
-{
-    EventQueue q;
-    int fires = 0;
-    {
-        PeriodicTimer timer(q, 10, [&] { ++fires; });
-        timer.start();
-    }
-    q.advance_to(100);
-    EXPECT_EQ(fires, 0);
-}
-
-// ---------------------------------------------------------------------------
-// EventQueue stress: tombstones, compaction, handler re-entrancy
-// ---------------------------------------------------------------------------
-
 TEST(EventQueueStress, CancelFromHandlerSuppressesLaterEvent)
 {
-    EventQueue q;
-    bool victim_fired = false;
-    const EventId victim = q.schedule_at(20, [&] { victim_fired = true; });
-    q.schedule_at(10, [&] { EXPECT_TRUE(q.cancel(victim)); });
-    q.advance_to(30);
-    EXPECT_FALSE(victim_fired);
-    EXPECT_EQ(q.pending(), 0u);
-}
-
-TEST(EventQueueStress, CancelFromHandlerAtSameDeadline)
-{
-    // FIFO tie-break means the first-scheduled handler runs first and may
-    // cancel a same-deadline event scheduled after it.
-    EventQueue q;
-    std::vector<int> fires;
-    EventId second = 0;
-    q.schedule_at(10, [&] {
-        fires.push_back(1);
-        EXPECT_TRUE(q.cancel(second));
+    // A handler that re-arms and then cancels leaves the slot empty, and
+    // the ringing stops there.
+    Clock clock;
+    int fires = 0;
+    clock.set_alarm_in(10, [&] {
+        ++fires;
+        clock.set_alarm_in(10, [&] { ++fires; });
+        clock.cancel_alarm();
     });
-    second = q.schedule_at(10, [&] { fires.push_back(2); });
-    q.schedule_at(10, [&] { fires.push_back(3); });
-    q.advance_to(10);
-    EXPECT_EQ(fires, (std::vector<int>{1, 3}));
+    clock.advance_to(30);
+    EXPECT_EQ(fires, 1);
+    EXPECT_FALSE(clock.alarm_pending());
+    EXPECT_EQ(clock.now(), 30u);
 }
 
 TEST(EventQueueStress, RearmFromHandlerChainsWithinOneAdvance)
 {
-    // A handler re-arming itself (the PeriodicTimer pattern) must keep
-    // firing within the same advance_to while deadlines remain due.
-    EventQueue q;
+    // A handler re-arming itself (a periodic timer) must keep ringing
+    // within the same advance_to while deadlines remain due.
+    Clock clock;
     std::vector<Tick> fires;
     std::function<void()> rearm = [&] {
-        fires.push_back(q.now());
+        fires.push_back(clock.now());
         if (fires.size() < 5)
-            q.schedule_in(10, rearm);
+            clock.set_alarm_in(10, rearm);
     };
-    q.schedule_at(10, rearm);
-    q.advance_to(35);
+    clock.set_alarm_in(10, rearm);
+    clock.advance_to(35);
     EXPECT_EQ(fires, (std::vector<Tick>{10, 20, 30}));
-    q.advance_to(100);
+    clock.advance_to(100);
     EXPECT_EQ(fires, (std::vector<Tick>{10, 20, 30, 40, 50}));
-}
-
-TEST(EventQueueStress, TombstonesAccumulateThenCompact)
-{
-    EventQueue q;
-    std::vector<EventId> ids;
-    for (int i = 0; i < 20; ++i)
-        ids.push_back(q.schedule_at(100 + i, [] {}));
-    // Below both compaction thresholds (dead <= 16): tombstones linger.
-    for (int i = 0; i < 10; ++i)
-        EXPECT_TRUE(q.cancel(ids[i]));
-    EXPECT_EQ(q.pending(), 10u);
-    EXPECT_EQ(q.tombstones(), 10u);
-    // Crossing dead > 16 with dead * 2 > heap size sweeps them all.
-    for (int i = 10; i < 17; ++i)
-        EXPECT_TRUE(q.cancel(ids[i]));
-    EXPECT_EQ(q.pending(), 3u);
-    EXPECT_EQ(q.tombstones(), 0u);
-    // The survivors still fire, in deadline order.
-    std::vector<EventId> expected(ids.begin() + 17, ids.end());
-    for (EventId id : expected)
-        EXPECT_TRUE(q.cancel(id));
-    EXPECT_EQ(q.pending(), 0u);
-}
-
-TEST(EventQueueStress, FifoTiesSurviveInterleavedCancels)
-{
-    EventQueue q;
-    std::vector<int> fires;
-    std::vector<EventId> ids;
-    for (int i = 0; i < 8; ++i)
-        ids.push_back(q.schedule_at(50, [&fires, i] { fires.push_back(i); }));
-    // Cancel every other one; survivors must fire in scheduling order.
-    for (int i = 0; i < 8; i += 2)
-        EXPECT_TRUE(q.cancel(ids[i]));
-    q.advance_to(50);
-    EXPECT_EQ(fires, (std::vector<int>{1, 3, 5, 7}));
-}
-
-TEST(EventQueueStress, RandomizedTraceMatchesReferenceModel)
-{
-    // Deterministic random interleaving of schedule / cancel / advance_to,
-    // checked against a naive ordered-map reference model. The map is keyed
-    // (deadline, id) — exactly the documented firing order — so any heap,
-    // tombstone, or compaction bug shows up as a sequence divergence.
-    EventQueue q;
-    Rng rng(0xE7E47ULL);
-    std::vector<Tick> fired;          // handler-observed fire times
-    std::vector<Tick> expected_fires; // reference-model prediction
-    std::map<std::pair<Tick, EventId>, bool> model;  // value: live
-    std::vector<EventId> cancellable;
-
-    for (int round = 0; round < 2000; ++round) {
-        const auto op = rng.next_below(10);
-        if (op < 5) {
-            const Tick when = q.now() + rng.next_below(200);
-            const EventId id = q.schedule_at(
-                when, [&fired, &q] { fired.push_back(q.now()); });
-            model[{when, id}] = true;
-            cancellable.push_back(id);
-        } else if (op < 7 && !cancellable.empty()) {
-            const auto pick = rng.next_below(cancellable.size());
-            const EventId id = cancellable[pick];
-            bool was_live = false;
-            for (auto &entry : model) {
-                if (entry.first.second == id && entry.second) {
-                    entry.second = false;
-                    was_live = true;
-                    break;
-                }
-            }
-            EXPECT_EQ(q.cancel(id), was_live);
-        } else {
-            const Tick t = q.now() + rng.next_below(150);
-            // Fires due by t, in (deadline, id) order — the map's order.
-            for (auto &entry : model) {
-                if (entry.first.first <= t && entry.second) {
-                    entry.second = false;
-                    expected_fires.push_back(entry.first.first);
-                }
-            }
-            q.advance_to(t);
-            ASSERT_EQ(fired, expected_fires)
-                << "round " << round << " advance_to(" << t << ")";
-            EXPECT_EQ(q.now(), t);
-        }
-        const std::size_t live_in_model = [&] {
-            std::size_t n = 0;
-            for (const auto &entry : model)
-                n += entry.second ? 1 : 0;
-            return n;
-        }();
-        ASSERT_EQ(q.pending(), live_in_model) << "round " << round;
-    }
+    EXPECT_FALSE(clock.alarm_pending());
 }
 
 }  // namespace
-}  // namespace anvil::sim
+}  // namespace anvil::mem
