@@ -6,8 +6,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "common/log.hh"
-
 namespace anvil::detector {
 
 AnvilConfig
@@ -55,13 +53,6 @@ void
 Anvil::set_ground_truth(std::function<bool()> oracle)
 {
     ground_truth_ = std::move(oracle);
-}
-
-void
-Anvil::reset_stats()
-{
-    stats_ = AnvilStats();
-    detections_.clear();
 }
 
 void
@@ -236,14 +227,6 @@ Anvil::analyze_and_protect(const std::vector<pmu::PebsRecord> &samples,
     if (resolved == 0)
         return;
 
-    if (Logger::enabled(LogLevel::kDebug)) {
-        for (const auto &[key, count] : row_samples) {
-            ANVIL_DEBUG("anvil.analyze")
-                << "bank " << key.bank << " row " << key.row << ": "
-                << count << "/" << resolved << " samples";
-        }
-    }
-
     // Row locality: estimate each sampled row's access count within ts
     // and compare against the rate a successful attack needs.
     const double needed_in_ts =
@@ -317,10 +300,6 @@ Anvil::analyze_and_protect(const std::vector<pmu::PebsRecord> &samples,
         stats_.false_positive_refreshes += detection.refreshes_performed;
     }
     detections_.push_back(std::move(detection));
-
-    ANVIL_INFO("anvil") << config_.name << " detection at "
-                        << to_ms(mem_.now()) << " ms: "
-                        << aggressors.size() << " aggressor row(s)";
 }
 
 void

@@ -104,9 +104,6 @@ class Anvil
     const std::vector<Detection> &detections() const { return detections_; }
     const AnvilConfig &config() const { return config_; }
 
-    /** Resets statistics and the detection log (not the state machine). */
-    void reset_stats();
-
   private:
     enum class Stage { kIdle, kStage1, kStage2 };
 

@@ -126,12 +126,6 @@ struct CacheStats {
     std::uint64_t fills = 0;
     std::uint64_t evictions = 0;
     std::uint64_t invalidations = 0;
-
-    void
-    reset()
-    {
-        *this = CacheStats();
-    }
 };
 
 /**
@@ -222,7 +216,6 @@ class Cache
     }
 
     const CacheStats &stats() const { return stats_; }
-    void reset_stats() { stats_.reset(); }
 
     const std::string &name() const { return name_; }
     std::uint32_t sets() const { return sets_; }

@@ -67,7 +67,7 @@ void
 CacheHierarchy::install_llc(Addr pa, Cache &slice)
 {
     const Addr evicted = slice.fill(pa);
-    if (evicted != kInvalidAddr && config_.llc_inclusive) {
+    if (evicted != kInvalidAddr) {
         // Inclusive LLC: a line leaving the LLC must leave the core
         // caches too (back-invalidation).
         l1_.invalidate(evicted);
@@ -107,7 +107,7 @@ CacheHierarchy::access(Addr pa, AccessType type)
     l2_.fill(pa);
     l1_.fill(pa);
     result.source = DataSource::kDram;
-    result.latency = config_.llc_latency;  // DRAM latency added by caller
+    result.latency = config_.llc_latency;  // the caller charges DRAM instead
     result.llc_miss = true;
     return result;
 }
@@ -143,15 +143,6 @@ CacheHierarchy::llc_stats() const
         total.invalidations += s.invalidations;
     }
     return total;
-}
-
-void
-CacheHierarchy::reset_stats()
-{
-    l1_.reset_stats();
-    l2_.reset_stats();
-    for (auto &slice : llc_)
-        slice.reset_stats();
 }
 
 }  // namespace anvil::cache

@@ -48,7 +48,6 @@ struct HierarchyConfig {
     /// cycles" — the paper's cost model uses 29.
     Cycles llc_latency = 29;
     ReplPolicy llc_policy = ReplPolicy::kBitPlru;
-    bool llc_inclusive = true;
 
     std::uint64_t rng_seed = 0xCACE5EEDULL;
 
@@ -62,8 +61,8 @@ struct HierarchyConfig {
 
 /**
  * The hierarchy. Timing is expressed in core cycles up to and including the
- * LLC lookup; a miss reports DataSource::kDram and the memory system adds
- * the DRAM latency on top.
+ * LLC lookup; a miss reports DataSource::kDram and the memory system charges
+ * the DRAM latency in its place (the core overlaps the two).
  */
 class CacheHierarchy
 {
@@ -102,8 +101,6 @@ class CacheHierarchy
 
     /** Aggregate LLC stats across slices. */
     CacheStats llc_stats() const;
-
-    void reset_stats();
 
   private:
     void install_llc(Addr pa, Cache &slice);

@@ -1,21 +1,8 @@
 #include "cache/replacement.hh"
 
 #include <cassert>
-#include <stdexcept>
 
 namespace anvil::cache {
-
-ReplPolicy
-parse_policy(const std::string &name)
-{
-    if (name == "lru") return ReplPolicy::kLru;
-    if (name == "bitplru") return ReplPolicy::kBitPlru;
-    if (name == "nru") return ReplPolicy::kNru;
-    if (name == "treeplru") return ReplPolicy::kTreePlru;
-    if (name == "srrip") return ReplPolicy::kSrrip;
-    if (name == "random") return ReplPolicy::kRandom;
-    throw std::invalid_argument("unknown replacement policy: " + name);
-}
 
 const char *
 to_string(ReplPolicy policy)

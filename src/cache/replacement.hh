@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -35,9 +34,6 @@ enum class ReplPolicy {
     kSrrip,    ///< static re-reference interval prediction (2-bit)
     kRandom,   ///< uniform random victim
 };
-
-/** Parses "lru" / "bitplru" / ... (case-sensitive). */
-ReplPolicy parse_policy(const std::string &name);
 
 /** Name of a policy value. */
 const char *to_string(ReplPolicy policy);

@@ -1,7 +1,5 @@
 #include "common/rng.hh"
 
-#include <cmath>
-
 namespace anvil {
 
 namespace {
@@ -33,17 +31,10 @@ hash_unit_double(std::uint64_t a, std::uint64_t b)
 
 Rng::Rng(std::uint64_t s)
 {
-    seed(s);
-}
-
-void
-Rng::seed(std::uint64_t s)
-{
     for (auto &word : state_) {
         s = splitmix64(s);
         word = s;
     }
-    has_cached_gaussian_ = false;
 }
 
 std::uint64_t
@@ -83,25 +74,6 @@ double
 Rng::next_double()
 {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-double
-Rng::next_gaussian()
-{
-    if (has_cached_gaussian_) {
-        has_cached_gaussian_ = false;
-        return cached_gaussian_;
-    }
-    double u1 = 0.0;
-    do {
-        u1 = next_double();
-    } while (u1 <= 0.0);
-    const double u2 = next_double();
-    const double r = std::sqrt(-2.0 * std::log(u1));
-    const double theta = 2.0 * M_PI * u2;
-    cached_gaussian_ = r * std::sin(theta);
-    has_cached_gaussian_ = true;
-    return r * std::cos(theta);
 }
 
 bool

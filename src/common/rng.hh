@@ -34,19 +34,11 @@ class Rng
     /** Uniform double in [0, 1). */
     double next_double();
 
-    /** Standard normal variate (Box-Muller, cached second value). */
-    double next_gaussian();
-
     /** Bernoulli trial with success probability @p p. */
     bool next_bool(double p);
 
-    /** Re-seed the generator (resets all cached state). */
-    void seed(std::uint64_t seed);
-
   private:
     std::uint64_t state_[4];
-    double cached_gaussian_ = 0.0;
-    bool has_cached_gaussian_ = false;
 };
 
 /** splitmix64 step — also useful as a cheap stateless integer hash. */

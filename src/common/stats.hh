@@ -13,18 +13,6 @@
 
 namespace anvil {
 
-/** Simple monotonically increasing event counter. */
-class Counter
-{
-  public:
-    void increment(std::uint64_t by = 1) { value_ += by; }
-    void reset() { value_ = 0; }
-    std::uint64_t value() const { return value_; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
-
 /**
  * Running summary statistics (count / mean / min / max / stddev) computed
  * with Welford's online algorithm, so no samples are stored.
@@ -33,17 +21,6 @@ class RunningStat
 {
   public:
     void add(double x);
-    void reset();
-
-    /**
-     * Folds another RunningStat in, as if its samples had been added to
-     * this one (parallel Welford combination, Chan et al.). Used to
-     * aggregate per-trial statistics across an experiment sweep; the
-     * result is independent of how samples were partitioned, up to
-     * floating-point rounding, and exactly deterministic for a fixed
-     * merge order.
-     */
-    void merge(const RunningStat &other);
 
     std::uint64_t count() const { return count_; }
     double mean() const { return count_ > 0 ? mean_ : 0.0; }

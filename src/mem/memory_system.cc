@@ -1,6 +1,5 @@
 #include "mem/memory_system.hh"
 
-#include <cassert>
 #include <stdexcept>
 
 #include "common/compiler.hh"
@@ -45,12 +44,8 @@ MemorySystem::access(Pid pid, Addr va, AccessType type)
 
     const auto on_chip = hierarchy_.access(pa, type);
     Tick latency = on_chip_ticks_[static_cast<std::size_t>(on_chip.source)];
-    if (on_chip.llc_miss) {
-        if (config_.overlap_llc_miss_lookup)
-            latency = dram_.access(pa, clock_.now()).latency;
-        else
-            latency += dram_.access(pa, clock_.now() + latency).latency;
-    }
+    if (on_chip.llc_miss)
+        latency = dram_.access(pa, clock_.now()).latency;
 
     clock_.elapse(latency);
 

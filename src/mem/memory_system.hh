@@ -11,10 +11,10 @@
 #define ANVIL_MEM_MEMORY_SYSTEM_HH
 
 #include <array>
-#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "cache/hierarchy.hh"
@@ -32,16 +32,11 @@ struct SystemConfig {
     cache::HierarchyConfig cache;
     CoreClock core{2.6};  ///< i5-2540M nominal frequency
     /// Cost of one CLFLUSH instruction (mostly overlapped by the
-    /// out-of-order core). Calibrated with overlap_llc_miss_lookup so the
-    /// CLFLUSH-based double-sided attack reproduces Table 1's ~15 ms
-    /// time-to-first-flip: 110 K x 2 x (150 + 8) cycles = 13.4 ms, plus
-    /// refresh stalls.
+    /// out-of-order core). Calibrated against MemorySystem::access's
+    /// LLC-miss cost (the DRAM latency alone) so the CLFLUSH-based
+    /// double-sided attack reproduces Table 1's ~15 ms time-to-first-flip:
+    /// 110 K x 2 x (150 + 8) cycles = 13.4 ms, plus refresh stalls.
     Cycles clflush_cycles = 8;
-    /// When a load misses the LLC, the on-chip lookup latency is hidden
-    /// under the DRAM access (an out-of-order core overlaps them); the
-    /// paper's cost model likewise charges a flat "DRAM access latency of
-    /// 150 cycles" per miss (Section 2.2).
-    bool overlap_llc_miss_lookup = true;
     std::uint64_t vm_seed = 0xF4A3E5EEDULL;
 };
 
@@ -58,10 +53,10 @@ struct AccessInfo {
 };
 
 /**
- * Interface for the one component observing every access on the hot path
- * (in practice: the PMU). A direct virtual call through this interface
- * replaces the generic std::function observer hop for the common case;
- * ad-hoc observers (tests, telemetry) still use add_observer().
+ * Interface for the one component observing every access on the hot path:
+ * the PMU, which the machine refuses to hold two of. A direct virtual call
+ * through this interface replaces the generic std::function observer hop;
+ * other observers (tests, perfbench telemetry) use add_observer().
  */
 class AccessListener
 {
@@ -101,7 +96,10 @@ class MemorySystem
     /**
      * Performs one load or store: translates, walks the cache hierarchy,
      * touches DRAM on an LLC miss, advances the clock by the access
-     * latency, rings a due alarm, and notifies observers.
+     * latency, rings a due alarm, and notifies observers. An LLC miss
+     * costs the DRAM access alone: the out-of-order core hides the on-chip
+     * lookup under it, as the paper's flat "DRAM access latency of 150
+     * cycles" per miss does (Section 2.2).
      * @pre va is mapped in @p pid.
      */
     AccessInfo access(Pid pid, Addr va, AccessType type);
@@ -126,15 +124,26 @@ class MemorySystem
     void add_observer(Observer observer);
 
     /**
-     * Registers THE direct access listener (the PMU). At most one;
-     * notified before any generic observers.
-     * @pre no listener registered yet, or @p listener is nullptr.
+     * Makes @p listener THE direct access listener (the PMU; not owned: a
+     * listener that dies first clears itself). Notified before any generic
+     * observers.
+     * @throws std::logic_error if one is already registered.
      */
     void
-    set_access_listener(AccessListener *listener)
+    set_access_listener(AccessListener &listener)
     {
-        assert(listener == nullptr || listener_ == nullptr);
-        listener_ = listener;
+        if (listener_ != nullptr)
+            throw std::logic_error("MemorySystem::set_access_listener: the "
+                                   "machine already has an access listener");
+        listener_ = &listener;
+    }
+
+    /** Empties the listener slot if @p listener holds it. */
+    void
+    clear_access_listener(const AccessListener &listener)
+    {
+        if (listener_ == &listener)
+            listener_ = nullptr;
     }
 
     dram::DramSystem &dram() { return dram_; }

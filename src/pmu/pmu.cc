@@ -38,12 +38,12 @@ HwCounter::fire()
 Pmu::Pmu(mem::MemorySystem &mem, std::uint64_t seed)
     : mem_(mem), rng_(seed)
 {
-    mem_.set_access_listener(this);
+    mem_.set_access_listener(*this);
 }
 
 Pmu::~Pmu()
 {
-    mem_.set_access_listener(nullptr);
+    mem_.clear_access_listener(*this);
 }
 
 HwCounter &
@@ -56,12 +56,6 @@ const HwCounter &
 Pmu::counter(Event event) const
 {
     return counters_[static_cast<std::size_t>(event)];
-}
-
-std::uint64_t
-Pmu::llc_misses(Pid pid) const
-{
-    return pid < pid_llc_misses_.size() ? pid_llc_misses_[pid] : 0;
 }
 
 void
@@ -118,12 +112,6 @@ Pmu::on_access(const mem::AccessInfo &info)
 {
     // Event counters.
     if (info.llc_miss) {
-        // Attribute before ticking: the kLlcMisses tick may fire the
-        // Stage-1 PMI, and the handler should see this miss included in
-        // its owner's total.
-        if (info.pid >= pid_llc_misses_.size())
-            grow_pid_counts(info.pid);
-        ++pid_llc_misses_[info.pid];
         counter(Event::kLlcMisses).tick();
         if (info.type == AccessType::kLoad)
             counter(Event::kLlcLoadMisses).tick();
@@ -153,12 +141,6 @@ Pmu::on_access(const mem::AccessInfo &info)
     if (qualifying_events_ < next_sample_at_)
         return;
     record_sample(info);
-}
-
-void
-Pmu::grow_pid_counts(Pid pid)
-{
-    pid_llc_misses_.resize(pid + 1, 0);
 }
 
 void

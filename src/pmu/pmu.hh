@@ -124,6 +124,8 @@ class Pmu : public mem::AccessListener
     /**
      * Constructs and subscribes to @p mem's access stream as its direct
      * access listener (no per-access std::function indirection).
+     * @throws std::logic_error if @p mem already has a listener (a second
+     *         PMU on one machine).
      */
     explicit Pmu(mem::MemorySystem &mem, std::uint64_t seed = 0x9EB5ULL);
     ~Pmu() override;
@@ -134,21 +136,6 @@ class Pmu : public mem::AccessListener
     /** Access to a counter by event. */
     HwCounter &counter(Event event);
     const HwCounter &counter(Event event) const;
-
-    /**
-     * Per-process LLC-miss attribution — the multiplexed counter view a
-     * system-wide daemon uses to rank tenants. Hardware time-multiplexes
-     * one counter across contexts; the model keeps the per-pid totals the
-     * multiplexing estimates. Returns 0 for a pid never observed.
-     */
-    std::uint64_t llc_misses(Pid pid) const;
-
-    /** Per-pid LLC-miss totals, indexed by pid (short pids unobserved). */
-    const std::vector<std::uint64_t> &
-    llc_misses_by_pid() const
-    {
-        return pid_llc_misses_;
-    }
 
     /** Enables PEBS sampling with @p config (replaces prior config). */
     void enable_sampling(const SampleConfig &config);
@@ -177,16 +164,12 @@ class Pmu : public mem::AccessListener
   private:
     void schedule_next_sample(Tick now);
 
-    /** Extends the per-pid LLC-miss totals to cover @p pid. */
-    ANVIL_COLD void grow_pid_counts(Pid pid);
-
     /** Appends the PEBS record of @p info and arms the next sample. */
     ANVIL_COLD void record_sample(const mem::AccessInfo &info);
 
     mem::MemorySystem &mem_;
     Rng rng_;
     std::array<HwCounter, kNumEvents> counters_;
-    std::vector<std::uint64_t> pid_llc_misses_;  ///< grown on first miss
     SampleConfig sample_config_;
     bool sampling_enabled_ = false;
     Tick sampling_started_ = 0;       ///< when sampling was (re)enabled

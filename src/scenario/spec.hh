@@ -285,8 +285,6 @@ struct ScenarioSpec {
 struct SweepSpec {
     /// Registry key and JSON "sweep" name, e.g. "table3_detection".
     std::string name;
-    /// One line for `anvil-sim --list`.
-    std::string description;
     /// Cells in execution (and JSON) order.
     std::vector<ScenarioSpec> cells;
     /// Default trials per cell when --trials is not given.

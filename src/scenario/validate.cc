@@ -354,15 +354,20 @@ validate(const ScenarioSpec &spec)
                          "run.iterations is zero — the pattern cost model "
                          "divides per-iteration deltas by it");
     }
-    if (spec.run.mode == RunMode::kInterleaveUntilOps) {
-        if (workload_tenants == 0) {
-            throw cell_error(spec,
-                             "kInterleaveUntilOps runs until the first "
-                             "workload finishes its quota, but the "
-                             "scenario declares no workloads");
-        }
-        require_nonzero(spec, "run.ops", spec.run.ops);
+    if (spec.run.mode == RunMode::kInterleaveUntilOps &&
+        workload_tenants == 0) {
+        throw cell_error(spec,
+                         "kInterleaveUntilOps runs until the first "
+                         "workload finishes its quota, but the scenario "
+                         "declares no workloads");
     }
+    // A quota or a window that rounds to zero runs nothing and would
+    // report zeros, or rates over zero ticks, as measurements.
+    if (spec.run.mode == RunMode::kWorkloadOps ||
+        spec.run.mode == RunMode::kInterleaveUntilOps)
+        require_nonzero(spec, "run.ops", spec.run.ops);
+    if (spec.run.mode == RunMode::kInterleaveFor)
+        require_nonzero(spec, "run.duration", spec.run.duration);
 
     if (!spec.mitigation.empty() &&
         mitigations::mitigation_registry().find(spec.mitigation) ==

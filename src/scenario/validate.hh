@@ -24,7 +24,8 @@ namespace anvil::scenario {
 /**
  * Checks one scenario cell: machine geometry (power-of-two cache sets,
  * non-degenerate DRAM), run-mode requirements (hammer/pattern modes need
- * an attack), workload profile existence, and output/detector
+ * an attack, quota modes a nonzero run.ops, kInterleaveFor a nonzero
+ * run.duration), workload profile existence, and output/detector
  * consistency.
  * @throw anvil::Error describing the first violation found.
  */

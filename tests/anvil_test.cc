@@ -369,19 +369,6 @@ TEST_F(AnvilTest, OverheadIsChargedToTheCore)
     EXPECT_LT(to_ms(anvil.stats().overhead), 10.0);
 }
 
-TEST_F(AnvilTest, ResetStatsClearsEverything)
-{
-    Anvil anvil(*machine_, *pmu_, AnvilConfig::baseline());
-    anvil.start();
-    attack::ClflushDoubleSided hammer(*machine_, attacker_->pid(),
-                                      first_target());
-    hammer.run(ms(40));
-    ASSERT_GT(anvil.stats().detections, 0u);
-    anvil.reset_stats();
-    EXPECT_EQ(anvil.stats().detections, 0u);
-    EXPECT_TRUE(anvil.detections().empty());
-}
-
 TEST_F(AnvilTest, HeavyConfigDetectsFasterAttacks)
 {
     // Section 4.5 scenario 1: a future module flipping at half the

@@ -29,14 +29,14 @@ line_addr(std::uint64_t n)
 // Replacement policies
 // ---------------------------------------------------------------------------
 
-TEST(ReplPolicy, ParseAndToStringRoundTrip)
+TEST(ReplPolicy, ToStringNamesEachPolicy)
 {
-    for (ReplPolicy p :
-         {ReplPolicy::kLru, ReplPolicy::kBitPlru, ReplPolicy::kNru,
-          ReplPolicy::kTreePlru, ReplPolicy::kSrrip, ReplPolicy::kRandom}) {
-        EXPECT_EQ(parse_policy(to_string(p)), p);
-    }
-    EXPECT_THROW(parse_policy("plru-ish"), std::invalid_argument);
+    EXPECT_STREQ(to_string(ReplPolicy::kLru), "lru");
+    EXPECT_STREQ(to_string(ReplPolicy::kBitPlru), "bitplru");
+    EXPECT_STREQ(to_string(ReplPolicy::kNru), "nru");
+    EXPECT_STREQ(to_string(ReplPolicy::kTreePlru), "treeplru");
+    EXPECT_STREQ(to_string(ReplPolicy::kSrrip), "srrip");
+    EXPECT_STREQ(to_string(ReplPolicy::kRandom), "random");
 }
 
 TEST(LruPolicy, EvictsLeastRecentlyUsed)
@@ -522,9 +522,6 @@ TEST(Hierarchy, LlcStatsAggregateSlices)
     EXPECT_EQ(total.accesses,
               h.llc(0).stats().accesses + h.llc(1).stats().accesses);
     EXPECT_GT(total.misses, 0u);
-    h.reset_stats();
-    EXPECT_EQ(h.llc_stats().accesses, 0u);
-    EXPECT_EQ(h.l1().stats().accesses, 0u);
 }
 
 TEST(Hierarchy, DefaultConfigMatchesSandyBridge)

@@ -182,33 +182,6 @@ TEST(HierarchyDetail, LlcEvictionBackInvalidatesCoreCaches)
     EXPECT_FALSE(h.l2().contains(a));
 }
 
-TEST(HierarchyDetail, NonInclusiveLlcLeavesCoreCachesAlone)
-{
-    cache::HierarchyConfig config;
-    config.l1_sets = 8;
-    config.l2_sets = 32;
-    config.llc_slices = 1;
-    config.llc_sets_per_slice = 16;
-    config.llc_ways = 2;
-    config.llc_inclusive = false;
-    cache::CacheHierarchy h(config);
-
-    const Addr a = 0x10000;
-    h.access(a, AccessType::kLoad);
-    const std::uint32_t target_set = h.llc_set(a);
-    Addr conflict = 0x200000;
-    int filled = 0;
-    while (filled < 4) {
-        if (h.llc_set(conflict) == target_set) {
-            h.access(conflict, AccessType::kLoad);
-            ++filled;
-        }
-        conflict += cache::kLineBytes;
-    }
-    EXPECT_FALSE(h.llc(0).contains(a));
-    EXPECT_TRUE(h.l1().contains(a));  // still resident: no inclusion
-}
-
 // ---------------------------------------------------------------------------
 // Disturbance boundary rows
 // ---------------------------------------------------------------------------

@@ -161,6 +161,40 @@ TEST(Driver, MalformedSweepArgumentExitsUsageAndWritesNoReport)
     EXPECT_FALSE(file_exists(runner::journal_path(report)));
 }
 
+/**
+ * A sweep argument that rounds a cell's run to nothing (an op quota
+ * truncated to 0, a window rounded to 0 ticks) is a usage error naming
+ * the scenario and the field: no all-zero or -nan table, no report.
+ */
+TEST(Driver, ZeroLengthRunExitsUsageNamingTheField)
+{
+    const struct {
+        const char *args;
+        const char *field;
+    } kCases[] = {
+        {"fig3_overhead 0.5", "run.ops"},
+        {"fig4_sensitivity 0.9", "run.ops"},
+        {"table4_false_positives 1e-13", "run.duration"},
+        {"table5_fp_sensitivity 1e-13", "run.duration"},
+        {"noisy_neighbor_fp 1e-13", "run.duration"},
+    };
+    const std::string report = temp_path("zero_length.json");
+    const std::string err = temp_path("zero_length.err");
+    for (const auto &c : kCases) {
+        SCOPED_TRACE(c.args);
+        const std::string command =
+            std::string(ANVIL_SIM_PATH) + " run " + c.args +
+            " --trials 1 --json-out " + report + " >/dev/null 2> " + err;
+        EXPECT_EQ(run_command(command), runner::kExitUsage);
+        const std::string message = slurp(err);
+        EXPECT_NE(message.find(c.field), std::string::npos) << message;
+        EXPECT_NE(message.find("scenario"), std::string::npos) << message;
+        EXPECT_FALSE(file_exists(report));
+        EXPECT_FALSE(file_exists(runner::journal_path(report)));
+    }
+    std::remove(err.c_str());
+}
+
 /** --resume over a journal of an older format version is a usage error. */
 TEST(Driver, ResumeRefusesAnOlderJournalVersion)
 {

@@ -5,6 +5,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "common/units.hh"
@@ -224,41 +225,14 @@ TEST_F(PmuTest, DisableSamplingStopsRecords)
     EXPECT_EQ(pmu_.pending_samples(), 0u);
 }
 
-TEST_F(PmuTest, PerPidMissAttributionSumsToTheCounter)
+TEST_F(PmuTest, SecondPmuIsRefusedAndTheFirstKeepsCounting)
 {
-    mem::AddressSpace &other = machine_.create_process();
-    const Addr arena2 = other.mmap(4ULL << 20);
-
-    stream_misses(200);
-    Addr off = 0;
-    for (int i = 0; i < 150; ++i) {
-        off += 64;
-        machine_.access(other.pid(), arena2 + off, AccessType::kLoad);
-    }
-    hit_l1(50);  // hits attribute to nobody
-
-    const std::uint64_t total = pmu_.counter(Event::kLlcMisses).value();
-    EXPECT_GT(pmu_.llc_misses(proc_->pid()), 0u);
-    EXPECT_GT(pmu_.llc_misses(other.pid()), 0u);
-    std::uint64_t sum = 0;
-    for (const std::uint64_t misses : pmu_.llc_misses_by_pid())
-        sum += misses;
-    EXPECT_EQ(sum, total);
-    // A pid never observed reads zero, never throws.
-    EXPECT_EQ(pmu_.llc_misses(42), 0u);
-}
-
-TEST_F(PmuTest, OverflowHandlerSeesTheTriggeringMissAttributed)
-{
-    // A Stage-1 PMI must be able to rank tenants including the very
-    // miss that tripped the counter.
-    std::uint64_t at_overflow = 0;
-    pmu_.counter(Event::kLlcMisses)
-        .arm_overflow(10, [&] {
-            at_overflow = pmu_.llc_misses(proc_->pid());
-        });
-    stream_misses(20);
-    EXPECT_EQ(at_overflow, 10u);
+    // A second PMU taking the machine's one listener slot would leave the
+    // first counting nothing, and its destructor would empty the slot.
+    EXPECT_THROW({ Pmu second(machine_); }, std::logic_error);
+    stream_misses(100);
+    EXPECT_EQ(pmu_.counter(Event::kLlcMisses).value(), 100u);
+    EXPECT_EQ(pmu_.counter(Event::kLoadsRetired).value(), 100u);
 }
 
 }  // namespace

@@ -581,6 +581,31 @@ TEST(Validate, RejectsInterleaveUntilOpsWithZeroQuota)
     expect_invalid(spec, "run.ops");
 }
 
+TEST(Validate, RejectsWorkloadOpsWithZeroQuota)
+{
+    // fig3/fig4 at an op count below 1 truncate the quota to zero.
+    scenario::ScenarioSpec spec = detection_spec();
+    spec.tenants.push_back(scenario::workload_tenant({"mcf", "", false}));
+    spec.run.mode = scenario::RunMode::kWorkloadOps;
+    spec.run.ops = 0;
+    expect_invalid(spec, "run.ops");
+
+    spec.run.ops = 1;
+    EXPECT_NO_THROW(scenario::validate(spec));
+}
+
+TEST(Validate, RejectsInterleaveForWithZeroDuration)
+{
+    // table4/table5 at a run length below one tick round it to zero.
+    scenario::ScenarioSpec spec = detection_spec();
+    ASSERT_EQ(spec.run.mode, scenario::RunMode::kInterleaveFor);
+    spec.run.duration = 0;
+    expect_invalid(spec, "run.duration");
+
+    spec.run.duration = 1;
+    EXPECT_NO_THROW(scenario::validate(spec));
+}
+
 /**
  * Outputs a run mode never measures would emit the zero their field was
  * initialized with. Every pairing of such an output with every run mode
