@@ -36,7 +36,8 @@ main()
     mem::AddressSpace &attacker = *intruder.space;
     attack::MemoryLayout &layout = intruder.layout;
     std::printf("mapped %llu MB, scanned %zu pages via pagemap\n",
-                static_cast<unsigned long long>(intruder.buffer_bytes >> 20),
+                static_cast<unsigned long long>(
+                    scenario::kDefaultAttackBufferBytes >> 20),
                 layout.pages_scanned());
 
     // -- Stage 2: find a double-sided target ------------------------------

@@ -18,7 +18,6 @@
 #endif
 
 #include "cache/flat_replacement.hh"
-#include "cache/replacement.hh"
 #include "common/types.hh"
 
 namespace anvil::cache {

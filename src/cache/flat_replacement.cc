@@ -2,6 +2,20 @@
 
 namespace anvil::cache {
 
+const char *
+to_string(ReplPolicy policy)
+{
+    switch (policy) {
+      case ReplPolicy::kLru: return "lru";
+      case ReplPolicy::kBitPlru: return "bitplru";
+      case ReplPolicy::kNru: return "nru";
+      case ReplPolicy::kTreePlru: return "treeplru";
+      case ReplPolicy::kSrrip: return "srrip";
+      case ReplPolicy::kRandom: return "random";
+    }
+    return "?";
+}
+
 ReplacementEngine::Variant
 ReplacementEngine::make(ReplPolicy policy, std::uint32_t ways, Rng *rng)
 {

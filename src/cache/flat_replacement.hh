@@ -3,9 +3,10 @@
  * Flat replacement engines: the per-access hot-path implementation of the
  * six replacement policies.
  *
- * The reference implementation (`SetPolicy` in replacement.hh) allocates
- * one heap object per cache set and dispatches every touch through a
- * vtable — a pointer chase plus an indirect call per access per level.
+ * The reference implementation (`SetPolicy` in the tests'
+ * reference/replacement.hh) allocates one heap object per cache set and
+ * dispatches every touch through a vtable — a pointer chase plus an
+ * indirect call per access per level.
  * Each engine here is instead stateless per set: a set's replacement
  * state (one machine word, a byte per way, or nothing) sits in that
  * set's record next to its tags (cache.hh), and the engine is dispatched
@@ -24,11 +25,23 @@
 #include <cstring>
 #include <variant>
 
-#include "cache/replacement.hh"
 #include "common/bits.hh"
 #include "common/rng.hh"
 
 namespace anvil::cache {
+
+/** Replacement policy selector. */
+enum class ReplPolicy {
+    kLru,      ///< true least-recently-used
+    kBitPlru,  ///< MRU-bit pseudo-LRU (Sandy Bridge LLC, per the paper)
+    kNru,      ///< not-recently-used
+    kTreePlru, ///< binary-tree pseudo-LRU
+    kSrrip,    ///< static re-reference interval prediction (2-bit)
+    kRandom,   ///< uniform random victim
+};
+
+/** Name of a policy value. */
+const char *to_string(ReplPolicy policy);
 
 /**
  * Per-set replacement state lives inside the cache's set record

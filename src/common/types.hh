@@ -41,26 +41,6 @@ enum class DataSource : std::uint8_t {
     kDram,
 };
 
-/** Human-readable name of a data source ("L1", "L2", "LLC", "DRAM"). */
-constexpr const char *
-to_string(DataSource src)
-{
-    switch (src) {
-      case DataSource::kL1: return "L1";
-      case DataSource::kL2: return "L2";
-      case DataSource::kLlc: return "LLC";
-      case DataSource::kDram: return "DRAM";
-    }
-    return "?";
-}
-
-/** Human-readable name of an access type ("load"/"store"). */
-constexpr const char *
-to_string(AccessType type)
-{
-    return type == AccessType::kLoad ? "load" : "store";
-}
-
 }  // namespace anvil
 
 #endif  // ANVIL_COMMON_TYPES_HH

@@ -1,6 +1,7 @@
 #include "dram/dram_system.hh"
 
 #include <cassert>
+#include <stdexcept>
 
 #include "common/compiler.hh"
 
@@ -8,27 +9,18 @@ namespace anvil::dram {
 
 Bank::Bank(const DramConfig &config, std::uint32_t flat_bank,
            const RefreshSchedule &schedule, std::vector<FlipEvent> &flip_log)
-    : config_(config),
-      disturbance_(config, flat_bank, schedule, flip_log),
-      t_refi_(config.t_refi()),
-      window_end_(t_refi_)
+    : disturbance_(config, flat_bank, schedule, flip_log)
 {
 }
 
 bool
-Bank::access(std::uint32_t row, Tick now)
+Bank::access(std::uint32_t row, Tick now, Tick window_start)
 {
     // A REF command precharges all banks; if one was issued since our last
-    // access, the row buffer no longer holds our row. The bank tracks the
-    // bounds of the tREFI window containing its last access and only
-    // recomputes them on a window crossing — the common case (same window,
-    // or the immediately following one) costs no divide.
-    if (now >= window_end_ || now + t_refi_ < window_end_) {
+    // access, the row buffer no longer holds our row.
+    if (window_start != window_start_) {
         open_row_.reset();
-        if (now < window_end_ + t_refi_ && now >= window_end_)
-            window_end_ += t_refi_;  // adjacent window: roll forward
-        else
-            window_end_ = (now / t_refi_ + 1) * t_refi_;  // far jump
+        window_start_ = window_start;
     }
 
     if (open_row_ && *open_row_ == row)
@@ -40,8 +32,23 @@ Bank::access(std::uint32_t row, Tick now)
     return false;
 }
 
+namespace {
+
+const DramConfig &
+checked_refresh(const DramConfig &config)
+{
+    if (!DramSystem::refresh_fits(config))
+        throw std::invalid_argument(
+            "tREFI (refresh_period / refresh_slots) must exceed t_rfc");
+    return config;
+}
+
+}  // namespace
+
 DramSystem::DramSystem(const DramConfig &config)
-    : config_(config),
+    // Checked first: the schedule and t_refi_ divide by refresh_slots,
+    // and refresh_stall by tREFI.
+    : config_(checked_refresh(config)),
       map_(config),
       schedule_(config),
       t_refi_(config.t_refi())
@@ -49,6 +56,12 @@ DramSystem::DramSystem(const DramConfig &config)
     banks_.reserve(config_.total_banks());
     for (std::uint32_t b = 0; b < config_.total_banks(); ++b)
         banks_.emplace_back(config_, b, schedule_, flips_);
+}
+
+bool
+DramSystem::refresh_fits(const DramConfig &config)
+{
+    return config.refresh_slots != 0 && config.t_refi() > config.t_rfc;
 }
 
 Tick
@@ -76,10 +89,13 @@ DramSystem::access(Addr pa, Tick now)
     const std::uint32_t fb = map_.flat_bank(coord);
     assert(fb < banks_.size());
 
+    // start stays in the window of now: a stall ends at the window's
+    // start + t_rfc, which refresh_fits() keeps below tREFI.
     const Tick stall = refresh_stall(now);
     const Tick start = now + stall;
 
-    const bool hit = banks_[fb].access(coord.row, start);
+    const bool hit =
+        banks_[fb].access(coord.row, start, stall_window_start_);
 
     ++stats_.accesses;
     stats_.refresh_stall += stall;

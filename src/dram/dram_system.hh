@@ -46,10 +46,11 @@ class Bank
          const RefreshSchedule &schedule, std::vector<FlipEvent> &flip_log);
 
     /**
-     * Performs an access to @p row at time @p now.
+     * Performs an access to @p row at time @p now, which lies in the
+     * tREFI window starting at @p window_start.
      * @return true if the access hit the open row buffer.
      */
-    bool access(std::uint32_t row, Tick now);
+    bool access(std::uint32_t row, Tick now, Tick window_start);
 
     /** Currently open row, if any. */
     std::optional<std::uint32_t> open_row() const { return open_row_; }
@@ -60,11 +61,9 @@ class Bank
     const DisturbanceModel &disturbance() const { return disturbance_; }
 
   private:
-    const DramConfig &config_;
     DisturbanceModel disturbance_;
     std::optional<std::uint32_t> open_row_;
-    Tick t_refi_;        ///< cached, avoids a divide per access
-    Tick window_end_;    ///< end of the tREFI window of the last access
+    Tick window_start_ = 0;  ///< tREFI window of the last access
     std::uint64_t activations_ = 0;
 };
 
@@ -93,7 +92,15 @@ class DramSystem
         Tick refresh_stall = 0;
     };
 
+    /** @throw std::invalid_argument unless refresh_fits(config). */
     explicit DramSystem(const DramConfig &config);
+
+    /**
+     * True when each REF command ends before the next one starts:
+     * tREFI = refresh_period / refresh_slots exceeds t_rfc (so is
+     * nonzero, which the refresh window arithmetic divides by).
+     */
+    static bool refresh_fits(const DramConfig &config);
 
     /** Reads or writes @p pa at time @p now. */
     AccessResult access(Addr pa, Tick now);
@@ -154,7 +161,10 @@ class DramSystem
     }
 
   private:
-    /** Stall until any in-progress REF command completes. */
+    /**
+     * Stall until any in-progress REF command completes. Also rolls
+     * stall_window_start_ to the tREFI window containing @p now.
+     */
     Tick refresh_stall(Tick now);
 
     DramConfig config_;
@@ -165,8 +175,9 @@ class DramSystem
     ActivationObserver *observer_ = nullptr;
     Stats stats_;
 
-    // Cached refresh-window bounds for refresh_stall: rolled forward
-    // monotonically instead of re-dividing by tREFI on every access.
+    // The tREFI window of the latest access, for refresh_stall and the
+    // banks' row buffers: rolled forward monotonically instead of
+    // re-dividing by tREFI on every access.
     Tick t_refi_;
     Tick stall_window_start_ = 0;
 };

@@ -12,13 +12,16 @@
 namespace anvil::scenario {
 namespace {
 
-/** Builds one attacker's hammer (target selection + kernel). */
-BuiltAttack
-build_attack(const AttackSpec &spec, mem::MemorySystem &machine,
-             Attacker &attacker)
+/// kPatternMeasure's hammer iterations before and during measurement.
+constexpr std::uint64_t kPatternWarmupIterations = 8;
+constexpr std::uint64_t kPatternIterations = 20000;
+
+/** Picks @p built's target and builds its hammer kernel. */
+void
+build_hammer(const AttackSpec &spec, mem::MemorySystem &machine,
+             BuiltAttack &built)
 {
-    BuiltAttack built;
-    built.kind = spec.kind;
+    Attacker &attacker = *built.attacker;
     switch (spec.kind) {
       case AttackKind::kClflushSingleSided: {
           const auto target = weakest_single_sided(machine, attacker);
@@ -74,7 +77,6 @@ build_attack(const AttackSpec &spec, mem::MemorySystem &machine,
           break;
       }
     }
-    return built;
 }
 
 }  // namespace
@@ -114,19 +116,19 @@ ScenarioBuilder::build()
     exec_ = std::make_unique<Execution>();
     Execution &e = *exec_;
 
-    e.config_ = spec_.system;
+    mem::SystemConfig config = spec_.system;
     if (spec_.seed_vm_from_trial)
-        e.config_.vm_seed = ctx_.seed_for("vm");
+        config.vm_seed = ctx_.seed_for("vm");
 
-    e.machine_ = std::make_unique<mem::MemorySystem>(e.config_);
+    e.machine_ = std::make_unique<mem::MemorySystem>(config);
     e.pmu_ = std::make_unique<pmu::Pmu>(*e.machine_);
 
     // Attacker processes map and scan their buffers right after the
     // machine and PMU come up, before any workload arena claims frames.
     for (const TenantSpec &t : spec_.tenants) {
         if (t.attack) {
-            e.intruders_.push_back(std::make_unique<Attacker>(
-                *e.machine_, t.attack->buffer_bytes));
+            e.attacks_.emplace_back().attacker =
+                std::make_unique<Attacker>(*e.machine_);
         }
     }
 
@@ -201,15 +203,12 @@ ScenarioBuilder::build()
         const TenantSpec &t = spec_.tenants[i];
         BuiltTenant built;
         built.name = labels[i];
-        built.quantum_accesses =
-            t.quantum_accesses != 0 ? t.quantum_accesses : 1;
         if (t.attack) {
             built.is_attacker = true;
             built.payload = attacker_index;
-            Attacker &intruder = *e.intruders_[attacker_index];
-            built.pid = intruder.pid();
-            e.attacks_.push_back(
-                build_attack(*t.attack, e.machine(), intruder));
+            BuiltAttack &attack = e.attacks_[attacker_index];
+            built.pid = attack.attacker->pid();
+            build_hammer(*t.attack, e.machine(), attack);
             ++attacker_index;
         } else {
             built.payload = workload_index;
@@ -235,11 +234,11 @@ ScenarioBuilder::run()
     }
 
     const auto add_tenants = [&](TenantScheduler &sched) {
-        for (const BuiltTenant &t : e.tenants_) {
+        for (std::size_t i = 0; i < e.tenants_.size(); ++i) {
+            const BuiltTenant &t = e.tenants_[i];
             ScheduledTenant st;
-            st.name = t.name;
             st.pid = t.pid;
-            st.quantum_accesses = t.quantum_accesses;
+            st.quantum_accesses = spec_.tenants[i].quantum_accesses;
             if (t.is_attacker) {
                 attack::Hammer *hammer = e.attacks_[t.payload].hammer.get();
                 st.step = [hammer] { hammer->step(); };
@@ -269,7 +268,7 @@ ScenarioBuilder::run()
           // one clean refresh window of the victim.
           align_to_refresh(e.machine(), attack.victim_row);
           e.hammer_result_ = attack.hammer->run(
-              e.config_.dram.refresh_period + spec_.run.duration);
+              spec_.system.dram.refresh_period + spec_.run.duration);
           break;
       }
       case RunMode::kHammerUntilFlipOrDeadline: {
@@ -300,7 +299,7 @@ ScenarioBuilder::run()
       }
       case RunMode::kPatternMeasure: {
           BuiltAttack &attack = e.attacks_.at(0);
-          for (std::uint64_t i = 0; i < spec_.run.warmup_iterations; ++i)
+          for (std::uint64_t i = 0; i < kPatternWarmupIterations; ++i)
               attack.hammer->step();  // reach steady state
 
           const auto llc_before = e.machine().hierarchy().llc_stats();
@@ -309,21 +308,20 @@ ScenarioBuilder::run()
           const std::uint64_t dram_before =
               e.machine().dram().stats().accesses;
           const Tick t0 = e.machine().now();
-          const std::uint64_t iterations = spec_.run.iterations;
-          for (std::uint64_t i = 0; i < iterations; ++i)
+          for (std::uint64_t i = 0; i < kPatternIterations; ++i)
               attack.hammer->step();
           const auto llc_after = e.machine().hierarchy().llc_stats();
 
           PatternStats &p = e.pattern_;
           p.misses_per_iteration =
               static_cast<double>(llc_after.misses - llc_before.misses) /
-              static_cast<double>(iterations);
+              static_cast<double>(kPatternIterations);
           p.accesses_per_iteration =
               static_cast<double>(llc_after.accesses -
                                   llc_before.accesses) /
-              static_cast<double>(iterations);
+              static_cast<double>(kPatternIterations);
           p.ns_per_iteration = to_ns(e.machine().now() - t0) /
-                               static_cast<double>(iterations);
+                               static_cast<double>(kPatternIterations);
           p.cycles_per_iteration =
               p.ns_per_iteration * e.machine().core().freq_ghz();
           p.hammers_per_refresh = 64e6 / p.ns_per_iteration;

@@ -48,9 +48,12 @@
 
 namespace anvil::scenario {
 
-/** One instantiated attacker: the hammer kernel plus its target. */
+/**
+ * One instantiated attacker: its process (mapped and scanned in build
+ * step 1), then the hammer kernel plus its target (step 7).
+ */
 struct BuiltAttack {
-    AttackKind kind = AttackKind::kClflushDoubleSided;
+    std::unique_ptr<Attacker> attacker;
     std::unique_ptr<attack::Hammer> hammer;
     std::uint32_t flat_bank = 0;
     std::uint32_t victim_row = 0;
@@ -62,7 +65,6 @@ struct BuiltTenant {
     bool is_attacker = false;
     Pid pid = kInvalidPid;      ///< the tenant's address space
     std::size_t payload = 0;    ///< index into attacks() or workloads()
-    std::uint64_t quantum_accesses = 1;
     std::uint64_t run_start_ops = 0;  ///< workload ops() when run began
 };
 
@@ -92,11 +94,6 @@ class Execution
     /** The hardware mitigation tracker; nullptr when none configured. */
     mitigations::Mitigation *mitigation() { return mitigation_.get(); }
     std::vector<BuiltAttack> &attacks() { return attacks_; }
-    /** Attacker processes, parallel to the attacker tenants' payloads. */
-    std::vector<std::unique_ptr<Attacker>> &intruders()
-    {
-        return intruders_;
-    }
     std::vector<std::unique_ptr<workload::Workload>> &
     workloads()
     {
@@ -121,10 +118,8 @@ class Execution
   private:
     friend class ScenarioBuilder;
 
-    mem::SystemConfig config_;
     std::unique_ptr<mem::MemorySystem> machine_;
     std::unique_ptr<pmu::Pmu> pmu_;
-    std::vector<std::unique_ptr<Attacker>> intruders_;
     std::unique_ptr<mitigations::Mitigation> mitigation_;
     std::vector<std::unique_ptr<workload::Workload>> workloads_;
     double boost_ = 1.0;

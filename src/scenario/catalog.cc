@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "cache/replacement.hh"
+#include "cache/flat_replacement.hh"
 #include "common/table.hh"
 #include "runner/options.hh"
 #include "runner/result_sink.hh"
@@ -659,8 +659,6 @@ fig1_pattern()
                 s.tenants = {
                     attacker_tenant({AttackKind::kClflushFreeDoubleSided})};
                 s.run.mode = RunMode::kPatternMeasure;
-                s.run.warmup_iterations = 8;
-                s.run.iterations = 20000;
                 s.outputs = {Output::kMissesPerIter,
                              Output::kAccessesPerIter,
                              Output::kNsPerIter,

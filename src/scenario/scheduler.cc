@@ -17,15 +17,11 @@ tenant_labels(const ScenarioSpec &spec)
     labels.reserve(spec.tenants.size());
     std::map<std::string, std::uint32_t> used;
     for (const TenantSpec &t : spec.tenants) {
-        std::string base = t.name;
-        if (base.empty()) {
-            if (t.attack)
-                base = "attacker";
-            else if (t.workload && !t.workload->profile.empty())
-                base = t.workload->profile;
-            else
-                base = "tenant";
-        }
+        std::string base = "tenant";
+        if (t.attack)
+            base = "attacker";
+        else if (t.workload && !t.workload->profile.empty())
+            base = t.workload->profile;
         const std::uint32_t n = ++used[base];
         labels.push_back(n == 1 ? base : base + "#" + std::to_string(n));
     }
@@ -38,35 +34,27 @@ TenantScheduler::add(ScheduledTenant tenant)
     if (tenant.quantum_accesses == 0)
         tenant.quantum_accesses = 1;
     tenants_.push_back(std::move(tenant));
-    stats_.emplace_back();
 }
 
 void
 TenantScheduler::run_quantum(std::size_t index, Tick deadline)
 {
     ScheduledTenant &t = tenants_[index];
-    TenantRunStats &s = stats_[index];
     const bool track = t.pid != kInvalidPid;
     std::uint64_t consumed = 0;
-    bool stepped = false;
     while (consumed < t.quantum_accesses) {
         if (mem_.now() >= deadline)
             break;
         const std::uint64_t before =
             track ? mem_.process(t.pid).accesses() : 0;
         t.step();
-        ++s.steps;
-        stepped = true;
         const std::uint64_t delta =
             track ? mem_.process(t.pid).accesses() - before : 1;
-        s.accesses += delta;
         // A step that completed no counted access (a pure-CLFLUSH
         // hammer iteration, say) still consumes one unit: the quantum
         // always drains and the schedule can never livelock.
         consumed += std::max<std::uint64_t>(1, delta);
     }
-    if (stepped)
-        ++s.quanta;
 }
 
 void

@@ -29,15 +29,13 @@ namespace anvil::scenario {
 
 /**
  * The attribution label of each of @p spec's tenants, parallel to
- * `spec.tenants`. An empty name is derived from the payload (the
- * workload's profile name, or "attacker"); colliding labels get "#2",
- * "#3", ... suffixes in declaration order.
+ * `spec.tenants`: the workload's profile name, or "attacker"; colliding
+ * labels get "#2", "#3", ... suffixes in declaration order.
  */
 std::vector<std::string> tenant_labels(const ScenarioSpec &spec);
 
 /** One runnable tenant handed to the scheduler. */
 struct ScheduledTenant {
-    std::string name;
     /// Address space charged for the tenant's accesses; kInvalidPid
     /// disables access accounting (each step then costs one unit).
     Pid pid = kInvalidPid;
@@ -47,13 +45,6 @@ struct ScheduledTenant {
     /// operation). Must advance the simulated clock and/or complete at
     /// least the bookkeeping of one unit of work.
     std::function<void()> step;
-};
-
-/** Per-tenant scheduling telemetry. */
-struct TenantRunStats {
-    std::uint64_t steps = 0;     ///< step() invocations
-    std::uint64_t quanta = 0;    ///< turns in which the tenant ran
-    std::uint64_t accesses = 0;  ///< completed accesses attributed
 };
 
 /**
@@ -69,7 +60,10 @@ class TenantScheduler
   public:
     explicit TenantScheduler(mem::MemorySystem &mem) : mem_(mem) {}
 
-    /** Appends a tenant; schedule order is insertion order. */
+    /**
+     * Appends a tenant; schedule order is insertion order. A zero
+     * quantum is granted as 1.
+     */
     void add(ScheduledTenant tenant);
 
     std::size_t size() const { return tenants_.size(); }
@@ -92,16 +86,12 @@ class TenantScheduler
      */
     void run_rounds(const std::function<bool()> &more);
 
-    /** Telemetry, indexed like the insertion order. */
-    const std::vector<TenantRunStats> &stats() const { return stats_; }
-
   private:
     /** Runs one quantum of tenant @p index, stopping early at @p deadline. */
     void run_quantum(std::size_t index, Tick deadline);
 
     mem::MemorySystem &mem_;
     std::vector<ScheduledTenant> tenants_;
-    std::vector<TenantRunStats> stats_;
 };
 
 }  // namespace anvil::scenario

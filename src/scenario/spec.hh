@@ -21,6 +21,7 @@
 #ifndef ANVIL_SCENARIO_SPEC_HH
 #define ANVIL_SCENARIO_SPEC_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -56,16 +57,15 @@ enum class AttackKind {
 inline constexpr std::uint64_t kDefaultAttackBufferBytes = 64ULL << 20;
 
 /**
- * One attacker in the scenario. It targets the first scanned candidate
- * whose victim has the module's minimum flip threshold (slice-compatible,
- * for the CLFLUSH-free attack), as every paper experiment does.
+ * One attacker in the scenario. Its process maps and scans a
+ * kDefaultAttackBufferBytes buffer (all attackers together must fit the
+ * huge-page pool; validate.cc enforces it), then targets the first
+ * scanned candidate whose victim has the module's minimum flip threshold
+ * (slice-compatible, for the CLFLUSH-free attack), as every paper
+ * experiment does.
  */
 struct AttackSpec {
     AttackKind kind = AttackKind::kClflushDoubleSided;
-    /// Bytes the attacker mmaps and scans for targets. Must be a nonzero
-    /// power of two of at least one THP block, and all attackers together
-    /// must fit the huge-page pool (validate.cc enforces both).
-    std::uint64_t buffer_bytes = kDefaultAttackBufferBytes;
 };
 
 /** One background (or foreground) benign workload. */
@@ -111,16 +111,11 @@ struct PhaseJitter {
  * machine (shared frame allocator, caches, DRAM, and detector). A
  * scenario declares every process it runs as a tenant (attacker_tenant
  * and workload_tenant below build one); single-process specs are just
- * the one-entry case.
+ * the one-entry case. Its attribution label (the JSON counter suffix of
+ * "ops/<label>", "detections/<label>") derives from the payload
+ * (tenant_labels in scheduler.hh).
  */
 struct TenantSpec {
-    /// Attribution label: the JSON counter suffix ("ops/<name>",
-    /// "detections/<name>") and the name detections are scored against.
-    /// Empty derives the label from the payload (the workload's profile
-    /// name, or "attacker"); colliding labels are deduplicated with
-    /// "#2", "#3", ... suffixes in declaration order.
-    std::string name;
-
     /// Exactly one of attack/workload must be set (validate.cc).
     std::optional<AttackSpec> attack;
     std::optional<WorkloadSpec> workload;
@@ -166,8 +161,8 @@ enum class RunMode {
     /// Step the hammer until first flip or `duration` elapses, advancing
     /// `step_gap` of think time between iterations (spread-out attacks).
     kHammerUntilFlipOrDeadline,
-    /// Warm the hammer up, then measure per-iteration cache/DRAM/latency
-    /// behaviour over `iterations` iterations (Figure 1b cost model).
+    /// Warm the hammer up for 8 iterations, then measure per-iteration
+    /// cache/DRAM/latency behaviour over 20000 (Figure 1b cost model).
     kPatternMeasure,
     /// Interleave all tenants round-robin until the FIRST workload
     /// completes `ops` operations (fixed-work slowdown under live attack
@@ -175,14 +170,16 @@ enum class RunMode {
     kInterleaveUntilOps,
 };
 
+/// Number of RunMode enumerators (kInterleaveUntilOps stays last).
+inline constexpr std::size_t kRunModeCount =
+    static_cast<std::size_t>(RunMode::kInterleaveUntilOps) + 1;
+
 /** Run-phase parameters (interpreted per RunMode). */
 struct RunSpec {
     RunMode mode = RunMode::kInterleaveFor;
     Tick duration = 0;
     std::uint64_t ops = 0;
     Tick step_gap = 0;
-    std::uint64_t warmup_iterations = 8;
-    std::uint64_t iterations = 20000;
 };
 
 /**
@@ -228,6 +225,10 @@ enum class Output {
     /// plus "cross_tenant_fp/<tenant>" per workload tenant.
     kCrossTenantFp,
 };
+
+/// Number of Output enumerators (kCrossTenantFp stays last).
+inline constexpr std::size_t kOutputCount =
+    static_cast<std::size_t>(Output::kCrossTenantFp) + 1;
 
 /** One fully declarative experiment cell. */
 struct ScenarioSpec {

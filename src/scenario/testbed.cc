@@ -4,13 +4,12 @@
 
 namespace anvil::scenario {
 
-Attacker::Attacker(mem::MemorySystem &machine, std::uint64_t buffer_bytes)
+Attacker::Attacker(mem::MemorySystem &machine)
     : space(&machine.create_process()),
-      buffer(space->mmap(buffer_bytes)),
-      buffer_bytes(buffer_bytes),
+      buffer(space->mmap(kDefaultAttackBufferBytes)),
       layout(*space, machine.dram().address_map(), machine.hierarchy())
 {
-    layout.scan(buffer, buffer_bytes);
+    layout.scan(buffer, kDefaultAttackBufferBytes);
 }
 
 bool

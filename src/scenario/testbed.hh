@@ -23,18 +23,17 @@
 namespace anvil::scenario {
 
 /**
- * One attacker process on an existing machine: maps a buffer and scans
- * it through /proc/pagemap, like a process that just started.
+ * One attacker process on an existing machine: maps a
+ * kDefaultAttackBufferBytes buffer and scans it through /proc/pagemap,
+ * like a process that just started.
  */
 struct Attacker {
-    explicit Attacker(mem::MemorySystem &machine,
-                      std::uint64_t buffer_bytes = kDefaultAttackBufferBytes);
+    explicit Attacker(mem::MemorySystem &machine);
 
     Pid pid() const { return space->pid(); }
 
     mem::AddressSpace *space;
     Addr buffer;
-    std::uint64_t buffer_bytes;
     attack::MemoryLayout layout;
 };
 

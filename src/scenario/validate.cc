@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <string>
@@ -12,7 +13,7 @@
 #include "common/error.hh"
 #include "common/text.hh"
 #include "dram/disturbance.hh"
-#include "mem/virtual_memory.hh"
+#include "dram/dram_system.hh"
 #include "mitigations/registry.hh"
 #include "scenario/scheduler.hh"
 #include "workload/profile.hh"
@@ -106,88 +107,155 @@ known_profiles()
     return os.str();
 }
 
-bool
-needs_attack(RunMode mode)
+/** A run field that must be nonzero. */
+struct RunField {
+    const char *name;
+    std::uint64_t RunSpec::*field;
+};
+
+constexpr RunField kRunOps{"run.ops", &RunSpec::ops};
+constexpr RunField kRunDuration{"run.duration", &RunSpec::duration};
+
+constexpr unsigned
+mode_bit(RunMode mode)
 {
-    switch (mode) {
-      case RunMode::kHammerToFirstFlip:
-      case RunMode::kHammerUntilFlipOrDeadline:
-      case RunMode::kPatternMeasure:
-          return true;
-      case RunMode::kInterleaveFor:
-      case RunMode::kWorkloadOps:
-      case RunMode::kInterleaveUntilOps:
-          return false;
-    }
-    return false;
+    return 1u << static_cast<unsigned>(mode);
 }
 
-bool
-needs_detector(Output output)
-{
-    switch (output) {
-      case Output::kDetections:
-      case Output::kSelectiveRefreshes:
-      case Output::kDetectMs:
-      case Output::kFpPerSec:
-      case Output::kFalsePositiveRefreshes:
-      case Output::kTenantDetections:
-      case Output::kCrossTenantFp:
-          return true;
-      default:
-          return false;
-    }
-}
+constexpr unsigned kEveryMode = (1u << kRunModeCount) - 1;
 
-bool
-needs_attacker(Output output)
-{
-    switch (output) {
-      case Output::kFlips:
-      case Output::kAttackMs:
-          return true;
-      default:
-          return false;
-    }
-}
+/** Parts of a scenario a run mode or an output can read (bit flags). */
+enum Payload : unsigned {
+    kDetector = 1u << 0,
+    kAttack = 1u << 1,
+    kMitigation = 1u << 2,
+    kWorkload = 1u << 3,
+};
 
 /**
- * False when @p mode never measures @p output: emit() would write the
- * output's zero-initialized field, a silently wrong table entry.
+ * What one run mode or one output needs from its scenario: the payloads
+ * it reads (rejected with `missing` when one is absent), a run field that
+ * must be nonzero, and, for an output, the run modes that measure it
+ * (under any other, emit() would write the output's zero-initialized
+ * field, a silently wrong table entry).
  */
-bool
-mode_measures(RunMode mode, Output output)
+struct Requirement {
+    unsigned payloads = 0;
+    const char *missing = nullptr;
+    const RunField *nonzero = nullptr;
+    unsigned measured_by = kEveryMode;
+};
+
+template <typename Enum>
+struct Row {
+    Enum of;
+    Requirement need;
+};
+
+template <typename Enum, std::size_t N>
+constexpr bool
+in_enum_order(const Row<Enum> (&rows)[N])
 {
-    switch (output) {
-      case Output::kFlipped:
-      case Output::kAggressorAccesses:
-      case Output::kFlipMs:
-          return mode == RunMode::kHammerToFirstFlip;
-      case Output::kMissesPerIter:
-      case Output::kAccessesPerIter:
-      case Output::kNsPerIter:
-      case Output::kCyclesPerIter:
-      case Output::kHammersPerRefresh:
-      case Output::kAggressorActShare:
-          return mode == RunMode::kPatternMeasure;
-      case Output::kOps:
-          return mode == RunMode::kWorkloadOps ||
-                 mode == RunMode::kInterleaveUntilOps;
-      default:
-          return true;
+    for (std::size_t i = 0; i < N; ++i) {
+        if (rows[i].of != static_cast<Enum>(i))
+            return false;
     }
+    return true;
 }
 
-bool
-needs_mitigation(Output output)
+constexpr Requirement kHammers{
+    .payloads = kAttack,
+    .missing = "this run mode drives a hammer kernel but the scenario "
+               "declares no attacks — add an AttackSpec or switch to an "
+               "interleave/workload run mode"};
+
+// A quota or a window that rounds to zero runs nothing and would report
+// zeros, or rates over zero ticks, as measurements.
+constexpr Row<RunMode> kModeRows[] = {
+    {RunMode::kInterleaveFor, {.nonzero = &kRunDuration}},
+    {RunMode::kWorkloadOps, {.nonzero = &kRunOps}},
+    {RunMode::kHammerToFirstFlip, kHammers},
+    {RunMode::kHammerUntilFlipOrDeadline, kHammers},
+    {RunMode::kPatternMeasure, kHammers},
+    {RunMode::kInterleaveUntilOps,
+     {.payloads = kWorkload,
+      .missing = "kInterleaveUntilOps runs until the first workload "
+                 "finishes its quota, but the scenario declares no "
+                 "workloads",
+      .nonzero = &kRunOps}},
+};
+static_assert(std::size(kModeRows) == kRunModeCount &&
+                  in_enum_order(kModeRows),
+              "one requirement row per RunMode, in enum order");
+
+constexpr Requirement kAnyScenario{};
+constexpr Requirement kReadsDetector{
+    .payloads = kDetector,
+    .missing = "an output reads detector statistics but the scenario runs "
+               "unprotected — configure `detector` or drop the output"};
+constexpr Requirement kReadsAttack{
+    .payloads = kAttack,
+    .missing = "an output reads attack results but the scenario declares "
+               "no attacks"};
+constexpr Requirement kReadsMitigation{
+    .payloads = kMitigation,
+    .missing = "an output reads mitigation-tracker statistics but the "
+               "scenario configures no mitigation — set `mitigation` to a "
+               "registry name or drop the output"};
+constexpr Requirement kFirstFlipOnly{
+    .measured_by = mode_bit(RunMode::kHammerToFirstFlip)};
+constexpr Requirement kPatternOnly{
+    .measured_by = mode_bit(RunMode::kPatternMeasure)};
+
+constexpr Row<Output> kOutputRows[] = {
+    {Output::kFlips, kReadsAttack},
+    {Output::kDetections, kReadsDetector},
+    {Output::kSelectiveRefreshes, kReadsDetector},
+    {Output::kAttackMs, kReadsAttack},
+    {Output::kDetectMs, kReadsDetector},
+    {Output::kFpPerSec, kReadsDetector},
+    {Output::kBoost, kAnyScenario},
+    {Output::kFalsePositiveRefreshes, kReadsDetector},
+    {Output::kRunMs, kAnyScenario},
+    {Output::kOps,
+     {.measured_by = mode_bit(RunMode::kWorkloadOps) |
+                     mode_bit(RunMode::kInterleaveUntilOps)}},
+    {Output::kFlipped, kFirstFlipOnly},
+    {Output::kAggressorAccesses, kFirstFlipOnly},
+    {Output::kFlipMs, kFirstFlipOnly},
+    {Output::kMissesPerIter, kPatternOnly},
+    {Output::kAccessesPerIter, kPatternOnly},
+    {Output::kNsPerIter, kPatternOnly},
+    {Output::kCyclesPerIter, kPatternOnly},
+    {Output::kHammersPerRefresh, kPatternOnly},
+    {Output::kAggressorActShare, kPatternOnly},
+    {Output::kAnvilStats, kAnyScenario},
+    {Output::kDramStats, kAnyScenario},
+    {Output::kMitigationRefreshes, kReadsMitigation},
+    {Output::kMitigationEvictions, kReadsMitigation},
+    {Output::kTenantOps,
+     {.payloads = kWorkload,
+      .missing = "kTenantOps reports per-tenant workload progress but no "
+                 "tenant carries a workload"}},
+    {Output::kTenantDetections, kReadsDetector},
+    {Output::kCrossTenantFp, kReadsDetector},
+};
+static_assert(std::size(kOutputRows) == kOutputCount &&
+                  in_enum_order(kOutputRows),
+              "one requirement row per Output, in enum order");
+
+/**
+ * Throws when @p spec lacks a payload @p need reads (@p provided holds
+ * the spec's Payload bits) or leaves its run field zero.
+ */
+void
+require(const ScenarioSpec &spec, unsigned provided, const Requirement &need)
 {
-    switch (output) {
-      case Output::kMitigationRefreshes:
-      case Output::kMitigationEvictions:
-          return true;
-      default:
-          return false;
-    }
+    if ((need.payloads & ~provided) != 0)
+        throw cell_error(spec, need.missing);
+    if (need.nonzero != nullptr)
+        require_nonzero(spec, need.nonzero->name,
+                        spec.run.*(need.nonzero->field));
 }
 
 }  // namespace
@@ -254,6 +322,15 @@ validate(const ScenarioSpec &spec)
                          "be refreshed continuously and no cell could "
                          "ever flip");
     }
+    if (!dram::DramSystem::refresh_fits(dram)) {
+        throw cell_error(spec,
+                         "dram.refresh_period / dram.refresh_slots (tREFI) "
+                         "must exceed dram.t_rfc — every REF command must "
+                         "end before the next one starts")
+            .with("refresh_period", dram.refresh_period)
+            .with("refresh_slots", dram.refresh_slots)
+            .with("t_rfc", dram.t_rfc);
+    }
     if (dram.flip_threshold == 0) {
         throw cell_error(spec,
                          "dram.flip_threshold is zero — every activation "
@@ -277,9 +354,8 @@ validate(const ScenarioSpec &spec)
     }
 
     const std::vector<std::string> labels = tenant_labels(spec);
-    bool has_attack = false;
-    std::size_t workload_tenants = 0;
-    std::uint64_t buffer_total = 0;
+    std::uint64_t attackers = 0;
+    bool has_workload = false;
     for (std::size_t i = 0; i < spec.tenants.size(); ++i) {
         const TenantSpec &t = spec.tenants[i];
         if (t.attack.has_value() == t.workload.has_value()) {
@@ -297,42 +373,24 @@ validate(const ScenarioSpec &spec)
                              "at least one")
                 .with("tenant", labels[i]);
         }
-        if (t.workload) {
-            ++workload_tenants;
-            try {
-                (void)workload::spec_profile(t.workload->profile);
-            } catch (const std::out_of_range &) {
-                throw cell_error(spec, "unknown workload profile")
-                    .with("tenant", labels[i])
-                    .with("profile", t.workload->profile)
-                    .with("known", known_profiles());
-            }
+        if (t.attack) {
+            ++attackers;
             continue;
         }
-        has_attack = true;
-        const std::uint64_t bytes = t.attack->buffer_bytes;
-        if (bytes == 0 || !is_pow2(bytes)) {
-            throw cell_error(spec,
-                             "attack buffer_bytes must be a nonzero power "
-                             "of two — the pagemap scan walks the buffer "
-                             "in pow2 strides")
+        has_workload = true;
+        try {
+            (void)workload::spec_profile(t.workload->profile);
+        } catch (const std::out_of_range &) {
+            throw cell_error(spec, "unknown workload profile")
                 .with("tenant", labels[i])
-                .with("buffer_bytes", bytes);
+                .with("profile", t.workload->profile)
+                .with("known", known_profiles());
         }
-        if (bytes < mem::kHugeBytes) {
-            throw cell_error(spec,
-                             "attack buffer_bytes is below one huge page — "
-                             "the attacker maps 2 MB THP frames, so "
-                             "smaller buffers cannot be placed")
-                .with("tenant", labels[i])
-                .with("buffer_bytes", bytes)
-                .with("huge_page_bytes", mem::kHugeBytes);
-        }
-        buffer_total += bytes;
     }
     // The huge-page pool is the upper half of physical memory; an
     // attacker set that outgrows it would fail mid-mmap with an obscure
     // allocator error, so reject it here with the actual budget.
+    const std::uint64_t buffer_total = attackers * kDefaultAttackBufferBytes;
     const std::uint64_t huge_pool = dram.capacity_bytes() / 2;
     if (buffer_total > huge_pool) {
         throw cell_error(spec,
@@ -341,33 +399,6 @@ validate(const ScenarioSpec &spec)
             .with("buffer_total", buffer_total)
             .with("huge_pool_bytes", huge_pool);
     }
-
-    if (needs_attack(spec.run.mode) && !has_attack) {
-        throw cell_error(spec,
-                         "this run mode drives a hammer kernel but the "
-                         "scenario declares no attacks — add an AttackSpec "
-                         "or switch to an interleave/workload run mode");
-    }
-    if (spec.run.mode == RunMode::kPatternMeasure &&
-        spec.run.iterations == 0) {
-        throw cell_error(spec,
-                         "run.iterations is zero — the pattern cost model "
-                         "divides per-iteration deltas by it");
-    }
-    if (spec.run.mode == RunMode::kInterleaveUntilOps &&
-        workload_tenants == 0) {
-        throw cell_error(spec,
-                         "kInterleaveUntilOps runs until the first "
-                         "workload finishes its quota, but the scenario "
-                         "declares no workloads");
-    }
-    // A quota or a window that rounds to zero runs nothing and would
-    // report zeros, or rates over zero ticks, as measurements.
-    if (spec.run.mode == RunMode::kWorkloadOps ||
-        spec.run.mode == RunMode::kInterleaveUntilOps)
-        require_nonzero(spec, "run.ops", spec.run.ops);
-    if (spec.run.mode == RunMode::kInterleaveFor)
-        require_nonzero(spec, "run.duration", spec.run.duration);
 
     if (!spec.mitigation.empty() &&
         mitigations::mitigation_registry().find(spec.mitigation) ==
@@ -385,20 +416,17 @@ validate(const ScenarioSpec &spec)
         throw error;
     }
 
+    const unsigned provided =
+        (spec.detector ? kDetector : 0u) | (attackers != 0 ? kAttack : 0u) |
+        (!spec.mitigation.empty() ? kMitigation : 0u) |
+        (has_workload ? kWorkload : 0u);
+    require(spec, provided,
+            kModeRows[static_cast<std::size_t>(spec.run.mode)].need);
     for (std::size_t i = 0; i < spec.outputs.size(); ++i) {
-        const Output output = spec.outputs[i];
-        if (needs_detector(output) && !spec.detector) {
-            throw cell_error(spec,
-                             "an output reads detector statistics but the "
-                             "scenario runs unprotected — configure "
-                             "`detector` or drop the output");
-        }
-        if (needs_attacker(output) && !has_attack) {
-            throw cell_error(spec,
-                             "an output reads attack results but the "
-                             "scenario declares no attacks");
-        }
-        if (!mode_measures(spec.run.mode, output)) {
+        const Requirement &need =
+            kOutputRows[static_cast<std::size_t>(spec.outputs[i])].need;
+        require(spec, provided, need);
+        if ((need.measured_by & mode_bit(spec.run.mode)) == 0) {
             throw cell_error(spec,
                              "an output is never measured by this run "
                              "mode and would emit a silent zero — "
@@ -408,18 +436,6 @@ validate(const ScenarioSpec &spec)
                              "ops needs kWorkloadOps or "
                              "kInterleaveUntilOps")
                 .with("output_index", i);
-        }
-        if (output == Output::kTenantOps && workload_tenants == 0) {
-            throw cell_error(spec,
-                             "kTenantOps reports per-tenant workload "
-                             "progress but no tenant carries a workload");
-        }
-        if (needs_mitigation(output) && spec.mitigation.empty()) {
-            throw cell_error(spec,
-                             "an output reads mitigation-tracker "
-                             "statistics but the scenario configures no "
-                             "mitigation — set `mitigation` to a registry "
-                             "name or drop the output");
         }
     }
 }

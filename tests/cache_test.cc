@@ -12,7 +12,7 @@
 
 #include "cache/cache.hh"
 #include "cache/hierarchy.hh"
-#include "cache/replacement.hh"
+#include "reference/replacement.hh"
 #include "common/bits.hh"
 #include "common/rng.hh"
 

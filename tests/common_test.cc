@@ -150,16 +150,6 @@ TEST(TextTable, RendersHeaderAndRows)
     EXPECT_NE(out.find("333"), std::string::npos);
 }
 
-TEST(Types, ToStringCoversAll)
-{
-    EXPECT_STREQ(to_string(DataSource::kL1), "L1");
-    EXPECT_STREQ(to_string(DataSource::kL2), "L2");
-    EXPECT_STREQ(to_string(DataSource::kLlc), "LLC");
-    EXPECT_STREQ(to_string(DataSource::kDram), "DRAM");
-    EXPECT_STREQ(to_string(AccessType::kLoad), "load");
-    EXPECT_STREQ(to_string(AccessType::kStore), "store");
-}
-
 TEST(Text, EditDistanceClassicCases)
 {
     EXPECT_EQ(edit_distance("", ""), 0u);

@@ -512,10 +512,10 @@ TEST(Bank, RowBufferHitsAndMisses)
     std::vector<FlipEvent> flips;
     Bank bank(config, 0, schedule, flips);
 
-    EXPECT_FALSE(bank.access(5, 1000));  // cold activate
-    EXPECT_TRUE(bank.access(5, 1001));   // row-buffer hit
-    EXPECT_FALSE(bank.access(6, 1002));  // conflict: re-activate
-    EXPECT_FALSE(bank.access(5, 1003));
+    EXPECT_FALSE(bank.access(5, 1000, 0));  // cold activate
+    EXPECT_TRUE(bank.access(5, 1001, 0));   // row-buffer hit
+    EXPECT_FALSE(bank.access(6, 1002, 0));  // conflict: re-activate
+    EXPECT_FALSE(bank.access(5, 1003, 0));
     EXPECT_EQ(bank.activations(), 3u);
 }
 
@@ -527,9 +527,31 @@ TEST(Bank, RefreshCommandClosesRowBuffer)
     Bank bank(config, 0, schedule, flips);
 
     const Tick t_refi = config.t_refi();
-    EXPECT_FALSE(bank.access(5, 10));
+    EXPECT_FALSE(bank.access(5, 10, 0));
+    EXPECT_TRUE(bank.access(5, t_refi - 1, 0));
     // Crossing a REF boundary precharges: the same row misses again.
-    EXPECT_FALSE(bank.access(5, t_refi + 10));
+    EXPECT_FALSE(bank.access(5, t_refi + 10, t_refi));
+    EXPECT_TRUE(bank.access(5, t_refi + 11, t_refi));
+}
+
+TEST(DramSystem, RefusesRefreshSlotsShorterThanTrfc)
+{
+    // 1000 ticks over 8192 REF slots rounds tREFI to 0, which the
+    // refresh window arithmetic divides by.
+    DramConfig config;
+    config.refresh_period = 1000;
+    EXPECT_FALSE(DramSystem::refresh_fits(config));
+    EXPECT_THROW(DramSystem{config}, std::invalid_argument);
+
+    // A nonzero tREFI that a REF command (tRFC) still fills is refused
+    // too, as are zero slots.
+    config.refresh_period = config.t_rfc * config.refresh_slots;
+    EXPECT_FALSE(DramSystem::refresh_fits(config));
+    config.refresh_slots = 0;
+    EXPECT_FALSE(DramSystem::refresh_fits(config));
+
+    EXPECT_TRUE(DramSystem::refresh_fits(DramConfig{}));
+    EXPECT_TRUE(DramSystem::refresh_fits(small_config()));
 }
 
 TEST(DramSystem, AccessLatencies)

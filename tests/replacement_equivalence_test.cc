@@ -19,7 +19,7 @@
 
 #include "cache/cache.hh"
 #include "cache/flat_replacement.hh"
-#include "cache/replacement.hh"
+#include "reference/replacement.hh"
 #include "common/rng.hh"
 
 namespace anvil::cache {

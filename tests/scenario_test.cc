@@ -699,6 +699,26 @@ TEST(Validate, RejectsNegativeOrNonFiniteDisturbanceCoefficients)
     EXPECT_NO_THROW(scenario::validate(spec));
 }
 
+TEST(Validate, RejectsRefreshSlotsShorterThanTrfc)
+{
+    // 1000 ticks over 8192 REF slots rounds tREFI to 0: the trial would
+    // die dividing by it on the first DRAM access.
+    scenario::ScenarioSpec spec;
+    spec.name = "test-refresh";
+    spec.system.dram.refresh_period = 1000;
+    spec.tenants = {scenario::workload_tenant({"mcf", "", false})};
+    spec.run.mode = scenario::RunMode::kInterleaveFor;
+    spec.run.duration = ms(1);
+    spec.outputs = {scenario::Output::kRunMs};
+    for (const char *field :
+         {"dram.refresh_period", "dram.refresh_slots", "dram.t_rfc",
+          "refresh_period=1000", "refresh_slots=8192", "t_rfc=260000"})
+        expect_invalid(spec, field);
+
+    spec.system.dram.refresh_period = ms(64);
+    EXPECT_NO_THROW(scenario::validate(spec));
+}
+
 TEST(Validate, RejectsRowThresholdsBeyond32Bits)
 {
     // The top variation grade scales the threshold by 1 + 0.9 * spread;
