@@ -7,8 +7,8 @@
  * attachments (scenario name, trial index, seed, file offset, ...), and a
  * flattened cause chain, and renders them all into what(). The rendering
  * is deterministic — the same failure produces the same string on every
- * run — because failure diagnostics end up in journals and sweep JSON,
- * where byte-stability is a tested property.
+ * run — because failure diagnostics end up in sweep JSON, where
+ * byte-stability is a tested property.
  */
 #ifndef ANVIL_COMMON_ERROR_HH
 #define ANVIL_COMMON_ERROR_HH

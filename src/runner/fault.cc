@@ -1,7 +1,5 @@
 #include "runner/fault.hh"
 
-#include <signal.h>
-
 #include <algorithm>
 #include <iterator>
 #include <optional>
@@ -12,7 +10,7 @@ namespace anvil::runner {
 namespace {
 
 /// Indexed by FaultKind.
-constexpr const char *kKindNames[] = {"throw", "hang", "stall"};
+constexpr const char *kKindNames[] = {"throw", "hang"};
 
 FaultKind
 parse_kind(const std::string &text)
@@ -21,7 +19,7 @@ parse_kind(const std::string &text)
         if (text == kKindNames[k])
             return static_cast<FaultKind>(k);
     }
-    throw Error("unknown fault kind (expected throw, hang, or stall)")
+    throw Error("unknown fault kind (expected throw or hang)")
         .with("kind", text);
 }
 
@@ -109,11 +107,6 @@ FaultPlan::inject_before(const FaultSpec &fault, const TrialContext &ctx)
           // aborts the trial with TimeoutError.
           for (;;)
               ctx.watchdog().tick();
-      case FaultKind::kStall:
-          // Freezes every thread until a SIGCONT (the trial then runs
-          // normally) or a kill.
-          ::raise(SIGSTOP);
-          break;
     }
 }
 

@@ -3,10 +3,9 @@
  * Deterministic fault injection for the experiment runner.
  *
  * A FaultPlan forces failures at chosen (scenario, trial) coordinates so
- * tests and CI can exercise every fault path of the sweep engine — error
- * boundaries, watchdog timeouts, journaling, resume, and the SIGTERM
- * drain — without depending on real infrastructure failing at the right
- * moment. All injected behaviour is a pure function of the trial's
+ * tests and CI can exercise the sweep engine's fault paths — the
+ * per-trial error boundary and the watchdog timeout — without depending
+ * on a real trial failing. All injected behaviour is a pure function of the trial's
  * identity, so an injection is exactly replayable: the same command line
  * fails the same trial the same way every run.
  *
@@ -17,10 +16,6 @@
  *   hang         the trial spins consuming simulated events until the
  *                --trial-timeout watchdog aborts it (an error when no
  *                timeout is configured, since it would never terminate)
- *   stall        SIGSTOP to the own process before the trial runs, on
- *                every execution — every thread freezes, so a test or
- *                CI step can deliver SIGTERM or SIGKILL at a known point
- *                mid-sweep; a SIGCONT lets the trial continue normally
  */
 #ifndef ANVIL_RUNNER_FAULT_HH
 #define ANVIL_RUNNER_FAULT_HH
@@ -37,7 +32,6 @@ namespace anvil::runner {
 enum class FaultKind : std::uint8_t {
     kThrow,
     kHang,
-    kStall,  ///< SIGSTOP to the own process before the trial
 };
 
 /** One injection coordinate: fail trial @p trial of @p scenario. */
@@ -78,7 +72,7 @@ class FaultPlan
 
     /**
      * Runs @p fault before its trial body: throws for kThrow, spins the
-     * watchdog down for kHang, stops the process for kStall.
+     * watchdog down for kHang.
      */
     static void inject_before(const FaultSpec &fault,
                               const TrialContext &ctx);

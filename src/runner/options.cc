@@ -28,11 +28,9 @@ print_usage(const char *prog, const std::string &extra)
         << "  --replay-trial N   run only global trial N, serially\n"
         << "  --trial-timeout N  per-trial simulated-event budget "
            "(0 = unlimited)\n"
-        << "  --resume           replay the run's journal and run only "
-           "missing trials\n"
         << "  --inject-fault S   inject a deterministic fault, "
            "S = kind@scenario:trial\n"
-        << "                     (kind: throw | hang | stall; "
+        << "                     (kind: throw | hang; "
            "repeatable)\n"
         << "  --help             this message\n";
     if (!extra.empty())
@@ -125,8 +123,6 @@ CliOptions::parse(int argc, char **argv, const std::string &extra_usage)
         } else if (arg == "--trial-timeout") {
             opts.sweep.trial_timeout =
                 parse_flag_u64(prog, extra_usage, arg, take_value());
-        } else if (arg == "--resume") {
-            opts.sweep.resume = true;
         } else if (arg == "--inject-fault") {
             try {
                 opts.sweep.faults.push_back(parse_fault(take_value()));
@@ -143,20 +139,6 @@ CliOptions::parse(int argc, char **argv, const std::string &extra_usage)
         } else {
             opts.positional.emplace_back(argv[i]);
         }
-    }
-    if (opts.sweep.resume && opts.sweep.replay_trial) {
-        std::cerr << prog << ": --resume and --replay-trial are mutually "
-                     "exclusive (a replay runs one trial and writes no "
-                     "journal)\n";
-        print_usage(prog, extra_usage);
-        std::exit(2);
-    }
-    if (opts.sweep.resume &&
-        (opts.sweep.json_out.empty() || opts.sweep.json_out == "-")) {
-        std::cerr << prog << ": --resume needs --json-out FILE (the "
-                     "journal lives next to the JSON report)\n";
-        print_usage(prog, extra_usage);
-        std::exit(2);
     }
     return opts;
 }

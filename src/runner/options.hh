@@ -13,7 +13,6 @@
  *   --json-out PATH    write the aggregated JSON report (PATH or "-")
  *   --replay-trial N   run only global trial N, serially (debugging)
  *   --trial-timeout N  per-trial simulated-event budget (0 = unlimited)
- *   --resume           replay <json-out>.journal; run only what's missing
  *   --inject-fault S   deterministic fault "kind@scenario:trial" (CI/tests)
  *   --help             usage
  *

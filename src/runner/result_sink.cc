@@ -41,7 +41,7 @@ void
 ScenarioAggregate::add(const TrialSpec &spec, const TrialOutcome &outcome)
 {
     ++trials_;
-    if (outcome.failed()) {
+    if (!outcome.ok()) {
         ++errors_;
         failures_.push_back(TrialFailure{spec.trial, spec.seed,
                                          outcome.status, outcome.error});
@@ -204,7 +204,7 @@ ResultSink::add(const TrialSpec &spec, const TrialOutcome &outcome)
 {
     scenario(spec.scenario).add(spec, outcome);
     ++total_trials_;
-    if (outcome.failed())
+    if (!outcome.ok())
         ++total_errors_;
 }
 

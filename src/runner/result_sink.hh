@@ -25,8 +25,7 @@ namespace anvil::runner {
  * Diagnostics of one failed (or timed-out) trial, preserved in the
  * sweep JSON so a failure is a record, not just a counter. The error
  * string is the rendered anvil::Error cause chain, which is a pure
- * function of the trial — so JSON stays byte-stable across reruns and
- * journal replays.
+ * function of the trial — so JSON stays byte-stable across reruns.
  */
 struct TrialFailure {
     std::uint64_t trial = 0;
@@ -103,11 +102,7 @@ class ResultSink
         master_seed_ = master_seed;
     }
 
-    /**
-     * Folds in one finished trial (called in deterministic order).
-     * Skipped outcomes must not reach the sink: a skipped trial is
-     * absent from the output, never an empty record.
-     */
+    /** Folds in one finished trial (called in deterministic order). */
     void add(const TrialSpec &spec, const TrialOutcome &outcome);
 
     /**

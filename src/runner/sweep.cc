@@ -2,39 +2,21 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <exception>
 #include <iostream>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include <fcntl.h>
 #include <unistd.h>
 
-#include "runner/journal.hh"
-
 namespace anvil::runner {
 namespace {
-
-std::atomic<bool> g_shutdown{false};
-
-extern "C" void
-shutdown_signal_handler(int)
-{
-    // Async-signal-safe: a lock-free atomic store and nothing else.
-    g_shutdown.store(true, std::memory_order_relaxed);
-}
-
-/** True when trial outcomes should be journaled for these options. */
-bool
-journaling_enabled(const SweepOptions &options)
-{
-    return !options.replay_trial && !options.json_out.empty() &&
-           options.json_out != "-";
-}
 
 std::string
 boundary_error(const char *what_happened, const TrialSpec &spec,
@@ -81,31 +63,6 @@ run_one(const TrialSpec &spec, const TrialFn &fn,
 
 }  // namespace
 
-void
-request_shutdown()
-{
-    g_shutdown.store(true, std::memory_order_relaxed);
-}
-
-bool
-shutdown_requested()
-{
-    return g_shutdown.load(std::memory_order_relaxed);
-}
-
-void
-clear_shutdown()
-{
-    g_shutdown.store(false, std::memory_order_relaxed);
-}
-
-void
-install_signal_handlers()
-{
-    std::signal(SIGINT, shutdown_signal_handler);
-    std::signal(SIGTERM, shutdown_signal_handler);
-}
-
 Sweep::Sweep(SweepOptions options) : options_(std::move(options)) {}
 
 void
@@ -133,84 +90,27 @@ Sweep::plan() const
     return pending;
 }
 
-std::vector<TrialSpec>
-Sweep::specs_of(const std::vector<Pending> &pending)
-{
-    std::vector<TrialSpec> specs;
-    for (const Pending &p : pending)
-        specs.push_back(p.spec);
-    return specs;
-}
-
-std::vector<TrialSpec>
-Sweep::plan_specs() const
-{
-    return specs_of(plan());
-}
-
 SweepRun
 Sweep::run()
 {
     std::vector<Pending> pending = plan();
-    const std::vector<TrialSpec> specs = specs_of(pending);
     // Checked against the full plan, so a replay still refuses a fault
     // that no run of this sweep could fire.
+    std::vector<TrialSpec> specs;
+    for (const Pending &p : pending)
+        specs.push_back(p.spec);
     const FaultPlan faults(options_.faults);
     faults.check_planned(specs);
 
     if (options_.replay_trial) {
+        // A trial's global index is its position in the plan.
         const std::uint64_t want = *options_.replay_trial;
-        const std::size_t total = pending.size();
-        std::vector<Pending> one;
-        for (Pending &p : pending) {
-            if (p.spec.global_index == want)
-                one.push_back(std::move(p));
+        if (want >= pending.size()) {
+            throw Error("--replay-trial is past the end of the sweep")
+                .with("replay_trial", want)
+                .with("trials", std::uint64_t{pending.size()});
         }
-        pending = std::move(one);
-        if (pending.empty()) {
-            std::cerr << "[runner] " << options_.name << ": --replay-trial "
-                      << want << " is out of range (sweep has " << total
-                      << " trial(s), indices 0.." << (total ? total - 1 : 0)
-                      << "); nothing to run\n";
-        }
-    }
-
-    SweepRun run;
-    run.outcomes.resize(pending.size());
-    std::vector<bool> replayed(pending.size(), false);
-
-    // Checkpoint/resume: replay the journal (the reader validates each
-    // record against the plan — the sweep definition must not have
-    // changed under us) and pre-fill those slots so only the remainder
-    // executes.
-    const bool journaling = journaling_enabled(options_);
-    const JournalHeader header{options_.name, options_.master_seed,
-                               plan_hash(specs)};
-    const std::string jpath = journal_path(options_.json_out);
-    if (options_.resume && journaling) {
-        for (JournalRecord &rec : read_journal(jpath, header, specs)) {
-            const std::uint64_t i = rec.spec.global_index;
-            run.outcomes[i] = std::move(rec.outcome);
-            replayed[i] = true;
-            ++run.resumed;
-        }
-    }
-
-    JournalWriter journal;
-    if (journaling) {
-        try {
-            journal.open(jpath, header, /*append=*/options_.resume);
-        } catch (const Error &e) {
-            // A journal we cannot resume from is a configuration fault;
-            // a journal we merely cannot create is not worth killing the
-            // run over — run unjournaled and let the final report write
-            // surface the unwritable path as its own exit code.
-            if (options_.resume)
-                throw;
-            std::cerr << "[runner] " << options_.name
-                      << ": running without a checkpoint journal: "
-                      << e.what() << "\n";
-        }
+        pending = {pending[want]};
     }
 
     // --jobs 0 means one worker per hardware thread (a count the host
@@ -220,48 +120,20 @@ Sweep::run()
         : options_.jobs != 0
             ? options_.jobs
             : std::max(1u, std::thread::hardware_concurrency());
+    SweepRun run;
     run.jobs_used = jobs;
+    run.outcomes.resize(pending.size());
 
-    const auto execute = [&](std::size_t i) {
-        // The drain point: a shutdown request skips every trial that has
-        // not started yet; in-flight trials run to completion.
-        if (shutdown_requested()) {
-            run.outcomes[i].status = TrialStatus::kSkipped;
-            return;
-        }
-        run.outcomes[i] =
-            run_one(pending[i].spec, *pending[i].fn, options_, faults);
-        if (journaling) {
-            // append() no-ops (under its lock) once the journal is
-            // closed — is_open() here would race with the close below.
-            try {
-                journal.append(pending[i].spec, run.outcomes[i]);
-            } catch (const Error &e) {
-                // Journal I/O died mid-run (disk full, volume gone).
-                // Checkpointing is best-effort: keep the sweep alive,
-                // stop journaling — a crash from here is no longer
-                // resumable, which beats losing the run now.
-                journal.close();
-                std::cerr << "[runner] " << options_.name
-                          << ": checkpoint journaling disabled: "
-                          << e.what() << "\n";
-            }
-        }
-    };
-
-    // One worker loop: the trials still to run are claimed from a single
-    // atomic index in plan order. The calling thread is a worker too, so
-    // --jobs 1 is this same loop with no helper threads. Each trial
-    // writes only its own pre-allocated slot.
-    std::vector<std::size_t> todo;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-        if (!replayed[i])
-            todo.push_back(i);
-    }
+    // One worker loop: trials are claimed from a single atomic index in
+    // plan order. The calling thread is a worker too, so --jobs 1 is
+    // this same loop with no helper threads. Each trial writes only its
+    // own pre-allocated slot.
     std::atomic<std::size_t> next{0};
     const auto worker = [&] {
-        for (std::size_t k; (k = next++) < todo.size();)
-            execute(todo[k]);
+        for (std::size_t i; (i = next++) < pending.size();) {
+            run.outcomes[i] =
+                run_one(pending[i].spec, *pending[i].fn, options_, faults);
+        }
     };
     const auto wall_start = std::chrono::steady_clock::now();
     {
@@ -269,61 +141,98 @@ Sweep::run()
         // which publishes every slot to this thread.
         std::vector<std::jthread> helpers;
         for (std::size_t t = 1;
-             t < std::min<std::size_t>(jobs, todo.size()); ++t)
+             t < std::min<std::size_t>(jobs, pending.size()); ++t)
             helpers.emplace_back(worker);
         worker();
     }
     run.wall_seconds = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - wall_start)
                            .count();
-    journal.close();
 
     // Aggregate strictly in plan order: output is independent of the
-    // completion order above, and of which trials were journal replays.
+    // completion order above.
     run.sink.set_meta(options_.name, options_.master_seed);
     for (std::size_t i = 0; i < pending.size(); ++i) {
+        const TrialSpec &spec = pending[i].spec;
         const TrialOutcome &outcome = run.outcomes[i];
-        switch (outcome.status) {
-          case TrialStatus::kSkipped:
-              ++run.skipped;
-              continue;
-          case TrialStatus::kOk:
-              ++run.completed;
-              break;
-          case TrialStatus::kFailed:
-          case TrialStatus::kTimedOut:
-              ++run.failed;
-              break;
-        }
-        run.sink.add(pending[i].spec, outcome);
-    }
-
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-        const TrialOutcome &outcome = run.outcomes[i];
-        if (!outcome.failed())
+        run.sink.add(spec, outcome);
+        if (outcome.ok()) {
+            ++run.completed;
             continue;
+        }
+        ++run.failed;
         std::cerr << "[runner] " << options_.name << " trial #"
-                  << pending[i].spec.global_index << " ("
-                  << pending[i].spec.scenario << "/"
-                  << pending[i].spec.trial << ") "
-                  << to_string(outcome.status) << ": " << outcome.error
+                  << spec.global_index << " (" << spec.scenario << "/"
+                  << spec.trial << ") " << to_string(outcome.status)
+                  << ": " << outcome.error
                   << " (replay with --jobs 1 --replay-trial "
-                  << pending[i].spec.global_index << ")\n";
+                  << spec.global_index << ")\n";
     }
     std::cerr << "[runner] " << options_.name << ": " << pending.size()
               << " trial(s) on " << jobs
               << " job(s) in " << run.wall_seconds << " s";
-    if (run.resumed != 0)
-        std::cerr << ", " << run.resumed << " resumed from journal";
     if (run.failed != 0)
         std::cerr << ", " << run.failed << " failed";
-    if (run.skipped != 0)
-        std::cerr << ", " << run.skipped << " skipped (shutdown drain)";
     std::cerr << "\n";
     return run;
 }
 
 namespace {
+
+/**
+ * Writes all of @p data to @p fd, resuming after short writes and EINTR.
+ * @throw Error naming @p path on a write failure.
+ */
+void
+write_all(int fd, std::string_view data, const std::string &path)
+{
+    while (!data.empty()) {
+        const ssize_t n = ::write(fd, data.data(), data.size());
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            throw Error("write failed")
+                .with("path", path)
+                .caused_by(std::strerror(errno));
+        }
+        data.remove_prefix(static_cast<std::size_t>(n));
+    }
+}
+
+/** fsyncs @p fd. @throw Error naming @p path when the sync fails. */
+void
+fsync_file(int fd, const std::string &path)
+{
+    if (::fsync(fd) != 0) {
+        throw Error("fsync failed")
+            .with("path", path)
+            .caused_by(std::strerror(errno));
+    }
+}
+
+/**
+ * fsyncs the directory containing @p path, making a just-renamed entry
+ * durable. Best-effort: failures are reported on stderr, not thrown (an
+ * unsyncable directory should not fail a report whose data is synced).
+ */
+void
+fsync_parent_dir(const std::string &path)
+{
+    const auto slash = path.find_last_of('/');
+    const std::string dir =
+        slash == std::string::npos ? "." : path.substr(0, slash + 1);
+    const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    if (fd < 0) {
+        std::cerr << "[runner] cannot open directory " << dir
+                  << " for fsync: " << std::strerror(errno) << "\n";
+        return;
+    }
+    if (::fsync(fd) != 0) {
+        std::cerr << "[runner] cannot fsync directory " << dir << ": "
+                  << std::strerror(errno) << "\n";
+    }
+    ::close(fd);
+}
 
 /**
  * Durably commits @p data to @p path: write a sibling temp file, fsync
@@ -342,8 +251,8 @@ atomic_write_file(const std::string &path, const std::string &data)
         return false;
     }
     // An unsynced or unclosed temp file must never be renamed over the
-    // report: the caller would then delete the journal, and a crash could
-    // leave neither the data nor anything to resume from.
+    // report: a crash could then leave a torn report where a committed
+    // one stood.
     try {
         write_all(fd, data, tmp);
         fsync_file(fd, tmp);
@@ -366,8 +275,8 @@ atomic_write_file(const std::string &path, const std::string &data)
         return false;
     }
     // The rename is only durable once the directory entry is: without
-    // this, a power cut after "commit" could leave neither the report
-    // nor (the journal having been removed next) anything to resume.
+    // this, a power cut after the commit could bring back the old
+    // report.
     fsync_parent_dir(path);
     return true;
 }
@@ -391,25 +300,9 @@ write_json_output(const ResultSink &sink, const SweepOptions &options)
 int
 finish_sweep(const SweepRun &run, const SweepOptions &options)
 {
-    const bool journaling = journaling_enabled(options);
-    if (!run.complete()) {
-        std::cerr << "[runner] " << options.name << ": interrupted — "
-                  << run.skipped << " trial(s) not run";
-        if (journaling) {
-            std::cerr << "; resume with --resume (journal: "
-                      << journal_path(options.json_out) << ")";
-        }
-        std::cerr << "\n";
-        // No JSON: a partial report must never overwrite a committed one.
-        return kExitPartial;
-    }
     if (!write_json_output(run.sink, options))
         return kExitJsonError;
-    // The report is durably committed; the journal is redundant.
-    if (journaling)
-        std::remove(journal_path(options.json_out).c_str());
     return run.failed != 0 ? kExitTrialFailure : kExitOk;
 }
 
 }  // namespace anvil::runner
-

@@ -16,14 +16,11 @@
  *     the JSON as a "failed"/"timed_out" record — it never takes down
  *     sibling trials or the workers; it is never retried, because a
  *     trial is a pure function of its seed and would fail the same way;
- *   - with a file JSON destination, every completed trial is journaled
- *     (append-only, checksummed, fsync'd) to `<json-out>.journal`;
- *     --resume replays the journal and runs only the remainder, and the
- *     final JSON is byte-identical to an uninterrupted run;
- *   - request_shutdown() (wired to SIGINT/SIGTERM by the driver) drains
- *     the sweep: in-flight trials finish, unstarted trials are skipped,
- *     the journal stays on disk for --resume, and finish_sweep() maps
- *     the state to a distinct exit code.
+ *   - finish_sweep() commits the report atomically (temp file, fsync,
+ *     rename), so a run that dies — Ctrl-C, SIGKILL, OOM — leaves the
+ *     previous report or none, never a torn one. Nothing is
+ *     checkpointed: the whole reproduction takes about a minute, so an
+ *     interrupted sweep is simply run again.
  *
  * Replay: every trial's seed is a pure function of (master seed, scenario,
  * trial index), so `--replay-trial N` re-runs exactly one trial of the
@@ -59,8 +56,6 @@ struct SweepOptions {
     std::string json_out;
     /// Per-trial simulated-event budget (memory accesses); 0 = unlimited.
     std::uint64_t trial_timeout = 0;
-    /// Replay the run's journal and run only the missing trials.
-    bool resume = false;
     /// Deterministic fault injections (tests / CI).
     std::vector<FaultSpec> faults;
 };
@@ -71,22 +66,17 @@ using TrialFn = std::function<TrialResult(const TrialContext &)>;
 /** Everything one Sweep::run() produced. */
 struct SweepRun {
     ResultSink sink;
-    /// Per-trial outcomes in plan order (replayed, executed, or skipped).
+    /// Per-trial outcomes in plan order.
     std::vector<TrialOutcome> outcomes;
     std::uint64_t completed = 0;  ///< trials that ended ok
     std::uint64_t failed = 0;     ///< failed + timed-out trials
-    std::uint64_t skipped = 0;    ///< drained by a shutdown request
-    std::uint64_t resumed = 0;    ///< replayed from the journal
+    /// Always 0: a run executes every trial it plans. perfbench's driver
+    /// still reports the field.
+    std::uint64_t skipped = 0;
     double wall_seconds = 0.0;
     /// The resolved --jobs value (1 for a replay), even when fewer
-    /// trials than that were left to run.
+    /// trials than that were planned.
     unsigned jobs_used = 0;
-
-    /**
-     * False when a shutdown drain left trials unrun (resumable); true
-     * exactly when finish_sweep() commits the report.
-     */
-    bool complete() const { return skipped == 0; }
 };
 
 /** A set of scenarios executed as one (possibly parallel) batch. */
@@ -107,20 +97,13 @@ class Sweep
      * per-trial outcomes. Exceptions escaping a trial body are captured
      * as that trial's outcome, never propagated (one bad trial must not
      * sink a sweep).
-     * @throw Error only for configuration-level faults: a --resume
-     *        journal that belongs to a different sweep, or journal I/O
-     *        failure while resuming.
+     * @throw Error only for configuration-level faults, before any
+     *        trial runs: an --inject-fault aimed at no planned trial, or
+     *        a --replay-trial index past the end of the plan.
      */
     SweepRun run();
 
     const SweepOptions &options() const { return options_; }
-
-    /**
-     * The full deterministic trial plan (every scenario × trial, seeds
-     * assigned) — what a --resume journal is validated against.
-     * Independent of replay filtering.
-     */
-    std::vector<TrialSpec> plan_specs() const;
 
   private:
     struct Pending {
@@ -130,10 +113,6 @@ class Sweep
 
     /** All trials in deterministic order, seeds assigned. */
     std::vector<Pending> plan() const;
-
-    /** The specs of @p pending, in order. */
-    static std::vector<TrialSpec>
-    specs_of(const std::vector<Pending> &pending);
 
     struct Scenario {
         std::string name;
@@ -146,35 +125,14 @@ class Sweep
 };
 
 // ---------------------------------------------------------------------------
-// Graceful shutdown
-// ---------------------------------------------------------------------------
-
-/**
- * Requests a sweep drain: trials not yet started are skipped, in-flight
- * trials finish, the journal is flushed. Async-signal-safe — the driver
- * calls this from its SIGINT/SIGTERM handler; tests call it directly.
- */
-void request_shutdown();
-
-/** True once request_shutdown() was called (until clear_shutdown()). */
-bool shutdown_requested();
-
-/** Re-arms the drain flag (tests; a fresh process starts cleared). */
-void clear_shutdown();
-
-/** Installs SIGINT/SIGTERM handlers that call request_shutdown(). */
-void install_signal_handlers();
-
-// ---------------------------------------------------------------------------
 // Output + exit codes
 // ---------------------------------------------------------------------------
 
-/** Process exit codes shared by every sweep binary. */
+/** Process exit codes shared by every sweep binary (3 is unassigned). */
 enum ExitCode : int {
     kExitOk = 0,            ///< sweep complete, every trial ok
     kExitJsonError = 1,     ///< report requested but not writable
     kExitUsage = 2,         ///< bad command line / unknown sweep
-    kExitPartial = 3,       ///< drained by shutdown; resumable
     kExitTrialFailure = 4,  ///< complete, but >= 1 trial failed
 };
 
@@ -188,10 +146,8 @@ enum ExitCode : int {
 bool write_json_output(const ResultSink &sink, const SweepOptions &options);
 
 /**
- * Finishes a sweep run — its one commit path. A complete run writes the
- * JSON report and, once it is durably committed, removes the journal.
- * Maps the run's state to its ExitCode — kExitPartial for an interrupted
- * run (journal kept for --resume), kExitJsonError when the report could
+ * Finishes a sweep run — its one commit path: writes the JSON report and
+ * maps the run to its ExitCode — kExitJsonError when the report could
  * not be written, kExitTrialFailure when any trial failed, else kExitOk.
  */
 int finish_sweep(const SweepRun &run, const SweepOptions &options);

@@ -34,30 +34,6 @@ sub_seed(std::uint64_t seed, std::string_view stream)
     return splitmix64(seed ^ fnv1a(stream));
 }
 
-std::uint64_t
-plan_hash(const std::vector<TrialSpec> &plan)
-{
-    // FNV-1a folded over every trial's identity. Any change to the
-    // scenario set, trial counts, seeds, or ordering produces a
-    // different hash, so two journals with equal plan hashes hold
-    // interchangeable facts about the same deterministic computation.
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    const auto mix = [&h](std::uint64_t v) {
-        for (unsigned i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 0x100000001b3ULL;
-        }
-    };
-    for (const TrialSpec &spec : plan) {
-        h ^= fnv1a(spec.scenario);
-        h *= 0x100000001b3ULL;
-        mix(spec.trial);
-        mix(spec.seed);
-        mix(spec.global_index);
-    }
-    return h;
-}
-
 std::string_view
 to_string(TrialStatus status)
 {
@@ -65,7 +41,6 @@ to_string(TrialStatus status)
       case TrialStatus::kOk: return "ok";
       case TrialStatus::kFailed: return "failed";
       case TrialStatus::kTimedOut: return "timed_out";
-      case TrialStatus::kSkipped: return "skipped";
     }
     return "unknown";
 }

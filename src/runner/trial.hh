@@ -53,14 +53,6 @@ std::uint64_t trial_seed(std::uint64_t master_seed,
 std::uint64_t sub_seed(std::uint64_t seed, std::string_view stream);
 
 /**
- * Order-sensitive digest of a whole trial plan (every spec's scenario,
- * trial index, seed, and global index). The checkpoint journal records
- * it so --resume can refuse records produced against a different sweep
- * definition without replaying them first.
- */
-std::uint64_t plan_hash(const std::vector<TrialSpec> &plan);
-
-/**
  * Deterministic per-trial deadline: a budget of simulated events (memory
  * accesses). The trial body charges events via tick(); exhausting the
  * budget throws TimeoutError, which the sweep records as a timed-out
@@ -212,10 +204,9 @@ enum class TrialStatus : std::uint8_t {
     kOk = 0,        ///< result is valid
     kFailed = 1,    ///< an exception escaped the trial body
     kTimedOut = 2,  ///< the watchdog budget was exhausted
-    kSkipped = 3,   ///< never ran (shutdown drain); absent from output
 };
 
-/** JSON/journal name of a status ("ok", "failed", "timed_out", ...). */
+/** JSON name of a status: "ok", "failed" or "timed_out". */
 std::string_view to_string(TrialStatus status);
 
 /**
@@ -229,12 +220,6 @@ struct TrialOutcome {
     std::string error;
 
     bool ok() const { return status == TrialStatus::kOk; }
-    bool
-    failed() const
-    {
-        return status == TrialStatus::kFailed ||
-               status == TrialStatus::kTimedOut;
-    }
 };
 
 }  // namespace anvil::runner

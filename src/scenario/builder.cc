@@ -1,5 +1,6 @@
 #include "scenario/builder.hh"
 
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -15,6 +16,12 @@ namespace {
 /// kPatternMeasure's hammer iterations before and during measurement.
 constexpr std::uint64_t kPatternWarmupIterations = 8;
 constexpr std::uint64_t kPatternIterations = 20000;
+
+/** A trial's detections, counted by the tenant the detector blamed. */
+struct DetectionTally {
+    std::vector<std::uint64_t> per_tenant;  ///< in tenant order
+    std::uint64_t unattributed = 0;         ///< no tenant owns the pid
+};
 
 /** Picks @p built's target and builds its hammer kernel. */
 void
@@ -345,6 +352,22 @@ ScenarioBuilder::emit() const
 {
     const Execution &e = *exec_;
     runner::TrialResult r;
+    // Tallied on first use: the per-tenant outputs share one pass.
+    std::optional<DetectionTally> tally;
+    const auto detections_by_tenant = [&]() -> const DetectionTally & {
+        if (!tally) {
+            tally.emplace();
+            tally->per_tenant.assign(e.tenants_.size(), 0);
+            for (const detector::Detection &d : e.anvil_->detections()) {
+                const std::size_t idx = e.tenant_index_of(d.offender_pid);
+                if (idx < e.tenants_.size())
+                    ++tally->per_tenant[idx];
+                else
+                    ++tally->unattributed;
+            }
+        }
+        return *tally;
+    };
     for (const Output output : spec_.outputs) {
         switch (output) {
           case Output::kFlips:
@@ -467,42 +490,30 @@ ScenarioBuilder::emit() const
               }
               break;
           case Output::kTenantDetections: {
-              std::vector<std::uint64_t> per_tenant(e.tenants_.size(), 0);
-              std::uint64_t unattributed = 0;
-              for (const detector::Detection &d : e.anvil_->detections()) {
-                  const std::size_t idx = e.tenant_index_of(d.offender_pid);
-                  if (idx < e.tenants_.size())
-                      ++per_tenant[idx];
-                  else
-                      ++unattributed;
-              }
+              const DetectionTally &t = detections_by_tenant();
               for (std::size_t i = 0; i < e.tenants_.size(); ++i) {
                   r.set_counter("detections/" + e.tenants_[i].name,
-                                per_tenant[i]);
+                                t.per_tenant[i]);
               }
-              r.set_counter("detections/unattributed", unattributed);
+              r.set_counter("detections/unattributed", t.unattributed);
               break;
           }
           case Output::kCrossTenantFp: {
               // A detection blamed on a benign (workload) tenant is a
               // cross-tenant false positive regardless of the attack
               // window: the daemon would throttle the wrong process.
-              std::vector<std::uint64_t> per_tenant(e.tenants_.size(), 0);
+              const DetectionTally &t = detections_by_tenant();
               std::uint64_t total = 0;
-              for (const detector::Detection &d : e.anvil_->detections()) {
-                  const std::size_t idx = e.tenant_index_of(d.offender_pid);
-                  if (idx < e.tenants_.size() &&
-                      !e.tenants_[idx].is_attacker) {
-                      ++per_tenant[idx];
-                      ++total;
-                  }
+              for (std::size_t i = 0; i < e.tenants_.size(); ++i) {
+                  if (!e.tenants_[i].is_attacker)
+                      total += t.per_tenant[i];
               }
               r.set_counter("cross_tenant_fp", total);
               for (std::size_t i = 0; i < e.tenants_.size(); ++i) {
                   if (e.tenants_[i].is_attacker)
                       continue;
                   r.set_counter("cross_tenant_fp/" + e.tenants_[i].name,
-                                per_tenant[i]);
+                                t.per_tenant[i]);
               }
               break;
           }
@@ -521,8 +532,8 @@ ScenarioBuilder::run_trial(const ScenarioSpec &spec,
     return builder.emit();
 }
 
-runner::Sweep
-make_sweep(const SweepSpec &spec, runner::CliOptions &cli)
+runner::SweepRun
+run_sweep(const SweepSpec &spec, runner::CliOptions &cli)
 {
     validate(spec);
 
@@ -537,13 +548,6 @@ make_sweep(const SweepSpec &spec, runner::CliOptions &cli)
                                return ScenarioBuilder::run_trial(cell, ctx);
                            });
     }
-    return sweep;
-}
-
-runner::SweepRun
-run_sweep(const SweepSpec &spec, runner::CliOptions &cli)
-{
-    runner::Sweep sweep = make_sweep(spec, cli);
     runner::SweepRun run = sweep.run();
     if (spec.finalize)
         spec.finalize(run.sink);

@@ -172,27 +172,15 @@ class ScenarioBuilder
 };
 
 /**
- * Instantiates a SweepSpec as a configured (not yet run) runner::Sweep:
- * validates the spec, sets cli.sweep.name to the spec's name, and
- * registers every cell with its per-cell fixed trial count (else
- * cli.trials_or(default)). Also yields the sweep's deterministic trial
- * plan (Sweep::plan_specs()) without running anything. Does NOT apply
- * spec.finalize; callers that run the sweep themselves must apply it to
- * the resulting sink (run_sweep does).
- * @throw Error when the spec fails validation (validate.hh).
- */
-runner::Sweep make_sweep(const SweepSpec &spec, runner::CliOptions &cli);
-
-/**
  * Runs a whole SweepSpec on the parallel experiment runner with the
  * shared CLI options (--jobs/--master-seed/--trials/--replay-trial plus
- * the fault-tolerance flags --trial-timeout/--resume/--inject-fault),
- * applying per-cell fixed trial counts and the sweep's
- * finalize hook (on the run's sink). Sets cli.sweep.name to the sweep's
- * name. Does not render: the driver prints spec.render's table only for
- * a run whose report it commits.
- * @throw Error when the spec fails validation (validate.hh) or a
- *        --resume journal does not belong to this sweep.
+ * the fault flags --trial-timeout/--inject-fault): validates the spec,
+ * sets cli.sweep.name to the sweep's name, registers every cell with its
+ * per-cell fixed trial count (else cli.trials_or(default)), runs it and
+ * applies the sweep's finalize hook to the run's sink. Does not render:
+ * the driver prints spec.render's table before committing the report.
+ * @throw Error when the spec fails validation (validate.hh), or on the
+ *        runner's configuration-level faults (Sweep::run).
  */
 runner::SweepRun run_sweep(const SweepSpec &spec, runner::CliOptions &cli);
 

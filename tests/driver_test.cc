@@ -2,10 +2,10 @@
  * @file
  * End-to-end tests of the anvil-sim driver binary (ANVIL_SIM_PATH): the
  * paper table never mixes into a report written to stdout, a malformed
- * sweep argument is a usage error rather than a silently wrong table,
- * and the in-process recovery guarantee survives a real SIGKILL — a
- * plain run killed mid-sweep and finished with --resume commits JSON
- * byte-identical to the committed golden and leaves nothing beside it.
+ * sweep argument or an out-of-range --replay-trial is a usage error
+ * rather than a silently wrong table or an empty report, and a run
+ * killed mid-sweep with SIGKILL commits nothing and leaves nothing
+ * beside its report path.
  */
 #include <gtest/gtest.h>
 
@@ -13,20 +13,17 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <cstdint>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "runner/journal.hh"
-#include "runner/options.hh"
 #include "runner/sweep.hh"
-#include "scenario/builder.hh"
-#include "scenario/registry.hh"
 
 namespace anvil {
 namespace {
@@ -55,14 +52,13 @@ golden_table3()
     return slurp(std::string(ANVIL_TEST_DATA_DIR) + "/table3_golden.json");
 }
 
-/** A per-test scratch path, cleared of a leftover report and journal. */
+/** A per-test scratch path, cleared of a leftover report. */
 std::string
 temp_path(const std::string &name)
 {
     const std::string path =
         ::testing::TempDir() + "anvil_driver_test_" + name;
     std::remove(path.c_str());
-    std::remove(runner::journal_path(path).c_str());
     return path;
 }
 
@@ -158,7 +154,6 @@ TEST(Driver, MalformedSweepArgumentExitsUsageAndWritesNoReport)
         " >/dev/null 2>&1";
     EXPECT_EQ(run_command(command), runner::kExitUsage);
     EXPECT_FALSE(file_exists(report));
-    EXPECT_FALSE(file_exists(runner::journal_path(report)));
 }
 
 /**
@@ -190,80 +185,61 @@ TEST(Driver, ZeroLengthRunExitsUsageNamingTheField)
         EXPECT_NE(message.find(c.field), std::string::npos) << message;
         EXPECT_NE(message.find("scenario"), std::string::npos) << message;
         EXPECT_FALSE(file_exists(report));
-        EXPECT_FALSE(file_exists(runner::journal_path(report)));
     }
     std::remove(err.c_str());
 }
 
-/** --resume over a journal of an older format version is a usage error. */
-TEST(Driver, ResumeRefusesAnOlderJournalVersion)
+/**
+ * A --replay-trial index past the end of the plan is a usage error
+ * naming the index and the plan size: no table of dashes, no empty
+ * report.
+ */
+TEST(Driver, ReplayTrialPastThePlanExitsUsageAndWritesNoReport)
 {
-    const std::string report = temp_path("v3_resume.json");
-    const std::string journal = runner::journal_path(report);
-    {
-        // The 8-byte magic, then a v3 version field.
-        std::ofstream out(journal, std::ios::binary);
-        const std::uint32_t v3 = 3;
-        out.write("ANVLJNL1", 8);
-        out.write(reinterpret_cast<const char *>(&v3), sizeof v3);
-    }
+    const std::string report = temp_path("replay_past_plan.json");
+    const std::string err = temp_path("replay_past_plan.err");
     const std::string command =
         std::string(ANVIL_SIM_PATH) +
-        " run table3_detection --trials 1 --resume --json-out " + report +
-        " >/dev/null 2>&1";
+        " run table3_detection --trials 1 --replay-trial 99 --json-out " +
+        report + " >/dev/null 2> " + err;
     EXPECT_EQ(run_command(command), runner::kExitUsage);
+    const std::string message = slurp(err);
+    EXPECT_NE(message.find("replay_trial=99"), std::string::npos) << message;
+    EXPECT_NE(message.find("trials=4"), std::string::npos) << message;
     EXPECT_FALSE(file_exists(report));
-    std::remove(journal.c_str());
+    std::remove(err.c_str());
 }
 
 /**
- * The recovery guarantee against a real kill -9: a serial table3 run
- * stops itself (stall fault) on its third trial, is SIGKILLed while
- * stopped, and a --resume rerun without the fault replays the journaled
- * trials and commits the golden bytes, retiring the journal.
+ * A run killed mid-sweep commits nothing: the report is written only
+ * after every trial ran, through a temp file renamed into place. The
+ * first trial hangs (its watchdog budget is effectively unlimited), so
+ * the kill always lands mid-sweep.
  */
-TEST(Resume, SigkilledPlainRunResumesToTheGolden)
+TEST(Driver, KilledRunCommitsNoReport)
 {
-    const std::string out = temp_path("sigkill_resume.json");
+    const std::string out = temp_path("killed.json");
     const pid_t pid = spawn_sim(
         {"run", "table3_detection", "--trials", "1", "--jobs", "1",
-         "--json-out", out, "--inject-fault",
-         "stall@CLFLUSH-free (Heavy Load):0"});
+         "--json-out", out, "--trial-timeout", "18446744073709551615",
+         "--inject-fault", "hang@CLFLUSH (Heavy Load):0"});
     ASSERT_GT(pid, 0);
 
+    // Still running after half a second: the command was accepted and
+    // the sweep is under way, not refused.
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
     int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, WUNTRACED), pid);
-    ASSERT_TRUE(WIFSTOPPED(status)) << "the stall fault never fired";
-
-    // Every trial finished before the stall is durable in the journal.
-    runner::CliOptions cli;
-    cli.trials = 1;
-    const scenario::SweepSpec spec =
-        scenario::paper_registry().find("table3_detection")->make(cli);
-    const std::vector<runner::TrialSpec> plan =
-        scenario::make_sweep(spec, cli).plan_specs();
-    const runner::JournalHeader header{spec.name, cli.sweep.master_seed,
-                                       runner::plan_hash(plan)};
-    EXPECT_GE(runner::read_journal(runner::journal_path(out), header, plan)
-                  .size(),
-              1u);
+    ASSERT_EQ(::waitpid(pid, &status, WNOHANG), 0)
+        << "anvil-sim exited before the kill";
 
     ASSERT_EQ(::kill(pid, SIGKILL), 0);
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);
     ASSERT_TRUE(WIFSIGNALED(status));
     EXPECT_EQ(WTERMSIG(status), SIGKILL);
     EXPECT_FALSE(file_exists(out)) << "a killed run must not commit";
-
-    const std::string resume =
-        std::string(ANVIL_SIM_PATH) +
-        " run table3_detection --trials 1 --jobs 1 --resume --json-out " +
-        out + " >/dev/null 2>&1";
-    EXPECT_EQ(run_command(resume), 0);
-    EXPECT_EQ(slurp(out), golden_table3());
-    EXPECT_FALSE(file_exists(runner::journal_path(out)));
-    EXPECT_TRUE(siblings_of(out).empty())
-        << "stray file beside the report: " << siblings_of(out).front();
-    std::remove(out.c_str());
+    const std::vector<std::string> left = siblings_of(out);
+    EXPECT_TRUE(left.empty()) << "stray file beside the report: "
+                              << left.front();
 }
 
 #endif  // ANVIL_SIM_PATH

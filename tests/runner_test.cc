@@ -46,8 +46,8 @@ TEST(Error, RendersContextAndCauseDeterministically)
 TEST(Error, NestedCausesFlattenIntoOneChain)
 {
     const Error inner = Error("disk unhappy").with("path", std::string("x"));
-    const Error outer = Error("journal write failed").caused_by(inner);
-    EXPECT_STREQ(outer.what(), "journal write failed: caused by: "
+    const Error outer = Error("report write failed").caused_by(inner);
+    EXPECT_STREQ(outer.what(), "report write failed: caused by: "
                                "disk unhappy [path=x]");
 }
 
@@ -212,6 +212,31 @@ TEST(Sweep, ReplaySelectsExactlyOneTrial)
     // The replayed trial must see the identical derived seed.
     const std::uint64_t seed = runner::trial_seed(99, "beta", 1);
     EXPECT_EQ(beta->counter_sum("seed_low"), seed % 17);
+
+    // Past the end of the plan: a configuration error naming the index
+    // and the plan size, before any trial runs.
+    for (const std::uint64_t past : {std::uint64_t{50}, UINT64_MAX}) {
+        opts.replay_trial = past;
+        runner::Sweep out_of_range(opts);
+        int runs = 0;
+        const auto counted = [&](const runner::TrialContext &ctx) {
+            ++runs;
+            return synthetic_trial(ctx);
+        };
+        out_of_range.add_scenario("alpha", 25, counted);
+        out_of_range.add_scenario("beta", 25, counted);
+        try {
+            (void)out_of_range.run();
+            ADD_FAILURE() << "--replay-trial " << past << " was accepted";
+        } catch (const Error &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("replay_trial=" + std::to_string(past)),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find("trials=50"), std::string::npos) << what;
+        }
+        EXPECT_EQ(runs, 0);
+    }
 }
 
 TEST(Sweep, TrialExceptionBecomesErrorNotCrash)
@@ -231,7 +256,6 @@ TEST(Sweep, TrialExceptionBecomesErrorNotCrash)
     EXPECT_EQ(sink.total_errors(), 1u);
     EXPECT_EQ(run.failed, 1u);
     EXPECT_EQ(run.completed, 3u);
-    EXPECT_TRUE(run.complete());
     // The failure is a record, not just a counter: scenario, cause, and
     // the trial's own seed all land in the rendered error.
     ASSERT_EQ(agg->failures().size(), 1u);
@@ -384,14 +408,12 @@ TEST(CliOptions, ParsesFaultToleranceFlags)
                           "--trial-timeout=5000",
                           "--json-out",
                           "out.json",
-                          "--resume",
                           "--inject-fault",
                           "throw@alpha:3",
                           "--inject-fault=hang@beta:0"};
     runner::CliOptions opts = runner::CliOptions::parse(
         static_cast<int>(std::size(argv)), const_cast<char **>(argv));
     EXPECT_EQ(opts.sweep.trial_timeout, 5000u);
-    EXPECT_TRUE(opts.sweep.resume);
     ASSERT_EQ(opts.sweep.faults.size(), 2u);
     EXPECT_EQ(opts.sweep.faults[0].kind, runner::FaultKind::kThrow);
     EXPECT_EQ(opts.sweep.faults[0].scenario, "alpha");
@@ -399,6 +421,13 @@ TEST(CliOptions, ParsesFaultToleranceFlags)
     EXPECT_EQ(opts.sweep.faults[1].kind, runner::FaultKind::kHang);
     EXPECT_EQ(opts.sweep.faults[1].scenario, "beta");
     EXPECT_EQ(opts.sweep.faults[1].trial, 0u);
+
+    // An interrupted sweep is rerun, not resumed: the flag is unknown.
+    const char *resume[] = {"bench", "--json-out", "out.json", "--resume"};
+    EXPECT_EXIT(runner::CliOptions::parse(
+                    static_cast<int>(std::size(resume)),
+                    const_cast<char **>(resume)),
+                ::testing::ExitedWithCode(2), "unknown flag --resume");
 }
 
 TEST(CliOptions, RejectsAJobCountThatDoesNotFitUnsigned)

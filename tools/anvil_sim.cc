@@ -8,20 +8,17 @@
  * The sweep definitions live in the scenario catalog
  * (src/scenario/catalog.cc); this binary only resolves the name, runs
  * the sweep through the shared parallel runner, and emits the standard
- * `anvil-sweep-v1` JSON report. Whenever a run completes it first prints
- * the sweep's paper table: to stdout, or to stderr when the report
- * itself goes to stdout (--json-out -).
+ * `anvil-sweep-v1` JSON report. Once the trials have run it prints the
+ * sweep's paper table, then commits the report; the table goes to
+ * stdout, or to stderr when the report itself does (--json-out -).
  *
- * With --json-out FILE every finished trial is checkpointed to
- * `FILE.journal`; a run that was interrupted or killed continues with
- * the same command plus --resume, and commits a report byte-identical to
- * an uninterrupted run.
+ * A file report is committed atomically (temp file, fsync, rename), so
+ * a run that is interrupted or killed leaves the previous report or
+ * none. There is no checkpoint to resume from: rerun the command.
  *
  * Exit codes (runner::ExitCode): 0 = complete and all trials ok;
  * 1 = report not writable; 2 = usage error (including a malformed sweep
- * argument); 3 = interrupted (SIGINT/SIGTERM drained the run and kept
- * its journal — rerun with --resume added to continue; a run without
- * --resume discards the journal and starts over); 4 = complete but at
+ * argument and an out-of-range --replay-trial); 4 = complete but at
  * least one trial failed (see the JSON "failures" records).
  */
 #include <cstdio>
@@ -116,27 +113,22 @@ main(int argc, char **argv)
     // the sweep name.
     cli.positional.erase(cli.positional.begin());
 
-    // SIGINT/SIGTERM drain instead of kill: in-flight trials finish what
-    // they started, the journal stays on disk, and we exit kExitPartial
-    // so the run is resumable.
-    runner::install_signal_handlers();
-
     try {
         const scenario::SweepSpec spec = factory->make(cli);
         const runner::SweepRun run = scenario::run_sweep(spec, cli);
-        // A complete run commits its report; print its table first, to
-        // stderr when the report itself goes to stdout so stdout stays
-        // one JSON document.
-        if (spec.render && run.complete()) {
+        // Print the table before the report is committed, to stderr
+        // when the report itself goes to stdout so stdout stays one JSON
+        // document.
+        if (spec.render) {
             spec.render(run.sink, cli.sweep.json_out == "-" ? std::cerr
                                                             : std::cout);
         }
         return runner::finish_sweep(run, cli.sweep);
     } catch (const Error &e) {
         // Configuration-level faults (a malformed sweep argument, spec
-        // validation, a --resume journal from a different sweep) — not
-        // per-trial failures, which the runner's error boundary already
-        // turned into outcomes.
+        // validation, an unplanned --inject-fault or --replay-trial) —
+        // not per-trial failures, which the runner's error boundary
+        // already turned into outcomes.
         std::fprintf(stderr, "anvil-sim: %s\n", e.what());
         return runner::kExitUsage;
     }
