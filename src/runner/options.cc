@@ -28,10 +28,6 @@ print_usage(const char *prog, const std::string &extra)
         << "  --replay-trial N   run only global trial N, serially\n"
         << "  --trial-timeout N  per-trial simulated-event budget "
            "(0 = unlimited)\n"
-        << "  --inject-fault S   inject a deterministic fault, "
-           "S = kind@scenario:trial\n"
-        << "                     (kind: throw | hang; "
-           "repeatable)\n"
         << "  --help             this message\n";
     if (!extra.empty())
         std::cerr << extra << "\n";
@@ -123,15 +119,6 @@ CliOptions::parse(int argc, char **argv, const std::string &extra_usage)
         } else if (arg == "--trial-timeout") {
             opts.sweep.trial_timeout =
                 parse_flag_u64(prog, extra_usage, arg, take_value());
-        } else if (arg == "--inject-fault") {
-            try {
-                opts.sweep.faults.push_back(parse_fault(take_value()));
-            } catch (const Error &e) {
-                std::cerr << prog << ": bad value for --inject-fault: "
-                          << e.what() << "\n";
-                print_usage(prog, extra_usage);
-                std::exit(2);
-            }
         } else if (arg.rfind("--", 0) == 0) {
             std::cerr << prog << ": unknown flag " << arg << "\n";
             print_usage(prog, extra_usage);

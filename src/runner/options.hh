@@ -13,7 +13,6 @@
  *   --json-out PATH    write the aggregated JSON report (PATH or "-")
  *   --replay-trial N   run only global trial N, serially (debugging)
  *   --trial-timeout N  per-trial simulated-event budget (0 = unlimited)
- *   --inject-fault S   deterministic fault "kind@scenario:trial" (CI/tests)
  *   --help             usage
  *
  * Unrecognized non-flag arguments are passed through as positionals: the

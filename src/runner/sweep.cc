@@ -31,21 +31,19 @@ boundary_error(const char *what_happened, const TrialSpec &spec,
 }
 
 /**
- * The per-trial error boundary: runs @p fn under fault injection and the
- * watchdog. Never throws — every failure mode becomes a structured
- * outcome. There is no retry: the trial is a pure function of its seed,
- * so running it again could only reproduce the failure.
+ * The per-trial error boundary: runs @p fn under the watchdog. Never
+ * throws — every failure mode becomes a structured outcome. There is no
+ * retry: the trial is a pure function of its seed, so running it again
+ * could only reproduce the failure.
  */
 TrialOutcome
 run_one(const TrialSpec &spec, const TrialFn &fn,
-        const SweepOptions &options, const FaultPlan &faults)
+        const SweepOptions &options)
 {
     TrialOutcome outcome;
     try {
         TrialContext ctx(spec);
         ctx.watchdog().arm(options.trial_timeout);
-        if (const FaultSpec *fault = faults.match(spec))
-            FaultPlan::inject_before(*fault, ctx);
         outcome.result = fn(ctx);
     } catch (const TimeoutError &e) {
         outcome.status = TrialStatus::kTimedOut;
@@ -94,14 +92,6 @@ SweepRun
 Sweep::run()
 {
     std::vector<Pending> pending = plan();
-    // Checked against the full plan, so a replay still refuses a fault
-    // that no run of this sweep could fire.
-    std::vector<TrialSpec> specs;
-    for (const Pending &p : pending)
-        specs.push_back(p.spec);
-    const FaultPlan faults(options_.faults);
-    faults.check_planned(specs);
-
     if (options_.replay_trial) {
         // A trial's global index is its position in the plan.
         const std::uint64_t want = *options_.replay_trial;
@@ -132,7 +122,7 @@ Sweep::run()
     const auto worker = [&] {
         for (std::size_t i; (i = next++) < pending.size();) {
             run.outcomes[i] =
-                run_one(pending[i].spec, *pending[i].fn, options_, faults);
+                run_one(pending[i].spec, *pending[i].fn, options_);
         }
     };
     const auto wall_start = std::chrono::steady_clock::now();

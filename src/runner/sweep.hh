@@ -36,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "runner/fault.hh"
 #include "runner/result_sink.hh"
 #include "runner/trial.hh"
 
@@ -56,8 +55,6 @@ struct SweepOptions {
     std::string json_out;
     /// Per-trial simulated-event budget (memory accesses); 0 = unlimited.
     std::uint64_t trial_timeout = 0;
-    /// Deterministic fault injections (tests / CI).
-    std::vector<FaultSpec> faults;
 };
 
 /** Computes one trial's TrialResult. Must be thread-safe & self-contained. */
@@ -97,9 +94,8 @@ class Sweep
      * per-trial outcomes. Exceptions escaping a trial body are captured
      * as that trial's outcome, never propagated (one bad trial must not
      * sink a sweep).
-     * @throw Error only for configuration-level faults, before any
-     *        trial runs: an --inject-fault aimed at no planned trial, or
-     *        a --replay-trial index past the end of the plan.
+     * @throw Error only for a configuration-level fault, before any
+     *        trial runs: a --replay-trial index past the end of the plan.
      */
     SweepRun run();
 

@@ -1,5 +1,6 @@
 #include "scenario/builder.hh"
 
+#include <algorithm>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -384,13 +385,21 @@ ScenarioBuilder::emit() const
               r.set_value("attack_ms",
                           to_ms(e.machine_->now() - e.attack_start_));
               break;
-          case Output::kDetectMs:
-              if (!e.anvil_->detections().empty()) {
+          case Output::kDetectMs: {
+              // A detection fired before the attack began (a test may
+              // drive the machine between build() and run()) is no
+              // detection of it.
+              const auto &ds = e.anvil_->detections();
+              const auto first = std::find_if(
+                  ds.begin(), ds.end(), [&](const detector::Detection &d) {
+                      return d.time >= e.attack_start_;
+                  });
+              if (first != ds.end()) {
                   r.set_value("detect_ms",
-                              to_ms(e.anvil_->detections().front().time -
-                                    e.attack_start_));
+                              to_ms(first->time - e.attack_start_));
               }
               break;
+          }
           case Output::kFpPerSec:
               r.set_value(
                   "fp_per_sec",

@@ -173,14 +173,14 @@ class ScenarioBuilder
 
 /**
  * Runs a whole SweepSpec on the parallel experiment runner with the
- * shared CLI options (--jobs/--master-seed/--trials/--replay-trial plus
- * the fault flags --trial-timeout/--inject-fault): validates the spec,
- * sets cli.sweep.name to the sweep's name, registers every cell with its
- * per-cell fixed trial count (else cli.trials_or(default)), runs it and
- * applies the sweep's finalize hook to the run's sink. Does not render:
- * the driver prints spec.render's table before committing the report.
+ * shared CLI options (--jobs/--master-seed/--trials/--replay-trial/
+ * --trial-timeout): validates the spec, sets cli.sweep.name to the
+ * sweep's name, registers every cell with its per-cell fixed trial count
+ * (else cli.trials_or(default)), runs it and applies the sweep's
+ * finalize hook to the run's sink. Does not render: the driver prints
+ * spec.render's table before committing the report.
  * @throw Error when the spec fails validation (validate.hh), or on the
- *        runner's configuration-level faults (Sweep::run).
+ *        runner's configuration-level fault (Sweep::run).
  */
 runner::SweepRun run_sweep(const SweepSpec &spec, runner::CliOptions &cli);
 

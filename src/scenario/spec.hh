@@ -194,7 +194,9 @@ enum class Output {
     kDetections,              ///< counter "detections"
     kSelectiveRefreshes,      ///< counter "selective_refreshes"
     kAttackMs,                ///< value "attack_ms": run-phase duration
-    kDetectMs,                ///< value "detect_ms": first detection
+    /// value "detect_ms": time from the attack's start to the first
+    /// detection at or after it (none when there is no such detection)
+    kDetectMs,
     kFpPerSec,                ///< value "fp_per_sec": boost-corrected FP rate
     kBoost,                   ///< value "boost": thrash-rate boost applied
     kFalsePositiveRefreshes,  ///< counter "false_positive_refreshes"

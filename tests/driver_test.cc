@@ -213,16 +213,16 @@ TEST(Driver, ReplayTrialPastThePlanExitsUsageAndWritesNoReport)
 /**
  * A run killed mid-sweep commits nothing: the report is written only
  * after every trial ran, through a temp file renamed into place. The
- * first trial hangs (its watchdog budget is effectively unlimited), so
- * the kill always lands mid-sweep.
+ * sweep is a long real one (table 4 at three simulated seconds per cell
+ * on one worker; its first cell alone takes seconds), so the kill always
+ * lands mid-sweep.
  */
 TEST(Driver, KilledRunCommitsNoReport)
 {
     const std::string out = temp_path("killed.json");
-    const pid_t pid = spawn_sim(
-        {"run", "table3_detection", "--trials", "1", "--jobs", "1",
-         "--json-out", out, "--trial-timeout", "18446744073709551615",
-         "--inject-fault", "hang@CLFLUSH (Heavy Load):0"});
+    const pid_t pid =
+        spawn_sim({"run", "table4_false_positives", "3.0", "--trials", "1",
+                   "--jobs", "1", "--json-out", out});
     ASSERT_GT(pid, 0);
 
     // Still running after half a second: the command was accepted and

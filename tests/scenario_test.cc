@@ -137,7 +137,8 @@ TEST(ScenarioBuilder, SameSpecAndSeedIsDeterministic)
  */
 TEST(ScenarioBuilder, DetectionOutsideAttackWindowIsFalsePositive)
 {
-    const scenario::ScenarioSpec spec = detection_spec();
+    scenario::ScenarioSpec spec = detection_spec();
+    spec.outputs.push_back(scenario::Output::kDetectMs);
     const runner::TrialContext ctx = context_for(spec, 0);
     scenario::ScenarioBuilder builder(spec, ctx);
     scenario::Execution &exec = builder.build();
@@ -169,6 +170,42 @@ TEST(ScenarioBuilder, DetectionOutsideAttackWindowIsFalsePositive)
     EXPECT_EQ(after.false_positive_detections,
               early.false_positive_detections)
         << "in-window detections must not be labeled false positives";
+
+    // Detection latency counts from the attack's start to its first
+    // in-window detection: the earlier ones must not wrap it negative.
+    const runner::TrialResult result = builder.emit();
+    const auto detect_ms = std::find_if(
+        result.values().begin(), result.values().end(),
+        [](const auto &v) { return v.first == "detect_ms"; });
+    ASSERT_NE(detect_ms, result.values().end());
+    EXPECT_GE(detect_ms->second, 0.0);
+    EXPECT_LE(detect_ms->second, to_ms(spec.run.duration));
+}
+
+/**
+ * The watchdog's budget is counted in simulated accesses: the builder
+ * charges one tick per access any process of the machine retires, so a
+ * real trial stops at exactly its budget.
+ */
+TEST(ScenarioBuilder, RealTrialStopsAtExactlyItsBudget)
+{
+    // CLFLUSH (Heavy Load): an attacker beside three SPEC workloads.
+    const scenario::SweepSpec sweep =
+        scenario::paper_registry().at("table3_detection").make({});
+    const scenario::ScenarioSpec &spec = sweep.cells.front();
+    ASSERT_GT(spec.tenants.size(), 1u);
+    const runner::TrialContext ctx = context_for(spec, 0);
+    constexpr std::uint64_t kBudget = 5000;
+    ctx.watchdog().arm(kBudget);
+
+    scenario::ScenarioBuilder builder(spec, ctx);
+    scenario::Execution &exec = builder.build();
+    EXPECT_THROW(builder.run(), TimeoutError);
+
+    std::uint64_t retired = 0;
+    for (Pid pid = 0; pid < exec.machine().process_count(); ++pid)
+        retired += exec.machine().process(pid).accesses();
+    EXPECT_EQ(retired, kBudget);
 }
 
 /** Contents of tests/data/@p file. */

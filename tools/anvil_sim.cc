@@ -126,7 +126,7 @@ main(int argc, char **argv)
         return runner::finish_sweep(run, cli.sweep);
     } catch (const Error &e) {
         // Configuration-level faults (a malformed sweep argument, spec
-        // validation, an unplanned --inject-fault or --replay-trial) —
+        // validation, a --replay-trial past the end of the plan) —
         // not per-trial failures, which the runner's error boundary
         // already turned into outcomes.
         std::fprintf(stderr, "anvil-sim: %s\n", e.what());
