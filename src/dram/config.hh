@@ -65,6 +65,12 @@ struct DramConfig {
     double variation_spread = 2.0;
     /// Seed mixed into the per-row threshold hash.
     std::uint64_t variation_seed = 0x5eedULL;
+    /// Run the disturbance model on every activation. The model is a
+    /// pure sink: nothing but the flip log (and the disturbance
+    /// telemetry) reads it, so a run that never reads a flip may turn it
+    /// off. DramSystem::flips() then throws; per-row thresholds
+    /// (DisturbanceModel::threshold_of) stay available.
+    bool model_disturbance = true;
 
     // -- Derived helpers ----------------------------------------------------
     std::uint32_t

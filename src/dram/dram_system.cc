@@ -9,7 +9,8 @@ namespace anvil::dram {
 
 Bank::Bank(const DramConfig &config, std::uint32_t flat_bank,
            const RefreshSchedule &schedule, std::vector<FlipEvent> &flip_log)
-    : disturbance_(config, flat_bank, schedule, flip_log)
+    : disturbance_(config, flat_bank, schedule, flip_log),
+      model_disturbance_(config.model_disturbance)
 {
 }
 
@@ -28,7 +29,8 @@ Bank::access(std::uint32_t row, Tick now, Tick window_start)
 
     open_row_ = row;
     ++activations_;
-    disturbance_.on_activate(row, now);
+    if (model_disturbance_)
+        disturbance_.on_activate(row, now);
     return false;
 }
 

@@ -22,8 +22,9 @@ namespace anvil::dram {
 /**
  * What an in-DRAM / in-controller rowhammer tracker implements to see a
  * device's row activations. on_activate runs after the activation's
- * disturbance is applied; a refresh read issued from it re-enters
- * DramSystem::access, so it must guard against recursion itself.
+ * disturbance (when modelled) is applied; a refresh read issued from it
+ * re-enters DramSystem::access, so it must guard against recursion
+ * itself.
  */
 class ActivationObserver
 {
@@ -37,7 +38,8 @@ class ActivationObserver
 
 /**
  * One DRAM bank: an open-row (row buffer) tracker wired to the
- * disturbance model.
+ * disturbance model, which every activation feeds unless the config
+ * turns it off.
  */
 class Bank
 {
@@ -62,6 +64,7 @@ class Bank
 
   private:
     DisturbanceModel disturbance_;
+    bool model_disturbance_;  ///< DramConfig::model_disturbance
     std::optional<std::uint32_t> open_row_;
     Tick window_start_ = 0;  ///< tREFI window of the last access
     std::uint64_t activations_ = 0;
@@ -123,8 +126,20 @@ class DramSystem
     const RefreshSchedule &refresh_schedule() const { return schedule_; }
     const Stats &stats() const { return stats_; }
 
-    /** All bit flips recorded so far, in time order. */
-    const std::vector<FlipEvent> &flips() const { return flips_; }
+    /**
+     * All bit flips recorded so far, in time order.
+     * @throws std::logic_error if the device does not model disturbance
+     *         (an empty log would read as "no flips", not "not modelled").
+     */
+    const std::vector<FlipEvent> &
+    flips() const
+    {
+        if (!config_.model_disturbance)
+            throw std::logic_error("DramSystem::flips: this device runs "
+                                   "without the disturbance model "
+                                   "(DramConfig::model_disturbance)");
+        return flips_;
+    }
 
     /** Disturbance telemetry for tests. */
     const DisturbanceModel &

@@ -127,6 +127,9 @@ ScenarioBuilder::build()
     mem::SystemConfig config = spec_.system;
     if (spec_.seed_vm_from_trial)
         config.vm_seed = ctx_.seed_for("vm");
+    // The disturbance model is a pure sink: skip it where no output or
+    // stopping rule reads a flip.
+    config.dram.model_disturbance = reads_flips(spec_);
 
     e.machine_ = std::make_unique<mem::MemorySystem>(config);
     e.pmu_ = std::make_unique<pmu::Pmu>(*e.machine_);

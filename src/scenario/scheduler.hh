@@ -73,7 +73,8 @@ class TenantScheduler
      * The deadline is checked before every step, so a tenant never
      * starts a step at or past the deadline and the clock overshoots it
      * by at most one step. With no tenant the clock jumps to the
-     * deadline.
+     * deadline; a lone tenant steps in a plain loop, the step sequence
+     * every quantum produces.
      */
     void run_until(Tick deadline);
 

@@ -1,5 +1,6 @@
 #include "scenario/validate.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <iterator>
@@ -135,15 +136,17 @@ enum Payload : unsigned {
 /**
  * What one run mode or one output needs from its scenario: the payloads
  * it reads (rejected with `missing` when one is absent), a run field that
- * must be nonzero, and, for an output, the run modes that measure it
- * (under any other, emit() would write the output's zero-initialized
- * field, a silently wrong table entry).
+ * must be nonzero, for an output the run modes that measure it (under
+ * any other, emit() would write the output's zero-initialized field, a
+ * silently wrong table entry), and whether it reads the DRAM's bit
+ * flips (the disturbance model runs only in cells where one does).
  */
 struct Requirement {
     unsigned payloads = 0;
     const char *missing = nullptr;
     const RunField *nonzero = nullptr;
     unsigned measured_by = kEveryMode;
+    bool reads_flips = false;
 };
 
 template <typename Enum>
@@ -168,14 +171,18 @@ constexpr Requirement kHammers{
     .missing = "this run mode drives a hammer kernel but the scenario "
                "declares no attacks — add an AttackSpec or switch to an "
                "interleave/workload run mode"};
+// Stops at the first flip, so reads the flip log while it runs.
+constexpr Requirement kHammersToFlip{.payloads = kHammers.payloads,
+                                     .missing = kHammers.missing,
+                                     .reads_flips = true};
 
 // A quota or a window that rounds to zero runs nothing and would report
 // zeros, or rates over zero ticks, as measurements.
 constexpr Row<RunMode> kModeRows[] = {
     {RunMode::kInterleaveFor, {.nonzero = &kRunDuration}},
     {RunMode::kWorkloadOps, {.nonzero = &kRunOps}},
-    {RunMode::kHammerToFirstFlip, kHammers},
-    {RunMode::kHammerUntilFlipOrDeadline, kHammers},
+    {RunMode::kHammerToFirstFlip, kHammersToFlip},
+    {RunMode::kHammerUntilFlipOrDeadline, kHammersToFlip},
     {RunMode::kPatternMeasure, kHammers},
     {RunMode::kInterleaveUntilOps,
      {.payloads = kWorkload,
@@ -197,6 +204,9 @@ constexpr Requirement kReadsAttack{
     .payloads = kAttack,
     .missing = "an output reads attack results but the scenario declares "
                "no attacks"};
+constexpr Requirement kReadsFlipLog{.payloads = kReadsAttack.payloads,
+                                    .missing = kReadsAttack.missing,
+                                    .reads_flips = true};
 constexpr Requirement kReadsMitigation{
     .payloads = kMitigation,
     .missing = "an output reads mitigation-tracker statistics but the "
@@ -208,7 +218,7 @@ constexpr Requirement kPatternOnly{
     .measured_by = mode_bit(RunMode::kPatternMeasure)};
 
 constexpr Row<Output> kOutputRows[] = {
-    {Output::kFlips, kReadsAttack},
+    {Output::kFlips, kReadsFlipLog},
     {Output::kDetections, kReadsDetector},
     {Output::kSelectiveRefreshes, kReadsDetector},
     {Output::kAttackMs, kReadsAttack},
@@ -259,6 +269,19 @@ require(const ScenarioSpec &spec, unsigned provided, const Requirement &need)
 }
 
 }  // namespace
+
+bool
+reads_flips(const ScenarioSpec &spec)
+{
+    if (kModeRows[static_cast<std::size_t>(spec.run.mode)].need.reads_flips)
+        return true;
+    return std::any_of(spec.outputs.begin(), spec.outputs.end(),
+                       [](Output output) {
+                           return kOutputRows[static_cast<std::size_t>(
+                                                  output)]
+                               .need.reads_flips;
+                       });
+}
 
 void
 validate(const ScenarioSpec &spec)

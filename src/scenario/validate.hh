@@ -34,6 +34,14 @@ namespace anvil::scenario {
 void validate(const ScenarioSpec &spec);
 
 /**
+ * Whether @p spec reads the DRAM's bit flips: its run mode stops at the
+ * first flip, or one of its outputs reports flips. ScenarioBuilder runs
+ * the disturbance model (dram::DramConfig::model_disturbance) only when
+ * this holds; no other output can observe it.
+ */
+bool reads_flips(const ScenarioSpec &spec);
+
+/**
  * Checks a whole sweep: non-empty named cell list, positive default
  * trial count, unique cell names, then validate() on every cell.
  * @throw anvil::Error describing the first violation found.

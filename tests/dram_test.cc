@@ -650,6 +650,33 @@ TEST(DramSystem, UnprotectedHammerFlipsVictim)
     EXPECT_LT(dram.flips()[0].time, ms(64));
 }
 
+TEST(DramSystem, FlipsRefusedWithoutDisturbanceModel)
+{
+    // The hammer that flips row 100 above, on a device that skips the
+    // physics: it keeps timing and row-buffer state, records nothing the
+    // flip log could report, and refuses to report it as "no flips".
+    DramConfig config = small_config();
+    config.model_disturbance = false;
+    DramSystem dram(config);
+    const AddressMap &map = dram.address_map();
+    DramCoord low, high;
+    low.row = 99;
+    high.row = 101;
+    const Addr a0 = map.encode(low);
+    const Addr a1 = map.encode(high);
+
+    Tick t = us(1);
+    for (std::uint64_t i = 0; i < 250000; ++i) {
+        t += dram.access(a0, t).latency;
+        t += dram.access(a1, t).latency;
+    }
+    EXPECT_THROW(dram.flips(), std::logic_error);
+    EXPECT_EQ(dram.bank(0).activations(), 500000u);
+    EXPECT_EQ(dram.disturbance(0).disturbance_of(100, t), 0.0);
+    // Per-row thresholds stay pure, for the weakest-victim finders.
+    EXPECT_EQ(dram.disturbance(0).threshold_of(100), config.flip_threshold);
+}
+
 TEST(DramSystem, DoubledRefreshRateStopsSlowHammer)
 {
     // At a 32 ms refresh period the same pacing that flips under 64 ms

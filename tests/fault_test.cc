@@ -96,7 +96,7 @@ temp_path(const std::string &name)
 // Watchdog timeouts become structured outcomes
 // ---------------------------------------------------------------------------
 
-TEST(FaultInjection, TimeoutFromTheTrialBodyIsRecorded)
+TEST(Watchdog, TimeoutFromTheTrialBodyIsRecorded)
 {
     // Trial 0 is a runaway: it keeps consuming simulated events until
     // the watchdog aborts it. Its siblings run to completion, and the

@@ -126,6 +126,65 @@ TEST(TenantScheduler, RunUntilOvershootsByAtMostOneStep)
     EXPECT_LT(machine.now(), ms(3) + us(10));
 }
 
+/**
+ * A lone tenant runs in a plain loop. At any quantum it must take
+ * exactly the steps, and stop at exactly the clock, of the round-robin
+ * quantum loop it replaces, the step that overshoots the deadline
+ * included.
+ */
+TEST(TenantScheduler, LoneTenantStepsAsTheRoundRobinLoopDoes)
+{
+    for (const std::uint64_t quantum : {1u, 7u}) {
+        SCOPED_TRACE(testing::Message() << "quantum " << quantum);
+        struct Outcome {
+            std::uint64_t steps = 0;
+            Tick end = 0;
+            Tick deadline = 0;
+        };
+        const auto run = [quantum](bool reference) {
+            mem::MemorySystem machine{mem::SystemConfig{}};
+            workload::Workload load(machine,
+                                    workload::spec_profile("mcf"));
+            Outcome out;
+            out.deadline = machine.now() + ms(1);
+            const auto step = [&] {
+                load.step();
+                ++out.steps;
+            };
+            if (reference) {
+                // Round-robin over a one-tenant list: quanta counted in
+                // completed accesses, the deadline checked before every
+                // step.
+                const mem::AddressSpace &space = machine.process(load.pid());
+                while (machine.now() < out.deadline) {
+                    std::uint64_t consumed = 0;
+                    while (consumed < quantum &&
+                           machine.now() < out.deadline) {
+                        const std::uint64_t before = space.accesses();
+                        step();
+                        consumed += std::max<std::uint64_t>(
+                            1, space.accesses() - before);
+                    }
+                }
+            } else {
+                scenario::TenantScheduler sched(machine);
+                sched.add({.pid = load.pid(),
+                           .quantum_accesses = quantum,
+                           .step = step});
+                sched.run_until(out.deadline);
+            }
+            out.end = machine.now();
+            return out;
+        };
+        const Outcome plain = run(false);
+        const Outcome reference = run(true);
+        EXPECT_EQ(plain.steps, reference.steps);
+        EXPECT_EQ(plain.end, reference.end);
+        EXPECT_GT(plain.end, plain.deadline) << "no step overshot";
+        EXPECT_GT(plain.steps, quantum);
+    }
+}
+
 TEST(TenantScheduler, EmptyScheduleAdvancesToDeadline)
 {
     mem::MemorySystem machine{mem::SystemConfig{}};

@@ -3,10 +3,16 @@
  * Cross-module property tests, mostly parameterized sweeps (TEST_P):
  * address-map round trips over many geometries, disturbance-model
  * invariants over calibration points, eviction-set correctness over slice
- * counts, refresh-period sweeps of the attack outcome, and detector
- * invariants under configuration sweeps.
+ * counts, refresh-period sweeps of the attack outcome, detector
+ * invariants under configuration sweeps, and the disturbance model as a
+ * pure sink (turning it off changes nothing but the flip log).
  */
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "anvil/anvil.hh"
 #include "attack/hammer.hh"
@@ -16,6 +22,8 @@
 #include "mem/memory_system.hh"
 #include "mitigations/registry.hh"
 #include "pmu/pmu.hh"
+#include "scenario/scheduler.hh"
+#include "scenario/testbed.hh"
 #include "workload/workload.hh"
 
 namespace anvil {
@@ -464,6 +472,191 @@ INSTANTIATE_TEST_SUITE_P(
                       "libquantum", "mcf", "omnetpp", "perlbench", "sjeng",
                       "xalancbmk"),
     [](const auto &info) { return std::string(info.param); });
+
+// ---------------------------------------------------------------------------
+// The disturbance model is a pure sink
+// ---------------------------------------------------------------------------
+
+/** A machine driven by one of the traffic mixes the sweeps run. */
+enum class SinkRig {
+    kBenignUnderAnvil,      ///< boosted gcc under ANVIL-baseline
+    kThrashUnderCtrrEvict,  ///< tracker-thrash + mcf, refresh-on-evict
+    kHammerUnderAnvil,      ///< double-sided CLFLUSH under ANVIL-baseline
+};
+
+/** Everything a run shows besides its flip log. */
+struct SinkRecord {
+    dram::DramSystem::Stats dram;
+    detector::AnvilStats anvil;
+    std::vector<detector::Detection> detections;
+    mitigations::MitigationStats mitigation;
+    Tick end_time = 0;
+};
+
+SinkRecord
+run_sink_rig(SinkRig rig, bool model_disturbance)
+{
+    mem::SystemConfig config;
+    config.dram.model_disturbance = model_disturbance;
+    if (rig == SinkRig::kThrashUnderCtrrEvict) {
+        // The mitigation matrix's next-generation module.
+        config.dram.flip_threshold = 200000;
+        config.dram.second_neighbor_weight = 0.5;
+    }
+    mem::MemorySystem machine(config);
+    pmu::Pmu pmu(machine);
+    scenario::Attacker attacker(machine);
+    scenario::TenantScheduler sched(machine);
+
+    SinkRecord record;
+    std::unique_ptr<mitigations::Mitigation> tracker;
+    std::unique_ptr<detector::Anvil> anvil;
+    std::unique_ptr<workload::Workload> load;
+    std::unique_ptr<attack::Hammer> hammer;
+    Tick duration = 0;
+    switch (rig) {
+      case SinkRig::kBenignUnderAnvil: {
+          workload::SpecProfile profile = workload::spec_profile("gcc");
+          scenario::boost_thrash_rate(profile);
+          anvil = std::make_unique<detector::Anvil>(
+              machine, pmu, detector::AnvilConfig::baseline());
+          anvil->start();
+          load = std::make_unique<workload::Workload>(machine, profile);
+          duration = ms(150);
+          break;
+      }
+      case SinkRig::kThrashUnderCtrrEvict: {
+          tracker = mitigations::mitigation_registry().at("ctrr-evict").make(
+              machine.dram(), 7);
+          hammer = std::make_unique<attack::TrackerThrash>(
+              machine, attacker.pid(),
+              attacker.layout.find_thrash_rows(4096));
+          load = std::make_unique<workload::Workload>(
+              machine, workload::spec_profile("mcf"));
+          duration = ms(4);
+          break;
+      }
+      case SinkRig::kHammerUnderAnvil: {
+          const auto target = scenario::weakest_double_sided(machine,
+                                                             attacker);
+          if (!target)
+              throw std::runtime_error("no double-sided target");
+          anvil = std::make_unique<detector::Anvil>(
+              machine, pmu, detector::AnvilConfig::baseline());
+          anvil->start();
+          hammer = std::make_unique<attack::ClflushDoubleSided>(
+              machine, attacker.pid(), *target);
+          duration = ms(24);
+          break;
+      }
+    }
+    if (hammer)
+        sched.add({.pid = attacker.pid(), .step = [&] { hammer->step(); }});
+    if (load)
+        sched.add({.pid = load->pid(), .step = [&] { load->step(); }});
+    sched.run_until(machine.now() + duration);
+
+    record.dram = machine.dram().stats();
+    if (anvil) {
+        record.anvil = anvil->stats();
+        record.detections = anvil->detections();
+    }
+    if (tracker)
+        record.mitigation = tracker->stats();
+    record.end_time = machine.now();
+    return record;
+}
+
+class DisturbanceSink : public ::testing::TestWithParam<SinkRig>
+{
+};
+
+/**
+ * No component reads the disturbance model but the flip log: turning
+ * it off leaves every other observable of the same stream unchanged,
+ * including a tracker's refresh reads re-entering the DRAM from its
+ * activation hook and ANVIL's selective refreshes.
+ */
+TEST_P(DisturbanceSink, TurningThePhysicsOffChangesNothingElse)
+{
+    const SinkRecord on = run_sink_rig(GetParam(), true);
+    const SinkRecord off = run_sink_rig(GetParam(), false);
+
+    EXPECT_EQ(on.dram.accesses, off.dram.accesses);
+    EXPECT_EQ(on.dram.row_hits, off.dram.row_hits);
+    EXPECT_EQ(on.dram.row_misses, off.dram.row_misses);
+    EXPECT_EQ(on.dram.selective_refreshes, off.dram.selective_refreshes);
+    EXPECT_EQ(on.dram.refresh_stall, off.dram.refresh_stall);
+
+    EXPECT_EQ(on.anvil.stage1_windows, off.anvil.stage1_windows);
+    EXPECT_EQ(on.anvil.stage1_triggers, off.anvil.stage1_triggers);
+    EXPECT_EQ(on.anvil.stage2_windows, off.anvil.stage2_windows);
+    EXPECT_EQ(on.anvil.detections, off.anvil.detections);
+    EXPECT_EQ(on.anvil.selective_refreshes, off.anvil.selective_refreshes);
+    EXPECT_EQ(on.anvil.false_positive_detections,
+              off.anvil.false_positive_detections);
+    EXPECT_EQ(on.anvil.false_positive_refreshes,
+              off.anvil.false_positive_refreshes);
+    EXPECT_EQ(on.anvil.overhead, off.anvil.overhead);
+    ASSERT_EQ(on.detections.size(), off.detections.size());
+    for (std::size_t i = 0; i < on.detections.size(); ++i) {
+        const detector::Detection &a = on.detections[i];
+        const detector::Detection &b = off.detections[i];
+        EXPECT_EQ(a.time, b.time) << "detection " << i;
+        EXPECT_EQ(a.offender_pid, b.offender_pid) << "detection " << i;
+        EXPECT_EQ(a.refreshes_performed, b.refreshes_performed)
+            << "detection " << i;
+        ASSERT_EQ(a.aggressors.size(), b.aggressors.size())
+            << "detection " << i;
+        for (std::size_t j = 0; j < a.aggressors.size(); ++j) {
+            EXPECT_EQ(a.aggressors[j].flat_bank, b.aggressors[j].flat_bank);
+            EXPECT_EQ(a.aggressors[j].row, b.aggressors[j].row);
+            EXPECT_EQ(a.aggressors[j].samples, b.aggressors[j].samples);
+        }
+    }
+
+    EXPECT_EQ(on.mitigation.activations_observed,
+              off.mitigation.activations_observed);
+    EXPECT_EQ(on.mitigation.neighbor_refreshes,
+              off.mitigation.neighbor_refreshes);
+    EXPECT_EQ(on.mitigation.table_evictions, off.mitigation.table_evictions);
+    EXPECT_EQ(on.mitigation.refreshes_suppressed,
+              off.mitigation.refreshes_suppressed);
+    EXPECT_EQ(on.mitigation.table_peak_entries,
+              off.mitigation.table_peak_entries);
+    EXPECT_EQ(on.end_time, off.end_time);
+
+    // Each rig must exercise the path it names, or equality is vacuous.
+    EXPECT_GT(on.dram.row_misses, 0u);
+    switch (GetParam()) {
+      case SinkRig::kBenignUnderAnvil:
+          EXPECT_GT(on.anvil.stage2_windows, 0u);
+          break;
+      case SinkRig::kThrashUnderCtrrEvict:
+          EXPECT_GT(on.mitigation.neighbor_refreshes, 0u);
+          break;
+      case SinkRig::kHammerUnderAnvil:
+          EXPECT_GT(on.anvil.selective_refreshes, 0u);
+          break;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SweepTraffic, DisturbanceSink,
+    ::testing::Values(SinkRig::kBenignUnderAnvil,
+                      SinkRig::kThrashUnderCtrrEvict,
+                      SinkRig::kHammerUnderAnvil),
+    [](const auto &info) -> std::string {
+        switch (info.param) {
+          case SinkRig::kBenignUnderAnvil:
+              return "BenignUnderAnvil";
+          case SinkRig::kThrashUnderCtrrEvict:
+              return "ThrashUnderCtrrEvict";
+          case SinkRig::kHammerUnderAnvil:
+              return "HammerUnderAnvil";
+        }
+        return "unknown";
+    });
 
 }  // namespace
 }  // namespace anvil

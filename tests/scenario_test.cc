@@ -208,6 +208,50 @@ TEST(ScenarioBuilder, RealTrialStopsAtExactlyItsBudget)
     EXPECT_EQ(retired, kBudget);
 }
 
+/**
+ * The disturbance model runs only in cells that read a flip: a Table 4
+ * cell (benign traffic, FP outputs) builds without it and refuses to
+ * report flips; a Table 3 cell (kFlips) and a hammer-to-first-flip cell
+ * build with it.
+ */
+TEST(ScenarioBuilder, DisturbanceModelRunsOnlyWhereAFlipIsRead)
+{
+    const scenario::ScenarioRegistry &registry = scenario::paper_registry();
+    const scenario::SweepSpec table4 =
+        registry.at("table4_false_positives").make({});
+    const scenario::SweepSpec table3 =
+        registry.at("table3_detection").make({});
+    const scenario::SweepSpec matrix =
+        registry.at("mitigation_matrix").make({});
+    const auto to_first_flip = std::find_if(
+        matrix.cells.begin(), matrix.cells.end(),
+        [](const scenario::ScenarioSpec &cell) {
+            return cell.run.mode == scenario::RunMode::kHammerToFirstFlip;
+        });
+    ASSERT_NE(to_first_flip, matrix.cells.end());
+
+    const struct {
+        const scenario::ScenarioSpec &cell;
+        bool reads_flips;
+    } kCases[] = {
+        {table4.cells.front(), false},
+        {table3.cells.front(), true},
+        {*to_first_flip, true},
+    };
+    for (const auto &c : kCases) {
+        SCOPED_TRACE(c.cell.name);
+        EXPECT_EQ(scenario::reads_flips(c.cell), c.reads_flips);
+        const runner::TrialContext ctx = context_for(c.cell, 0);
+        scenario::ScenarioBuilder builder(c.cell, ctx);
+        const dram::DramSystem &dram = builder.build().machine().dram();
+        EXPECT_EQ(dram.config().model_disturbance, c.reads_flips);
+        if (c.reads_flips)
+            EXPECT_NO_THROW(dram.flips());
+        else
+            EXPECT_THROW(dram.flips(), std::logic_error);
+    }
+}
+
 /** Contents of tests/data/@p file. */
 std::string
 read_golden(const std::string &file)
@@ -694,6 +738,34 @@ TEST(Validate, RejectsOutputsTheRunModeNeverMeasures)
             else
                 expect_invalid(spec, "never measured by this run mode");
         }
+    }
+}
+
+/**
+ * The reads-flips column of the requirement rows, held to the enums:
+ * exactly the two run modes that stop at a flip and the one output that
+ * counts flips read the flip log.
+ */
+TEST(Validate, ReadsFlipsExactlyWhereTheFlipLogIsRead)
+{
+    using scenario::Output;
+    using scenario::RunMode;
+    for (std::size_t m = 0; m < scenario::kRunModeCount; ++m) {
+        const auto mode = static_cast<RunMode>(m);
+        scenario::ScenarioSpec spec;
+        spec.run.mode = mode;
+        EXPECT_EQ(scenario::reads_flips(spec),
+                  mode == RunMode::kHammerToFirstFlip ||
+                      mode == RunMode::kHammerUntilFlipOrDeadline)
+            << "run mode " << m;
+    }
+    for (std::size_t o = 0; o < scenario::kOutputCount; ++o) {
+        const auto output = static_cast<Output>(o);
+        scenario::ScenarioSpec spec;
+        spec.run.mode = RunMode::kInterleaveFor;
+        spec.outputs = {Output::kRunMs, output};
+        EXPECT_EQ(scenario::reads_flips(spec), output == Output::kFlips)
+            << "output " << o;
     }
 }
 
