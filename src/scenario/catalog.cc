@@ -1,14 +1,13 @@
 /**
  * @file
  * The paper catalog: every table/figure of the ANVIL evaluation as a
- * registered SweepSpec factory. Each factory transcribes the exact cell
- * grid, seed streams, phase jitter, run mode, and output list the
- * original hand-written bench used, so anvil-sim reproduces the
- * historical JSON byte for byte for a fixed master seed. Beside each
- * sweep's finalize hook sits its render hook: the paper's table, with
- * the paper's values next to the cells they describe.
+ * registered SweepSpec factory — its cell grid, seed streams, phase
+ * jitter, run mode and outputs, a finalize hook deriving the table's
+ * aggregates, and a render hook printing the paper's table. The paper's
+ * own values are typed data (PaperValue fields beside the rows they
+ * describe), never display strings, and paper_table() draws every
+ * table: the one place a cell the run did not produce prints as "-".
  */
-#include <algorithm>
 #include <functional>
 #include <ostream>
 #include <span>
@@ -16,6 +15,7 @@
 #include <vector>
 
 #include "cache/flat_replacement.hh"
+#include "common/error.hh"
 #include "common/table.hh"
 #include "runner/options.hh"
 #include "runner/result_sink.hh"
@@ -29,35 +29,127 @@ using runner::ResultSink;
 using runner::ScenarioAggregate;
 
 /**
- * @p format applied to cell @p name of @p sink, or "-" when no trial of
- * that cell reached the sink (e.g. a --replay-trial run of another cell).
+ * A number the paper reports — a value, or a value-hi range — with the
+ * decimal places it prints and its unit as printed after the number
+ * (" ms", "/s", "K" for thousands, "" for counts and ratios).
  */
+struct PaperValue {
+    double value;
+    int digits;
+    const char *unit = "";
+    double hi = 0.0;  ///< the range's top; none when not above value
+
+    /** The paper's text: "12.8 ms", "220K", "20-26". */
+    std::string
+    text() const
+    {
+        return TextTable::fmt(value, digits) +
+               (hi > value ? "-" + TextTable::fmt(hi, digits) : "") + unit;
+    }
+};
+
+/// The refresh period of DDR3 and of every paper cell not studying it.
+constexpr Tick kStandardRefresh = ms(64);
+
+/** @p t in whole milliseconds, e.g. "64 ms". */
 std::string
-cell_text(const ResultSink &sink, const std::string &name,
-          const std::function<std::string(const ScenarioAggregate &)> &format)
+ms_text(Tick t)
 {
-    const ScenarioAggregate *agg = sink.find(name);
-    return agg != nullptr ? format(*agg) : "-";
+    return TextTable::fmt(to_ms(t), 0) + " ms";
 }
 
-/** Derived scalar @p metric of cell @p name to @p digits places, or "-". */
-std::string
-derived_text(const ResultSink &sink, const std::string &name,
-             const char *metric, int digits)
+/** How a measured table entry prints its cell's aggregate. */
+using Format = std::function<std::string(const ScenarioAggregate &)>;
+
+/**
+ * One entry of a paper-table row: fixed text (a label, the paper's
+ * value), or sink cell @c cell printed by @c format.
+ */
+struct Entry {
+    Entry(std::string text) : text(std::move(text)) {}
+    Entry(const char *text) : text(text) {}
+    Entry(std::string cell, Format format)
+        : cell(std::move(cell)), format(std::move(format))
+    {
+    }
+
+    std::string text;
+    std::string cell;
+    Format format;
+};
+
+using TableRow = std::vector<Entry>;
+
+/**
+ * Table @p title with @p header over @p rows. A measured entry prints
+ * "-" when @p sink has no trial of its cell (e.g. a --replay-trial run
+ * of another cell).
+ */
+TextTable
+paper_table(std::string title, std::vector<std::string> header,
+            const ResultSink &sink, const std::vector<TableRow> &rows)
 {
-    return cell_text(sink, name, [&](const ScenarioAggregate &agg) {
-        return TextTable::fmt(agg.derived(metric), digits);
-    });
+    TextTable table(std::move(title));
+    table.set_header(std::move(header));
+    for (const TableRow &row : rows) {
+        std::vector<std::string> cells;
+        for (const Entry &entry : row) {
+            if (!entry.format)
+                cells.push_back(entry.text);
+            else if (const ScenarioAggregate *agg = sink.find(entry.cell))
+                cells.push_back(entry.format(*agg));
+            else
+                cells.push_back("-");
+        }
+        table.add_row(std::move(cells));
+    }
+    return table;
 }
 
-/** Mean of value @p metric of cell @p name to @p digits places, or "-". */
-std::string
-mean_text(const ResultSink &sink, const std::string &name,
-          const char *metric, int digits)
+/** Format: mean of value @p metric to @p digits places. */
+Format
+mean_of(const char *metric, int digits)
 {
-    return cell_text(sink, name, [&](const ScenarioAggregate &agg) {
+    return [=](const ScenarioAggregate &agg) {
         return TextTable::fmt(agg.value_mean(metric), digits);
-    });
+    };
+}
+
+/** Format: derived scalar @p metric to @p digits places, then @p unit. */
+Format
+derived_of(const char *metric, int digits, const char *unit = "")
+{
+    return [=](const ScenarioAggregate &agg) {
+        return TextTable::fmt(agg.derived(metric), digits) + unit;
+    };
+}
+
+/** Format: the sum of counter @p metric, with thousands separators. */
+Format
+count_of(const char *metric)
+{
+    return [=](const ScenarioAggregate &agg) {
+        return TextTable::fmt_count(agg.counter_sum(metric));
+    };
+}
+
+/**
+ * Sweep argument 0 (or @p fallback). It sets a 64-bit count of
+ * @p per_unit ops or ticks per unit, so a value whose count does not fit
+ * is refused rather than wrapped to a wrong, often empty, run.
+ */
+double
+sweep_argument(const runner::CliOptions &cli, double fallback,
+               double per_unit)
+{
+    const double v = cli.positional_double(0, fallback);
+    if (!(v * per_unit < 0x1p64)) {
+        throw Error("sweep argument must fit the 64-bit op count or "
+                    "picosecond duration it sets")
+            .with("argument", std::uint64_t{0})
+            .with("text", cli.positional[0]);
+    }
+    return v;
 }
 
 /** Sum of value @p metric over @p agg's trials (0 if never recorded). */
@@ -87,18 +179,74 @@ set_run_ratio(ResultSink &sink, const std::string &cell,
     agg->set_derived(metric, base > 0.0 ? t / base : 0.0);
 }
 
+/** Table 2: the paper's detector parameters. */
+constexpr struct Table2Paper {
+    PaperValue llc_miss_threshold;  ///< LLC misses per tc, thousands
+    PaperValue tc;
+    PaperValue ts;
+    PaperValue samples_per_sec;
+} kTable2Paper = {{20, 0, "K"}, {6, 0, " ms"}, {6, 0, " ms"},
+                  {5000, 0, "/s"}};
+
 /** Table 3's cells in row order, with the paper's measured row. */
 constexpr struct Table3Cell {
     const char *label;
     bool clflush_free;
     bool heavy;
-    const char *paper;  ///< detect time / refreshes per 64 ms / flips
+    PaperValue detect_ms;  ///< average time to detect
+    PaperValue refreshes_per_64ms;
+    PaperValue flips;
 } kTable3Cells[] = {
-    {"CLFLUSH (Heavy Load)", false, true, "12.8 ms / 12.35 / 0"},
-    {"CLFLUSH (Light Load)", false, false, "12.3 ms / 10.3 / 0"},
-    {"CLFLUSH-free (Heavy Load)", true, true, "35.3 ms / 4.53 / 0"},
-    {"CLFLUSH-free (Light Load)", true, false, "22.85 ms / 5.10 / 0"},
+    {"CLFLUSH (Heavy Load)", false, true, {12.8, 1, " ms"},
+     {12.35, 2}, {0, 0}},
+    {"CLFLUSH (Light Load)", false, false, {12.3, 1, " ms"},
+     {10.3, 1}, {0, 0}},
+    {"CLFLUSH-free (Heavy Load)", true, true, {35.3, 1, " ms"},
+     {4.53, 2}, {0, 0}},
+    {"CLFLUSH-free (Light Load)", true, false, {22.85, 2, " ms"},
+     {5.10, 2}, {0, 0}},
 };
+
+/** Tables 2 and 3: the detector's parameters and its results. */
+void
+render_table3(const ResultSink &sink, std::ostream &os)
+{
+    const detector::AnvilConfig config = detector::AnvilConfig::baseline();
+    const Table2Paper &p = kTable2Paper;
+    const double samples_per_ts =
+        p.samples_per_sec.value * p.ts.value / 1000.0;
+    paper_table("Table 2: Rowhammer Detector Parameters",
+                {"Parameter", "Value", "Paper"}, sink,
+                {{"LLC_MISS_THRESHOLD",
+                  TextTable::fmt_count(config.llc_miss_threshold),
+                  p.llc_miss_threshold.text()},
+                 {"Miss Count Duration (tc)", ms_text(config.tc),
+                  p.tc.text()},
+                 {"Sampling Duration (ts)", ms_text(config.ts), p.ts.text()},
+                 {"Sampling rate",
+                  TextTable::fmt(config.samples_per_sec, 0) + "/s",
+                  p.samples_per_sec.text() + " (~" +
+                      TextTable::fmt(samples_per_ts, 0) + " per " +
+                      p.ts.text() + ")"}})
+        .print(os);
+
+    std::vector<TableRow> rows;
+    for (const Table3Cell &c : kTable3Cells) {
+        rows.push_back({c.label,
+                        {c.label, derived_of("avg_detect_ms", 1, " ms")},
+                        {c.label, derived_of("refreshes_per_64ms", 2)},
+                        {c.label, count_of("flips")},
+                        c.detect_ms.text() + " / " +
+                            c.refreshes_per_64ms.text() + " / " +
+                            c.flips.text()});
+    }
+    paper_table("Table 3: Rowhammer Detection Results",
+                {"Benchmark", "Avg Time to Detect",
+                 "Refreshes per " + ms_text(kStandardRefresh),
+                 "Total Bit Flips", "Paper"},
+                sink, rows)
+        .print(os);
+}
 
 SweepFactory
 table3_detection()
@@ -133,7 +281,7 @@ table3_detection()
                 // the attack starts at an arbitrary window phase.
                 s.pre_attack = {ms(1), us(4000), "attack-phase"};
                 s.run.mode = RunMode::kInterleaveFor;
-                s.run.duration = ms(128);  // two refresh periods
+                s.run.duration = 2 * kStandardRefresh;
                 s.outputs = {Output::kFlips,
                              Output::kDetections,
                              Output::kSelectiveRefreshes,
@@ -158,53 +306,11 @@ table3_detection()
                         "refreshes_per_64ms",
                         attack_ms_total > 0.0
                             ? static_cast<double>(refreshes) /
-                                  (attack_ms_total / 64.0)
+                                  (attack_ms_total / to_ms(kStandardRefresh))
                             : 0.0);
                 }
             };
-            sweep.render = [](const ResultSink &sink, std::ostream &os) {
-                const detector::AnvilConfig config =
-                    detector::AnvilConfig::baseline();
-                TextTable params("Table 2: Rowhammer Detector Parameters");
-                params.set_header({"Parameter", "Value", "Paper"});
-                params.add_row(
-                    {"LLC_MISS_THRESHOLD",
-                     TextTable::fmt_count(config.llc_miss_threshold),
-                     "20K"});
-                params.add_row({"Miss Count Duration (tc)",
-                                TextTable::fmt(to_ms(config.tc), 0) + " ms",
-                                "6 ms"});
-                params.add_row({"Sampling Duration (ts)",
-                                TextTable::fmt(to_ms(config.ts), 0) + " ms",
-                                "6 ms"});
-                params.add_row(
-                    {"Sampling rate",
-                     TextTable::fmt(config.samples_per_sec, 0) + "/s",
-                     "5000/s (~30 per 6 ms)"});
-                params.print(os);
-
-                TextTable table3("Table 3: Rowhammer Detection Results");
-                table3.set_header({"Benchmark", "Avg Time to Detect",
-                                   "Refreshes per 64 ms", "Total Bit Flips",
-                                   "Paper"});
-                for (const Table3Cell &cell : kTable3Cells) {
-                    const ScenarioAggregate *agg = sink.find(cell.label);
-                    if (agg == nullptr) {
-                        table3.add_row(
-                            {cell.label, "-", "-", "-", cell.paper});
-                        continue;
-                    }
-                    table3.add_row(
-                        {cell.label,
-                         TextTable::fmt(agg->derived("avg_detect_ms"), 1) +
-                             " ms",
-                         TextTable::fmt(agg->derived("refreshes_per_64ms"),
-                                        2),
-                         TextTable::fmt_count(agg->counter_sum("flips")),
-                         cell.paper});
-                }
-                table3.print(os);
-            };
+            sweep.render = render_table3;
             return sweep;
         },
     };
@@ -226,16 +332,36 @@ false_positive_cell(std::string name, const std::string &benchmark,
     return s;
 }
 
+/// The paper prints every false-positive rate to two places.
+constexpr int kRateDigits = 2;
+
 /** Table 4's benchmarks in row order, with the paper's refreshes/sec. */
 constexpr struct Table4Row {
     const char *name;
-    double paper;
+    double paper_per_sec;
 } kTable4Rows[] = {
     {"astar", 0.10},      {"bzip2", 1.05},   {"gcc", 0.71},
     {"gobmk", 0.19},      {"h264ref", 0.00}, {"hmmer", 0.00},
     {"libquantum", 0.06}, {"mcf", 0.01},     {"omnetpp", 0.02},
     {"perlbench", 0.00},  {"sjeng", 0.00},   {"xalancbmk", 0.05},
 };
+
+/** Table 4 at @p run_sec simulated seconds per benchmark. */
+void
+render_table4(double run_sec, const ResultSink &sink, std::ostream &os)
+{
+    std::vector<TableRow> rows;
+    for (const Table4Row &row : kTable4Rows) {
+        rows.push_back({row.name,
+                        {row.name, mean_of("fp_per_sec", kRateDigits)},
+                        TextTable::fmt(row.paper_per_sec, kRateDigits)});
+    }
+    paper_table("Table 4: Rate of False Positive Refreshes (ANVIL-baseline, " +
+                    TextTable::fmt(run_sec, 1) +
+                    " s per benchmark, rate-boosted sampling)",
+                {"Benchmark", "Refreshes/sec", "Paper"}, sink, rows)
+        .print(os);
+}
 
 SweepFactory
 table4_false_positives()
@@ -246,7 +372,7 @@ table4_false_positives()
         "integer benchmarks under ANVIL-baseline",
         "[run_seconds]",
         [](const runner::CliOptions &cli) {
-            const double run_sec = cli.positional_double(0, 3.0);
+            const double run_sec = sweep_argument(cli, 3.0, kTicksPerSec);
             SweepSpec sweep;
             sweep.name = "table4_false_positives";
             sweep.default_trials = 1;
@@ -259,20 +385,7 @@ table4_false_positives()
                              Output::kAnvilStats, Output::kDramStats};
                 sweep.cells.push_back(std::move(s));
             }
-            sweep.render = [run_sec](const ResultSink &sink,
-                                     std::ostream &os) {
-                TextTable table4("Table 4: Rate of False Positive Refreshes "
-                                 "(ANVIL-baseline, " +
-                                 TextTable::fmt(run_sec, 1) +
-                                 " s per benchmark, rate-boosted sampling)");
-                table4.set_header({"Benchmark", "Refreshes/sec", "Paper"});
-                for (const Table4Row &row : kTable4Rows) {
-                    table4.add_row({row.name,
-                                    mean_text(sink, row.name, "fp_per_sec", 2),
-                                    TextTable::fmt(row.paper, 2)});
-                }
-                table4.print(os);
-            };
+            sweep.render = std::bind_front(render_table4, run_sec);
             return sweep;
         },
     };
@@ -281,13 +394,35 @@ table4_false_positives()
 /** Table 5's benchmarks in row order, with the paper's refreshes/sec. */
 constexpr struct Table5Row {
     const char *name;
-    double paper_light;
-    double paper_heavy;
+    double paper_light_per_sec;
+    double paper_heavy_per_sec;
 } kTable5Rows[] = {
     {"bzip2", 1.61, 1.09},      {"gcc", 7.12, 1.88},
     {"gobmk", 0.28, 0.84},      {"libquantum", 0.13, 0.08},
     {"perlbench", 0.06, 0.00},
 };
+
+/** Table 5 at @p run_sec simulated seconds per cell. */
+void
+render_table5(double run_sec, const ResultSink &sink, std::ostream &os)
+{
+    std::vector<TableRow> rows;
+    for (const Table5Row &row : kTable5Rows) {
+        const std::string name = row.name;
+        rows.push_back(
+            {name, {name + "/light", mean_of("fp_per_sec", kRateDigits)},
+             {name + "/heavy", mean_of("fp_per_sec", kRateDigits)},
+             TextTable::fmt(row.paper_light_per_sec, kRateDigits) + " / " +
+                 TextTable::fmt(row.paper_heavy_per_sec, kRateDigits)});
+    }
+    paper_table("Table 5: False positive refreshes/sec under ANVIL-light "
+                "and ANVIL-heavy (" +
+                    TextTable::fmt(run_sec, 1) + " s per cell)",
+                {"Benchmark", "ANVIL-light", "ANVIL-heavy",
+                 "Paper (light / heavy)"},
+                sink, rows)
+        .print(os);
+}
 
 SweepFactory
 table5_fp_sensitivity()
@@ -298,7 +433,7 @@ table5_fp_sensitivity()
         "ANVIL-heavy on the Figure-4 benchmark subset",
         "[run_seconds]",
         [](const runner::CliOptions &cli) {
-            const double run_sec = cli.positional_double(0, 3.0);
+            const double run_sec = sweep_argument(cli, 3.0, kTicksPerSec);
             SweepSpec sweep;
             sweep.name = "table5_fp_sensitivity";
             sweep.default_trials = 1;
@@ -320,25 +455,7 @@ table5_fp_sensitivity()
                     sweep.cells.push_back(std::move(s));
                 }
             }
-            sweep.render = [run_sec](const ResultSink &sink,
-                                     std::ostream &os) {
-                TextTable table5("Table 5: False positive refreshes/sec "
-                                 "under ANVIL-light and ANVIL-heavy (" +
-                                 TextTable::fmt(run_sec, 1) +
-                                 " s per cell)");
-                table5.set_header({"Benchmark", "ANVIL-light",
-                                   "ANVIL-heavy", "Paper (light / heavy)"});
-                for (const Table5Row &row : kTable5Rows) {
-                    const std::string name = row.name;
-                    table5.add_row(
-                        {name,
-                         mean_text(sink, name + "/light", "fp_per_sec", 2),
-                         mean_text(sink, name + "/heavy", "fp_per_sec", 2),
-                         TextTable::fmt(row.paper_light, 2) + " / " +
-                             TextTable::fmt(row.paper_heavy, 2)});
-                }
-                table5.print(os);
-            };
+            sweep.render = std::bind_front(render_table5, run_sec);
             return sweep;
         },
     };
@@ -350,31 +467,89 @@ constexpr const char *kFig4Benchmarks[] = {"bzip2", "gcc", "gobmk",
 /// Detector settings of the Fig. 4 columns, each normalized to "none".
 constexpr const char *kFig4Detectors[] = {"baseline", "light", "heavy"};
 
+/// Fig. 4: ANVIL-heavy costs most, up to this normalized time.
+constexpr PaperValue kFig4HeavyPeak = {1.08, 2};
+
 /**
  * Section 4.5: "a future scenario where bit flips can occur with 110K
- * DRAM row accesses", in cell and table order.
+ * DRAM row accesses", and the two attacks the paper weighs against it.
  */
+constexpr struct Section45Paper {
+    PaperValue flip_accesses;  ///< row accesses to a flip, thousands
+    PaperValue fast_flip_ms;   ///< a full-speed attack's time to flip
+    PaperValue spread_misses;  ///< a spread attack's misses per tc
+} kSection45 = {{110, 0, "K"}, {7, 0, " ms"}, {10, 0, "K"}};
+
+/** The Section 4.5 scenarios in cell and table order. */
 constexpr struct FutureCase {
     const char *name;
     bool spread;
     detector::AnvilConfig (*config)();
-    const char *attack;        ///< table text
     const char *config_label;  ///< table text
-    const char *paper;
+    bool paper_caught;         ///< the paper: this detector stops it
 } kFutureCases[] = {
     {"future/fast/heavy", false, &detector::AnvilConfig::heavy,
-     "fast (full speed, flips in ~7 ms)", "ANVIL-heavy",
-     "caught by ANVIL-heavy"},
+     "ANVIL-heavy", true},
     {"future/fast/baseline", false, &detector::AnvilConfig::baseline,
-     "fast (full speed, flips in ~7 ms)", "ANVIL-baseline",
-     "needs smaller windows"},
+     "ANVIL-baseline", false},
     {"future/spread/light", true, &detector::AnvilConfig::light,
-     "spread out (just over 10K misses/6 ms)", "ANVIL-light",
-     "caught by ANVIL-light"},
+     "ANVIL-light", true},
     {"future/spread/baseline", true, &detector::AnvilConfig::baseline,
-     "spread out (just over 10K misses/6 ms)", "ANVIL-baseline",
-     "evades the 20K threshold"},
+     "ANVIL-baseline", false},
 };
+
+/** Figure 4 at @p ops ops per benchmark, then the Section 4.5 cases. */
+void
+render_fig4(std::uint64_t ops, const ResultSink &sink, std::ostream &os)
+{
+    std::vector<TableRow> rows;
+    for (const char *name : kFig4Benchmarks) {
+        TableRow row{name};
+        for (const char *label : kFig4Detectors) {
+            row.push_back({std::string(name) + "/" + label,
+                           derived_of("normalized", 4)});
+        }
+        row.push_back("");
+        rows.push_back(std::move(row));
+    }
+    paper_table("Figure 4: Normalized execution time under ANVIL-baseline "
+                "/ -light / -heavy (" +
+                    TextTable::fmt_count(ops) + " ops/benchmark)",
+                {"Benchmark", "ANVIL-baseline", "ANVIL-light", "ANVIL-heavy",
+                 "Paper: heavy costs most (up to ~" + kFig4HeavyPeak.text() +
+                     ")"},
+                sink, rows)
+        .print(os);
+
+    const Section45Paper &p = kSection45;
+    rows.clear();
+    for (const FutureCase &c : kFutureCases) {
+        // The fast attack outruns baseline's windows; the spread one
+        // stays under its threshold.
+        const std::string paper_text =
+            c.paper_caught ? "caught by " + std::string(c.config_label)
+            : c.spread     ? "evades the " +
+                             kTable2Paper.llc_miss_threshold.text() +
+                             " threshold"
+                           : "needs smaller windows";
+        rows.push_back(
+            {c.spread ? "spread out (just over " + p.spread_misses.text() +
+                            " misses/" + kTable2Paper.tc.text() + ")"
+                      : "fast (full speed, flips in ~" +
+                            p.fast_flip_ms.text() + ")",
+             c.config_label,
+             {c.name,
+              [](const ScenarioAggregate &agg) {
+                  return agg.counter_sum("flips") != 0 ? "FLIPPED" : "0";
+              }},
+             {c.name, count_of("detections")}, paper_text});
+    }
+    paper_table("Section 4.5: future-attack scenarios (module flips at " +
+                    p.flip_accesses.text() + " accesses)",
+                {"Attack", "Config", "Bit flips", "Detections", "Paper"},
+                sink, rows)
+        .print(os);
+}
 
 SweepFactory
 fig4_sensitivity()
@@ -382,11 +557,12 @@ fig4_sensitivity()
     return {
         "fig4_sensitivity",
         "Figure 4 + Section 4.5: slowdown sensitivity of ANVIL-baseline/"
-        "-light/-heavy, plus future-module (110K-access) attack scenarios",
+        "-light/-heavy, plus future-module (" +
+            kSection45.flip_accesses.text() + "-access) attack scenarios",
         "[ops]",
         [](const runner::CliOptions &cli) {
-            const std::uint64_t ops = static_cast<std::uint64_t>(
-                cli.positional_double(0, 4000000.0));
+            const auto ops = static_cast<std::uint64_t>(
+                sweep_argument(cli, 4000000.0, 1.0));
             SweepSpec sweep;
             sweep.name = "fig4_sensitivity";
             sweep.default_trials = 1;
@@ -446,45 +622,7 @@ fig4_sensitivity()
                     }
                 }
             };
-            sweep.render = [ops](const ResultSink &sink, std::ostream &os) {
-                TextTable fig4("Figure 4: Normalized execution time under "
-                               "ANVIL-baseline / -light / -heavy (" +
-                               TextTable::fmt_count(ops) +
-                               " ops/benchmark)");
-                fig4.set_header({"Benchmark", "ANVIL-baseline",
-                                 "ANVIL-light", "ANVIL-heavy",
-                                 "Paper: heavy costs most (up to ~1.08)"});
-                for (const char *name : kFig4Benchmarks) {
-                    std::vector<std::string> row{name};
-                    for (const char *label : kFig4Detectors) {
-                        row.push_back(derived_text(
-                            sink, std::string(name) + "/" + label,
-                            "normalized", 4));
-                    }
-                    row.push_back("");
-                    fig4.add_row(std::move(row));
-                }
-                fig4.print(os);
-
-                TextTable future("Section 4.5: future-attack scenarios "
-                                 "(module flips at 110K accesses)");
-                future.set_header({"Attack", "Config", "Bit flips",
-                                   "Detections", "Paper"});
-                for (const FutureCase &c : kFutureCases) {
-                    const ScenarioAggregate *agg = sink.find(c.name);
-                    if (agg == nullptr) {
-                        future.add_row({c.attack, c.config_label, "-", "-",
-                                        c.paper});
-                        continue;
-                    }
-                    future.add_row(
-                        {c.attack, c.config_label,
-                         agg->counter_sum("flips") != 0 ? "FLIPPED" : "0",
-                         TextTable::fmt_count(agg->counter_sum("detections")),
-                         c.paper});
-                }
-                future.print(os);
-            };
+            sweep.render = std::bind_front(render_fig4, ops);
             return sweep;
         },
     };
@@ -508,36 +646,92 @@ attack_cell(std::string name, AttackKind kind, Tick refresh_period)
     return s;
 }
 
-/** One hammer-to-first-flip row of Table 1 or the refresh-rate study. */
-struct AttackRow {
+/** Table 1 (standard refresh), in cell and table order. */
+constexpr struct Table1Row {
     const char *cell;
     AttackKind kind;
-    double refresh_ms;
     const char *label;
-    const char *paper;
+    PaperValue accesses;  ///< minimum DRAM row accesses, thousands
+    PaperValue flip_ms;   ///< time to the first bit flip
+} kTable1Rows[] = {
+    {"single-sided/64ms", AttackKind::kClflushSingleSided,
+     "Single-Sided with CLFLUSH", {400, 0, "K"}, {58, 0, " ms"}},
+    {"double-sided/64ms", AttackKind::kClflushDoubleSided,
+     "Double-Sided with CLFLUSH", {220, 0, "K"}, {15, 0, " ms"}},
+    {"clflush-free/64ms", AttackKind::kClflushFreeDoubleSided,
+     "Double-Sided without CLFLUSH", {220, 0, "K"}, {45, 0, " ms"}},
 };
 
-/// Table 1 (64 ms refresh), in cell and table order.
-constexpr AttackRow kTable1Rows[] = {
-    {"single-sided/64ms", AttackKind::kClflushSingleSided, 64,
-     "Single-Sided with CLFLUSH", "400K / 58 ms"},
-    {"double-sided/64ms", AttackKind::kClflushDoubleSided, 64,
-     "Double-Sided with CLFLUSH", "220K / 15 ms"},
-    {"clflush-free/64ms", AttackKind::kClflushFreeDoubleSided, 64,
-     "Double-Sided without CLFLUSH", "220K / 45 ms"},
+constexpr const Table1Row &kDoubleSided = kTable1Rows[1];
+
+/** Section 2.1 / 5.2.1: Table 1's attacks rerun under faster refresh. */
+constexpr struct RefreshRow {
+    const char *cell;
+    const Table1Row *attack;
+    Tick refresh;
+    bool paper_flips;
+    bool by_time_to_flip;  ///< the paper argues it from Table 1's time
+    const char *source;    ///< where else the paper says so, or nullptr
+} kRefreshRows[] = {
+    {"double-sided/32ms", &kDoubleSided, ms(32), true, true, nullptr},
+    {"double-sided/16ms", &kDoubleSided, ms(16), true, false,
+     "Section 5.2.1"},
+    {"single-sided/32ms", &kTable1Rows[0], ms(32), false, false, nullptr},
+    {"clflush-free/32ms", &kTable1Rows[2], ms(32), false, true, nullptr},
 };
 
-/// Section 2.1 / 5.2.1: the same attacks under faster refresh.
-constexpr AttackRow kRefreshRows[] = {
-    {"double-sided/32ms", AttackKind::kClflushDoubleSided, 32,
-     "Double-Sided with CLFLUSH", "flips (15 ms < 32 ms)"},
-    {"double-sided/16ms", AttackKind::kClflushDoubleSided, 16,
-     "Double-Sided with CLFLUSH", "flips (Section 5.2.1)"},
-    {"single-sided/32ms", AttackKind::kClflushSingleSided, 32,
-     "Single-Sided with CLFLUSH", "defeated"},
-    {"clflush-free/32ms", AttackKind::kClflushFreeDoubleSided, 32,
-     "Double-Sided without CLFLUSH", "defeated (45 ms > 32 ms)"},
-};
+/** Table 1, then the same attacks under faster refresh. */
+void
+render_table1(const ResultSink &sink, std::ostream &os)
+{
+    const auto flipped = [](const ScenarioAggregate &agg) {
+        return agg.counter_sum("flipped") != 0;
+    };
+    const auto flip_ms = [](const ScenarioAggregate &agg) {
+        return TextTable::fmt(agg.value_mean("flip_ms"), 1) + " ms";
+    };
+    const Format accesses = [=](const ScenarioAggregate &agg) {
+        return flipped(agg) ? TextTable::fmt_count(
+                                  agg.counter_sum("aggressor_accesses"))
+                            : "no flip";
+    };
+    const Format time = [=](const ScenarioAggregate &agg) {
+        return flipped(agg) ? flip_ms(agg) : "-";
+    };
+    std::vector<TableRow> rows;
+    for (const Table1Row &row : kTable1Rows) {
+        rows.push_back({row.label, {row.cell, accesses}, {row.cell, time},
+                        row.accesses.text() + " / " + row.flip_ms.text()});
+    }
+    paper_table("Table 1: Rowhammer Attack Characteristics (" +
+                    ms_text(kStandardRefresh) + " refresh)",
+                {"Hammer Technique", "Min DRAM Row Accesses",
+                 "Time to First Bit Flip", "Paper"},
+                sink, rows)
+        .print(os);
+
+    const Format outcome = [=](const ScenarioAggregate &agg) {
+        return flipped(agg) ? "FLIPPED at " + flip_ms(agg) : "no flip";
+    };
+    rows.clear();
+    for (const RefreshRow &row : kRefreshRows) {
+        std::string paper_text = row.paper_flips ? "flips" : "defeated";
+        if (row.by_time_to_flip) {
+            const PaperValue &t = row.attack->flip_ms;
+            paper_text += " (" + t.text() +
+                          (t.value < to_ms(row.refresh) ? " < " : " > ") +
+                          ms_text(row.refresh) + ")";
+        }
+        if (row.source != nullptr)
+            paper_text += std::string(" (") + row.source + ")";
+        rows.push_back({row.attack->label, ms_text(row.refresh),
+                        {row.cell, outcome}, paper_text});
+    }
+    paper_table("Section 2.1 / 5.2.1: attacks vs. increased refresh rates",
+                {"Hammer Technique", "Refresh Period", "Outcome", "Paper"},
+                sink, rows)
+        .print(os);
+}
 
 SweepFactory
 table1_attacks()
@@ -551,63 +745,15 @@ table1_attacks()
             SweepSpec sweep;
             sweep.name = "table1_attacks";
             sweep.default_trials = 1;
-            for (const AttackRow &row : kTable1Rows) {
+            for (const Table1Row &row : kTable1Rows) {
                 sweep.cells.push_back(
-                    attack_cell(row.cell, row.kind, ms(row.refresh_ms)));
+                    attack_cell(row.cell, row.kind, kStandardRefresh));
             }
-            for (const AttackRow &row : kRefreshRows) {
+            for (const RefreshRow &row : kRefreshRows) {
                 sweep.cells.push_back(
-                    attack_cell(row.cell, row.kind, ms(row.refresh_ms)));
+                    attack_cell(row.cell, row.attack->kind, row.refresh));
             }
-            sweep.render = [](const ResultSink &sink, std::ostream &os) {
-                TextTable table1("Table 1: Rowhammer Attack Characteristics "
-                                 "(64 ms refresh)");
-                table1.set_header({"Hammer Technique",
-                                   "Min DRAM Row Accesses",
-                                   "Time to First Bit Flip", "Paper"});
-                for (const AttackRow &row : kTable1Rows) {
-                    const ScenarioAggregate *agg = sink.find(row.cell);
-                    if (agg == nullptr) {
-                        table1.add_row({row.label, "-", "-", row.paper});
-                        continue;
-                    }
-                    const bool flipped = agg->counter_sum("flipped") != 0;
-                    table1.add_row(
-                        {row.label,
-                         flipped ? TextTable::fmt_count(
-                                       agg->counter_sum("aggressor_accesses"))
-                                 : "no flip",
-                         flipped ? TextTable::fmt(agg->value_mean("flip_ms"),
-                                                  1) +
-                                       " ms"
-                                 : "-",
-                         row.paper});
-                }
-                table1.print(os);
-
-                TextTable refresh("Section 2.1 / 5.2.1: attacks vs. "
-                                  "increased refresh rates");
-                refresh.set_header({"Hammer Technique", "Refresh Period",
-                                    "Outcome", "Paper"});
-                for (const AttackRow &row : kRefreshRows) {
-                    const ScenarioAggregate *agg = sink.find(row.cell);
-                    std::string outcome = "-";
-                    if (agg != nullptr) {
-                        outcome = agg->counter_sum("flipped") == 0
-                                      ? "no flip"
-                                      : "FLIPPED at " +
-                                            TextTable::fmt(
-                                                agg->value_mean("flip_ms"),
-                                                1) +
-                                            " ms";
-                    }
-                    refresh.add_row(
-                        {row.label,
-                         TextTable::fmt(row.refresh_ms, 0) + " ms",
-                         outcome, row.paper});
-                }
-                refresh.print(os);
-            };
+            sweep.render = render_table1;
             return sweep;
         },
     };
@@ -620,6 +766,16 @@ constexpr cache::ReplPolicy kFig1Policies[] = {
     cache::ReplPolicy::kSrrip,   cache::ReplPolicy::kRandom,
 };
 
+/** Figure 1b / Section 2.2: the paper's cost of one pattern iteration. */
+constexpr struct Fig1Paper {
+    PaperValue accesses_per_iter;  ///< approximate
+    PaperValue misses_per_iter;
+    PaperValue cycles_per_iter;      ///< estimate
+    PaperValue ns_per_iter;          ///< estimate - measured
+    PaperValue hammers_per_refresh;  ///< upper bound
+} kFig1Paper = {{20, 0, "", 26}, {2, 0}, {880, 0},
+                {338, 0, "", 409}, {190000, 0}};
+
 /** The Fig. 1b cell measuring the pattern under LLC @p policy. */
 std::string
 pattern_cell(cache::ReplPolicy policy)
@@ -627,12 +783,65 @@ pattern_cell(cache::ReplPolicy policy)
     return std::string("pattern/") + cache::to_string(policy);
 }
 
-/** Fig. 1b's double-sided hammers per refresh period, as a count. */
-std::string
-hammers_text(const ScenarioAggregate &agg)
+/** Figure 1b's cost model (Bit-PLRU), then the LLC-policy ablation. */
+void
+render_fig1(const ResultSink &sink, std::ostream &os)
 {
-    return TextTable::fmt_count(static_cast<std::uint64_t>(
-        agg.value_mean("hammers_per_refresh")));
+    // Double-sided hammers per refresh period, as a count.
+    const Format hammers = [](const ScenarioAggregate &agg) {
+        return TextTable::fmt_count(static_cast<std::uint64_t>(
+            agg.value_mean("hammers_per_refresh")));
+    };
+    const Format share = [](const ScenarioAggregate &agg) {
+        return TextTable::fmt(100.0 * agg.value_mean("aggressor_act_share"),
+                              1) +
+               " %";
+    };
+    const Fig1Paper &p = kFig1Paper;
+    const std::string bitplru = pattern_cell(cache::ReplPolicy::kBitPlru);
+    paper_table(
+        "Figure 1b / Section 2.2: CLFLUSH-free eviction pattern cost model "
+        "(Bit-PLRU LLC)",
+        {"Metric", "Measured", "Paper"}, sink,
+        {{"LLC accesses / iteration",
+          {bitplru, mean_of("accesses_per_iter", 1)},
+          "~" + p.accesses_per_iter.text() + " (13-address eviction sets)"},
+         {"LLC misses / iteration (both aggressors)",
+          {bitplru, mean_of("misses_per_iter", 2)}, p.misses_per_iter.text()},
+         {"cycles / iteration", {bitplru, mean_of("cycles_per_iter", 0)},
+          p.cycles_per_iter.text() + " (estimate)"},
+         {"ns / iteration", {bitplru, mean_of("ns_per_iter", 0)},
+          TextTable::fmt(p.ns_per_iter.value, 0) + " (estimate) - " +
+              TextTable::fmt(p.ns_per_iter.hi, 0) + " (measured)"},
+         {"double-sided hammers per " + ms_text(kStandardRefresh),
+          {bitplru, hammers},
+          "up to " + TextTable::fmt_count(static_cast<std::uint64_t>(
+                         p.hammers_per_refresh.value))},
+         {"aggressor share of DRAM activations", {bitplru, share},
+          "high (precise misses are critical)"}})
+        .print(os);
+
+    const double viable = kSection45.flip_accesses.value * 1000.0;
+    const Format viable_text = [=](const ScenarioAggregate &agg) {
+        return agg.value_mean("hammers_per_refresh") > viable ? "yes" : "no";
+    };
+    std::vector<TableRow> rows;
+    for (const cache::ReplPolicy policy : kFig1Policies) {
+        const std::string cell = pattern_cell(policy);
+        rows.push_back({cache::to_string(policy),
+                        {cell, mean_of("misses_per_iter", 2)},
+                        {cell, mean_of("ns_per_iter", 0)},
+                        {cell, hammers},
+                        {cell, viable_text}});
+    }
+    paper_table("Ablation: the same pattern vs. other LLC replacement "
+                "policies",
+                {"LLC policy", "misses/iter", "ns/iter",
+                 "hammers / " + ms_text(kStandardRefresh),
+                 "attack viable (>" + kSection45.flip_accesses.text() +
+                     ")?"},
+                sink, rows)
+        .print(os);
 }
 
 SweepFactory
@@ -667,66 +876,59 @@ fig1_pattern()
                              Output::kAggressorActShare};
                 sweep.cells.push_back(std::move(s));
             }
-            sweep.render = [](const ResultSink &sink, std::ostream &os) {
-                const std::string bitplru =
-                    pattern_cell(cache::ReplPolicy::kBitPlru);
-                const auto mean = [&](const char *metric, int digits) {
-                    return mean_text(sink, bitplru, metric, digits);
-                };
-                TextTable cost("Figure 1b / Section 2.2: CLFLUSH-free "
-                               "eviction pattern cost model (Bit-PLRU LLC)");
-                cost.set_header({"Metric", "Measured", "Paper"});
-                cost.add_row({"LLC accesses / iteration",
-                              mean("accesses_per_iter", 1),
-                              "~20-26 (13-address eviction sets)"});
-                cost.add_row({"LLC misses / iteration (both aggressors)",
-                              mean("misses_per_iter", 2), "2"});
-                cost.add_row({"cycles / iteration",
-                              mean("cycles_per_iter", 0), "880 (estimate)"});
-                cost.add_row({"ns / iteration", mean("ns_per_iter", 0),
-                              "338 (estimate) - 409 (measured)"});
-                const auto share = [](const ScenarioAggregate &agg) {
-                    return TextTable::fmt(
-                               100.0 * agg.value_mean("aggressor_act_share"),
-                               1) +
-                           " %";
-                };
-                cost.add_row({"double-sided hammers per 64 ms",
-                              cell_text(sink, bitplru, hammers_text),
-                              "up to 190,000"});
-                cost.add_row({"aggressor share of DRAM activations",
-                              cell_text(sink, bitplru, share),
-                              "high (precise misses are critical)"});
-                cost.print(os);
-
-                TextTable ablation("Ablation: the same pattern vs. other "
-                                   "LLC replacement policies");
-                ablation.set_header({"LLC policy", "misses/iter", "ns/iter",
-                                     "hammers / 64 ms",
-                                     "attack viable (>110K)?"});
-                for (const cache::ReplPolicy policy : kFig1Policies) {
-                    const char *name = cache::to_string(policy);
-                    const ScenarioAggregate *agg =
-                        sink.find(pattern_cell(policy));
-                    if (agg == nullptr) {
-                        ablation.add_row({name, "-", "-", "-", "-"});
-                        continue;
-                    }
-                    ablation.add_row(
-                        {name,
-                         TextTable::fmt(agg->value_mean("misses_per_iter"),
-                                        2),
-                         TextTable::fmt(agg->value_mean("ns_per_iter"), 0),
-                         hammers_text(*agg),
-                         agg->value_mean("hammers_per_refresh") > 110000
-                             ? "yes"
-                             : "no"});
-                }
-                ablation.print(os);
-            };
+            sweep.render = render_fig1;
             return sweep;
         },
     };
+}
+
+/** Figure 3: ANVIL's normalized execution time as the paper reports it. */
+constexpr struct Fig3Paper {
+    PaperValue anvil_avg;
+    PaperValue anvil_peak;
+} kFig3Paper = {{1.0117, 4}, {1.0318, 4}};
+
+/** Figure 3 at @p ops ops per benchmark, with its average and peak. */
+void
+render_fig3(std::uint64_t ops, const ResultSink &sink, std::ostream &os)
+{
+    // Each column's values, gathered as its entries print, for the
+    // average and peak over the benchmarks the run produced.
+    RunningStat anvil, refresh;
+    const auto gather = [](RunningStat &stat) -> Format {
+        return [&stat](const ScenarioAggregate &agg) {
+            const double norm = agg.derived("normalized");
+            stat.add(norm);
+            return TextTable::fmt(norm, 4);
+        };
+    };
+    std::vector<TableRow> rows;
+    for (const workload::SpecProfile &profile : workload::spec2006_int()) {
+        rows.push_back({profile.name,
+                        {profile.name + "/anvil", gather(anvil)},
+                        {profile.name + "/double-refresh", gather(refresh)},
+                        ""});
+    }
+    const Fig3Paper &p = kFig3Paper;
+    TextTable fig3 = paper_table(
+        "Figure 3: Normalized execution time (baseline = unprotected, " +
+            ms_text(kStandardRefresh) + " refresh; " +
+            TextTable::fmt_count(ops) + " ops/benchmark)",
+        {"Benchmark", "ANVIL", "Double Refresh",
+         "Paper (ANVIL peak " + TextTable::fmt(p.anvil_peak.value, 3) +
+             ", avg " + p.anvil_avg.text() + ")"},
+        sink, rows);
+    const auto mean = [](const RunningStat &stat) {
+        return stat.count() != 0
+                   ? TextTable::fmt(stat.sum() / stat.count(), 4)
+                   : "-";
+    };
+    fig3.add_row({"average", mean(anvil), mean(refresh),
+                  "ANVIL avg " + p.anvil_avg.text()});
+    fig3.add_row({"peak (ANVIL)",
+                  anvil.count() != 0 ? TextTable::fmt(anvil.max(), 4) : "-",
+                  "", "ANVIL peak " + p.anvil_peak.text()});
+    fig3.print(os);
 }
 
 SweepFactory
@@ -738,8 +940,8 @@ fig3_overhead()
         "over the SPEC2006 integer suite",
         "[ops]",
         [](const runner::CliOptions &cli) {
-            const std::uint64_t ops = static_cast<std::uint64_t>(
-                cli.positional_double(0, 4000000.0));
+            const auto ops = static_cast<std::uint64_t>(
+                sweep_argument(cli, 4000000.0, 1.0));
             SweepSpec sweep;
             sweep.name = "fig3_overhead";
             sweep.default_trials = 1;
@@ -748,9 +950,9 @@ fig3_overhead()
                 Tick refresh_period;
                 bool with_anvil;
             } settings[] = {
-                {"base", ms(64), false},
-                {"anvil", ms(64), true},
-                {"double-refresh", ms(32), false},
+                {"base", kStandardRefresh, false},
+                {"anvil", kStandardRefresh, true},
+                {"double-refresh", kStandardRefresh / 2, false},
             };
             for (const auto &profile : workload::spec2006_int()) {
                 for (const auto &setting : settings) {
@@ -781,50 +983,7 @@ fig3_overhead()
                     }
                 }
             };
-            sweep.render = [ops](const ResultSink &sink, std::ostream &os) {
-                TextTable fig3("Figure 3: Normalized execution time "
-                               "(baseline = unprotected, 64 ms refresh; " +
-                               TextTable::fmt_count(ops) +
-                               " ops/benchmark)");
-                fig3.set_header({"Benchmark", "ANVIL", "Double Refresh",
-                                 "Paper (ANVIL peak 1.032, avg 1.0117)"});
-                // Mean (and ANVIL peak) over the benchmarks in the run.
-                struct Column {
-                    double sum = 0.0;
-                    double peak = 0.0;
-                    int count = 0;
-                    std::string add(const ScenarioAggregate *agg)
-                    {
-                        if (agg == nullptr)
-                            return "-";
-                        const double norm = agg->derived("normalized");
-                        sum += norm;
-                        peak = std::max(peak, norm);
-                        ++count;
-                        return TextTable::fmt(norm, 4);
-                    }
-                    std::string mean() const
-                    {
-                        return count != 0 ? TextTable::fmt(sum / count, 4)
-                                          : "-";
-                    }
-                } anvil, refresh;
-                for (const auto &profile : workload::spec2006_int()) {
-                    fig3.add_row(
-                        {profile.name,
-                         anvil.add(sink.find(profile.name + "/anvil")),
-                         refresh.add(
-                             sink.find(profile.name + "/double-refresh")),
-                         ""});
-                }
-                fig3.add_row({"average", anvil.mean(), refresh.mean(),
-                              "ANVIL avg 1.0117"});
-                fig3.add_row({"peak (ANVIL)",
-                              anvil.count != 0 ? TextTable::fmt(anvil.peak, 4)
-                                               : "-",
-                              "", "ANVIL peak 1.0318"});
-                fig3.print(os);
-            };
+            sweep.render = std::bind_front(render_fig3, ops);
             return sweep;
         },
     };
@@ -835,17 +994,28 @@ struct DefenseCell {
     Tick refresh_period;
     const char *mitigation;  ///< registry name; "" runs untracked
     bool with_anvil;
+    const char *display;  ///< mitigation_comparison's row label
+    bool hardware;        ///< needs new DRAM silicon
 };
-
-constexpr Tick kStandardRefresh = ms(64);
 
 const DefenseCell kDefenses[] = {
-    {"none", kStandardRefresh, "", false},
-    {"double-refresh", ms(32), "", false},
-    {"para", kStandardRefresh, "para", false},
-    {"trr", kStandardRefresh, "trr", false},
-    {"anvil", kStandardRefresh, "", true},
+    {"none", kStandardRefresh, "", false, "none (64 ms refresh)", false},
+    {"double-refresh", kStandardRefresh / 2, "", false,
+     "double refresh (32 ms)", false},
+    {"para", kStandardRefresh, "para", false, "PARA (hardware)", true},
+    {"trr", kStandardRefresh, "trr", false, "TRR (hardware)", true},
+    {"anvil", kStandardRefresh, "", true, "ANVIL (software)", false},
 };
+
+/** The benign-mcf cell of @p defense; the plain machine is the baseline. */
+std::string
+benign_cell(const DefenseCell &defense)
+{
+    const bool plain = defense.mitigation[0] == '\0' &&
+                       !defense.with_anvil &&
+                       defense.refresh_period == kStandardRefresh;
+    return std::string("benign/") + (plain ? "unprotected" : defense.label);
+}
 
 /// Attack columns of the defense sweeps: the paper's three hammers, then
 /// half-double (mitigation_matrix only).
@@ -862,6 +1032,61 @@ constexpr struct AttackColumn {
 /// The paper's three hammers (mitigation_comparison's columns).
 constexpr std::span<const AttackColumn> kPaperAttacks =
     std::span(kAttackColumns).first<3>();
+
+/** Every paper defense against every paper attack, and its cost. */
+void
+render_mitigation_comparison(const ResultSink &sink, std::ostream &os)
+{
+    const Format outcome = [](const ScenarioAggregate &agg) {
+        return agg.counter_sum("flipped") != 0 ? "FLIPPED" : "stopped";
+    };
+    // The unprotected baseline has no slowdown of its own: 1.
+    const Format slowdown = [](const ScenarioAggregate &agg) {
+        return TextTable::fmt(agg.derived("slowdown", 1.0), 4);
+    };
+    std::vector<TableRow> rows;
+    for (const DefenseCell &defense : kDefenses) {
+        TableRow row{defense.display};
+        for (const AttackColumn &attack : kPaperAttacks) {
+            row.push_back({std::string(defense.label) + "/" + attack.label,
+                           outcome});
+        }
+        row.push_back({benign_cell(defense), slowdown});
+        row.push_back(defense.hardware ? "no (new silicon)" : "yes");
+        rows.push_back(std::move(row));
+    }
+    // The CLFLUSH ban, after the refresh-rate rows, has no cells:
+    // removing the instruction stops the CLFLUSH attacks, is bypassed by
+    // the CLFLUSH-free one, and costs benign code nothing.
+    TableRow ban{"CLFLUSH disallowed"};
+    for (const AttackColumn &attack : kPaperAttacks) {
+        ban.push_back(attack.kind == AttackKind::kClflushFreeDoubleSided
+                          ? "FLIPPED"
+                          : "stopped");
+    }
+    ban.push_back(TextTable::fmt(1.0, 4));
+    ban.push_back("yes");
+    rows.insert(rows.begin() + 2, std::move(ban));
+    paper_table("Mitigation comparison: which defenses stop which attacks, "
+                "and at what cost",
+                {"Defense", "1-sided CLFLUSH", "2-sided CLFLUSH",
+                 "2-sided CLFLUSH-free", "mcf slowdown",
+                 "deployable on existing HW?"},
+                sink, rows)
+        .print(os);
+
+    // ANVIL's cost is Figure 3's average and peak slowdown.
+    const auto percent = [](const PaperValue &norm) {
+        return TextTable::fmt((norm.value - 1.0) * 100.0, 0);
+    };
+    os << "\nPaper's claims: double refresh loses to the "
+       << kDoubleSided.flip_ms.text()
+       << " double-sided attack; the CLFLUSH ban loses to the "
+          "eviction-based attack; hardware TRR/PARA work but do not exist "
+          "in deployed DRAM; ANVIL stops all three on stock hardware for ~"
+       << percent(kFig3Paper.anvil_avg) << "-"
+       << percent(kFig3Paper.anvil_peak) << " % overhead.\n";
+}
 
 SweepFactory
 mitigation_comparison()
@@ -889,13 +1114,7 @@ mitigation_comparison()
             }
             for (const DefenseCell &defense : kDefenses) {
                 ScenarioSpec s;
-                s.name = std::string("benign/") +
-                         (defense.mitigation[0] == '\0' &&
-                                  !defense.with_anvil &&
-                                  defense.refresh_period ==
-                                      kStandardRefresh
-                              ? "unprotected"
-                              : defense.label);
+                s.name = benign_cell(defense);
                 s.system.dram.refresh_period = defense.refresh_period;
                 s.seed_vm_from_trial = false;
                 s.mitigation = defense.mitigation;
@@ -915,75 +1134,7 @@ mitigation_comparison()
                                   "benign/unprotected", "slowdown");
                 }
             };
-            sweep.render = [](const ResultSink &sink, std::ostream &os) {
-                TextTable table("Mitigation comparison: which defenses stop "
-                                "which attacks, and at what cost");
-                table.set_header({"Defense", "1-sided CLFLUSH",
-                                  "2-sided CLFLUSH", "2-sided CLFLUSH-free",
-                                  "mcf slowdown",
-                                  "deployable on existing HW?"});
-                const struct {
-                    const char *display;
-                    /// kDefenses label; nullptr = the definitional
-                    /// CLFLUSH ban, which has no cells.
-                    const char *defense;
-                    bool hardware;
-                } rows[] = {
-                    {"none (64 ms refresh)", "none", false},
-                    {"double refresh (32 ms)", "double-refresh", false},
-                    {"CLFLUSH disallowed", nullptr, false},
-                    {"PARA (hardware)", "para", true},
-                    {"TRR (hardware)", "trr", true},
-                    {"ANVIL (software)", "anvil", false},
-                };
-                for (const auto &defense : rows) {
-                    std::vector<std::string> row{defense.display};
-                    for (const AttackColumn &attack : kPaperAttacks) {
-                        if (defense.defense == nullptr) {
-                            // Removing the instruction stops CLFLUSH
-                            // attacks by construction and is bypassed by
-                            // construction by the CLFLUSH-free attack.
-                            const bool lands =
-                                attack.kind ==
-                                AttackKind::kClflushFreeDoubleSided;
-                            row.push_back(lands ? "FLIPPED" : "stopped");
-                            continue;
-                        }
-                        row.push_back(cell_text(
-                            sink,
-                            std::string(defense.defense) + "/" +
-                                attack.label,
-                            [](const ScenarioAggregate &agg) {
-                                return agg.counter_sum("flipped") != 0
-                                           ? "FLIPPED"
-                                           : "stopped";
-                            }));
-                    }
-                    const std::string one = TextTable::fmt(1.0, 4);
-                    if (defense.defense == nullptr) {
-                        // The CLFLUSH ban costs benign code nothing.
-                        row.push_back(one);
-                    } else if (std::string(defense.defense) == "none") {
-                        // The unprotected machine is the baseline.
-                        row.push_back(cell_text(
-                            sink, "benign/unprotected",
-                            [&](const ScenarioAggregate &) { return one; }));
-                    } else {
-                        row.push_back(derived_text(
-                            sink, std::string("benign/") + defense.defense,
-                            "slowdown", 4));
-                    }
-                    row.push_back(defense.hardware ? "no (new silicon)"
-                                                   : "yes");
-                    table.add_row(std::move(row));
-                }
-                table.print(os);
-                os << "\nPaper's claims: double refresh loses to the 15 ms "
-                      "double-sided attack; the CLFLUSH ban loses to the "
-                      "eviction-based attack; hardware TRR/PARA work but do "
-                      "not exist in deployed DRAM; ANVIL stops all three on "
-                      "stock hardware for ~1-3 % overhead.\n";
-            };
+            sweep.render = render_mitigation_comparison;
             return sweep;
         },
     };
@@ -995,6 +1146,36 @@ constexpr const char *kMatrixTrackers[] = {
     "none",       "para",        "trr",  "ctrr-sampled",
     "ctrr-evict", "ctrr-radius2", "rvc", "dapper",
 };
+
+/** Each tracker's miss rate per attack and its cost under thrash. */
+void
+render_mitigation_matrix(const ResultSink &sink, std::ostream &os)
+{
+    std::vector<TableRow> rows;
+    for (const char *tracker : kMatrixTrackers) {
+        TableRow row{tracker};
+        for (const AttackColumn &attack : kAttackColumns) {
+            row.push_back({std::string(tracker) + "/" + attack.label,
+                           derived_of("miss_rate", 2)});
+        }
+        const std::string thrash = std::string(tracker) + "/thrash";
+        row.push_back({thrash, derived_of("slowdown", 4)});
+        row.push_back({thrash, derived_of("refreshes_per_64ms", 1)});
+        rows.push_back(std::move(row));
+    }
+    paper_table("Mitigation matrix: per-tracker miss rate by attack kind "
+                "(next-gen module), thrash slowdown, and refresh volume "
+                "under thrash",
+                {"Tracker", "1-sided", "2-sided", "CLFLUSH-free",
+                 "half-double", "thrash slowdown",
+                 "refreshes/" + TextTable::fmt(to_ms(kStandardRefresh), 0) +
+                     "ms (thrash)"},
+                sink, rows)
+        .print(os);
+    os << "\nmiss rate = fraction of trials where the attack still flipped "
+          "a bit; thrash slowdown = mcf run time under tracker-thrash, "
+          "normalized to the untracked machine.\n";
+}
 
 SweepFactory
 mitigation_matrix()
@@ -1087,38 +1268,11 @@ mitigation_matrix()
                         run_ms_total > 0.0
                             ? static_cast<double>(agg->counter_sum(
                                   "mitigation_refreshes")) /
-                                  (run_ms_total / 64.0)
+                                  (run_ms_total / to_ms(kStandardRefresh))
                             : 0.0);
                 }
             };
-            sweep.render = [](const ResultSink &sink, std::ostream &os) {
-                TextTable table("Mitigation matrix: per-tracker miss rate "
-                                "by attack kind (next-gen module), thrash "
-                                "slowdown, and refresh volume under thrash");
-                table.set_header({"Tracker", "1-sided", "2-sided",
-                                  "CLFLUSH-free", "half-double",
-                                  "thrash slowdown",
-                                  "refreshes/64ms (thrash)"});
-                for (const char *tracker : kMatrixTrackers) {
-                    std::vector<std::string> row{tracker};
-                    for (const AttackColumn &attack : kAttackColumns) {
-                        row.push_back(derived_text(
-                            sink, std::string(tracker) + "/" + attack.label,
-                            "miss_rate", 2));
-                    }
-                    const std::string thrash =
-                        std::string(tracker) + "/thrash";
-                    row.push_back(derived_text(sink, thrash, "slowdown", 4));
-                    row.push_back(
-                        derived_text(sink, thrash, "refreshes_per_64ms", 1));
-                    table.add_row(std::move(row));
-                }
-                table.print(os);
-                os << "\nmiss rate = fraction of trials where the attack "
-                      "still flipped a bit; thrash slowdown = mcf run time "
-                      "under tracker-thrash, normalized to the untracked "
-                      "machine.\n";
-            };
+            sweep.render = render_mitigation_matrix;
             return sweep;
         },
     };
@@ -1238,7 +1392,7 @@ noisy_neighbor_fp()
         "cross-tenant blame, and the daemon's aggregate overhead",
         "[run_seconds]",
         [](const runner::CliOptions &cli) {
-            const double run_sec = cli.positional_double(0, 1.0);
+            const double run_sec = sweep_argument(cli, 1.0, kTicksPerSec);
             SweepSpec sweep;
             sweep.name = "noisy_neighbor_fp";
             sweep.default_trials = 1;

@@ -299,7 +299,9 @@ struct SweepSpec {
     std::function<void(runner::ResultSink &)> finalize;
     /// Prints the paper's table(s) from a finalized whole-plan report.
     /// Reads derived aggregates back from the sink rather than
-    /// recomputing them, and prints "-" for cells the sink lacks.
+    /// recomputing them. The catalog's hooks print the paper's values
+    /// from typed rows and draw every table through one function, which
+    /// prints "-" for a cell the sink lacks.
     std::function<void(const runner::ResultSink &, std::ostream &)> render;
 };
 

@@ -142,18 +142,42 @@ TEST(Driver, FileReportRunPrintsThePaperTable)
 }
 
 /**
- * A sweep argument that is not a positive number is a usage error: no
- * table of -nan rates, no report.
+ * A sweep argument that is not a positive number, or whose op count or
+ * picosecond duration does not fit 64 bits (it would wrap to a wrong,
+ * often empty, run), is a usage error naming the argument and its text:
+ * no table of -nan rates, no report.
  */
 TEST(Driver, MalformedSweepArgumentExitsUsageAndWritesNoReport)
 {
+    const struct {
+        const char *sweep;
+        const char *text;
+    } kCases[] = {
+        {"table4_false_positives", "abc"},
+        {"fig3_overhead", "1e30"},
+        {"fig4_sensitivity", "1e20"},
+        {"table4_false_positives", "2e7"},  // 2e19 ps
+        {"table5_fp_sensitivity", "2e7"},
+        {"noisy_neighbor_fp", "1e19"},
+    };
     const std::string report = temp_path("bad_positional.json");
-    const std::string command =
-        std::string(ANVIL_SIM_PATH) +
-        " run table4_false_positives abc --trials 1 --json-out " + report +
-        " >/dev/null 2>&1";
-    EXPECT_EQ(run_command(command), runner::kExitUsage);
-    EXPECT_FALSE(file_exists(report));
+    const std::string err = temp_path("bad_positional.err");
+    for (const auto &c : kCases) {
+        SCOPED_TRACE(std::string(c.sweep) + " " + c.text);
+        const std::string command =
+            std::string(ANVIL_SIM_PATH) + " run " + c.sweep + " " + c.text +
+            " --trials 1 --json-out " + report + " >/dev/null 2> " + err;
+        EXPECT_EQ(run_command(command), runner::kExitUsage);
+        const std::string message = slurp(err);
+        EXPECT_NE(message.find("sweep argument"), std::string::npos)
+            << message;
+        EXPECT_NE(message.find("argument=0"), std::string::npos) << message;
+        EXPECT_NE(message.find(std::string("text=") + c.text),
+                  std::string::npos)
+            << message;
+        EXPECT_FALSE(file_exists(report));
+    }
+    std::remove(err.c_str());
 }
 
 /**

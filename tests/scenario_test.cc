@@ -399,6 +399,35 @@ table_of(const scenario::SweepSpec &spec, const runner::ResultSink &sink)
 }
 
 /**
+ * Every paper table's fixed text pinned byte for byte: each registered
+ * sweep with a render hook, at its default arguments, rendered from an
+ * empty sink, must reproduce tests/data/paper_tables_golden.txt. Every
+ * cell then takes the missing-cell path, so what remains is exactly the
+ * titles, headers, labels and paper values. On a mismatch the rendered
+ * text is left in the test temp dir for diffing.
+ */
+TEST(ScenarioRender, EmptySinkMatchesGoldenTables)
+{
+    const runner::CliOptions cli;
+    const runner::ResultSink empty;
+    std::ostringstream os;
+    for (const scenario::SweepFactory &factory :
+         scenario::paper_registry().all()) {
+        const scenario::SweepSpec spec = factory.make(cli);
+        if (!spec.render)
+            continue;
+        os << "== " << factory.name << " ==\n";
+        spec.render(empty, os);
+    }
+    const std::string golden = read_golden("paper_tables_golden.txt");
+    if (os.str() != golden) {
+        std::ofstream(::testing::TempDir() + "paper_tables_actual.txt")
+            << os.str();
+    }
+    EXPECT_EQ(os.str(), golden);
+}
+
+/**
  * Table 3's "Avg Time to Detect" and "Refreshes per 64 ms" columns print
  * the doubles the JSON "derived" block carries — read back from the
  * sink, not recomputed: overwriting the derived values changes the table.
