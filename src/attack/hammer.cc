@@ -4,6 +4,64 @@
 
 namespace anvil::attack {
 
+namespace {
+
+using Op = cache::AccessProgram::Op;
+
+/** A load (or @p type access) of @p va. */
+Op
+touch(Addr va, AccessType type = AccessType::kLoad)
+{
+    return {va, type, false};
+}
+
+/** A CLFLUSH of @p va. */
+Op
+flush(Addr va)
+{
+    return {va, AccessType::kLoad, true};
+}
+
+/**
+ * The lines that evict @p target's aggressors from their shared LLC set.
+ * @throw std::runtime_error if the aggressors cannot share one.
+ */
+std::vector<Addr>
+conflict_set(const mem::MemorySystem &mem, Pid pid,
+             const DoubleSidedTarget &target, const MemoryLayout &layout)
+{
+    if (!ClflushFreeDoubleSided::slice_compatible(mem, pid, target)) {
+        throw std::runtime_error(
+            "target aggressors cannot share an LLC set/slice");
+    }
+    // ways - 1 conflicts + the two aggressors = ways + 1 lines contending
+    // for the set: on the 12-way LLC, the same set pressure as the
+    // paper's 13-address eviction set.
+    return layout.build_eviction_set(
+        target.low_aggressor_va, mem.hierarchy().config().llc_ways - 1);
+}
+
+/**
+ * One iteration of Figure 1b. Steady state: a0 and a1 alternate in a
+ * single way of the set. Each access of one evicts the other; the
+ * ways - 1 touches between them re-set the remaining ways' MRU bits,
+ * forcing the Bit-PLRU global reset that exposes the aggressors' way as
+ * the next victim.
+ */
+std::vector<Op>
+eviction_pattern(Addr a0, Addr a1, const std::vector<Addr> &touches)
+{
+    std::vector<Op> ops;
+    for (const Addr aggressor : {a0, a1}) {
+        ops.push_back(touch(aggressor));
+        for (const Addr t : touches)
+            ops.push_back(touch(t));
+    }
+    return ops;
+}
+
+}  // namespace
+
 Hammer::Hammer(mem::MemorySystem &mem, Pid pid) : mem_(mem), pid_(pid)
 {
 }
@@ -42,40 +100,35 @@ ClflushDoubleSided::ClflushDoubleSided(mem::MemorySystem &mem, Pid pid,
                                        const DoubleSidedTarget &target,
                                        AccessType type)
     : Hammer(mem, pid),
-      a0_(target.low_aggressor_va),
-      a1_(target.high_aggressor_va),
-      type_(type)
+      // Figure 1a: access both aggressors, then flush both so the next
+      // iteration's accesses reach DRAM.
+      program_({touch(target.low_aggressor_va, type),
+                touch(target.high_aggressor_va, type),
+                flush(target.low_aggressor_va),
+                flush(target.high_aggressor_va)})
 {
 }
 
 void
 ClflushDoubleSided::iteration()
 {
-    // Figure 1a: access both aggressors, then flush both so the next
-    // iteration's accesses reach DRAM.
-    mem_.access(pid_, a0_, type_);
-    mem_.access(pid_, a1_, type_);
-    mem_.clflush(pid_, a0_);
-    mem_.clflush(pid_, a1_);
+    mem_.run(pid_, program_);
 }
 
 ClflushSingleSided::ClflushSingleSided(mem::MemorySystem &mem, Pid pid,
                                        const SingleSidedTarget &target)
     : Hammer(mem, pid),
-      aggressor_(target.aggressor_va),
-      closer_(target.closer_va)
+      // The far same-bank access forces the aggressor's row closed so
+      // the next iteration re-activates it.
+      program_({touch(target.aggressor_va), touch(target.closer_va),
+                flush(target.aggressor_va), flush(target.closer_va)})
 {
 }
 
 void
 ClflushSingleSided::iteration()
 {
-    // The far same-bank access forces the aggressor's row closed so the
-    // next iteration re-activates it.
-    mem_.access(pid_, aggressor_, AccessType::kLoad);
-    mem_.access(pid_, closer_, AccessType::kLoad);
-    mem_.clflush(pid_, aggressor_);
-    mem_.clflush(pid_, closer_);
+    mem_.run(pid_, program_);
 }
 
 bool
@@ -104,42 +157,34 @@ ClflushFreeDoubleSided::ClflushFreeDoubleSided(mem::MemorySystem &mem,
                                                const MemoryLayout &layout)
     : Hammer(mem, pid),
       a0_(target.low_aggressor_va),
-      a1_(target.high_aggressor_va)
+      a1_(target.high_aggressor_va),
+      touches_(conflict_set(mem, pid, target, layout)),
+      program_(eviction_pattern(a0_, a1_, touches_))
 {
-    if (!slice_compatible(mem, pid, target)) {
-        throw std::runtime_error(
-            "target aggressors cannot share an LLC set/slice");
-    }
-    // ways - 1 conflicts + the two aggressors = ways + 1 lines contending
-    // for the set: on the 12-way LLC, the same set pressure as the
-    // paper's 13-address eviction set.
-    touches_ = layout.build_eviction_set(
-        a0_, mem.hierarchy().config().llc_ways - 1);
 }
 
 void
 ClflushFreeDoubleSided::iteration()
 {
-    // Steady state: a0 and a1 alternate in a single way of the set. Each
-    // access of one evicts the other; the ways - 1 touches between them
-    // re-set the remaining ways' MRU bits, forcing the Bit-PLRU global
-    // reset that exposes the aggressors' way as the next victim.
-    mem_.access(pid_, a0_, AccessType::kLoad);
-    for (const Addr t : touches_)
-        mem_.access(pid_, t, AccessType::kLoad);
-    mem_.access(pid_, a1_, AccessType::kLoad);
-    for (const Addr t : touches_)
-        mem_.access(pid_, t, AccessType::kLoad);
+    mem_.run(pid_, program_);
 }
 
 ClflushHalfDouble::ClflushHalfDouble(mem::MemorySystem &mem, Pid pid,
                                      const HalfDoubleTarget &target,
                                      std::uint64_t near_touch_interval)
     : Hammer(mem, pid),
-      far_low_(target.far_low_va),
-      far_high_(target.far_high_va),
-      near_low_(target.near_low_va),
-      near_high_(target.near_high_va),
+      // Hammer only the distance-2 aggressors; the victim v between the
+      // near rows accrues second-neighbour disturbance from both.
+      far_({touch(target.far_low_va), touch(target.far_high_va),
+            flush(target.far_low_va), flush(target.far_high_va)}),
+      // Rare touch of the near rows restores THEIR charge (so the
+      // attack's collateral disturbance never flips v±1 first) while
+      // keeping their activation counts orders of magnitude below any
+      // MAC a tracker would act on.
+      far_near_({touch(target.far_low_va), touch(target.far_high_va),
+                 flush(target.far_low_va), flush(target.far_high_va),
+                 touch(target.near_low_va), touch(target.near_high_va),
+                 flush(target.near_low_va), flush(target.near_high_va)}),
       near_touch_interval_(near_touch_interval)
 {
     if (near_touch_interval_ == 0)
@@ -149,22 +194,8 @@ ClflushHalfDouble::ClflushHalfDouble(mem::MemorySystem &mem, Pid pid,
 void
 ClflushHalfDouble::iteration()
 {
-    // Hammer only the distance-2 aggressors; the victim v between the
-    // near rows accrues second-neighbour disturbance from both.
-    mem_.access(pid_, far_low_, AccessType::kLoad);
-    mem_.access(pid_, far_high_, AccessType::kLoad);
-    mem_.clflush(pid_, far_low_);
-    mem_.clflush(pid_, far_high_);
-    if (++iterations_ % near_touch_interval_ == 0) {
-        // Rare touch of the near rows restores THEIR charge (so the
-        // attack's collateral disturbance never flips v±1 first) while
-        // keeping their activation counts orders of magnitude below any
-        // MAC a tracker would act on.
-        mem_.access(pid_, near_low_, AccessType::kLoad);
-        mem_.access(pid_, near_high_, AccessType::kLoad);
-        mem_.clflush(pid_, near_low_);
-        mem_.clflush(pid_, near_high_);
-    }
+    mem_.run(pid_, ++iterations_ % near_touch_interval_ == 0 ? far_near_
+                                                            : far_);
 }
 
 TrackerThrash::TrackerThrash(mem::MemorySystem &mem, Pid pid,

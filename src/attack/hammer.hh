@@ -28,6 +28,12 @@
  * the other's evictor: every LLC miss of the pattern is an aggressor-row
  * activation. This reproduces the paper's measured per-activation cost
  * (~200 ns) and its claim of ~190 K hammers per 64 ms refresh interval.
+ *
+ * Every fixed-pattern hammer builds its iteration once, as a
+ * cache::AccessProgram, and runs it through mem::MemorySystem::run(), so
+ * the cache transition of a state it has met before is replayed rather
+ * than re-simulated. TrackerThrash, whose row changes every iteration,
+ * keeps per-access calls.
  */
 #ifndef ANVIL_ATTACK_HAMMER_HH
 #define ANVIL_ATTACK_HAMMER_HH
@@ -36,6 +42,7 @@
 #include <vector>
 
 #include "attack/memory_layout.hh"
+#include "cache/access_program.hh"
 #include "common/types.hh"
 #include "dram/dram_system.hh"
 #include "mem/memory_system.hh"
@@ -109,9 +116,7 @@ class ClflushDoubleSided : public Hammer
     }
 
   private:
-    Addr a0_;
-    Addr a1_;
-    AccessType type_;
+    cache::AccessProgram program_;
 };
 
 /** Single-sided rowhammer using CLFLUSH. */
@@ -131,8 +136,7 @@ class ClflushSingleSided : public Hammer
     }
 
   private:
-    Addr aggressor_;
-    Addr closer_;
+    cache::AccessProgram program_;
 };
 
 /** Double-sided rowhammer WITHOUT CLFLUSH (Figure 1b; Section 2.2). */
@@ -176,6 +180,7 @@ class ClflushFreeDoubleSided : public Hammer
     Addr a0_;
     Addr a1_;
     std::vector<Addr> touches_;  ///< the ways - 1 MRU-refresh lines
+    cache::AccessProgram program_;
 };
 
 /**
@@ -207,10 +212,8 @@ class ClflushHalfDouble : public Hammer
     }
 
   private:
-    Addr far_low_;
-    Addr far_high_;
-    Addr near_low_;
-    Addr near_high_;
+    cache::AccessProgram far_;        ///< the far pair alone
+    cache::AccessProgram far_near_;   ///< the far pair, then the near pair
     std::uint64_t near_touch_interval_;
     std::uint64_t iterations_ = 0;
 };

@@ -125,6 +125,28 @@ struct CacheStats {
     std::uint64_t fills = 0;
     std::uint64_t evictions = 0;
     std::uint64_t invalidations = 0;
+
+    CacheStats &
+    operator+=(const CacheStats &o)
+    {
+        accesses += o.accesses;
+        hits += o.hits;
+        misses += o.misses;
+        fills += o.fills;
+        evictions += o.evictions;
+        invalidations += o.invalidations;
+        return *this;
+    }
+
+    /** Counts accrued since @p earlier, a past copy of these counters. */
+    CacheStats
+    operator-(const CacheStats &earlier) const
+    {
+        return {accesses - earlier.accesses,   hits - earlier.hits,
+                misses - earlier.misses,       fills - earlier.fills,
+                evictions - earlier.evictions,
+                invalidations - earlier.invalidations};
+    }
 };
 
 /**
@@ -225,6 +247,9 @@ class Cache
     }
 
   private:
+    /// Replays memoized transitions straight into set records and stats.
+    friend class AccessProgram;
+
     /** One host cache line of record storage. */
     struct alignas(64) HostLine {
         unsigned char bytes[64];

@@ -133,15 +133,8 @@ CacheStats
 CacheHierarchy::llc_stats() const
 {
     CacheStats total;
-    for (const auto &slice : llc_) {
-        const CacheStats &s = slice.stats();
-        total.accesses += s.accesses;
-        total.hits += s.hits;
-        total.misses += s.misses;
-        total.fills += s.fills;
-        total.evictions += s.evictions;
-        total.invalidations += s.invalidations;
-    }
+    for (const auto &slice : llc_)
+        total += slice.stats();
     return total;
 }
 

@@ -103,6 +103,9 @@ class CacheHierarchy
     CacheStats llc_stats() const;
 
   private:
+    /// Compiles the set records of its lines from the levels below.
+    friend class AccessProgram;
+
     void install_llc(Addr pa, Cache &slice);
 
     HierarchyConfig config_;

@@ -34,29 +34,27 @@ MemorySystem::create_process()
     return *spaces_.back();
 }
 
-ANVIL_FLATTEN AccessInfo
-MemorySystem::access(Pid pid, Addr va, AccessType type)
+inline AccessInfo
+MemorySystem::complete(AddressSpace &space, Addr va, Addr pa,
+                       AccessType type, DataSource source)
 {
-    AddressSpace &space = process(pid);
-    const Addr pa = space.translate(va);
-    if (pa == kInvalidAddr)
-        throw std::out_of_range("access to unmapped virtual address");
-
-    const auto on_chip = hierarchy_.access(pa, type);
-    Tick latency = on_chip_ticks_[static_cast<std::size_t>(on_chip.source)];
-    if (on_chip.llc_miss)
+    // The hierarchy reports a miss to DRAM as its source (Result's
+    // llc_miss is set exactly then).
+    const bool llc_miss = source == DataSource::kDram;
+    Tick latency = on_chip_ticks_[static_cast<std::size_t>(source)];
+    if (llc_miss)
         latency = dram_.access(pa, clock_.now()).latency;
 
     clock_.elapse(latency);
 
     AccessInfo info;
-    info.pid = pid;
+    info.pid = space.pid();
     info.va = va;
     info.pa = pa;
     info.type = type;
-    info.source = on_chip.source;
+    info.source = source;
     info.latency = latency;
-    info.llc_miss = on_chip.llc_miss;
+    info.llc_miss = llc_miss;
     info.complete_time = clock_.now();
 
     space.note_access();
@@ -65,6 +63,16 @@ MemorySystem::access(Pid pid, Addr va, AccessType type)
     for (const auto &observer : observers_)
         observer(info);
     return info;
+}
+
+ANVIL_FLATTEN AccessInfo
+MemorySystem::access(Pid pid, Addr va, AccessType type)
+{
+    AddressSpace &space = process(pid);
+    const Addr pa = space.translate(va);
+    if (pa == kInvalidAddr)
+        throw std::out_of_range("access to unmapped virtual address");
+    return complete(space, va, pa, type, hierarchy_.access(pa, type).source);
 }
 
 ANVIL_FLATTEN void
@@ -76,6 +84,29 @@ MemorySystem::clflush(Pid pid, Addr va)
         throw std::out_of_range("clflush of unmapped virtual address");
     hierarchy_.clflush(pa);
     clock_.elapse(clflush_ticks_);
+}
+
+ANVIL_FLATTEN void
+MemorySystem::run(Pid pid, cache::AccessProgram &program)
+{
+    AddressSpace &space = process(pid);
+    program.execute(hierarchy_, [&space](const cache::AccessProgram::Op &op) {
+        const Addr pa = space.translate(op.addr);
+        if (pa == kInvalidAddr) {
+            throw std::out_of_range(
+                op.clflush ? "clflush of unmapped virtual address"
+                           : "access to unmapped virtual address");
+        }
+        return pa;
+    });
+    const std::vector<cache::AccessProgram::Op> &ops = program.ops();
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        if (ops[i].clflush)
+            clock_.elapse(clflush_ticks_);
+        else
+            complete(space, ops[i].addr, program.pa(i), ops[i].type,
+                     program.source(i));
+    }
 }
 
 void

@@ -17,6 +17,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "cache/access_program.hh"
 #include "cache/hierarchy.hh"
 #include "common/types.hh"
 #include "common/units.hh"
@@ -107,6 +108,30 @@ class MemorySystem
     /** Executes CLFLUSH of the line containing @p va. */
     void clflush(Pid pid, Addr va);
 
+    /**
+     * Runs @p program's ops in @p pid as the same sequence of access()
+     * and clflush() calls would: identical cache, DRAM, clock, listener
+     * and observer effects, in the same order.
+     *
+     * It translates every op first, in program order (so translation
+     * counts match), takes every op's cache outcome from the hierarchy in
+     * one AccessProgram::execute(), and then runs each op's tail: for an
+     * access the DRAM access on a miss at the current clock, the elapse
+     * with its alarm, the AccessInfo, note_access(), the listener and the
+     * observers; for a CLFLUSH the elapse of clflush_cycles.
+     *
+     * Why this is exact: nothing that runs inside a tail reads or writes
+     * the cache hierarchy. DRAM and its mitigation hooks, ANVIL's alarm
+     * and PMI handlers (which only translate(), refresh_row_phys() and
+     * advance_cycles()), the PMU and the watchdog and telemetry
+     * observers all act on the clock, DRAM and their own state, so the
+     * hierarchy may run the whole program ahead of them. An exception
+     * thrown from a tail (a watchdog TimeoutError) abandons the trial, so
+     * a hierarchy that already ran ahead is never read. An unmapped op
+     * throws std::out_of_range before anything runs.
+     */
+    void run(Pid pid, cache::AccessProgram &program);
+
     /** Models non-memory compute: advances the clock by @p n core cycles. */
     void advance_cycles(Cycles n);
 
@@ -154,6 +179,14 @@ class MemorySystem
     const CoreClock &core() const { return config_.core; }
 
   private:
+    /**
+     * Everything an access does after its cache lookup returned
+     * @p source: DRAM on a miss, elapse, AccessInfo, accounting and
+     * notification.
+     */
+    AccessInfo complete(AddressSpace &space, Addr va, Addr pa,
+                        AccessType type, DataSource source);
+
     SystemConfig config_;
     Clock clock_;
     FrameAllocator frames_;

@@ -133,21 +133,25 @@ count_of(const char *metric)
     };
 }
 
+/// How far a sweep argument may exceed its default: the paper needs far
+/// less, and a larger value would run for hours (or, near 2^64 ops or
+/// picoseconds, wrap to a wrong run).
+constexpr double kMaxArgumentScale = 100.0;
+
 /**
- * Sweep argument 0 (or @p fallback). It sets a 64-bit count of
- * @p per_unit ops or ticks per unit, so a value whose count does not fit
- * is refused rather than wrapped to a wrong, often empty, run.
+ * Sweep argument 0 (or @p fallback), refused above kMaxArgumentScale
+ * times @p fallback.
  */
 double
-sweep_argument(const runner::CliOptions &cli, double fallback,
-               double per_unit)
+sweep_argument(const runner::CliOptions &cli, double fallback)
 {
     const double v = cli.positional_double(0, fallback);
-    if (!(v * per_unit < 0x1p64)) {
-        throw Error("sweep argument must fit the 64-bit op count or "
-                    "picosecond duration it sets")
+    const double max = kMaxArgumentScale * fallback;
+    if (v > max) {
+        throw Error("sweep argument exceeds its maximum")
             .with("argument", std::uint64_t{0})
-            .with("text", cli.positional[0]);
+            .with("text", cli.positional[0])
+            .with("max", static_cast<std::uint64_t>(max));
     }
     return v;
 }
@@ -372,7 +376,7 @@ table4_false_positives()
         "integer benchmarks under ANVIL-baseline",
         "[run_seconds]",
         [](const runner::CliOptions &cli) {
-            const double run_sec = sweep_argument(cli, 3.0, kTicksPerSec);
+            const double run_sec = sweep_argument(cli, 3.0);
             SweepSpec sweep;
             sweep.name = "table4_false_positives";
             sweep.default_trials = 1;
@@ -433,7 +437,7 @@ table5_fp_sensitivity()
         "ANVIL-heavy on the Figure-4 benchmark subset",
         "[run_seconds]",
         [](const runner::CliOptions &cli) {
-            const double run_sec = sweep_argument(cli, 3.0, kTicksPerSec);
+            const double run_sec = sweep_argument(cli, 3.0);
             SweepSpec sweep;
             sweep.name = "table5_fp_sensitivity";
             sweep.default_trials = 1;
@@ -562,7 +566,7 @@ fig4_sensitivity()
         "[ops]",
         [](const runner::CliOptions &cli) {
             const auto ops = static_cast<std::uint64_t>(
-                sweep_argument(cli, 4000000.0, 1.0));
+                sweep_argument(cli, 4000000.0));
             SweepSpec sweep;
             sweep.name = "fig4_sensitivity";
             sweep.default_trials = 1;
@@ -941,7 +945,7 @@ fig3_overhead()
         "[ops]",
         [](const runner::CliOptions &cli) {
             const auto ops = static_cast<std::uint64_t>(
-                sweep_argument(cli, 4000000.0, 1.0));
+                sweep_argument(cli, 4000000.0));
             SweepSpec sweep;
             sweep.name = "fig3_overhead";
             sweep.default_trials = 1;
@@ -1392,7 +1396,7 @@ noisy_neighbor_fp()
         "cross-tenant blame, and the daemon's aggregate overhead",
         "[run_seconds]",
         [](const runner::CliOptions &cli) {
-            const double run_sec = sweep_argument(cli, 1.0, kTicksPerSec);
+            const double run_sec = sweep_argument(cli, 1.0);
             SweepSpec sweep;
             sweep.name = "noisy_neighbor_fp";
             sweep.default_trials = 1;

@@ -1,25 +1,34 @@
 /**
  * @file
  * Tests for the attack library: pagemap scanning, target discovery,
- * eviction-set construction, and the three hammer kernels — including the
- * Table-1 calibration properties (accesses-to-flip and time-to-flip) and
- * the Section-2.1 refresh-rate results.
+ * eviction-set construction, and the hammer kernels — including the
+ * Table-1 calibration properties (accesses-to-flip and time-to-flip), the
+ * Section-2.1 refresh-rate results, and the equivalence of the memoized
+ * access programs the hammers run with plain access()/clflush() calls.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "anvil/anvil.hh"
 #include "attack/hammer.hh"
 #include "attack/memory_layout.hh"
+#include "cache/access_program.hh"
 #include "common/rng.hh"
 #include "common/units.hh"
 #include "mem/memory_system.hh"
+#include "pmu/pmu.hh"
+#include "workload/profile.hh"
+#include "workload/workload.hh"
 
 namespace anvil::attack {
 namespace {
@@ -856,6 +865,450 @@ TEST(EvictionSetScanOrder, WalksEveryScanInCallOrderSkippingUnmappedPages)
         EXPECT_EQ(layout.build_eviction_set(target, n), want) << trial;
     }
     EXPECT_TRUE(crossed);  // some sets needed the second scan's pages
+}
+
+// ---------------------------------------------------------------------
+// Access programs: a hammer's memoized iteration must leave every
+// observable of the machine exactly as the same ops performed one by one.
+// ---------------------------------------------------------------------
+
+using Op = cache::AccessProgram::Op;
+
+/** Hammer patterns that run as access programs. */
+enum class Pattern {
+    kClflushLoads,
+    kClflushStores,
+    kSingleSided,
+    kClflushFree,
+    kHalfDouble,
+};
+
+const char *
+to_string(Pattern p)
+{
+    switch (p) {
+      case Pattern::kClflushLoads: return "clflush_loads";
+      case Pattern::kClflushStores: return "clflush_stores";
+      case Pattern::kSingleSided: return "single_sided";
+      case Pattern::kClflushFree: return "clflush_free";
+      case Pattern::kHalfDouble: return "half_double";
+    }
+    return "?";
+}
+
+/// Near-row touch interval of the half-double cases: short, so both of
+/// its programs run many times.
+constexpr std::uint64_t kNearTouchInterval = 7;
+
+/**
+ * A machine with a PMU and an ANVIL detector whose windows are short
+ * enough (50 us, 100-miss trigger, ~20 samples per window) that alarms,
+ * sampling PMIs, detections and selective refreshes land in the middle
+ * of hammer iterations. The flip threshold is low enough for the
+ * CLFLUSH hammers to flip rows within a few thousand iterations, and
+ * distance-2 coupling is on so half-double disturbs its victim. Every
+ * access is logged.
+ */
+struct Rig {
+    static constexpr std::uint64_t kBufferBytes = 64ULL << 20;
+
+    explicit Rig(cache::ReplPolicy llc_policy)
+    {
+        mem::SystemConfig config;
+        config.cache.llc_policy = llc_policy;
+        // Tree-PLRU needs 2^k ways; fig1_pattern's ablation uses 16 too.
+        if (llc_policy == cache::ReplPolicy::kTreePlru)
+            config.cache.llc_ways = 16;
+        config.dram.flip_threshold = 600;
+        config.dram.second_neighbor_weight = 0.5;
+        machine = std::make_unique<mem::MemorySystem>(config);
+        pmu = std::make_unique<pmu::Pmu>(*machine);
+        detector::AnvilConfig fast = detector::AnvilConfig::baseline();
+        fast.tc = us(50);
+        fast.ts = us(50);
+        fast.llc_miss_threshold = 100;
+        fast.samples_per_sec = 400000;
+        anvil = std::make_unique<detector::Anvil>(*machine, *pmu, fast);
+        attacker = &machine->create_process();
+        buffer = attacker->mmap(kBufferBytes);
+        layout = std::make_unique<MemoryLayout>(
+            *attacker, machine->dram().address_map(), machine->hierarchy());
+        layout->scan(buffer, kBufferBytes);
+        machine->add_observer(
+            [this](const mem::AccessInfo &info) { log.push_back(info); });
+    }
+
+    /** Performs @p ops one by one through access() and clflush(). */
+    void
+    perform(Pid pid, const std::vector<Op> &ops)
+    {
+        for (const Op &op : ops) {
+            if (op.clflush)
+                machine->clflush(pid, op.addr);
+            else
+                machine->access(pid, op.addr, op.type);
+        }
+    }
+
+    std::unique_ptr<mem::MemorySystem> machine;
+    std::unique_ptr<pmu::Pmu> pmu;
+    std::unique_ptr<detector::Anvil> anvil;
+    mem::AddressSpace *attacker = nullptr;
+    Addr buffer = 0;
+    std::unique_ptr<MemoryLayout> layout;
+    std::vector<mem::AccessInfo> log;
+};
+
+/** The first double-sided target whose aggressors can share an LLC set. */
+DoubleSidedTarget
+shared_set_target(const Rig &rig)
+{
+    for (const DoubleSidedTarget &t :
+         rig.layout->find_double_sided_targets(256)) {
+        if (ClflushFreeDoubleSided::slice_compatible(
+                *rig.machine, rig.attacker->pid(), t))
+            return t;
+    }
+    ADD_FAILURE() << "no slice-compatible target";
+    return {};
+}
+
+/**
+ * @p pattern's hammer on @p rig, and the ops of its iterations written
+ * out by hand: iteration i (from 1) performs ops(i).
+ */
+struct HammerUnderTest {
+    std::unique_ptr<Hammer> hammer;
+    std::function<std::vector<Op>(std::uint64_t)> ops;
+};
+
+HammerUnderTest
+make_hammer(Rig &rig, Pattern pattern)
+{
+    mem::MemorySystem &m = *rig.machine;
+    const Pid pid = rig.attacker->pid();
+    const auto load = [](Addr va) { return Op{va, AccessType::kLoad, false}; };
+    const auto flush = [](Addr va) { return Op{va, AccessType::kLoad, true}; };
+    HammerUnderTest h;
+    switch (pattern) {
+      case Pattern::kClflushLoads:
+      case Pattern::kClflushStores: {
+          const DoubleSidedTarget t = shared_set_target(rig);
+          const AccessType type = pattern == Pattern::kClflushStores
+                                      ? AccessType::kStore
+                                      : AccessType::kLoad;
+          h.hammer = std::make_unique<ClflushDoubleSided>(m, pid, t, type);
+          const std::vector<Op> ops = {
+              {t.low_aggressor_va, type, false},
+              {t.high_aggressor_va, type, false},
+              flush(t.low_aggressor_va), flush(t.high_aggressor_va)};
+          h.ops = [ops](std::uint64_t) { return ops; };
+          break;
+      }
+      case Pattern::kSingleSided: {
+          const SingleSidedTarget t =
+              rig.layout->find_single_sided_targets(16, 64).at(0);
+          h.hammer = std::make_unique<ClflushSingleSided>(m, pid, t);
+          const std::vector<Op> ops = {load(t.aggressor_va),
+                                       load(t.closer_va),
+                                       flush(t.aggressor_va),
+                                       flush(t.closer_va)};
+          h.ops = [ops](std::uint64_t) { return ops; };
+          break;
+      }
+      case Pattern::kClflushFree: {
+          auto evicting = std::make_unique<ClflushFreeDoubleSided>(
+              m, pid, shared_set_target(rig), *rig.layout);
+          std::vector<Op> ops;
+          for (const Addr aggressor : {evicting->a0(), evicting->a1()}) {
+              ops.push_back(load(aggressor));
+              for (const Addr t : evicting->touch_set())
+                  ops.push_back(load(t));
+          }
+          h.hammer = std::move(evicting);
+          h.ops = [ops](std::uint64_t) { return ops; };
+          break;
+      }
+      case Pattern::kHalfDouble: {
+          const HalfDoubleTarget t =
+              rig.layout->find_half_double_targets(1).at(0);
+          h.hammer = std::make_unique<ClflushHalfDouble>(m, pid, t,
+                                                         kNearTouchInterval);
+          const std::vector<Op> far = {load(t.far_low_va),
+                                       load(t.far_high_va),
+                                       flush(t.far_low_va),
+                                       flush(t.far_high_va)};
+          std::vector<Op> far_near = far;
+          for (const Op &op :
+               {load(t.near_low_va), load(t.near_high_va),
+                flush(t.near_low_va), flush(t.near_high_va)})
+              far_near.push_back(op);
+          h.ops = [far, far_near](std::uint64_t i) {
+              return i % kNearTouchInterval == 0 ? far_near : far;
+          };
+          break;
+      }
+    }
+    return h;
+}
+
+bool
+same(const mem::AccessInfo &a, const mem::AccessInfo &b)
+{
+    return std::tie(a.pid, a.va, a.pa, a.type, a.source, a.latency,
+                    a.llc_miss, a.complete_time) ==
+           std::tie(b.pid, b.va, b.pa, b.type, b.source, b.latency,
+                    b.llc_miss, b.complete_time);
+}
+
+bool
+same(const cache::CacheStats &a, const cache::CacheStats &b)
+{
+    return std::tie(a.accesses, a.hits, a.misses, a.fills, a.evictions,
+                    a.invalidations) ==
+           std::tie(b.accesses, b.hits, b.misses, b.fills, b.evictions,
+                    b.invalidations);
+}
+
+/**
+ * Expects @p a and @p b, driven by the same sequence of ops, to agree on
+ * everything observable: the access stream, every cache level's counters
+ * and the contents of every set the attacker's lines map to, DRAM
+ * counters and flips, the clock, every process's access and translation
+ * counts, and ANVIL's statistics and detections.
+ */
+void
+expect_same_machine(const Rig &a, const Rig &b)
+{
+    ASSERT_EQ(a.log.size(), b.log.size());
+    for (std::size_t i = 0; i < a.log.size(); ++i)
+        ASSERT_TRUE(same(a.log[i], b.log[i])) << "access " << i;
+
+    const cache::CacheHierarchy &ha = a.machine->hierarchy();
+    const cache::CacheHierarchy &hb = b.machine->hierarchy();
+    EXPECT_TRUE(same(ha.l1().stats(), hb.l1().stats()));
+    EXPECT_TRUE(same(ha.l2().stats(), hb.l2().stats()));
+    for (std::uint32_t s = 0; s < ha.config().llc_slices; ++s)
+        EXPECT_TRUE(same(ha.llc(s).stats(), hb.llc(s).stats())) << s;
+    std::set<Addr> lines;
+    for (const mem::AccessInfo &info : a.log) {
+        if (info.pid == a.attacker->pid())
+            lines.insert(cache::line_of(info.pa));
+    }
+    for (const Addr pa : lines) {
+        EXPECT_EQ(ha.l1().lines_in_set(ha.l1().set_index(pa)),
+                  hb.l1().lines_in_set(hb.l1().set_index(pa)));
+        EXPECT_EQ(ha.l2().lines_in_set(ha.l2().set_index(pa)),
+                  hb.l2().lines_in_set(hb.l2().set_index(pa)));
+        EXPECT_EQ(ha.llc(ha.llc_slice(pa)).lines_in_set(ha.llc_set(pa)),
+                  hb.llc(hb.llc_slice(pa)).lines_in_set(hb.llc_set(pa)));
+    }
+
+    const auto &da = a.machine->dram().stats();
+    const auto &db = b.machine->dram().stats();
+    EXPECT_EQ(std::tie(da.accesses, da.row_hits, da.row_misses,
+                       da.selective_refreshes, da.refresh_stall),
+              std::tie(db.accesses, db.row_hits, db.row_misses,
+                       db.selective_refreshes, db.refresh_stall));
+    const auto &fa = a.machine->dram().flips();
+    const auto &fb = b.machine->dram().flips();
+    ASSERT_EQ(fa.size(), fb.size());
+    for (std::size_t i = 0; i < fa.size(); ++i) {
+        EXPECT_EQ(std::tie(fa[i].time, fa[i].flat_bank, fa[i].row,
+                           fa[i].disturbance, fa[i].threshold),
+                  std::tie(fb[i].time, fb[i].flat_bank, fb[i].row,
+                           fb[i].disturbance, fb[i].threshold))
+            << "flip " << i;
+    }
+    EXPECT_EQ(a.machine->now(), b.machine->now());
+    for (Pid pid = 0; pid < a.machine->process_count(); ++pid) {
+        const mem::AddressSpace &x = a.machine->process(pid);
+        const mem::AddressSpace &y = b.machine->process(pid);
+        EXPECT_EQ(std::make_tuple(x.accesses(), x.tlb_hits(), x.tlb_misses()),
+                  std::make_tuple(y.accesses(), y.tlb_hits(), y.tlb_misses()))
+            << "pid " << pid;
+    }
+
+    const detector::AnvilStats &sa = a.anvil->stats();
+    const detector::AnvilStats &sb = b.anvil->stats();
+    EXPECT_EQ(std::tie(sa.stage1_windows, sa.stage1_triggers,
+                       sa.stage2_windows, sa.detections,
+                       sa.selective_refreshes, sa.false_positive_detections,
+                       sa.false_positive_refreshes, sa.overhead),
+              std::tie(sb.stage1_windows, sb.stage1_triggers,
+                       sb.stage2_windows, sb.detections,
+                       sb.selective_refreshes, sb.false_positive_detections,
+                       sb.false_positive_refreshes, sb.overhead));
+    const auto &ea = a.anvil->detections();
+    const auto &eb = b.anvil->detections();
+    ASSERT_EQ(ea.size(), eb.size());
+    for (std::size_t i = 0; i < ea.size(); ++i) {
+        EXPECT_EQ(std::tie(ea[i].time, ea[i].refreshes_performed,
+                           ea[i].offender_pid),
+                  std::tie(eb[i].time, eb[i].refreshes_performed,
+                           eb[i].offender_pid))
+            << "detection " << i;
+        ASSERT_EQ(ea[i].aggressors.size(), eb[i].aggressors.size());
+        for (std::size_t k = 0; k < ea[i].aggressors.size(); ++k) {
+            const detector::Aggressor &x = ea[i].aggressors[k];
+            const detector::Aggressor &y = eb[i].aggressors[k];
+            EXPECT_EQ(std::tie(x.flat_bank, x.row, x.samples,
+                               x.estimated_accesses),
+                      std::tie(y.flat_bank, y.row, y.samples,
+                               y.estimated_accesses));
+        }
+    }
+}
+
+/// Hammer iterations per equivalence case.
+constexpr std::uint64_t kProgramIterations = 5000;
+
+class ProgramEquivalence
+    : public ::testing::TestWithParam<std::tuple<Pattern, cache::ReplPolicy>>
+{
+};
+
+/**
+ * Hammer::step() (a memoized program, or op by op under kRandom) and the
+ * same ops as explicit calls leave two identical machines identical,
+ * with ANVIL's alarms and sampling PMIs firing mid-iteration.
+ */
+TEST_P(ProgramEquivalence, StepMatchesExplicitCalls)
+{
+    const auto [pattern, policy] = GetParam();
+    Rig programmed(policy);
+    Rig reference(policy);
+    HammerUnderTest hammer = make_hammer(programmed, pattern);
+    HammerUnderTest by_hand = make_hammer(reference, pattern);
+    programmed.anvil->start();
+    reference.anvil->start();
+    const Pid pid = reference.attacker->pid();
+    for (std::uint64_t i = 1; i <= kProgramIterations; ++i) {
+        hammer.hammer->step();
+        reference.perform(pid, by_hand.ops(i));
+    }
+    expect_same_machine(programmed, reference);
+    // ANVIL's alarms, PMIs and refreshes and the DRAM's flips all
+    // happened between ops of an iteration.
+    EXPECT_GT(reference.anvil->stats().detections, 0u);
+    EXPECT_FALSE(reference.machine->dram().flips().empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllHammersAllPolicies, ProgramEquivalence,
+    ::testing::Combine(
+        ::testing::Values(Pattern::kClflushLoads, Pattern::kClflushStores,
+                          Pattern::kSingleSided, Pattern::kClflushFree,
+                          Pattern::kHalfDouble),
+        ::testing::Values(cache::ReplPolicy::kLru,
+                          cache::ReplPolicy::kBitPlru,
+                          cache::ReplPolicy::kNru,
+                          cache::ReplPolicy::kTreePlru,
+                          cache::ReplPolicy::kSrrip,
+                          cache::ReplPolicy::kRandom)),
+    [](const auto &info) {
+        return std::string(to_string(std::get<0>(info.param))) + "_" +
+               cache::to_string(std::get<1>(info.param));
+    });
+
+/**
+ * A benign tenant interleaved with the hammer touches the hammer's sets
+ * between iterations, so the program meets fresh starting states (memo
+ * misses); the machines must still agree.
+ */
+TEST(ProgramEquivalenceInterleaved, WorkloadTenantBetweenIterations)
+{
+    for (const Pattern pattern :
+         {Pattern::kClflushLoads, Pattern::kClflushFree}) {
+        SCOPED_TRACE(to_string(pattern));
+        Rig programmed(cache::ReplPolicy::kBitPlru);
+        Rig reference(cache::ReplPolicy::kBitPlru);
+        HammerUnderTest hammer = make_hammer(programmed, pattern);
+        HammerUnderTest by_hand = make_hammer(reference, pattern);
+        const workload::SpecProfile &mcf = workload::spec_profile("mcf");
+        workload::Workload tenant_a(*programmed.machine, mcf);
+        workload::Workload tenant_b(*reference.machine, mcf);
+        programmed.anvil->start();
+        reference.anvil->start();
+        const Pid pid = reference.attacker->pid();
+        for (std::uint64_t i = 1; i <= kProgramIterations; ++i) {
+            hammer.hammer->step();
+            reference.perform(pid, by_hand.ops(i));
+            tenant_a.run_ops(4);
+            tenant_b.run_ops(4);
+        }
+        expect_same_machine(programmed, reference);
+    }
+}
+
+/**
+ * After munmap + mmap the program's VAs translate to other frames (here:
+ * a fresh process maps its buffer at the same VA base): the program
+ * recompiles, its memo starts over, and the machines still agree.
+ */
+TEST(ProgramEquivalenceRemap, RecompilesWhenTranslationsChange)
+{
+    Rig programmed(cache::ReplPolicy::kBitPlru);
+    Rig reference(cache::ReplPolicy::kBitPlru);
+    // Both rigs search alike: translations are part of what is compared.
+    const auto eviction_ops = [](const Rig &rig) {
+        const DoubleSidedTarget t = shared_set_target(rig);
+        const std::vector<Addr> touches = rig.layout->build_eviction_set(
+            t.low_aggressor_va,
+            rig.machine->hierarchy().config().llc_ways - 1);
+        std::vector<Op> ops;
+        for (const Addr aggressor :
+             {t.low_aggressor_va, t.high_aggressor_va}) {
+            ops.push_back({aggressor, AccessType::kLoad, false});
+            for (const Addr va : touches)
+                ops.push_back({va, AccessType::kLoad, false});
+        }
+        ops.push_back({t.low_aggressor_va, AccessType::kLoad, true});
+        return ops;
+    };
+    const std::vector<Op> ops = eviction_ops(reference);
+    ASSERT_EQ(eviction_ops(programmed).size(), ops.size());
+    cache::AccessProgram program(ops);
+    programmed.anvil->start();
+    reference.anvil->start();
+
+    Pid pid = reference.attacker->pid();
+    const auto hammer = [&](std::uint64_t iterations) {
+        for (std::uint64_t i = 0; i < iterations; ++i) {
+            programmed.machine->run(pid, program);
+            reference.perform(pid, ops);
+        }
+    };
+    hammer(kProgramIterations / 2);
+    const std::uint64_t misses_before = program.memo_misses();
+    EXPECT_GT(program.memo_hits(), 0u);
+
+    for (Rig *rig : {&programmed, &reference}) {
+        const Addr old_frame = rig->attacker->pagemap(ops[0].addr);
+        rig->attacker->munmap(rig->buffer, Rig::kBufferBytes);
+        mem::AddressSpace &fresh = rig->machine->create_process();
+        ASSERT_EQ(fresh.mmap(Rig::kBufferBytes), rig->buffer);
+        EXPECT_NE(fresh.pagemap(ops[0].addr), old_frame);
+        pid = fresh.pid();
+    }
+    hammer(kProgramIterations / 2);
+    EXPECT_GT(program.memo_misses(), misses_before);
+    expect_same_machine(programmed, reference);
+}
+
+/** Under kRandom every run goes op by op: a replay would skip RNG draws. */
+TEST(ProgramEquivalenceRemap, RandomPolicyNeverReplays)
+{
+    Rig rig(cache::ReplPolicy::kRandom);
+    const DoubleSidedTarget t = shared_set_target(rig);
+    cache::AccessProgram program(
+        {{t.low_aggressor_va, AccessType::kLoad, false},
+         {t.high_aggressor_va, AccessType::kLoad, false},
+         {t.low_aggressor_va, AccessType::kLoad, true}});
+    for (int i = 0; i < 100; ++i)
+        rig.machine->run(rig.attacker->pid(), program);
+    EXPECT_EQ(program.memo_hits(), 0u);
+    EXPECT_EQ(program.memo_misses(), 0u);
 }
 
 }  // namespace

@@ -142,23 +142,34 @@ TEST(Driver, FileReportRunPrintsThePaperTable)
 }
 
 /**
- * A sweep argument that is not a positive number, or whose op count or
- * picosecond duration does not fit 64 bits (it would wrap to a wrong,
- * often empty, run), is a usage error naming the argument and its text:
- * no table of -nan rates, no report.
+ * A sweep argument that is not a positive number, or that exceeds 100
+ * times its default (a run that would practically never end, or near
+ * 2^64 ops or picoseconds wrap to a wrong one), is a usage error naming
+ * the argument, its text and the maximum: no table of -nan rates, no
+ * report. The trial budget makes an accepted value fail fast instead of
+ * running for hours.
  */
 TEST(Driver, MalformedSweepArgumentExitsUsageAndWritesNoReport)
 {
+    // max: the cap (100 times the default) an over-large value must
+    // name; nullptr where the text is not a number at all.
     const struct {
         const char *sweep;
         const char *text;
+        const char *max;
     } kCases[] = {
-        {"table4_false_positives", "abc"},
-        {"fig3_overhead", "1e30"},
-        {"fig4_sensitivity", "1e20"},
-        {"table4_false_positives", "2e7"},  // 2e19 ps
-        {"table5_fp_sensitivity", "2e7"},
-        {"noisy_neighbor_fp", "1e19"},
+        {"table4_false_positives", "abc", nullptr},
+        {"fig3_overhead", "1e30", "400000000"},
+        {"fig3_overhead", "1.8e19", "400000000"},
+        {"fig3_overhead", "400000001", "400000000"},
+        {"fig4_sensitivity", "1e20", "400000000"},
+        {"fig4_sensitivity", "4.5e8", "400000000"},
+        {"table4_false_positives", "2e7", "300"},
+        {"table4_false_positives", "300.5", "300"},
+        {"table5_fp_sensitivity", "2e7", "300"},
+        {"table5_fp_sensitivity", "301", "300"},
+        {"noisy_neighbor_fp", "1e19", "100"},
+        {"noisy_neighbor_fp", "100.01", "100"},
     };
     const std::string report = temp_path("bad_positional.json");
     const std::string err = temp_path("bad_positional.err");
@@ -166,7 +177,8 @@ TEST(Driver, MalformedSweepArgumentExitsUsageAndWritesNoReport)
         SCOPED_TRACE(std::string(c.sweep) + " " + c.text);
         const std::string command =
             std::string(ANVIL_SIM_PATH) + " run " + c.sweep + " " + c.text +
-            " --trials 1 --json-out " + report + " >/dev/null 2> " + err;
+            " --trials 1 --trial-timeout 1000 --json-out " + report +
+            " >/dev/null 2> " + err;
         EXPECT_EQ(run_command(command), runner::kExitUsage);
         const std::string message = slurp(err);
         EXPECT_NE(message.find("sweep argument"), std::string::npos)
@@ -175,6 +187,11 @@ TEST(Driver, MalformedSweepArgumentExitsUsageAndWritesNoReport)
         EXPECT_NE(message.find(std::string("text=") + c.text),
                   std::string::npos)
             << message;
+        if (c.max != nullptr) {
+            EXPECT_NE(message.find(std::string("max=") + c.max),
+                      std::string::npos)
+                << message;
+        }
         EXPECT_FALSE(file_exists(report));
     }
     std::remove(err.c_str());

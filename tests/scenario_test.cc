@@ -330,6 +330,38 @@ TEST(ScenarioGolden, MitigationMatrixMatchesCommittedJson)
 }
 
 /**
+ * The eviction-pattern path pinned to past output: fig1_pattern at one
+ * trial and the default master seed must reproduce
+ * tests/data/fig1_pattern_golden.json (captured with
+ * `anvil-sim run fig1_pattern --trials 1`). Its kPatternMeasure cells
+ * read LLC-stat deltas of the CLFLUSH-free hammer under all six LLC
+ * replacement policies, kRandom included.
+ */
+TEST(ScenarioGolden, Fig1PatternMatchesCommittedJson)
+{
+    runner::CliOptions cli;
+    cli.trials = 1;
+    cli.sweep.jobs = 2;
+    EXPECT_EQ(render_sweep("fig1_pattern", cli),
+              read_golden("fig1_pattern_golden.json"));
+}
+
+/**
+ * The hammer-to-first-flip path pinned to past output: table1_attacks at
+ * one trial and the default master seed must reproduce
+ * tests/data/table1_attacks_golden.json (captured with
+ * `anvil-sim run table1_attacks --trials 1`).
+ */
+TEST(ScenarioGolden, Table1AttacksMatchesCommittedJson)
+{
+    runner::CliOptions cli;
+    cli.trials = 1;
+    cli.sweep.jobs = 2;
+    EXPECT_EQ(render_sweep("table1_attacks", cli),
+              read_golden("table1_attacks_golden.json"));
+}
+
+/**
  * The tracker-zoo sweep is part of the parallel-determinism contract:
  * the emitted JSON must be byte-identical back-to-back and across job
  * counts (the mitigation RNG sub-stream is seeded per trial, never from
