@@ -38,8 +38,8 @@ main()
     workload::Workload mcf(machine, workload::spec_profile("mcf"));
     workload::Workload gcc(machine, workload::spec_profile("gcc"));
     scenario::TenantScheduler benign(machine);
-    benign.add({.step = [&] { mcf.step(); }});
-    benign.add({.step = [&] { gcc.step(); }});
+    benign.add({&mcf});
+    benign.add({&gcc});
 
     std::printf("\n-- phase 1: benign workloads only (300 ms) --\n");
     benign.run_until(machine.now() + ms(300));
@@ -63,9 +63,9 @@ main()
     attack::ClflushDoubleSided hammer(machine, intruder.space->pid(),
                                       targets.front());
     scenario::TenantScheduler mixed(machine);
-    mixed.add({.step = [&] { hammer.step(); }});
-    mixed.add({.step = [&] { mcf.step(); }});
-    mixed.add({.step = [&] { gcc.step(); }});
+    mixed.add({&hammer});
+    mixed.add({&mcf});
+    mixed.add({&gcc});
 
     attack_running = true;
     const Tick attack_start = machine.now();

@@ -62,12 +62,17 @@ eviction_pattern(Addr a0, Addr a1, const std::vector<Addr> &touches)
 
 }  // namespace
 
-Hammer::Hammer(mem::MemorySystem &mem, Pid pid) : mem_(mem), pid_(pid)
+Hammer::Hammer(mem::MemorySystem &mem, Pid pid, std::vector<Op> program,
+               std::uint64_t aggressor_accesses)
+    : mem_(mem),
+      pid_(pid),
+      program_(std::move(program)),
+      aggressor_accesses_(aggressor_accesses)
 {
 }
 
 HammerResult
-Hammer::run(Tick max_duration)
+Hammer::run(Tick max_duration, Tick step_gap)
 {
     const dram::DramSystem &dram = mem_.dram();
     const std::size_t base_flips = dram.flips().size();
@@ -77,14 +82,15 @@ Hammer::run(Tick max_duration)
     while (mem_.now() - start < max_duration) {
         iteration();
         ++result.iterations;
+        if (step_gap != 0)
+            mem_.advance(step_gap);
         if (dram.flips().size() > base_flips) {
             result.flipped = true;
             break;
         }
     }
 
-    result.aggressor_accesses =
-        result.iterations * aggressor_accesses_per_iteration();
+    result.aggressor_accesses = result.iterations * aggressor_accesses_;
     if (result.flipped) {
         result.duration = dram.flips()[base_flips].time - start;
         result.flips.assign(dram.flips().begin() +
@@ -99,36 +105,26 @@ Hammer::run(Tick max_duration)
 ClflushDoubleSided::ClflushDoubleSided(mem::MemorySystem &mem, Pid pid,
                                        const DoubleSidedTarget &target,
                                        AccessType type)
-    : Hammer(mem, pid),
-      // Figure 1a: access both aggressors, then flush both so the next
-      // iteration's accesses reach DRAM.
-      program_({touch(target.low_aggressor_va, type),
-                touch(target.high_aggressor_va, type),
-                flush(target.low_aggressor_va),
-                flush(target.high_aggressor_va)})
+    // Figure 1a: access both aggressors, then flush both so the next
+    // iteration's accesses reach DRAM.
+    : Hammer(mem, pid,
+             {touch(target.low_aggressor_va, type),
+              touch(target.high_aggressor_va, type),
+              flush(target.low_aggressor_va),
+              flush(target.high_aggressor_va)},
+             2)
 {
-}
-
-void
-ClflushDoubleSided::iteration()
-{
-    mem_.run(pid_, program_);
 }
 
 ClflushSingleSided::ClflushSingleSided(mem::MemorySystem &mem, Pid pid,
                                        const SingleSidedTarget &target)
-    : Hammer(mem, pid),
-      // The far same-bank access forces the aggressor's row closed so
-      // the next iteration re-activates it.
-      program_({touch(target.aggressor_va), touch(target.closer_va),
-                flush(target.aggressor_va), flush(target.closer_va)})
+    // The far same-bank access forces the aggressor's row closed so the
+    // next iteration re-activates it.
+    : Hammer(mem, pid,
+             {touch(target.aggressor_va), touch(target.closer_va),
+              flush(target.aggressor_va), flush(target.closer_va)},
+             1)
 {
-}
-
-void
-ClflushSingleSided::iteration()
-{
-    mem_.run(pid_, program_);
 }
 
 bool
@@ -155,28 +151,33 @@ ClflushFreeDoubleSided::ClflushFreeDoubleSided(mem::MemorySystem &mem,
                                                Pid pid,
                                                const DoubleSidedTarget &target,
                                                const MemoryLayout &layout)
-    : Hammer(mem, pid),
-      a0_(target.low_aggressor_va),
-      a1_(target.high_aggressor_va),
-      touches_(conflict_set(mem, pid, target, layout)),
-      program_(eviction_pattern(a0_, a1_, touches_))
+    : Hammer(mem, pid,
+             eviction_pattern(target.low_aggressor_va,
+                              target.high_aggressor_va,
+                              conflict_set(mem, pid, target, layout)),
+             2)
 {
 }
 
-void
-ClflushFreeDoubleSided::iteration()
+std::vector<Addr>
+ClflushFreeDoubleSided::touch_set() const
 {
-    mem_.run(pid_, program_);
+    const std::vector<Op> &ops = program_.ops();
+    std::vector<Addr> touches;
+    for (std::size_t i = 1; i < ops.size() / 2; ++i)
+        touches.push_back(ops[i].addr);
+    return touches;
 }
 
 ClflushHalfDouble::ClflushHalfDouble(mem::MemorySystem &mem, Pid pid,
                                      const HalfDoubleTarget &target,
                                      std::uint64_t near_touch_interval)
-    : Hammer(mem, pid),
-      // Hammer only the distance-2 aggressors; the victim v between the
-      // near rows accrues second-neighbour disturbance from both.
-      far_({touch(target.far_low_va), touch(target.far_high_va),
-            flush(target.far_low_va), flush(target.far_high_va)}),
+    // Hammer only the distance-2 aggressors; the victim v between the
+    // near rows accrues second-neighbour disturbance from both.
+    : Hammer(mem, pid,
+             {touch(target.far_low_va), touch(target.far_high_va),
+              flush(target.far_low_va), flush(target.far_high_va)},
+             2),
       // Rare touch of the near rows restores THEIR charge (so the
       // attack's collateral disturbance never flips v±1 first) while
       // keeping their activation counts orders of magnitude below any
@@ -195,12 +196,12 @@ void
 ClflushHalfDouble::iteration()
 {
     mem_.run(pid_, ++iterations_ % near_touch_interval_ == 0 ? far_near_
-                                                            : far_);
+                                                            : program_);
 }
 
 TrackerThrash::TrackerThrash(mem::MemorySystem &mem, Pid pid,
                              std::vector<Addr> rows)
-    : Hammer(mem, pid), rows_(std::move(rows))
+    : Hammer(mem, pid, {}, 1), rows_(std::move(rows))
 {
     if (rows_.empty())
         throw std::runtime_error("tracker thrash needs a non-empty row set");

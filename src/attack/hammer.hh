@@ -64,18 +64,28 @@ struct HammerResult {
 
 /**
  * Base class driving the iterate-until-flip loop shared by all attacks.
+ * An iteration runs the hammer's one access program unless a kernel
+ * overrides iteration().
  */
 class Hammer
 {
   public:
-    Hammer(mem::MemorySystem &mem, Pid pid);
+    /**
+     * @param program one iteration of the access pattern.
+     * @param aggressor_accesses aggressor-row accesses per iteration.
+     */
+    Hammer(mem::MemorySystem &mem, Pid pid,
+           std::vector<cache::AccessProgram::Op> program,
+           std::uint64_t aggressor_accesses);
     virtual ~Hammer() = default;
 
     /**
      * Hammers until the DRAM records a new bit flip or @p max_duration of
-     * simulated time elapses.
+     * simulated time elapses. A nonzero @p step_gap idles the clock that
+     * long after every iteration, before the flip check (a spread-out
+     * attack's pacing).
      */
-    HammerResult run(Tick max_duration);
+    HammerResult run(Tick max_duration, Tick step_gap = 0);
 
     /**
      * Performs one iteration of the access pattern — for interleaving the
@@ -83,15 +93,18 @@ class Hammer
      */
     void step() { iteration(); }
 
+    Pid pid() const { return pid_; }
+
   protected:
     /** One iteration of the attack's access pattern. */
-    virtual void iteration() = 0;
-
-    /** Aggressor-row accesses performed per iteration. */
-    virtual std::uint64_t aggressor_accesses_per_iteration() const = 0;
+    virtual void iteration() { mem_.run(pid_, program_); }
 
     mem::MemorySystem &mem_;
     Pid pid_;
+    cache::AccessProgram program_;
+
+  private:
+    std::uint64_t aggressor_accesses_;
 };
 
 /** Double-sided rowhammer using CLFLUSH (Figure 1a). */
@@ -107,36 +120,18 @@ class ClflushDoubleSided : public Hammer
     ClflushDoubleSided(mem::MemorySystem &mem, Pid pid,
                        const DoubleSidedTarget &target,
                        AccessType type = AccessType::kLoad);
-
-  protected:
-    void iteration() override;
-    std::uint64_t aggressor_accesses_per_iteration() const override
-    {
-        return 2;
-    }
-
-  private:
-    cache::AccessProgram program_;
 };
 
-/** Single-sided rowhammer using CLFLUSH. */
+/**
+ * Single-sided rowhammer using CLFLUSH. Only aggressor-row accesses
+ * count; the same-bank closer access is pattern overhead, consistent
+ * with Table 1's 400 K.
+ */
 class ClflushSingleSided : public Hammer
 {
   public:
     ClflushSingleSided(mem::MemorySystem &mem, Pid pid,
                        const SingleSidedTarget &target);
-
-  protected:
-    void iteration() override;
-    /// Only aggressor-row accesses count; the same-bank closer access is
-    /// pattern overhead, consistent with Table 1's 400 K.
-    std::uint64_t aggressor_accesses_per_iteration() const override
-    {
-        return 1;
-    }
-
-  private:
-    cache::AccessProgram program_;
 };
 
 /** Double-sided rowhammer WITHOUT CLFLUSH (Figure 1b; Section 2.2). */
@@ -163,24 +158,17 @@ class ClflushFreeDoubleSided : public Hammer
     static bool slice_compatible(const mem::MemorySystem &mem, Pid pid,
                                  const DoubleSidedTarget &target);
 
-    /** The conflict addresses in use (for tests). */
-    const std::vector<Addr> &touch_set() const { return touches_; }
+    /**
+     * The conflict addresses in use (for tests). The program is a0, the
+     * touches, a1, the touches.
+     */
+    std::vector<Addr> touch_set() const;
 
-    Addr a0() const { return a0_; }
-    Addr a1() const { return a1_; }
-
-  protected:
-    void iteration() override;
-    std::uint64_t aggressor_accesses_per_iteration() const override
+    Addr a0() const { return program_.ops().front().addr; }
+    Addr a1() const
     {
-        return 2;
+        return program_.ops()[program_.ops().size() / 2].addr;
     }
-
-  private:
-    Addr a0_;
-    Addr a1_;
-    std::vector<Addr> touches_;  ///< the ways - 1 MRU-refresh lines
-    cache::AccessProgram program_;
 };
 
 /**
@@ -203,17 +191,14 @@ class ClflushHalfDouble : public Hammer
                       std::uint64_t near_touch_interval = 512);
 
   protected:
+    /// The far pair alone (the program), or every near_touch_interval-th
+    /// iteration the far pair and then the near pair. Only the far
+    /// (distance-2) rows count as hammered; the rare near-row touches
+    /// are pattern overhead.
     void iteration() override;
-    /// Only the far (distance-2) rows are hammered; the rare near-row
-    /// touches are pattern overhead.
-    std::uint64_t aggressor_accesses_per_iteration() const override
-    {
-        return 2;
-    }
 
   private:
-    cache::AccessProgram far_;        ///< the far pair alone
-    cache::AccessProgram far_near_;   ///< the far pair, then the near pair
+    cache::AccessProgram far_near_;
     std::uint64_t near_touch_interval_;
     std::uint64_t iterations_ = 0;
 };
@@ -240,11 +225,8 @@ class TrackerThrash : public Hammer
     std::size_t working_set_rows() const { return rows_.size(); }
 
   protected:
+    /// One row per iteration, by per-access calls: it has no program.
     void iteration() override;
-    std::uint64_t aggressor_accesses_per_iteration() const override
-    {
-        return 1;
-    }
 
   private:
     std::vector<Addr> rows_;

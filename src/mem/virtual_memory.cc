@@ -237,10 +237,9 @@ AddressSpace::translate(Addr va) const
 Addr
 AddressSpace::pagemap(Addr va) const
 {
-    const Addr pa = translate(va);
-    if (pa == kInvalidAddr)
-        return kInvalidAddr;
-    return pa & ~static_cast<Addr>(kPageBytes - 1);
+    // A page-table read, not an access: the memo and its counters stay.
+    const MappedRegion *region = find_region(va);
+    return region != nullptr ? region->frame_of(va) : kInvalidAddr;
 }
 
 }  // namespace anvil::mem

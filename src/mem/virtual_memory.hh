@@ -205,7 +205,8 @@ class AddressSpace
      * The /proc/pagemap interface: physical frame base of the page
      * containing @p va, or kInvalidAddr. (Real kernels now restrict this
      * interface — see paper Section 5.2.1 — but the evaluated attacks
-     * predate that and use it.)
+     * predate that and use it.) It is no translation: the region memo
+     * and the tlb_hits()/tlb_misses() counters are left as they were.
      */
     Addr pagemap(Addr va) const;
 

@@ -1,60 +1,11 @@
 #include "mitigations/registry.hh"
 
-#include <sstream>
-#include <stdexcept>
-
 #include "mitigations/counter_trr.hh"
 #include "mitigations/dapper.hh"
 #include "mitigations/hardware.hh"
 #include "mitigations/rvc.hh"
 
 namespace anvil::mitigations {
-
-void
-MitigationRegistry::add(MitigationEntry entry)
-{
-    if (find(entry.name) != nullptr) {
-        throw std::invalid_argument(
-            "duplicate mitigation tracker name '" + entry.name +
-            "' — every tracker needs a unique registry key; already "
-            "registered: " +
-            known_names());
-    }
-    entries_.push_back(std::move(entry));
-}
-
-const MitigationEntry *
-MitigationRegistry::find(const std::string &name) const
-{
-    for (const MitigationEntry &entry : entries_) {
-        if (entry.name == name)
-            return &entry;
-    }
-    return nullptr;
-}
-
-const MitigationEntry &
-MitigationRegistry::at(const std::string &name) const
-{
-    const MitigationEntry *entry = find(name);
-    if (entry == nullptr) {
-        throw std::out_of_range("unknown mitigation tracker '" + name +
-                                "' — known trackers: " + known_names());
-    }
-    return *entry;
-}
-
-std::string
-MitigationRegistry::known_names() const
-{
-    std::ostringstream os;
-    bool first = true;
-    for (const MitigationEntry &entry : entries_) {
-        os << (first ? "" : ", ") << entry.name;
-        first = false;
-    }
-    return os.str();
-}
 
 const MitigationRegistry &
 mitigation_registry()

@@ -16,8 +16,8 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
+#include "common/registry.hh"
 #include "dram/dram_system.hh"
 #include "mitigations/mitigation.hh"
 
@@ -29,40 +29,15 @@ using MitigationFactory = std::function<std::unique_ptr<Mitigation>(
 
 /** One named tracker in the zoo. */
 struct MitigationEntry {
+    static constexpr const char *kind = "mitigation tracker";
+
     std::string name;         ///< registry key (ScenarioSpec::mitigation)
     std::string description;  ///< one line for listings and error text
     MitigationFactory make;
 };
 
 /** Maps tracker names to factories; rejects duplicates. */
-class MitigationRegistry
-{
-  public:
-    /**
-     * Registers a tracker.
-     * @throw std::invalid_argument on a duplicate name, naming both the
-     *        collision and the already-registered trackers.
-     */
-    void add(MitigationEntry entry);
-
-    /** Entry by name, or nullptr when absent. */
-    const MitigationEntry *find(const std::string &name) const;
-
-    /**
-     * Entry by name.
-     * @throw std::out_of_range for unknown names, listing every
-     *        registered tracker so the caller can fix the spec.
-     */
-    const MitigationEntry &at(const std::string &name) const;
-
-    const std::vector<MitigationEntry> &all() const { return entries_; }
-
-    /** Comma-separated registered names (for error messages). */
-    std::string known_names() const;
-
-  private:
-    std::vector<MitigationEntry> entries_;  ///< registration order
-};
+using MitigationRegistry = Registry<MitigationEntry>;
 
 /**
  * The built-in tracker zoo: the paper's PARA/TRR baselines, the

@@ -237,7 +237,6 @@ ScenarioBuilder::run()
 {
     Execution &e = *exec_;
     e.run_start_ = e.machine().now();
-    e.attack_start_ = e.run_start_;
     e.attack_active_ = !e.attacks_.empty();
     for (BuiltTenant &t : e.tenants_) {
         if (!t.is_attacker)
@@ -248,16 +247,12 @@ ScenarioBuilder::run()
         for (std::size_t i = 0; i < e.tenants_.size(); ++i) {
             const BuiltTenant &t = e.tenants_[i];
             ScheduledTenant st;
-            st.pid = t.pid;
+            if (t.is_attacker)
+                st.payload = e.attacks_[t.payload].hammer.get();
+            else
+                st.payload = e.workloads_[t.payload].get();
             st.quantum_accesses = spec_.tenants[i].quantum_accesses;
-            if (t.is_attacker) {
-                attack::Hammer *hammer = e.attacks_[t.payload].hammer.get();
-                st.step = [hammer] { hammer->step(); };
-            } else {
-                workload::Workload *w = e.workloads_[t.payload].get();
-                st.step = [w] { w->step(); };
-            }
-            sched.add(std::move(st));
+            sched.add(st);
         }
     };
 
@@ -282,30 +277,18 @@ ScenarioBuilder::run()
               spec_.system.dram.refresh_period + spec_.run.duration);
           break;
       }
-      case RunMode::kHammerUntilFlipOrDeadline: {
-          BuiltAttack &attack = e.attacks_.at(0);
-          const Tick deadline = e.machine().now() + spec_.run.duration;
-          while (e.machine().now() < deadline &&
-                 e.machine().dram().flips().empty()) {
-              attack.hammer->step();
-              if (spec_.run.step_gap != 0)
-                  e.machine().advance(spec_.run.step_gap);
-          }
+      case RunMode::kHammerUntilFlipOrDeadline:
+          e.hammer_result_ = e.attacks_.at(0).hammer->run(
+              spec_.run.duration, spec_.run.step_gap);
           break;
-      }
       case RunMode::kInterleaveUntilOps: {
           // Fixed-work slowdown under live attack pressure: round-robin
           // everything until the FIRST workload finishes its quota, so
           // the measured run_ms scales with whatever latency the attack
           // (and any mitigation response it provokes) inflicts.
-          workload::Workload *lead = e.workloads_.at(0).get();
-          const std::uint64_t start_ops = lead->ops();
-          const std::uint64_t quota = spec_.run.ops;
           TenantScheduler sched(e.machine());
           add_tenants(sched);
-          sched.run_rounds([lead, start_ops, quota] {
-              return lead->ops() - start_ops < quota;
-          });
+          sched.run_rounds(*e.workloads_.at(0), spec_.run.ops);
           break;
       }
       case RunMode::kPatternMeasure: {
@@ -386,7 +369,7 @@ ScenarioBuilder::emit() const
               break;
           case Output::kAttackMs:
               r.set_value("attack_ms",
-                          to_ms(e.machine_->now() - e.attack_start_));
+                          to_ms(e.machine_->now() - e.run_start_));
               break;
           case Output::kDetectMs: {
               // A detection fired before the attack began (a test may
@@ -395,11 +378,11 @@ ScenarioBuilder::emit() const
               const auto &ds = e.anvil_->detections();
               const auto first = std::find_if(
                   ds.begin(), ds.end(), [&](const detector::Detection &d) {
-                      return d.time >= e.attack_start_;
+                      return d.time >= e.run_start_;
                   });
               if (first != ds.end()) {
                   r.set_value("detect_ms",
-                              to_ms(first->time - e.attack_start_));
+                              to_ms(first->time - e.run_start_));
               }
               break;
           }

@@ -111,7 +111,6 @@ class Execution
 
     /** True exactly while the run phase's attack is hammering. */
     bool attack_active() const { return attack_active_; }
-    Tick attack_start() const { return attack_start_; }
     double boost() const { return boost_; }
     const PatternStats &pattern() const { return pattern_; }
 
@@ -128,8 +127,7 @@ class Execution
     std::vector<BuiltTenant> tenants_;
 
     bool attack_active_ = false;
-    Tick attack_start_ = 0;
-    Tick run_start_ = 0;
+    Tick run_start_ = 0;  ///< the clock when run() began, the attack's start
     double run_seconds_ = 0.0;
     attack::HammerResult hammer_result_;
     PatternStats pattern_;

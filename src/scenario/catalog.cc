@@ -596,8 +596,9 @@ fig4_sensitivity()
             }
 
             // The future-module cells predate attack-lifetime
-            // ground-truth scoping; kUnlabeled keeps their committed
-            // JSON stable.
+            // ground-truth scoping; kUnlabeled keeps the output that
+            // tests/data/fig4_future_golden.json pins (ROADMAP.md's
+            // ground-truth item would label them).
             for (const FutureCase &c : kFutureCases) {
                 ScenarioSpec s;
                 s.name = c.name;
@@ -907,7 +908,8 @@ render_fig3(std::uint64_t ops, const ResultSink &sink, std::ostream &os)
         };
     };
     std::vector<TableRow> rows;
-    for (const workload::SpecProfile &profile : workload::spec2006_int()) {
+    for (const workload::SpecProfile &profile :
+         workload::spec2006_int().all()) {
         rows.push_back({profile.name,
                         {profile.name + "/anvil", gather(anvil)},
                         {profile.name + "/double-refresh", gather(refresh)},
@@ -958,7 +960,7 @@ fig3_overhead()
                 {"anvil", kStandardRefresh, true},
                 {"double-refresh", kStandardRefresh / 2, false},
             };
-            for (const auto &profile : workload::spec2006_int()) {
+            for (const auto &profile : workload::spec2006_int().all()) {
                 for (const auto &setting : settings) {
                     ScenarioSpec s;
                     s.name = profile.name + "/" + setting.label;
@@ -980,7 +982,7 @@ fig3_overhead()
                 }
             }
             sweep.finalize = [](ResultSink &sink) {
-                for (const auto &profile : workload::spec2006_int()) {
+                for (const auto &profile : workload::spec2006_int().all()) {
                     for (const char *label : {"anvil", "double-refresh"}) {
                         set_run_ratio(sink, profile.name + "/" + label,
                                       profile.name + "/base", "normalized");

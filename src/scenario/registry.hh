@@ -8,8 +8,8 @@
 
 #include <functional>
 #include <string>
-#include <vector>
 
+#include "common/registry.hh"
 #include "runner/options.hh"
 #include "scenario/spec.hh"
 
@@ -21,6 +21,8 @@ namespace anvil::scenario {
  * seconds, operation counts) that scale their cells.
  */
 struct SweepFactory {
+    static constexpr const char *kind = "scenario sweep";
+
     std::string name;
     std::string description;
     /// Positional-argument usage appended to the driver's help line,
@@ -30,23 +32,7 @@ struct SweepFactory {
 };
 
 /** Ordered, named collection of sweep factories. */
-class ScenarioRegistry
-{
-  public:
-    /** @throw std::invalid_argument on a duplicate name. */
-    void add(SweepFactory factory);
-
-    /** @return the factory named @p name, or nullptr. */
-    const SweepFactory *find(const std::string &name) const;
-
-    /** @return the factory named @p name. @throw std::out_of_range. */
-    const SweepFactory &at(const std::string &name) const;
-
-    const std::vector<SweepFactory> &all() const { return factories_; }
-
-  private:
-    std::vector<SweepFactory> factories_;
-};
+using ScenarioRegistry = Registry<SweepFactory>;
 
 /**
  * The registry of every paper table/figure sweep (populated by

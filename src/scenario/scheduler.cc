@@ -39,22 +39,23 @@ TenantScheduler::add(ScheduledTenant tenant)
 void
 TenantScheduler::run_quantum(std::size_t index, Tick deadline)
 {
-    ScheduledTenant &t = tenants_[index];
-    const bool track = t.pid != kInvalidPid;
-    std::uint64_t consumed = 0;
-    while (consumed < t.quantum_accesses) {
-        if (mem_.now() >= deadline)
-            break;
-        const std::uint64_t before =
-            track ? mem_.process(t.pid).accesses() : 0;
-        t.step();
-        const std::uint64_t delta =
-            track ? mem_.process(t.pid).accesses() - before : 1;
-        // A step that completed no counted access (a pure-CLFLUSH
-        // hammer iteration, say) still consumes one unit: the quantum
-        // always drains and the schedule can never livelock.
-        consumed += std::max<std::uint64_t>(1, delta);
-    }
+    const ScheduledTenant &t = tenants_[index];
+    std::visit(
+        [&](auto *tenant) {
+            const mem::AddressSpace &space = mem_.process(tenant->pid());
+            std::uint64_t consumed = 0;
+            while (consumed < t.quantum_accesses && mem_.now() < deadline) {
+                const std::uint64_t before = space.accesses();
+                tenant->step();
+                // A step that completed no counted access (a pure-CLFLUSH
+                // hammer iteration, say) still consumes one unit: the
+                // quantum always drains and the schedule can never
+                // livelock.
+                consumed +=
+                    std::max<std::uint64_t>(1, space.accesses() - before);
+            }
+        },
+        t.payload);
 }
 
 void
@@ -68,9 +69,12 @@ TenantScheduler::run_until(Tick deadline)
     if (tenants_.size() == 1) {
         // With nobody to yield to, quanta only cut the same step
         // sequence into turns: check the deadline before every step.
-        const std::function<void()> &step = tenants_.front().step;
-        while (mem_.now() < deadline)
-            step();
+        std::visit(
+            [&](auto *tenant) {
+                while (mem_.now() < deadline)
+                    tenant->step();
+            },
+            tenants_.front().payload);
         return;
     }
     while (mem_.now() < deadline) {
@@ -80,11 +84,11 @@ TenantScheduler::run_until(Tick deadline)
 }
 
 void
-TenantScheduler::run_rounds(const std::function<bool()> &more)
+TenantScheduler::run_rounds(const workload::Workload &lead,
+                            std::uint64_t quota)
 {
-    if (tenants_.empty())
-        return;
-    while (more()) {
+    const std::uint64_t start_ops = lead.ops();
+    while (lead.ops() - start_ops < quota) {
         for (std::size_t i = 0; i < tenants_.size(); ++i)
             run_quantum(i, kNoDeadline);
     }

@@ -16,14 +16,15 @@
 #define ANVIL_SCENARIO_SCHEDULER_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
+#include <variant>
 #include <vector>
 
-#include "common/types.hh"
+#include "attack/hammer.hh"
 #include "common/units.hh"
 #include "mem/memory_system.hh"
 #include "scenario/spec.hh"
+#include "workload/workload.hh"
 
 namespace anvil::scenario {
 
@@ -34,17 +35,15 @@ namespace anvil::scenario {
  */
 std::vector<std::string> tenant_labels(const ScenarioSpec &spec);
 
-/** One runnable tenant handed to the scheduler. */
+/**
+ * One runnable tenant handed to the scheduler: a hammer, whose step is
+ * one iteration, or a workload, whose step is one operation. Its pid is
+ * the address space charged with its accesses.
+ */
 struct ScheduledTenant {
-    /// Address space charged for the tenant's accesses; kInvalidPid
-    /// disables access accounting (each step then costs one unit).
-    Pid pid = kInvalidPid;
+    std::variant<attack::Hammer *, workload::Workload *> payload;
     /// Completed accesses per turn before the next tenant runs (>= 1).
     std::uint64_t quantum_accesses = 1;
-    /// One atomic step of the tenant (one hammer iteration, one workload
-    /// operation). Must advance the simulated clock and/or complete at
-    /// least the bookkeeping of one unit of work.
-    std::function<void()> step;
 };
 
 /**
@@ -79,13 +78,13 @@ class TenantScheduler
     void run_until(Tick deadline);
 
     /**
-     * Runs whole round-robin rounds while @p more returns true,
-     * checking the predicate once per round — the legacy
+     * Runs whole round-robin rounds until @p lead has completed @p quota
+     * operations since the call, checking once per round — the
      * kInterleaveUntilOps contract (every tenant gets its quantum each
-     * round, even after the lead workload crosses its quota mid-round).
-     * @pre at least one tenant's step can eventually satisfy !more().
+     * round, even after the lead crosses its quota mid-round).
+     * @pre @p lead is one of the tenants.
      */
-    void run_rounds(const std::function<bool()> &more);
+    void run_rounds(const workload::Workload &lead, std::uint64_t quota);
 
   private:
     /** Runs one quantum of tenant @p index, stopping early at @p deadline. */

@@ -92,8 +92,10 @@ enum class GroundTruth {
     /// scoping and the default.
     kAttackLifetime,
     /// No oracle installed: every detection is labeled "not an attack"
-    /// (the detector's legacy default). Kept only for scenarios whose
-    /// committed JSON predates attack-lifetime scoping.
+    /// (the detector's legacy default). Kept only for fig4's Section 4.5
+    /// future cells, which predate attack-lifetime scoping and whose
+    /// output tests/data/fig4_future_golden.json pins; labeling them is
+    /// part of ROADMAP.md's ground-truth item.
     kUnlabeled,
 };
 

@@ -5,14 +5,12 @@
 #include <cstdio>
 #include <iterator>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "cache/hierarchy.hh"
 #include "common/bits.hh"
 #include "common/error.hh"
-#include "common/text.hh"
 #include "dram/disturbance.hh"
 #include "dram/dram_system.hh"
 #include "mitigations/registry.hh"
@@ -96,18 +94,6 @@ require_cache_level(const ScenarioSpec &spec, const char *field,
     }
 }
 
-std::string
-known_profiles()
-{
-    std::ostringstream os;
-    bool first = true;
-    for (const workload::SpecProfile &p : workload::spec2006_int()) {
-        os << (first ? "" : ", ") << p.name;
-        first = false;
-    }
-    return os.str();
-}
-
 /** A run field that must be nonzero. */
 struct RunField {
     const char *name;
@@ -135,15 +121,21 @@ enum Payload : unsigned {
 
 /**
  * What one run mode or one output needs from its scenario: the payloads
- * it reads (rejected with `missing` when one is absent), a run field that
- * must be nonzero, for an output the run modes that measure it (under
- * any other, emit() would write the output's zero-initialized field, a
+ * it reads (rejected with `missing` when one is absent), for a run mode
+ * the tenants it never steps (payloads in `unstepped`, or any tenant
+ * past the first under `one_tenant`; rejected with `idle`, since such a
+ * tenant would be built and silently never run), a run field that must
+ * be nonzero, for an output the run modes that measure it (under any
+ * other, emit() would write the output's zero-initialized field, a
  * silently wrong table entry), and whether it reads the DRAM's bit
  * flips (the disturbance model runs only in cells where one does).
  */
 struct Requirement {
     unsigned payloads = 0;
     const char *missing = nullptr;
+    unsigned unstepped = 0;
+    bool one_tenant = false;
+    const char *idle = nullptr;
     const RunField *nonzero = nullptr;
     unsigned measured_by = kEveryMode;
     bool reads_flips = false;
@@ -170,17 +162,31 @@ constexpr Requirement kHammers{
     .payloads = kAttack,
     .missing = "this run mode drives a hammer kernel but the scenario "
                "declares no attacks — add an AttackSpec or switch to an "
-               "interleave/workload run mode"};
+               "interleave/workload run mode",
+    .one_tenant = true,
+    .idle = "this run mode steps only the first attacker — declare "
+            "exactly one tenant, an attacker, or switch to an interleave "
+            "run mode to run the other tenants beside it"};
 // Stops at the first flip, so reads the flip log while it runs.
-constexpr Requirement kHammersToFlip{.payloads = kHammers.payloads,
-                                     .missing = kHammers.missing,
-                                     .reads_flips = true};
+constexpr Requirement kHammersToFlip = [] {
+    Requirement need = kHammers;
+    need.reads_flips = true;
+    return need;
+}();
 
 // A quota or a window that rounds to zero runs nothing and would report
 // zeros, or rates over zero ticks, as measurements.
 constexpr Row<RunMode> kModeRows[] = {
     {RunMode::kInterleaveFor, {.nonzero = &kRunDuration}},
-    {RunMode::kWorkloadOps, {.nonzero = &kRunOps}},
+    {RunMode::kWorkloadOps,
+     {.payloads = kWorkload,
+      .missing = "kWorkloadOps runs each workload for run.ops operations, "
+                 "but the scenario declares no workloads",
+      .unstepped = kAttack,
+      .idle = "kWorkloadOps never steps an attacker — drop the attack "
+              "tenant, or switch to kInterleaveUntilOps to run the "
+              "workloads beside it",
+      .nonzero = &kRunOps}},
     {RunMode::kHammerToFirstFlip, kHammersToFlip},
     {RunMode::kHammerUntilFlipOrDeadline, kHammersToFlip},
     {RunMode::kPatternMeasure, kHammers},
@@ -256,13 +262,17 @@ static_assert(std::size(kOutputRows) == kOutputCount &&
 
 /**
  * Throws when @p spec lacks a payload @p need reads (@p provided holds
- * the spec's Payload bits) or leaves its run field zero.
+ * the spec's Payload bits), declares a tenant it never steps, or leaves
+ * its run field zero.
  */
 void
 require(const ScenarioSpec &spec, unsigned provided, const Requirement &need)
 {
     if ((need.payloads & ~provided) != 0)
         throw cell_error(spec, need.missing);
+    if ((need.unstepped & provided) != 0 ||
+        (need.one_tenant && spec.tenants.size() > 1))
+        throw cell_error(spec, need.idle);
     if (need.nonzero != nullptr)
         require_nonzero(spec, need.nonzero->name,
                         spec.run.*(need.nonzero->field));
@@ -401,13 +411,13 @@ validate(const ScenarioSpec &spec)
             continue;
         }
         has_workload = true;
-        try {
-            (void)workload::spec_profile(t.workload->profile);
-        } catch (const std::out_of_range &) {
-            throw cell_error(spec, "unknown workload profile")
-                .with("tenant", labels[i])
-                .with("profile", t.workload->profile)
-                .with("known", known_profiles());
+        const std::string &profile = t.workload->profile;
+        if (workload::spec2006_int().find(profile) == nullptr) {
+            throw workload::spec2006_int().unknown(
+                cell_error(spec, "unknown workload profile")
+                    .with("tenant", labels[i])
+                    .with("profile", profile),
+                profile);
         }
     }
     // The huge-page pool is the upper half of physical memory; an
@@ -423,20 +433,12 @@ validate(const ScenarioSpec &spec)
             .with("huge_pool_bytes", huge_pool);
     }
 
-    if (!spec.mitigation.empty() &&
-        mitigations::mitigation_registry().find(spec.mitigation) ==
-            nullptr) {
-        std::vector<std::string> names;
-        for (const mitigations::MitigationEntry &entry :
-             mitigations::mitigation_registry().all())
-            names.push_back(entry.name);
-        Error error = cell_error(spec, "unknown mitigation tracker")
-                          .with("mitigation", spec.mitigation)
-                          .with("known", mitigations::mitigation_registry()
-                                             .known_names());
-        if (const auto near = nearest_name(spec.mitigation, names))
-            error.with("did_you_mean", *near);
-        throw error;
+    const mitigations::MitigationRegistry &trackers =
+        mitigations::mitigation_registry();
+    if (!spec.mitigation.empty() && trackers.find(spec.mitigation) == nullptr) {
+        throw trackers.unknown(cell_error(spec, "unknown mitigation tracker")
+                                   .with("mitigation", spec.mitigation),
+                               spec.mitigation);
     }
 
     const unsigned provided =

@@ -25,10 +25,11 @@ namespace anvil::scenario {
  * Checks one scenario cell: machine geometry (power-of-two cache sets,
  * non-degenerate DRAM, tREFI above tRFC), workload profile existence,
  * and the requirement rows of its run mode and each of its outputs
- * (hammer/pattern modes need an attack, quota modes a nonzero run.ops,
- * kInterleaveFor a nonzero run.duration; outputs their detector,
- * attack, mitigation or workload tenant, and a run mode that measures
- * them).
+ * (hammer/pattern modes need exactly one tenant, an attacker;
+ * kWorkloadOps at least one workload and no attacker; quota modes a
+ * nonzero run.ops, kInterleaveFor a nonzero run.duration; outputs their
+ * detector, attack, mitigation or workload tenant, and a run mode that
+ * measures them).
  * @throw anvil::Error describing the first violation found.
  */
 void validate(const ScenarioSpec &spec);

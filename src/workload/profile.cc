@@ -1,17 +1,15 @@
 #include "workload/profile.hh"
 
-#include <stdexcept>
-
 namespace anvil::workload {
 
 namespace {
 
-std::vector<SpecProfile>
+Registry<SpecProfile>
 build_profiles()
 {
-    std::vector<SpecProfile> profiles;
+    Registry<SpecProfile> profiles;
 
-    auto add = [&](SpecProfile p) { profiles.push_back(std::move(p)); };
+    auto add = [&](SpecProfile p) { profiles.add(std::move(p)); };
 
     // --- Memory-intensive group: crosses the Stage-1 threshold in
     // --- 95-99 % of 6 ms windows.
@@ -203,21 +201,11 @@ build_profiles()
 
 }  // namespace
 
-const std::vector<SpecProfile> &
+const Registry<SpecProfile> &
 spec2006_int()
 {
-    static const std::vector<SpecProfile> profiles = build_profiles();
+    static const Registry<SpecProfile> profiles = build_profiles();
     return profiles;
-}
-
-const SpecProfile &
-spec_profile(const std::string &name)
-{
-    for (const SpecProfile &p : spec2006_int()) {
-        if (p.name == name)
-            return p;
-    }
-    throw std::out_of_range("unknown SPEC profile: " + name);
 }
 
 }  // namespace anvil::workload

@@ -24,8 +24,8 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
+#include "common/registry.hh"
 #include "common/types.hh"
 #include "common/units.hh"
 
@@ -33,6 +33,8 @@ namespace anvil::workload {
 
 /** Tunable description of one benchmark's memory behaviour. */
 struct SpecProfile {
+    static constexpr const char *kind = "SPEC profile";
+
     std::string name;
 
     /// Total arena mapped by the benchmark.
@@ -67,10 +69,14 @@ struct SpecProfile {
 };
 
 /** The twelve SPEC2006 integer profiles used throughout the evaluation. */
-const std::vector<SpecProfile> &spec2006_int();
+const Registry<SpecProfile> &spec2006_int();
 
 /** Looks a profile up by name. @throw std::out_of_range if unknown. */
-const SpecProfile &spec_profile(const std::string &name);
+inline const SpecProfile &
+spec_profile(const std::string &name)
+{
+    return spec2006_int().at(name);
+}
 
 }  // namespace anvil::workload
 

@@ -71,8 +71,8 @@ run_scenario(std::uint64_t seed)
     attack::ClflushDoubleSided hammer(machine, attacker.pid(),
                                       targets.front());
     scenario::TenantScheduler sched(machine);
-    sched.add({.step = [&] { hammer.step(); }});
-    sched.add({.step = [&] { background.step(); }});
+    sched.add({&hammer});
+    sched.add({&background});
     sched.run_until(machine.now() + ms(32));
 
     RunRecord record;

@@ -50,10 +50,10 @@ TEST(Integration, Table3HeavyLoadScenario)
     attack_running = true;
     const Tick start = machine.now();
     scenario::TenantScheduler sched(machine);
-    sched.add({.step = [&] { hammer.step(); }});
-    sched.add({.step = [&] { mcf.step(); }});
-    sched.add({.step = [&] { libq.step(); }});
-    sched.add({.step = [&] { omnet.step(); }});
+    sched.add({&hammer});
+    sched.add({&mcf});
+    sched.add({&libq});
+    sched.add({&omnet});
     sched.run_until(machine.now() + ms(128));
     attack_running = false;
 
@@ -90,8 +90,8 @@ TEST(Integration, UnprotectedHeavyLoadStillFlips)
     workload::Workload mcf(machine, workload::spec_profile("mcf"));
     attack::ClflushDoubleSided hammer(machine, attacker.pid(), *chosen);
     scenario::TenantScheduler sched(machine);
-    sched.add({.step = [&] { hammer.step(); }});
-    sched.add({.step = [&] { mcf.step(); }});
+    sched.add({&hammer});
+    sched.add({&mcf});
     sched.run_until(machine.now() + ms(160));
     EXPECT_FALSE(machine.dram().flips().empty());
 }

@@ -251,29 +251,60 @@ TEST(AddressSpace, RegionMemoCountsHitsMissesAndResets)
     EXPECT_EQ(space.tlb_misses(), 1u);
     EXPECT_EQ(space.translate(a + 64), pa + 64);  // memo hit
     // Any page of the memoized region hits: there are no per-page entries.
+    // (pagemap() is no translation and counts in neither.)
     EXPECT_EQ(space.translate(a + kPageBytes + 8),
               space.pagemap(a + kPageBytes) + 8);
-    EXPECT_EQ(space.tlb_hits(), 3u);
+    EXPECT_EQ(space.tlb_hits(), 2u);
     EXPECT_EQ(space.tlb_misses(), 1u);
 
     // Another region misses once, then takes over the memo.
     space.translate(b);
     space.translate(b + 8);
     EXPECT_EQ(space.tlb_misses(), 2u);
-    EXPECT_EQ(space.tlb_hits(), 4u);
+    EXPECT_EQ(space.tlb_hits(), 3u);
 
     // An unmapped address misses and leaves the memo where it was.
     EXPECT_EQ(space.translate(a + 2 * kPageBytes), kInvalidAddr);
     EXPECT_EQ(space.tlb_misses(), 3u);
     space.translate(b + 16);
-    EXPECT_EQ(space.tlb_hits(), 5u);
+    EXPECT_EQ(space.tlb_hits(), 4u);
 
     // A mapping change resets the memo: the next translation misses.
     space.mmap(kPageBytes);
     EXPECT_EQ(space.tlb_flushes(), 3u);
     space.translate(b);
     EXPECT_EQ(space.tlb_misses(), 4u);
-    EXPECT_EQ(space.tlb_hits(), 5u);
+    EXPECT_EQ(space.tlb_hits(), 4u);
+}
+
+/**
+ * An attacker's pagemap scan is no access path: probing every page of
+ * another region, and an unmapped address, leaves both translation
+ * counters and the memoized region as they were.
+ */
+TEST(AddressSpace, PagemapLeavesTheTranslationCountersAlone)
+{
+    FrameAllocator frames(64ULL << 20, 9);
+    AddressSpace space(0, frames);
+    const Addr a = space.mmap(4 * kPageBytes);
+    const Addr b = space.mmap(kPageBytes);
+    const Addr pa_b = space.translate(b);  // memo on b: one miss
+    const std::uint64_t hits = space.tlb_hits();
+    const std::uint64_t misses = space.tlb_misses();
+
+    for (Addr page = 0; page < 4; ++page) {
+        EXPECT_NE(space.pagemap(a + page * kPageBytes), kInvalidAddr);
+        EXPECT_EQ(space.pagemap(a + page * kPageBytes + 8),
+                  space.pagemap(a + page * kPageBytes));
+    }
+    EXPECT_EQ(space.pagemap(b + 100), pa_b);
+    EXPECT_EQ(space.pagemap(a + 4 * kPageBytes), kInvalidAddr);  // guard
+    EXPECT_EQ(space.tlb_hits(), hits);
+    EXPECT_EQ(space.tlb_misses(), misses);
+
+    space.translate(b + 8);  // the memo still names b
+    EXPECT_EQ(space.tlb_hits(), hits + 1);
+    EXPECT_EQ(space.tlb_misses(), misses);
 }
 
 TEST(AddressSpace, TlbMunmapRemapFrameReuseDoesNotAlias)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests of the multi-tenant process model: tenant labels, the
- * round-robin TenantScheduler (quantum slicing, start delays), bit-exact
- * determinism of multi-tenant trials, per-tenant seed isolation, and the
+ * round-robin TenantScheduler (quantum slicing), bit-exact determinism
+ * of multi-tenant trials, per-tenant seed isolation, and the
  * daemon's cross-tenant detection attribution.
  */
 #include <gtest/gtest.h>
@@ -56,61 +56,49 @@ TEST(TenantLabels, DerivesAndDedupesLabelsInDeclarationOrder)
 }
 
 /**
- * A tiny two-process rig: each "tenant" step performs exactly one load
- * from its own space, and an observer records the pid order, so the
- * scheduler's interleave is directly visible.
+ * A two-process rig: each step of the hammer tenant completes two loads
+ * (its CLFLUSHes are no completed access) and each workload step one,
+ * and an observer records the pid order, so the scheduler's interleave
+ * is directly visible.
  */
 TEST(TenantScheduler, QuantumIsGrantedInCompletedAccesses)
 {
     mem::MemorySystem machine{mem::SystemConfig{}};
     mem::AddressSpace &a = machine.create_process();
-    mem::AddressSpace &b = machine.create_process();
     const Addr va_a = a.mmap(1 << 20);
-    const Addr va_b = b.mmap(1 << 20);
+    attack::DoubleSidedTarget target;
+    target.low_aggressor_va = va_a;
+    target.high_aggressor_va = va_a + (1 << 19);
+    attack::ClflushDoubleSided hammer(machine, a.pid(), target);
+    workload::Workload load(machine, workload::spec_profile("sjeng"));
+    const mem::AddressSpace &b = machine.process(load.pid());
 
     std::vector<Pid> order;
     machine.add_observer(
         [&order](const mem::AccessInfo &info) { order.push_back(info.pid); });
 
     scenario::TenantScheduler sched(machine);
-    Addr off_a = 0;
-    Addr off_b = 0;
-    scenario::ScheduledTenant ta;
-    ta.pid = a.pid();
-    ta.quantum_accesses = 3;
-    ta.step = [&] {
-        off_a = (off_a + 64) % (1 << 20);
-        machine.access(a.pid(), va_a + off_a, AccessType::kLoad);
-    };
-    scenario::ScheduledTenant tb;
-    tb.pid = b.pid();
-    tb.quantum_accesses = 1;
-    tb.step = [&] {
-        off_b = (off_b + 64) % (1 << 20);
-        machine.access(b.pid(), va_b + off_b, AccessType::kLoad);
-    };
-    sched.add(std::move(ta));
-    sched.add(std::move(tb));
-
+    sched.add({&hammer, 3});
+    sched.add({&load, 1});
     sched.run_until(machine.now() + ms(1));
 
-    ASSERT_GE(order.size(), 8u);
-    // Quantum 3 vs 1: the round pattern is AAAB AAAB ...
-    for (std::size_t i = 0; i + 4 <= 8; i += 4) {
-        EXPECT_EQ(order[i + 0], a.pid());
-        EXPECT_EQ(order[i + 1], a.pid());
-        EXPECT_EQ(order[i + 2], a.pid());
-        EXPECT_EQ(order[i + 3], b.pid());
+    ASSERT_GE(order.size(), 10u);
+    // A quantum of 3 at 2 accesses per step takes two hammer steps: the
+    // round pattern is AAAAB AAAAB ...
+    for (std::size_t i = 0; i + 5 <= 10; i += 5) {
+        for (std::size_t j = 0; j < 4; ++j)
+            EXPECT_EQ(order[i + j], a.pid());
+        EXPECT_EQ(order[i + 4], b.pid());
     }
 
     // Per-space attribution matches the observed order, and the
-    // deadline cuts the last round short: a ran 3 accesses per turn of b.
+    // deadline cuts the last round short: a ran 4 accesses per turn of b.
     EXPECT_EQ(a.accesses(),
               static_cast<std::uint64_t>(
                   std::count(order.begin(), order.end(), a.pid())));
     EXPECT_EQ(a.accesses() + b.accesses(), order.size());
-    EXPECT_GE(a.accesses(), 3 * b.accesses());
-    EXPECT_LE(a.accesses(), 3 * b.accesses() + 3);
+    EXPECT_GE(a.accesses(), 4 * b.accesses());
+    EXPECT_LE(a.accesses(), 4 * b.accesses() + 4);
 }
 
 TEST(TenantScheduler, RunUntilOvershootsByAtMostOneStep)
@@ -120,7 +108,7 @@ TEST(TenantScheduler, RunUntilOvershootsByAtMostOneStep)
     mem::MemorySystem machine{mem::SystemConfig{}};
     workload::Workload load(machine, workload::spec_profile("sjeng"));
     scenario::TenantScheduler sched(machine);
-    sched.add({.step = [&] { load.step(); }});
+    sched.add({&load});
     sched.run_until(ms(3));
     EXPECT_GE(machine.now(), ms(3));
     EXPECT_LT(machine.now(), ms(3) + us(10));
@@ -147,10 +135,6 @@ TEST(TenantScheduler, LoneTenantStepsAsTheRoundRobinLoopDoes)
                                     workload::spec_profile("mcf"));
             Outcome out;
             out.deadline = machine.now() + ms(1);
-            const auto step = [&] {
-                load.step();
-                ++out.steps;
-            };
             if (reference) {
                 // Round-robin over a one-tenant list: quanta counted in
                 // completed accesses, the deadline checked before every
@@ -161,18 +145,17 @@ TEST(TenantScheduler, LoneTenantStepsAsTheRoundRobinLoopDoes)
                     while (consumed < quantum &&
                            machine.now() < out.deadline) {
                         const std::uint64_t before = space.accesses();
-                        step();
+                        load.step();
                         consumed += std::max<std::uint64_t>(
                             1, space.accesses() - before);
                     }
                 }
             } else {
                 scenario::TenantScheduler sched(machine);
-                sched.add({.pid = load.pid(),
-                           .quantum_accesses = quantum,
-                           .step = step});
+                sched.add({&load, quantum});
                 sched.run_until(out.deadline);
             }
+            out.steps = load.ops();
             out.end = machine.now();
             return out;
         };

@@ -551,9 +551,9 @@ run_sink_rig(SinkRig rig, bool model_disturbance)
       }
     }
     if (hammer)
-        sched.add({.pid = attacker.pid(), .step = [&] { hammer->step(); }});
+        sched.add({hammer.get()});
     if (load)
-        sched.add({.pid = load->pid(), .step = [&] { load->step(); }});
+        sched.add({load.get()});
     sched.run_until(machine.now() + duration);
 
     record.dram = machine.dram().stats();

@@ -362,6 +362,35 @@ TEST(ScenarioGolden, Table1AttacksMatchesCommittedJson)
 }
 
 /**
+ * The step-gap hammer pinned to past output: fig4_sensitivity's four
+ * Section 4.5 cells ("future/...") at the default master seed must
+ * reproduce tests/data/fig4_future_golden.json byte for byte (captured
+ * before Hammer::run took the step gap). They are the only cells that
+ * run kHammerUntilFlipOrDeadline, a nonzero step gap, fixed_trials and
+ * GroundTruth::kUnlabeled. The sweep is filtered to them, so the golden
+ * does not move with Figure 4's workload cells. On a mismatch the
+ * produced report is left in the test temp dir.
+ */
+TEST(ScenarioGolden, Fig4FutureCellsMatchCommittedJson)
+{
+    runner::CliOptions cli;
+    cli.sweep.jobs = 2;
+    scenario::SweepSpec spec =
+        scenario::paper_registry().at("fig4_sensitivity").make(cli);
+    std::erase_if(spec.cells, [](const scenario::ScenarioSpec &cell) {
+        return !cell.name.starts_with("future/");
+    });
+    ASSERT_EQ(spec.cells.size(), 4u);
+    const std::string produced = json_of(scenario::run_sweep(spec, cli).sink);
+    const std::string golden = read_golden("fig4_future_golden.json");
+    if (produced != golden) {
+        std::ofstream(::testing::TempDir() + "fig4_future_actual.json")
+            << produced;
+    }
+    EXPECT_EQ(produced, golden);
+}
+
+/**
  * The tracker-zoo sweep is part of the parallel-determinism contract:
  * the emitted JSON must be byte-identical back-to-back and across job
  * counts (the mitigation RNG sub-stream is seeded per trial, never from
@@ -675,6 +704,32 @@ TEST(Validate, RejectsHammerModeWithoutAttack)
     expect_invalid(spec, "no attacks");
 }
 
+/**
+ * The hammer modes step only the first attacker: a second tenant of
+ * either kind would be built (an attacker still maps and scans its
+ * buffer) and never run.
+ */
+TEST(Validate, RejectsHammerModeWithTenantsItNeverSteps)
+{
+    for (const scenario::RunMode mode :
+         {scenario::RunMode::kHammerToFirstFlip,
+          scenario::RunMode::kHammerUntilFlipOrDeadline,
+          scenario::RunMode::kPatternMeasure}) {
+        SCOPED_TRACE(testing::Message() << "run mode "
+                                        << static_cast<int>(mode));
+        scenario::ScenarioSpec spec = detection_spec();
+        spec.run.mode = mode;
+        spec.outputs.clear();
+        EXPECT_NO_THROW(scenario::validate(spec));
+
+        spec.tenants.push_back(scenario::attacker_tenant());
+        expect_invalid(spec, "exactly one tenant, an attacker");
+
+        spec.tenants.back() = scenario::workload_tenant({"mcf", "", false});
+        expect_invalid(spec, "exactly one tenant, an attacker");
+    }
+}
+
 TEST(Validate, RejectsUnknownWorkloadProfileWithKnownNames)
 {
     scenario::ScenarioSpec spec = detection_spec();
@@ -688,6 +743,8 @@ TEST(Validate, RejectsUnknownWorkloadProfileWithKnownNames)
         EXPECT_NE(what.find("mfc"), std::string::npos) << what;
         EXPECT_NE(what.find("mcf"), std::string::npos)
             << "message must list the known profiles: " << what;
+        EXPECT_NE(what.find("did_you_mean=mcf"), std::string::npos)
+            << "message must suggest the nearest profile: " << what;
     }
 }
 
@@ -714,6 +771,26 @@ TEST(Validate, RejectsInterleaveUntilOpsWithoutWorkloads)
     expect_invalid(spec, "workload");
 }
 
+/**
+ * kWorkloadOps runs each workload's quota and nothing else: with no
+ * workload it would report run_ms 0, and an attacker beside one would
+ * never run.
+ */
+TEST(Validate, RejectsWorkloadOpsWithoutWorkloadsOrWithAnAttacker)
+{
+    scenario::ScenarioSpec spec = detection_spec();
+    spec.run.mode = scenario::RunMode::kWorkloadOps;
+    spec.run.ops = 1000;
+    spec.outputs = {scenario::Output::kRunMs};
+    expect_invalid(spec, "declares no workloads");
+
+    spec.tenants.push_back(scenario::workload_tenant({"mcf", "", false}));
+    expect_invalid(spec, "never steps an attacker");
+
+    spec.tenants.erase(spec.tenants.begin());
+    EXPECT_NO_THROW(scenario::validate(spec));
+}
+
 TEST(Validate, RejectsInterleaveUntilOpsWithZeroQuota)
 {
     scenario::ScenarioSpec spec = detection_spec();
@@ -727,8 +804,9 @@ TEST(Validate, RejectsWorkloadOpsWithZeroQuota)
 {
     // fig3/fig4 at an op count below 1 truncate the quota to zero.
     scenario::ScenarioSpec spec = detection_spec();
-    spec.tenants.push_back(scenario::workload_tenant({"mcf", "", false}));
+    spec.tenants = {scenario::workload_tenant({"mcf", "", false})};
     spec.run.mode = scenario::RunMode::kWorkloadOps;
+    spec.outputs = {scenario::Output::kRunMs};
     spec.run.ops = 0;
     expect_invalid(spec, "run.ops");
 
@@ -780,11 +858,19 @@ TEST(Validate, RejectsOutputsTheRunModeNeverMeasures)
     };
     for (const auto &row : kTable) {
         for (const RunMode mode : kModes) {
-            // An attacker and a workload with a quota, so every mode's
-            // own requirements hold and only the pairing can fail.
+            // The tenants the mode steps and a quota, so every mode's own
+            // requirements hold and only the pairing can fail: the lone
+            // attacker for the hammer modes, a workload alone for
+            // kWorkloadOps, both for the interleave modes.
             scenario::ScenarioSpec spec = detection_spec();
-            spec.tenants.push_back(
-                scenario::workload_tenant({"mcf", "", false}));
+            const scenario::TenantSpec mcf =
+                scenario::workload_tenant({"mcf", "", false});
+            if (mode == RunMode::kWorkloadOps)
+                spec.tenants = {mcf};
+            else if (mode != RunMode::kHammerToFirstFlip &&
+                     mode != RunMode::kHammerUntilFlipOrDeadline &&
+                     mode != RunMode::kPatternMeasure)
+                spec.tenants.push_back(mcf);
             spec.run.mode = mode;
             spec.run.ops = 1000;
             spec.outputs = {row.output};

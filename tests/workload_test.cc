@@ -37,7 +37,7 @@ misses_per_window(const std::string &name, Tick duration)
 
 TEST(SpecProfiles, AllTwelveBenchmarksPresent)
 {
-    const auto &profiles = spec2006_int();
+    const auto &profiles = spec2006_int().all();
     EXPECT_EQ(profiles.size(), 12u);
     for (const char *name :
          {"astar", "bzip2", "gcc", "gobmk", "h264ref", "hmmer",

@@ -25,10 +25,8 @@
 #include <cstring>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "common/error.hh"
-#include "common/text.hh"
 #include "runner/options.hh"
 #include "runner/sweep.hh"
 #include "scenario/builder.hh"
@@ -50,18 +48,6 @@ print_list()
         std::printf("  %-36s %s\n", invocation.c_str(),
                     factory.description.c_str());
     }
-}
-
-/** The registered sweep closest to @p name, or nullptr if nothing near. */
-const scenario::SweepFactory *
-nearest_sweep(const std::string &name)
-{
-    std::vector<std::string> names;
-    for (const scenario::SweepFactory &factory :
-         scenario::paper_registry().all())
-        names.push_back(factory.name);
-    const auto near = nearest_name(name, names);
-    return near ? scenario::paper_registry().find(*near) : nullptr;
 }
 
 }  // namespace
@@ -100,10 +86,8 @@ main(int argc, char **argv)
     if (factory == nullptr) {
         std::fprintf(stderr, "anvil-sim: unknown scenario sweep '%s'\n",
                      name.c_str());
-        if (const scenario::SweepFactory *near = nearest_sweep(name)) {
-            std::fprintf(stderr, "  did you mean '%s'?\n",
-                         near->name.c_str());
-        }
+        if (const auto near = scenario::paper_registry().nearest(name))
+            std::fprintf(stderr, "  did you mean '%s'?\n", near->c_str());
         std::fprintf(stderr, "\n");
         print_list();
         return runner::kExitUsage;
