@@ -10,7 +10,6 @@
 #include "anvil/anvil.hh"
 #include "attack/hammer.hh"
 #include "mem/memory_system.hh"
-#include "pmu/pmu.hh"
 #include "scenario/scheduler.hh"
 #include "scenario/testbed.hh"
 #include "workload/workload.hh"
@@ -21,10 +20,10 @@ int
 main()
 {
     mem::MemorySystem machine{mem::SystemConfig{}};
-    pmu::Pmu pmu(machine);
 
     // Load the ANVIL kernel module.
-    detector::Anvil anvil(machine, pmu, detector::AnvilConfig::baseline());
+    detector::Anvil anvil(machine, machine.pmu(),
+                          detector::AnvilConfig::baseline());
     bool attack_running = false;
     anvil.set_ground_truth([&] { return attack_running; });
     anvil.start();

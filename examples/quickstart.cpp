@@ -13,7 +13,6 @@
 #include "anvil/anvil.hh"
 #include "attack/hammer.hh"
 #include "mem/memory_system.hh"
-#include "pmu/pmu.hh"
 #include "scenario/testbed.hh"
 
 using namespace anvil;
@@ -27,7 +26,6 @@ campaign(const char *label, bool protect)
     // A fresh machine: 4 GB DDR3 behind a Sandy Bridge-like hierarchy.
     mem::SystemConfig config;
     mem::MemorySystem machine(config);
-    pmu::Pmu pmu(machine);
 
     // The attacker: one process that maps a 64 MB buffer and scans it
     // through /proc/pagemap for aggressor/victim row triples.
@@ -40,7 +38,8 @@ campaign(const char *label, bool protect)
     }
 
     // Optionally load the defense.
-    detector::Anvil anvil(machine, pmu, detector::AnvilConfig::baseline());
+    detector::Anvil anvil(machine, machine.pmu(),
+                          detector::AnvilConfig::baseline());
     if (protect)
         anvil.start();
 

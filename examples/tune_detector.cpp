@@ -14,7 +14,6 @@
 #include "attack/hammer.hh"
 #include "common/table.hh"
 #include "mem/memory_system.hh"
-#include "pmu/pmu.hh"
 #include "scenario/testbed.hh"
 #include "workload/workload.hh"
 
@@ -37,8 +36,7 @@ evaluate(const detector::AnvilConfig &config)
     // (a) Detection latency and protection against a real attack.
     {
         mem::MemorySystem machine{mem::SystemConfig{}};
-        pmu::Pmu pmu(machine);
-        detector::Anvil anvil(machine, pmu, config);
+        detector::Anvil anvil(machine, machine.pmu(), config);
         anvil.start();
         scenario::Attacker intruder(machine);
         const auto targets =
@@ -59,7 +57,6 @@ evaluate(const detector::AnvilConfig &config)
     // (b) Overhead and false positives on a benign workload.
     {
         mem::MemorySystem machine{mem::SystemConfig{}};
-        pmu::Pmu pmu(machine);
         workload::Workload load(machine,
                                 workload::spec_profile("libquantum"));
         const Tick base_start = machine.now();
@@ -67,8 +64,7 @@ evaluate(const detector::AnvilConfig &config)
         const Tick base = machine.now() - base_start;
 
         mem::MemorySystem machine2{mem::SystemConfig{}};
-        pmu::Pmu pmu2(machine2);
-        detector::Anvil anvil(machine2, pmu2, config);
+        detector::Anvil anvil(machine2, machine2.pmu(), config);
         anvil.set_ground_truth([] { return false; });
         anvil.start();
         workload::Workload load2(machine2,

@@ -42,6 +42,8 @@ Anvil::Anvil(mem::MemorySystem &mem, pmu::Pmu &pmu,
       config_(config),
       dram_map_(mem.dram().address_map())
 {
+    if (&pmu != &mem.pmu())  // no access reaches any other PMU
+        throw std::invalid_argument("Anvil: pmu is not mem.pmu()");
 }
 
 Anvil::~Anvil()

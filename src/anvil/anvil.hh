@@ -74,6 +74,7 @@ class Anvil
      * @param mem    the machine (clock, page tables, DRAM read primitive)
      * @param pmu    the performance-monitoring unit to program
      * @param config detector parameters
+     * @throws std::invalid_argument unless @p pmu is mem.pmu()
      */
     Anvil(mem::MemorySystem &mem, pmu::Pmu &pmu, const AnvilConfig &config);
     ~Anvil();

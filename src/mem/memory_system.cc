@@ -11,7 +11,8 @@ MemorySystem::MemorySystem(const SystemConfig &config)
     : config_(config),
       frames_(config.dram.capacity_bytes(), config.vm_seed),
       dram_(config.dram),
-      hierarchy_(config.cache)
+      hierarchy_(config.cache),
+      pmu_(*this)
 {
     const auto idx = [](DataSource s) {
         return static_cast<std::size_t>(s);
@@ -59,8 +60,7 @@ MemorySystem::complete(AddressSpace &space, Addr va, Addr pa,
     info.complete_time = clock_.now();
 
     space.note_access();
-    if (listener_ != nullptr)
-        listener_->on_access(info);
+    pmu_.on_access(info);
     for (const auto &observer : observers_)
         observer(info);
     return info;

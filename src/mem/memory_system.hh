@@ -4,8 +4,8 @@
  * hierarchy in front of DRAM, all advancing one shared simulated clock.
  *
  * This is the single point through which workloads and attacks touch
- * memory; PMU facilities observe completed accesses through the observer
- * hook, exactly as hardware counters observe the memory pipeline.
+ * memory; it owns the core's PMU and feeds it every completed access,
+ * exactly as hardware counters observe the memory pipeline.
  */
 #ifndef ANVIL_MEM_MEMORY_SYSTEM_HH
 #define ANVIL_MEM_MEMORY_SYSTEM_HH
@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "cache/access_program.hh"
@@ -22,8 +21,10 @@
 #include "common/types.hh"
 #include "common/units.hh"
 #include "dram/dram_system.hh"
+#include "mem/access_info.hh"
 #include "mem/clock.hh"
 #include "mem/virtual_memory.hh"
+#include "pmu/pmu.hh"
 
 namespace anvil::mem {
 
@@ -39,33 +40,6 @@ struct SystemConfig {
     /// 110 K x 2 x (150 + 8) cycles = 13.4 ms, plus refresh stalls.
     Cycles clflush_cycles = 8;
     std::uint64_t vm_seed = 0xF4A3E5EEDULL;
-};
-
-/** Everything known about one completed memory access. */
-struct AccessInfo {
-    Pid pid = 0;
-    Addr va = 0;
-    Addr pa = 0;
-    AccessType type = AccessType::kLoad;
-    DataSource source = DataSource::kL1;
-    Tick latency = 0;      ///< total, including DRAM if missed
-    bool llc_miss = false;
-    Tick complete_time = 0;
-};
-
-/**
- * Interface for the one component observing every access on the hot path:
- * the PMU, which the machine refuses to hold two of. A direct virtual call
- * through this interface replaces the generic std::function observer hop;
- * other observers (tests, perfbench telemetry) use add_observer().
- */
-class AccessListener
-{
-  public:
-    virtual ~AccessListener() = default;
-
-    /** Called after every completed access. */
-    virtual void on_access(const AccessInfo &info) = 0;
 };
 
 /**
@@ -110,14 +84,14 @@ class MemorySystem
 
     /**
      * Runs @p program's ops in @p pid as the same sequence of access()
-     * and clflush() calls would: identical cache, DRAM, clock, listener
-     * and observer effects, in the same order.
+     * and clflush() calls would: identical cache, DRAM, clock, PMU and
+     * observer effects, in the same order.
      *
      * It translates every op first, in program order (so translation
      * counts match), takes every op's cache outcome from the hierarchy in
      * one AccessProgram::execute(), and then runs each op's tail: for an
      * access the DRAM access on a miss at the current clock, the elapse
-     * with its alarm, the AccessInfo, note_access(), the listener and the
+     * with its alarm, the AccessInfo, note_access(), the PMU and the
      * observers; for a CLFLUSH the elapse of clflush_cycles.
      *
      * Why this is exact: nothing that runs inside a tail reads or writes
@@ -152,31 +126,11 @@ class MemorySystem
      */
     void refresh_row_phys(Addr pa);
 
-    /** Registers an observer of completed accesses (tests, telemetry). */
+    /** Registers an observer of completed accesses, called after the PMU. */
     void add_observer(Observer observer);
 
-    /**
-     * Makes @p listener THE direct access listener (the PMU; not owned: a
-     * listener that dies first clears itself). Notified before any generic
-     * observers.
-     * @throws std::logic_error if one is already registered.
-     */
-    void
-    set_access_listener(AccessListener &listener)
-    {
-        if (listener_ != nullptr)
-            throw std::logic_error("MemorySystem::set_access_listener: the "
-                                   "machine already has an access listener");
-        listener_ = &listener;
-    }
-
-    /** Empties the listener slot if @p listener holds it. */
-    void
-    clear_access_listener(const AccessListener &listener)
-    {
-        if (listener_ == &listener)
-            listener_ = nullptr;
-    }
+    /** The core's PMU: it sees every access, before any observer. */
+    pmu::Pmu &pmu() { return pmu_; }
 
     dram::DramSystem &dram() { return dram_; }
     const dram::DramSystem &dram() const { return dram_; }
@@ -200,13 +154,13 @@ class MemorySystem
     dram::DramSystem dram_;
     cache::CacheHierarchy hierarchy_;
     std::vector<std::unique_ptr<AddressSpace>> spaces_;
-    AccessListener *listener_ = nullptr;
     std::vector<Observer> observers_;
     /// cycles_to_ticks of the on-chip latency by DataSource (the hierarchy
     /// reports one of three fixed config latencies), precomputed so the
     /// per-access path needs no floating-point conversion.
     std::array<Tick, 4> on_chip_ticks_{};
     Tick clflush_ticks_ = 0;  ///< cycles_to_ticks(clflush_cycles)
+    pmu::Pmu pmu_;  ///< last: mid-class it slowed perfbench tracker_zoo 7.7%
 };
 
 }  // namespace anvil::mem

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <utility>
 
+#include "mem/memory_system.hh"
+
 namespace anvil::pmu {
 
 void
@@ -35,16 +37,7 @@ HwCounter::fire()
         handler();
 }
 
-Pmu::Pmu(mem::MemorySystem &mem, std::uint64_t seed)
-    : mem_(mem), rng_(seed)
-{
-    mem_.set_access_listener(*this);
-}
-
-Pmu::~Pmu()
-{
-    mem_.clear_access_listener(*this);
-}
+Pmu::Pmu(const mem::MemorySystem &mem) : mem_(mem) {}
 
 HwCounter &
 Pmu::counter(Event event)

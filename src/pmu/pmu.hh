@@ -12,9 +12,11 @@
  *  - the Precise Store facility: sampled stores recorded with virtual
  *    address and data source.
  *
- * The PMU observes completed accesses from the memory system exactly the
- * way the hardware observes the memory pipeline; the detector reads
- * counters and drains sample buffers, never the memory system directly.
+ * The PMU is part of the core: each mem::MemorySystem owns one
+ * (MemorySystem::pmu()) and feeds it every completed access, as the
+ * hardware observes the memory pipeline. The detector reads counters and
+ * drains sample buffers, never the memory system. A free-standing Pmu
+ * (perfbench's replay) sees only what is fed to its on_access().
  */
 #ifndef ANVIL_PMU_PMU_HH
 #define ANVIL_PMU_PMU_HH
@@ -27,7 +29,12 @@
 #include "common/compiler.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
-#include "mem/memory_system.hh"
+#include "common/units.hh"
+#include "mem/access_info.hh"
+
+namespace anvil::mem {
+class MemorySystem;
+}  // namespace anvil::mem
 
 namespace anvil::pmu {
 
@@ -55,9 +62,6 @@ class HwCounter
   public:
     /** Current count since the last reset. */
     std::uint64_t value() const { return value_; }
-
-    /** Resets the count (does not disturb an armed overflow). */
-    void reset() { value_ = 0; }
 
     /**
      * Arms an interrupt that fires when value() reaches @p threshold
@@ -117,18 +121,15 @@ struct SampleConfig {
     bool sample_stores = false;
 };
 
-/** The PMU. One per simulated core. */
-class Pmu : public mem::AccessListener
+/** The PMU. One per simulated core, a member of its MemorySystem. */
+class Pmu
 {
   public:
     /**
-     * Constructs and subscribes to @p mem's access stream as its direct
-     * access listener (no per-access std::function indirection).
-     * @throws std::logic_error if @p mem already has a listener (a second
-     *         PMU on one machine).
+     * A PMU reading @p mem's clock (sampling windows start at its now()).
+     * It counts only the accesses passed to on_access().
      */
-    explicit Pmu(mem::MemorySystem &mem, std::uint64_t seed = 0x9EB5ULL);
-    ~Pmu() override;
+    explicit Pmu(const mem::MemorySystem &mem);
 
     Pmu(const Pmu &) = delete;
     Pmu &operator=(const Pmu &) = delete;
@@ -158,8 +159,8 @@ class Pmu : public mem::AccessListener
     /** Number of records accumulated (without draining). */
     std::size_t pending_samples() const { return records_.size(); }
 
-    /** mem::AccessListener: called by the memory system on every access. */
-    void on_access(const mem::AccessInfo &info) override;
+    /** Called by the memory system after every completed access. */
+    void on_access(const mem::AccessInfo &info);
 
   private:
     void schedule_next_sample(Tick now);
@@ -167,8 +168,8 @@ class Pmu : public mem::AccessListener
     /** Appends the PEBS record of @p info and arms the next sample. */
     ANVIL_COLD void record_sample(const mem::AccessInfo &info);
 
-    mem::MemorySystem &mem_;
-    Rng rng_;
+    const mem::MemorySystem &mem_;
+    Rng rng_{0x9EB5ULL};  ///< the sampling jitter; no run varies its seed
     std::array<HwCounter, kNumEvents> counters_;
     SampleConfig sample_config_;
     bool sampling_enabled_ = false;

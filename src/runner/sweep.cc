@@ -13,6 +13,7 @@
 #include <thread>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 namespace anvil::runner {
@@ -227,16 +228,24 @@ fsync_parent_dir(const std::string &path)
 /**
  * Durably commits @p data to @p path: write a sibling temp file, fsync
  * it, then rename over the destination — a crash leaves either the old
- * committed artifact or the new one, never a torn hybrid.
+ * committed artifact or the new one, never a torn hybrid. A FIFO or
+ * device node is written in place: a rename would replace it.
  */
 bool
-atomic_write_file(const std::string &path, const std::string &data)
+commit_file(const std::string &path, const std::string &data)
 {
-    const std::string tmp = path + ".tmp";
-    const int fd = ::open(tmp.c_str(),
+    struct stat st;
+    const bool in_place =
+        ::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode);
+    const std::string target = in_place ? path : path + ".tmp";
+    const auto discard = [&] {
+        if (!in_place)
+            std::remove(target.c_str());
+    };
+    const int fd = ::open(target.c_str(),
                           O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
     if (fd < 0) {
-        std::cerr << "[runner] cannot open " << tmp
+        std::cerr << "[runner] cannot open " << target
                   << " for writing: " << std::strerror(errno) << "\n";
         return false;
     }
@@ -244,24 +253,27 @@ atomic_write_file(const std::string &path, const std::string &data)
     // report: a crash could then leave a torn report where a committed
     // one stood.
     try {
-        write_all(fd, data, tmp);
-        fsync_file(fd, tmp);
+        write_all(fd, data, target);
+        if (!in_place)
+            fsync_file(fd, target);
     } catch (const Error &e) {
         std::cerr << "[runner] " << e.what() << "\n";
         ::close(fd);
-        std::remove(tmp.c_str());
+        discard();
         return false;
     }
     if (::close(fd) != 0) {
-        std::cerr << "[runner] cannot close " << tmp << ": "
+        std::cerr << "[runner] cannot close " << target << ": "
                   << std::strerror(errno) << "\n";
-        std::remove(tmp.c_str());
+        discard();
         return false;
     }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::cerr << "[runner] cannot rename " << tmp << " to " << path
+    if (in_place)
+        return true;
+    if (std::rename(target.c_str(), path.c_str()) != 0) {
+        std::cerr << "[runner] cannot rename " << target << " to " << path
                   << ": " << std::strerror(errno) << "\n";
-        std::remove(tmp.c_str());
+        discard();
         return false;
     }
     // The rename is only durable once the directory entry is: without
@@ -284,7 +296,7 @@ write_json_output(const ResultSink &sink, const SweepOptions &options)
     }
     std::ostringstream out;
     sink.write_json(out);
-    return atomic_write_file(options.json_out, out.str());
+    return commit_file(options.json_out, out.str());
 }
 
 int

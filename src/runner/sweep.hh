@@ -135,7 +135,8 @@ enum ExitCode : int {
 /**
  * Writes the sweep's JSON report according to @p options.json_out. File
  * writes are atomic (temp file + rename): a crash can never leave a
- * half-written report where a committed one stood.
+ * half-written report where a committed one stood. A FIFO or device node
+ * is written in place.
  * @return false only if a report was requested and could not be written;
  *         callers should propagate that as a nonzero exit code.
  */

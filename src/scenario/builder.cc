@@ -132,10 +132,9 @@ ScenarioBuilder::build()
     config.dram.model_disturbance = reads_flips(spec_);
 
     e.machine_ = std::make_unique<mem::MemorySystem>(config);
-    e.pmu_ = std::make_unique<pmu::Pmu>(*e.machine_);
 
     // Attacker processes map and scan their buffers right after the
-    // machine and PMU come up, before any workload arena claims frames.
+    // machine comes up, before any workload arena claims frames.
     for (const TenantSpec &t : spec_.tenants) {
         if (t.attack) {
             e.attacks_.emplace_back().attacker =

@@ -7,9 +7,9 @@
  * step, the construction sequence the hand-written experiments used, so
  * migrated scenarios stay bit-identical for a fixed trial seed:
  *
- *   1. machine + PMU, with the trial's "vm" sub-stream seeding the page
- *      allocator; then every attacker tenant's process (buffer mmap +
- *      pagemap scan), in tenant order;
+ *   1. machine (its PMU included), with the trial's "vm" sub-stream
+ *      seeding the page allocator; then every attacker tenant's process
+ *      (buffer mmap + pagemap scan), in tenant order;
  *   2. hardware mitigation attached to the DRAM device;
  *   3. pre-detector clock advance (layout/refresh-phase jitter);
  *   4. workload tenants' processes (each seeded from its named
@@ -88,7 +88,7 @@ class Execution
   public:
     mem::MemorySystem &machine() { return *machine_; }
     const mem::MemorySystem &machine() const { return *machine_; }
-    pmu::Pmu &pmu() { return *pmu_; }
+    pmu::Pmu &pmu() { return machine_->pmu(); }
     /** The detector; nullptr when the scenario runs unprotected. */
     detector::Anvil *anvil() { return anvil_.get(); }
     /** The hardware mitigation tracker; nullptr when none configured. */
@@ -118,7 +118,6 @@ class Execution
     friend class ScenarioBuilder;
 
     std::unique_ptr<mem::MemorySystem> machine_;
-    std::unique_ptr<pmu::Pmu> pmu_;
     std::unique_ptr<mitigations::Mitigation> mitigation_;
     std::vector<std::unique_ptr<workload::Workload>> workloads_;
     double boost_ = 1.0;

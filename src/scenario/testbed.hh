@@ -5,8 +5,8 @@
  * selection, refresh-phase alignment, and the thrash-rate
  * importance-sampling boost. Scenarios, benches, examples, and tests all
  * share this one apparatus; a caller that wants a bare machine with an
- * attacker builds `mem::MemorySystem`, `pmu::Pmu` and `Attacker`, in
- * that order, and calls the free functions below.
+ * attacker builds `mem::MemorySystem` (its PMU included) and `Attacker`,
+ * in that order, and calls the free functions below.
  */
 #ifndef ANVIL_SCENARIO_TESTBED_HH
 #define ANVIL_SCENARIO_TESTBED_HH

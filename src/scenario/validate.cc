@@ -386,6 +386,21 @@ validate(const ScenarioSpec &spec)
                   std::to_string(dram.variation_spread));
     }
 
+    // Else a window ends where it starts, arm_overflow asserts, or
+    // Anvil::begin_stage2's sampling period is undefined.
+    if (const auto &detector = spec.detector) {
+        require_nonzero(spec, "detector.tc", detector->tc);
+        require_nonzero(spec, "detector.ts", detector->ts);
+        require_nonzero(spec, "detector.llc_miss_threshold",
+                        detector->llc_miss_threshold);
+        if (!std::isfinite(detector->samples_per_sec) ||
+            detector->samples_per_sec <= 0.0) {
+            throw cell_error(spec, "detector.samples_per_sec must be "
+                                   "finite and positive")
+                .with("value", std::to_string(detector->samples_per_sec));
+        }
+    }
+
     const std::vector<std::string> labels = tenant_labels(spec);
     std::uint64_t attackers = 0;
     bool has_workload = false;

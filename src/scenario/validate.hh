@@ -23,7 +23,8 @@ namespace anvil::scenario {
 
 /**
  * Checks one scenario cell: machine geometry (power-of-two cache sets,
- * non-degenerate DRAM, tREFI above tRFC), workload profile existence,
+ * non-degenerate DRAM, tREFI above tRFC), the detector's windows,
+ * miss threshold and sample rate, workload profile existence,
  * and the requirement rows of its run mode and each of its outputs
  * (hammer/pattern modes need exactly one tenant, an attacker;
  * kWorkloadOps at least one workload and no attacker; quota modes a

@@ -47,14 +47,13 @@ TEST(AnvilConfig, ThresholdDerivationFromTable1)
     EXPECT_LE(AnvilConfig::baseline().llc_miss_threshold, per_window);
 }
 
-/** Machine + PMU + attacker process, shared by the detector tests. */
+/** Machine (with its PMU) + attacker process, shared by the detector tests. */
 class AnvilTest : public ::testing::Test
 {
   protected:
     AnvilTest()
     {
         machine_ = std::make_unique<mem::MemorySystem>(mem::SystemConfig{});
-        pmu_ = std::make_unique<pmu::Pmu>(*machine_);
         attacker_ = &machine_->create_process();
         buffer_ = attacker_->mmap(kBufferBytes);
         layout_ = std::make_unique<attack::MemoryLayout>(
@@ -73,7 +72,6 @@ class AnvilTest : public ::testing::Test
 
     static constexpr std::uint64_t kBufferBytes = 64ULL << 20;
     std::unique_ptr<mem::MemorySystem> machine_;
-    std::unique_ptr<pmu::Pmu> pmu_;
     mem::AddressSpace *attacker_ = nullptr;
     Addr buffer_ = 0;
     std::unique_ptr<attack::MemoryLayout> layout_;
@@ -81,7 +79,7 @@ class AnvilTest : public ::testing::Test
 
 TEST_F(AnvilTest, IdleSystemNeverEscalates)
 {
-    Anvil anvil(*machine_, *pmu_, AnvilConfig::baseline());
+    Anvil anvil(*machine_, machine_->pmu(), AnvilConfig::baseline());
     anvil.start();
     machine_->advance(ms(100));
     anvil.stop();
@@ -94,7 +92,7 @@ TEST_F(AnvilTest, IdleSystemNeverEscalates)
 
 TEST_F(AnvilTest, StartStopIdempotent)
 {
-    Anvil anvil(*machine_, *pmu_, AnvilConfig::baseline());
+    Anvil anvil(*machine_, machine_->pmu(), AnvilConfig::baseline());
     anvil.start();
     anvil.start();
     EXPECT_TRUE(anvil.running());
@@ -109,7 +107,7 @@ TEST_F(AnvilTest, StartStopIdempotent)
 
 TEST_F(AnvilTest, StopLeavesNoAlarmPending)
 {
-    Anvil anvil(*machine_, *pmu_, AnvilConfig::baseline());
+    Anvil anvil(*machine_, machine_->pmu(), AnvilConfig::baseline());
     anvil.start();
     EXPECT_TRUE(machine_->clock().alarm_pending());  // the tc window
     machine_->advance(ms(20));
@@ -124,8 +122,8 @@ TEST_F(AnvilTest, StopLeavesNoAlarmPending)
     EXPECT_GT(anvil.stats().stage2_windows, 0u);
     anvil.stop();
     EXPECT_FALSE(machine_->clock().alarm_pending());
-    EXPECT_FALSE(pmu_->counter(pmu::Event::kLlcMisses).armed());
-    EXPECT_FALSE(pmu_->sampling_enabled());
+    EXPECT_FALSE(machine_->pmu().counter(pmu::Event::kLlcMisses).armed());
+    EXPECT_FALSE(machine_->pmu().sampling_enabled());
 }
 
 TEST_F(AnvilTest, SecondDetectorStartIsRefused)
@@ -133,12 +131,12 @@ TEST_F(AnvilTest, SecondDetectorStartIsRefused)
     // One machine, one window alarm: a second detector may start only
     // once the first has stopped, and a refused start leaves the running
     // one untouched.
-    Anvil first(*machine_, *pmu_, AnvilConfig::baseline());
-    Anvil second(*machine_, *pmu_, AnvilConfig::heavy());
+    Anvil first(*machine_, machine_->pmu(), AnvilConfig::baseline());
+    Anvil second(*machine_, machine_->pmu(), AnvilConfig::heavy());
     first.start();
     EXPECT_THROW(second.start(), std::logic_error);
     EXPECT_FALSE(second.running());
-    EXPECT_TRUE(pmu_->counter(pmu::Event::kLlcMisses).armed());
+    EXPECT_TRUE(machine_->pmu().counter(pmu::Event::kLlcMisses).armed());
 
     machine_->advance(ms(30));
     EXPECT_GE(first.stats().stage1_windows, 5u);
@@ -151,9 +149,23 @@ TEST_F(AnvilTest, SecondDetectorStartIsRefused)
     EXPECT_GE(second.stats().stage1_windows, 5u);  // 2 ms tc windows
 }
 
+TEST_F(AnvilTest, PmuOfAnotherMachineIsRefused)
+{
+    // No access of *machine_ reaches another machine's PMU, so a detector
+    // programming it would never interrupt: construction refuses it.
+    mem::MemorySystem other{mem::SystemConfig{}};
+    EXPECT_THROW(
+        { Anvil blind(*machine_, other.pmu(), AnvilConfig::baseline()); },
+        std::invalid_argument);
+    Anvil anvil(*machine_, machine_->pmu(), AnvilConfig::baseline());
+    anvil.start();
+    EXPECT_TRUE(machine_->pmu().counter(pmu::Event::kLlcMisses).armed());
+    EXPECT_FALSE(other.pmu().counter(pmu::Event::kLlcMisses).armed());
+}
+
 TEST_F(AnvilTest, DetectsClflushAttackWithinOneRefreshPeriod)
 {
-    Anvil anvil(*machine_, *pmu_, AnvilConfig::baseline());
+    Anvil anvil(*machine_, machine_->pmu(), AnvilConfig::baseline());
     anvil.set_ground_truth([] { return true; });
     anvil.start();
 
@@ -174,7 +186,7 @@ TEST_F(AnvilTest, DetectsClflushAttackWithinOneRefreshPeriod)
 
 TEST_F(AnvilTest, DetectionIdentifiesTheTrueAggressorRows)
 {
-    Anvil anvil(*machine_, *pmu_, AnvilConfig::baseline());
+    Anvil anvil(*machine_, machine_->pmu(), AnvilConfig::baseline());
     anvil.start();
     const auto target = first_target();
     attack::ClflushDoubleSided hammer(*machine_, attacker_->pid(), target);
@@ -194,7 +206,7 @@ TEST_F(AnvilTest, DetectionIdentifiesTheTrueAggressorRows)
 
 TEST_F(AnvilTest, StopsClflushFreeAttack)
 {
-    Anvil anvil(*machine_, *pmu_, AnvilConfig::baseline());
+    Anvil anvil(*machine_, machine_->pmu(), AnvilConfig::baseline());
     anvil.set_ground_truth([] { return true; });
     anvil.start();
 
@@ -222,7 +234,7 @@ TEST_F(AnvilTest, StopsStoreBasedAttackViaPreciseStoreSampling)
     // come through the Precise Store facility ("if load operations
     // account for less than 10% of all misses, only stores are sampled",
     // Section 3.3).
-    Anvil anvil(*machine_, *pmu_, AnvilConfig::baseline());
+    Anvil anvil(*machine_, machine_->pmu(), AnvilConfig::baseline());
     anvil.start();
     attack::ClflushDoubleSided hammer(*machine_, attacker_->pid(),
                                       first_target(), AccessType::kStore);
@@ -231,13 +243,13 @@ TEST_F(AnvilTest, StopsStoreBasedAttackViaPreciseStoreSampling)
     EXPECT_TRUE(machine_->dram().flips().empty());
     EXPECT_GE(anvil.stats().detections, 1u);
     // And the stores really were the miss stream.
-    EXPECT_GT(pmu_->counter(pmu::Event::kLlcStoreMisses).value(),
-              pmu_->counter(pmu::Event::kLlcLoadMisses).value());
+    EXPECT_GT(machine_->pmu().counter(pmu::Event::kLlcStoreMisses).value(),
+              machine_->pmu().counter(pmu::Event::kLlcLoadMisses).value());
 }
 
 TEST_F(AnvilTest, StopsSingleSidedAttack)
 {
-    Anvil anvil(*machine_, *pmu_, AnvilConfig::baseline());
+    Anvil anvil(*machine_, machine_->pmu(), AnvilConfig::baseline());
     anvil.start();
     const auto targets = layout_->find_single_sided_targets(4, 64);
     ASSERT_FALSE(targets.empty());
@@ -253,7 +265,7 @@ TEST_F(AnvilTest, SelectiveRefreshRateIsBoundedWhileUnderAttack)
     // Table 3: ~5-13 refreshes per 64 ms — and crucially far below any
     // rate that could itself hammer (the selective read rate must stay
     // orders of magnitude below 110 K per 64 ms).
-    Anvil anvil(*machine_, *pmu_, AnvilConfig::baseline());
+    Anvil anvil(*machine_, machine_->pmu(), AnvilConfig::baseline());
     anvil.start();
     attack::ClflushDoubleSided hammer(*machine_, attacker_->pid(),
                                       first_target());
@@ -270,7 +282,7 @@ TEST_F(AnvilTest, VictimWindowsNeverApproachThresholdUnderProtection)
 {
     // Stronger-than-zero-flips property: with ANVIL active, the victim's
     // accumulated disturbance stays well below the flip threshold.
-    Anvil anvil(*machine_, *pmu_, AnvilConfig::baseline());
+    Anvil anvil(*machine_, machine_->pmu(), AnvilConfig::baseline());
     anvil.start();
     const auto target = first_target();
     attack::ClflushDoubleSided hammer(*machine_, attacker_->pid(), target);
@@ -292,10 +304,9 @@ TEST_F(AnvilTest, BankLocalityFilterSuppressesSingleRowMissStorms)
     // re-read) interleaved with a streaming scan.
     auto run = [](std::uint32_t min_bank_samples) {
         mem::MemorySystem machine{mem::SystemConfig{}};
-        pmu::Pmu pmu(machine);
         AnvilConfig config = AnvilConfig::baseline();
         config.min_bank_samples = min_bank_samples;
-        Anvil anvil(machine, pmu, config);
+        Anvil anvil(machine, machine.pmu(), config);
         anvil.set_ground_truth([] { return false; });
         anvil.start();
 
@@ -333,10 +344,9 @@ TEST_F(AnvilTest, TwoStageGateIsTheCheapPath)
     // low-miss workload far more — and it must still stop attacks.
     auto overhead_on_quiet_workload = [](bool two_stage) {
         mem::MemorySystem machine{mem::SystemConfig{}};
-        pmu::Pmu pmu(machine);
         AnvilConfig config = AnvilConfig::baseline();
         config.two_stage = two_stage;
-        Anvil anvil(machine, pmu, config);
+        Anvil anvil(machine, machine.pmu(), config);
         anvil.start();
         workload::Workload load(machine, workload::spec_profile("sjeng"));
         load.run_ops(300000);
@@ -349,7 +359,7 @@ TEST_F(AnvilTest, TwoStageGateIsTheCheapPath)
     // Single-stage still protects (it is strictly more watchful).
     AnvilConfig config = AnvilConfig::baseline();
     config.two_stage = false;
-    Anvil anvil(*machine_, *pmu_, config);
+    Anvil anvil(*machine_, machine_->pmu(), config);
     anvil.start();
     attack::ClflushDoubleSided hammer(*machine_, attacker_->pid(),
                                       first_target());
@@ -359,7 +369,7 @@ TEST_F(AnvilTest, TwoStageGateIsTheCheapPath)
 
 TEST_F(AnvilTest, OverheadIsChargedToTheCore)
 {
-    Anvil anvil(*machine_, *pmu_, AnvilConfig::baseline());
+    Anvil anvil(*machine_, machine_->pmu(), AnvilConfig::baseline());
     anvil.start();
     attack::ClflushDoubleSided hammer(*machine_, attacker_->pid(),
                                       first_target());
@@ -377,14 +387,13 @@ TEST_F(AnvilTest, HeavyConfigDetectsFasterAttacks)
     mem::SystemConfig config;
     config.dram.flip_threshold = 200000;  // ~55 K per side double-sided
     mem::MemorySystem machine(config);
-    pmu::Pmu pmu(machine);
     mem::AddressSpace &attacker = machine.create_process();
     const Addr buffer = attacker.mmap(kBufferBytes);
     attack::MemoryLayout layout(attacker, machine.dram().address_map(),
                                 machine.hierarchy());
     layout.scan(buffer, kBufferBytes);
 
-    Anvil anvil(machine, pmu, AnvilConfig::heavy());
+    Anvil anvil(machine, machine.pmu(), AnvilConfig::heavy());
     anvil.start();
     const auto targets = layout.find_double_sided_targets(4);
     ASSERT_FALSE(targets.empty());
@@ -403,14 +412,13 @@ TEST_F(AnvilTest, LightConfigDetectsSpreadOutAttacks)
     mem::SystemConfig config;
     config.dram.flip_threshold = 200000;  // flips at ~55 K per side
     mem::MemorySystem machine(config);
-    pmu::Pmu pmu(machine);
     mem::AddressSpace &attacker = machine.create_process();
     const Addr buffer = attacker.mmap(kBufferBytes);
     attack::MemoryLayout layout(attacker, machine.dram().address_map(),
                                 machine.hierarchy());
     layout.scan(buffer, kBufferBytes);
 
-    Anvil anvil(machine, pmu, AnvilConfig::light());
+    Anvil anvil(machine, machine.pmu(), AnvilConfig::light());
     anvil.start();
     const auto targets = layout.find_double_sided_targets(4);
     ASSERT_FALSE(targets.empty());

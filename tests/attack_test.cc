@@ -26,7 +26,6 @@
 #include "common/rng.hh"
 #include "common/units.hh"
 #include "mem/memory_system.hh"
-#include "pmu/pmu.hh"
 #include "workload/profile.hh"
 #include "workload/workload.hh"
 
@@ -922,13 +921,13 @@ struct Rig {
         config.dram.flip_threshold = 600;
         config.dram.second_neighbor_weight = 0.5;
         machine = std::make_unique<mem::MemorySystem>(config);
-        pmu = std::make_unique<pmu::Pmu>(*machine);
         detector::AnvilConfig fast = detector::AnvilConfig::baseline();
         fast.tc = us(50);
         fast.ts = us(50);
         fast.llc_miss_threshold = 100;
         fast.samples_per_sec = 400000;
-        anvil = std::make_unique<detector::Anvil>(*machine, *pmu, fast);
+        anvil = std::make_unique<detector::Anvil>(*machine, machine->pmu(),
+                                                  fast);
         attacker = &machine->create_process();
         buffer = attacker->mmap(kBufferBytes);
         layout = std::make_unique<MemoryLayout>(
@@ -951,7 +950,6 @@ struct Rig {
     }
 
     std::unique_ptr<mem::MemorySystem> machine;
-    std::unique_ptr<pmu::Pmu> pmu;
     std::unique_ptr<detector::Anvil> anvil;
     mem::AddressSpace *attacker = nullptr;
     Addr buffer = 0;

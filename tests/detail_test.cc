@@ -29,7 +29,7 @@ class DetectorDetail : public ::testing::Test
   protected:
     DetectorDetail()
         : machine(mem::SystemConfig{}),
-          pmu(machine),
+          pmu(machine.pmu()),
           proc(&machine.create_process()),
           arena(proc->mmap(32ULL << 20))
     {
@@ -48,7 +48,7 @@ class DetectorDetail : public ::testing::Test
     }
 
     mem::MemorySystem machine;
-    pmu::Pmu pmu;
+    pmu::Pmu &pmu;
     mem::AddressSpace *proc;
     Addr arena;
     std::uint64_t stream = 0;
@@ -266,9 +266,9 @@ TEST(Composition, AnvilAndTrrCoexist)
     // Defense in depth: a machine with both TRR and ANVIL still stops the
     // attack and neither interferes with the other.
     mem::MemorySystem machine{mem::SystemConfig{}};
-    pmu::Pmu pmu(machine);
     mitigations::Trr trr(machine.dram(), 32000);
-    detector::Anvil anvil(machine, pmu, detector::AnvilConfig::baseline());
+    detector::Anvil anvil(machine, machine.pmu(),
+                          detector::AnvilConfig::baseline());
     anvil.start();
 
     mem::AddressSpace &attacker = machine.create_process();

@@ -20,7 +20,6 @@
 #include "mem/memory_system.hh"
 #include "mitigations/counter_trr.hh"
 #include "mitigations/registry.hh"
-#include "pmu/pmu.hh"
 #include "scenario/scheduler.hh"
 #include "workload/workload.hh"
 
@@ -46,7 +45,6 @@ run_scenario(std::uint64_t seed)
     mem::SystemConfig config;
     config.vm_seed = seed;
     mem::MemorySystem machine(config);
-    pmu::Pmu pmu(machine);
 
     mem::AddressSpace &attacker = machine.create_process();
     const std::uint64_t buffer_bytes = 16ULL << 20;
@@ -62,7 +60,7 @@ run_scenario(std::uint64_t seed)
     profile.seed = seed ^ 0x9e3779b97f4a7c15ULL;
     workload::Workload background(machine, profile);
 
-    detector::Anvil anvil(machine, pmu,
+    detector::Anvil anvil(machine, machine.pmu(),
                           detector::AnvilConfig::baseline());
     anvil.set_ground_truth([] { return true; });
     anvil.start();

@@ -2,18 +2,26 @@
  * @file
  * Tests of the sweep engine's fault paths, driven by real faults: a trial
  * body that outruns its watchdog budget becomes a recorded timeout, and
- * the report commit refuses an unsynced or unwritable file. (A throwing
- * trial body is covered by Sweep.TrialExceptionBecomesErrorNotCrash in
- * runner_test.cc.)
+ * the report commit refuses an unsynced or unwritable file and writes a
+ * FIFO in place. (A throwing trial body is covered by
+ * Sweep.TrialExceptionBecomesErrorNotCrash in runner_test.cc.)
  */
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+
+#include <fcntl.h>
+#include <poll.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "common/error.hh"
 #include "runner/result_sink.hh"
@@ -165,6 +173,45 @@ TEST(Output, FailedFsyncCommitsNoReport)
 
     std::remove(options.json_out.c_str());
     std::remove(tmp.c_str());
+}
+
+TEST(Output, ReportToAFifoReachesItsReaderAndKeepsTheFifo)
+{
+    // `--json-out` naming a FIFO: the report goes through the FIFO to its
+    // reader, and the FIFO stays a FIFO rather than being renamed over.
+    runner::SweepOptions options = base_options();
+    options.json_out = temp_path("report.fifo");
+    ASSERT_EQ(::mkfifo(options.json_out.c_str(), 0600), 0)
+        << std::strerror(errno);
+    // Opened before the commit, so the writer's open does not wait; the
+    // reader gives up after 10 s without data (a report that never comes).
+    const int rfd = ::open(options.json_out.c_str(),
+                           O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+    ASSERT_GE(rfd, 0) << std::strerror(errno);
+    std::string received;
+    std::thread reader([rfd, &received] {
+        pollfd pfd{rfd, POLLIN, 0};
+        char buf[4096];
+        while (::poll(&pfd, 1, 10000) > 0) {
+            const ssize_t n = ::read(rfd, buf, sizeof buf);
+            if (n > 0)
+                received.append(buf, static_cast<std::size_t>(n));
+            else if (n == 0 || errno != EAGAIN)
+                break;
+        }
+    });
+
+    const runner::SweepRun run = run_synthetic(options);
+    EXPECT_EQ(runner::finish_sweep(run, options), runner::kExitOk);
+    reader.join();
+    ::close(rfd);
+
+    EXPECT_EQ(received, json_of(run));
+    struct stat st;
+    ASSERT_EQ(::lstat(options.json_out.c_str(), &st), 0);
+    EXPECT_TRUE(S_ISFIFO(st.st_mode)) << "the FIFO was replaced";
+    EXPECT_FALSE(entry_exists(options.json_out + ".tmp"));
+    std::remove(options.json_out.c_str());
 }
 
 TEST(Output, UnwritableReportPathStillRunsAndExitsJsonError)

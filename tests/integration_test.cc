@@ -12,7 +12,6 @@
 #include "attack/memory_layout.hh"
 #include "common/units.hh"
 #include "mem/memory_system.hh"
-#include "pmu/pmu.hh"
 #include "scenario/scheduler.hh"
 #include "workload/workload.hh"
 
@@ -24,7 +23,6 @@ TEST(Integration, Table3HeavyLoadScenario)
     // CLFLUSH attack + mcf + libquantum + omnetpp, all under ANVIL:
     // detection still lands within a refresh period and no bits flip.
     mem::MemorySystem machine{mem::SystemConfig{}};
-    pmu::Pmu pmu(machine);
 
     mem::AddressSpace &attacker = machine.create_process();
     const std::uint64_t buffer_bytes = 64ULL << 20;
@@ -39,7 +37,8 @@ TEST(Integration, Table3HeavyLoadScenario)
     workload::Workload libq(machine, workload::spec_profile("libquantum"));
     workload::Workload omnet(machine, workload::spec_profile("omnetpp"));
 
-    detector::Anvil anvil(machine, pmu, detector::AnvilConfig::baseline());
+    detector::Anvil anvil(machine, machine.pmu(),
+                          detector::AnvilConfig::baseline());
     bool attack_running = false;
     anvil.set_ground_truth([&] { return attack_running; });
     anvil.start();
@@ -101,8 +100,8 @@ TEST(Integration, BenignLowMissWorkloadProducesNoRefreshes)
     // Table 4: h264ref/hmmer-class workloads see zero superfluous
     // refreshes.
     mem::MemorySystem machine{mem::SystemConfig{}};
-    pmu::Pmu pmu(machine);
-    detector::Anvil anvil(machine, pmu, detector::AnvilConfig::baseline());
+    detector::Anvil anvil(machine, machine.pmu(),
+                          detector::AnvilConfig::baseline());
     anvil.set_ground_truth([] { return false; });
     anvil.start();
     workload::Workload load(machine, workload::spec_profile("h264ref"));
@@ -115,8 +114,8 @@ TEST(Integration, MemoryIntensiveStreamingIsNotFlagged)
     // libquantum's streaming crosses Stage 1 constantly but has no row
     // locality: Stage 2 must reject it (low false positives, Table 4).
     mem::MemorySystem machine{mem::SystemConfig{}};
-    pmu::Pmu pmu(machine);
-    detector::Anvil anvil(machine, pmu, detector::AnvilConfig::baseline());
+    detector::Anvil anvil(machine, machine.pmu(),
+                          detector::AnvilConfig::baseline());
     anvil.set_ground_truth([] { return false; });
     anvil.start();
     workload::SpecProfile profile = workload::spec_profile("libquantum");
@@ -134,11 +133,10 @@ TEST(Integration, SlowdownMethodologyFixedWork)
     // benchmark and bounded for a high-miss one.
     auto run_time = [](const char *name, bool with_anvil) {
         mem::MemorySystem machine{mem::SystemConfig{}};
-        pmu::Pmu pmu(machine);
         std::unique_ptr<detector::Anvil> anvil;
         if (with_anvil) {
             anvil = std::make_unique<detector::Anvil>(
-                machine, pmu, detector::AnvilConfig::baseline());
+                machine, machine.pmu(), detector::AnvilConfig::baseline());
             anvil->start();
         }
         workload::Workload load(machine, workload::spec_profile(name));
@@ -184,7 +182,6 @@ TEST(Integration, AttackAfterAnvilUnloadSucceedsAgain)
     // The protection is the module, not the simulator: unloading ANVIL
     // re-exposes the machine.
     mem::MemorySystem machine{mem::SystemConfig{}};
-    pmu::Pmu pmu(machine);
     mem::AddressSpace &attacker = machine.create_process();
     const Addr buffer = attacker.mmap(64ULL << 20);
     attack::MemoryLayout layout(attacker, machine.dram().address_map(),
@@ -200,7 +197,8 @@ TEST(Integration, AttackAfterAnvilUnloadSucceedsAgain)
     }
     ASSERT_TRUE(chosen.has_value());
 
-    detector::Anvil anvil(machine, pmu, detector::AnvilConfig::baseline());
+    detector::Anvil anvil(machine, machine.pmu(),
+                          detector::AnvilConfig::baseline());
     anvil.start();
     attack::ClflushDoubleSided hammer(machine, attacker.pid(), *chosen);
     EXPECT_FALSE(hammer.run(ms(64)).flipped);

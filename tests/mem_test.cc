@@ -627,7 +627,7 @@ TEST_F(MemorySystemTest, TlbFlushesStayWithinTheirSpace)
  */
 struct ObservedMachine : dram::ActivationObserver {
     explicit ObservedMachine(const SystemConfig &config)
-        : mem(config), pmu(mem, 0x5A11ULL)
+        : mem(config), pmu(mem.pmu())
     {
         pmu::SampleConfig sampling;
         sampling.mean_period = us(2);
@@ -671,7 +671,7 @@ struct ObservedMachine : dram::ActivationObserver {
     }
 
     MemorySystem mem;
-    pmu::Pmu pmu;
+    pmu::Pmu &pmu;
     std::uint64_t timer_fires = 0;
     std::uint64_t pmis = 0;
     std::uint64_t activations = 0;

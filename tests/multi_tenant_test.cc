@@ -16,7 +16,6 @@
 #include "common/error.hh"
 #include "common/units.hh"
 #include "mem/memory_system.hh"
-#include "pmu/pmu.hh"
 #include "runner/trial.hh"
 #include "scenario/builder.hh"
 #include "scenario/scheduler.hh"
@@ -310,12 +309,12 @@ TEST(CrossTenantAttribution, HammeringProcessIsBlamedNotItsNeighbor)
     // every detection to the hammering pid even though the idle
     // neighbor was created first.
     mem::MemorySystem machine{mem::SystemConfig{}};
-    pmu::Pmu pmu(machine);
     mem::AddressSpace &bystander = machine.create_process();
     (void)bystander.mmap(1 << 20);
     scenario::Attacker hammerer(machine);
 
-    detector::Anvil anvil(machine, pmu, detector::AnvilConfig::baseline());
+    detector::Anvil anvil(machine, machine.pmu(),
+                          detector::AnvilConfig::baseline());
     anvil.start();
 
     const auto target =

@@ -5,7 +5,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <stdexcept>
 #include <vector>
 
 #include "common/units.hh"
@@ -28,7 +27,7 @@ small_system()
 class PmuTest : public ::testing::Test
 {
   protected:
-    PmuTest() : machine_(small_system()), pmu_(machine_)
+    PmuTest() : machine_(small_system()), pmu_(machine_.pmu())
     {
         proc_ = &machine_.create_process();
         arena_ = proc_->mmap(arena_bytes_);
@@ -66,7 +65,7 @@ class PmuTest : public ::testing::Test
 
     static constexpr std::uint64_t arena_bytes_ = 16ULL << 20;
     mem::MemorySystem machine_;
-    Pmu pmu_;
+    Pmu &pmu_;
     mem::AddressSpace *proc_ = nullptr;
     Addr arena_ = 0;
     std::uint64_t stream_ = 0;
@@ -225,14 +224,23 @@ TEST_F(PmuTest, DisableSamplingStopsRecords)
     EXPECT_EQ(pmu_.pending_samples(), 0u);
 }
 
-TEST_F(PmuTest, SecondPmuIsRefusedAndTheFirstKeepsCounting)
+TEST(MachinePmu, FreshMachineCountsFromItsFirstAccess)
 {
-    // A second PMU taking the machine's one listener slot would leave the
-    // first counting nothing, and its destructor would empty the slot.
-    EXPECT_THROW({ Pmu second(machine_); }, std::logic_error);
-    stream_misses(100);
-    EXPECT_EQ(pmu_.counter(Event::kLlcMisses).value(), 100u);
-    EXPECT_EQ(pmu_.counter(Event::kLoadsRetired).value(), 100u);
+    // The PMU is part of the machine: nothing is built or registered
+    // before the first access, and that access is already counted.
+    mem::MemorySystem machine(small_system());
+    mem::AddressSpace &proc = machine.create_process();
+    const Addr arena = proc.mmap(1ULL << 20);
+    const Pmu &pmu = machine.pmu();
+    EXPECT_EQ(pmu.counter(Event::kLoadsRetired).value(), 0u);
+
+    machine.access(proc.pid(), arena, AccessType::kLoad);
+    EXPECT_EQ(pmu.counter(Event::kLoadsRetired).value(), 1u);
+    EXPECT_EQ(pmu.counter(Event::kLlcMisses).value(), 1u);
+    EXPECT_EQ(pmu.counter(Event::kLlcLoadMisses).value(), 1u);
+    machine.access(proc.pid(), arena, AccessType::kStore);
+    EXPECT_EQ(pmu.counter(Event::kStoresRetired).value(), 1u);
+    EXPECT_EQ(pmu.counter(Event::kLlcMisses).value(), 1u);
 }
 
 }  // namespace

@@ -21,7 +21,6 @@
 #include "dram/dram_system.hh"
 #include "mem/memory_system.hh"
 #include "mitigations/registry.hh"
-#include "pmu/pmu.hh"
 #include "scenario/scheduler.hh"
 #include "scenario/testbed.hh"
 #include "workload/workload.hh"
@@ -274,8 +273,7 @@ class DetectorConfigSweep
 TEST_P(DetectorConfigSweep, StopsTheBaselineAttackWithZeroFlips)
 {
     mem::MemorySystem machine{mem::SystemConfig{}};
-    pmu::Pmu pmu(machine);
-    detector::Anvil anvil(machine, pmu, GetParam());
+    detector::Anvil anvil(machine, machine.pmu(), GetParam());
     anvil.start();
 
     mem::AddressSpace &attacker = machine.create_process();
@@ -504,7 +502,6 @@ run_sink_rig(SinkRig rig, bool model_disturbance)
         config.dram.second_neighbor_weight = 0.5;
     }
     mem::MemorySystem machine(config);
-    pmu::Pmu pmu(machine);
     scenario::Attacker attacker(machine);
     scenario::TenantScheduler sched(machine);
 
@@ -519,7 +516,7 @@ run_sink_rig(SinkRig rig, bool model_disturbance)
           workload::SpecProfile profile = workload::spec_profile("gcc");
           scenario::boost_thrash_rate(profile);
           anvil = std::make_unique<detector::Anvil>(
-              machine, pmu, detector::AnvilConfig::baseline());
+              machine, machine.pmu(), detector::AnvilConfig::baseline());
           anvil->start();
           load = std::make_unique<workload::Workload>(machine, profile);
           duration = ms(150);
@@ -542,7 +539,7 @@ run_sink_rig(SinkRig rig, bool model_disturbance)
           if (!target)
               throw std::runtime_error("no double-sided target");
           anvil = std::make_unique<detector::Anvil>(
-              machine, pmu, detector::AnvilConfig::baseline());
+              machine, machine.pmu(), detector::AnvilConfig::baseline());
           anvil->start();
           hammer = std::make_unique<attack::ClflushDoubleSided>(
               machine, attacker.pid(), *target);

@@ -17,7 +17,6 @@
 #include "attack/memory_layout.hh"
 #include "common/units.hh"
 #include "mem/memory_system.hh"
-#include "pmu/pmu.hh"
 #include "runner/json.hh"
 #include "runner/options.hh"
 #include "runner/result_sink.hh"
@@ -503,7 +502,6 @@ detection_trial(const runner::TrialContext &ctx)
     mem::SystemConfig config;
     config.vm_seed = ctx.seed_for("vm");
     mem::MemorySystem machine(config);
-    pmu::Pmu pmu(machine);
 
     mem::AddressSpace &attacker = machine.create_process();
     const std::uint64_t buffer_bytes = 16ULL << 20;
@@ -515,7 +513,7 @@ detection_trial(const runner::TrialContext &ctx)
     if (targets.empty())
         throw std::runtime_error("no double-sided target");
 
-    detector::Anvil anvil(machine, pmu,
+    detector::Anvil anvil(machine, machine.pmu(),
                           detector::AnvilConfig::baseline());
     anvil.set_ground_truth([] { return true; });
     anvil.start();

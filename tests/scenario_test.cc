@@ -378,6 +378,40 @@ TEST(ScenarioGolden, Table1AttacksMatchesCommittedJson)
 }
 
 /**
+ * ANVIL's sensitivity variants pinned to past output: table5_fp_sensitivity
+ * at 0.05 simulated seconds per cell, one trial and the default master
+ * seed must reproduce tests/data/table5_fp_sensitivity_golden.json
+ * (captured with `anvil-sim run table5_fp_sensitivity 0.05 --trials 1`).
+ * Every cell runs a benign SPEC profile under ANVIL-light or ANVIL-heavy,
+ * so the PMU's miss counter, overflow PMI and PEBS sampling all feed it.
+ */
+TEST(ScenarioGolden, Table5FpSensitivityMatchesCommittedJson)
+{
+    runner::CliOptions cli;
+    cli.positional = {"0.05"};
+    cli.trials = 1;
+    cli.sweep.jobs = 2;
+    EXPECT_EQ(render_sweep("table5_fp_sensitivity", cli),
+              read_golden("table5_fp_sensitivity_golden.json"));
+}
+
+/**
+ * The kWorkloadOps path under ANVIL pinned to past output: fig3_overhead
+ * at 20000 ops per benchmark, one trial and the default master seed must
+ * reproduce tests/data/fig3_overhead_golden.json (captured with
+ * `anvil-sim run fig3_overhead 20000 --trials 1`).
+ */
+TEST(ScenarioGolden, Fig3OverheadMatchesCommittedJson)
+{
+    runner::CliOptions cli;
+    cli.positional = {"20000"};
+    cli.trials = 1;
+    cli.sweep.jobs = 2;
+    EXPECT_EQ(render_sweep("fig3_overhead", cli),
+              read_golden("fig3_overhead_golden.json"));
+}
+
+/**
  * The step-gap hammer pinned to past output: fig4_sensitivity's four
  * Section 4.5 cells ("future/...") at the default master seed must
  * reproduce tests/data/fig4_future_golden.json byte for byte (captured
@@ -968,6 +1002,38 @@ TEST(Validate, RejectsNegativeOrNonFiniteDisturbanceCoefficients)
     spec.system.dram.double_sided_alpha = 0.0;
     spec.system.dram.variation_spread = 0.0;
     spec.system.dram.second_neighbor_weight = 0.0;
+    EXPECT_NO_THROW(scenario::validate(spec));
+}
+
+TEST(Validate, RejectsMalformedDetectorConfig)
+{
+    // Each would reach Anvil as an assert (zero threshold), a window
+    // that sees nothing (zero tc/ts) or an undefined conversion of an
+    // infinite or negative sampling period to Tick.
+    scenario::ScenarioSpec spec = detection_spec();
+    spec.detector->tc = 0;
+    expect_invalid(spec, "detector.tc");
+
+    spec = detection_spec();
+    spec.detector->ts = 0;
+    expect_invalid(spec, "detector.ts");
+
+    spec = detection_spec();
+    spec.detector->llc_miss_threshold = 0;
+    expect_invalid(spec, "detector.llc_miss_threshold");
+
+    const double bad_rates[] = {0.0, -5000.0,
+                                std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity()};
+    for (const double rate : bad_rates) {
+        spec = detection_spec();
+        spec.detector->samples_per_sec = rate;
+        expect_invalid(spec, "detector.samples_per_sec");
+    }
+
+    spec = detection_spec();
+    spec.detector->samples_per_sec = 1.0;
+    spec.detector->llc_miss_threshold = 1;
     EXPECT_NO_THROW(scenario::validate(spec));
 }
 

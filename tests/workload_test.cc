@@ -25,13 +25,12 @@ double
 misses_per_window(const std::string &name, Tick duration)
 {
     mem::MemorySystem machine(machine_config());
-    pmu::Pmu pmu(machine);
     Workload load(machine, spec_profile(name));
     const Tick start = machine.now();
     load.run_for(duration);
     const double windows = to_ms(machine.now() - start) / 6.0;
     return static_cast<double>(
-               pmu.counter(pmu::Event::kLlcMisses).value()) /
+               machine.pmu().counter(pmu::Event::kLlcMisses).value()) /
            windows;
 }
 
@@ -124,7 +123,6 @@ TEST(Workload, ThrashPhaseConcentratesMissesOnFewRows)
     // During a strong thrash phase the two block lines miss repeatedly —
     // the row-locality signature ANVIL must distinguish from attacks.
     mem::MemorySystem machine(machine_config());
-    pmu::Pmu pmu(machine);
     SpecProfile profile = spec_profile("bzip2");
     profile.thrash_phases_per_sec = 1000.0;
     profile.thrash_duration = ms(50.0);
@@ -136,12 +134,12 @@ TEST(Workload, ThrashPhaseConcentratesMissesOnFewRows)
     while (!load.in_thrash_phase())
         load.step();
     const std::uint64_t before =
-        pmu.counter(pmu::Event::kLlcMisses).value();
+        machine.pmu().counter(pmu::Event::kLlcMisses).value();
     const Tick t0 = machine.now();
     while (machine.now() - t0 < ms(6) && load.in_thrash_phase())
         load.step();
     const std::uint64_t misses =
-        pmu.counter(pmu::Event::kLlcMisses).value() - before;
+        machine.pmu().counter(pmu::Event::kLlcMisses).value() - before;
     // Full-speed ping-pong: well above the Stage-1 threshold.
     EXPECT_GT(misses, 20000u);
 }
